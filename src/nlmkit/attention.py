@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import SequenceLengthError, ShapeError
-from .kernels import as_matrix, softmax_rows
+from .kernels import as_matrix, softmax
 from .weights import HeadWeights, MultiHeadWeights
 
 AR_MODE = "AR"
@@ -60,7 +60,7 @@ def self_attention_head(x: np.ndarray, w: HeadWeights, mask: np.ndarray) -> np.n
     v = x.T @ w.w_v
     if w.b_v is not None:
         v = v + w.b_v
-    weights = softmax_rows(attention_scores(x, w, mask))
+    weights = softmax(attention_scores(x, w, mask), axis=1)
     return weights @ v
 
 

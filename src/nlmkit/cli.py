@@ -26,6 +26,18 @@ EXIT_DATA = 2
 EXIT_AUDIT = 3
 
 
+def _count(text: str) -> int:
+    """argparse type of --steps and --seed: an integer in [0, 2**64), the
+    range of the uint64 that keys init_weights' Philox stream."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if not 0 <= value < 2**64:
+        raise argparse.ArgumentTypeError(f"expected an integer in [0, 2**64), got {text!r}")
+    return value
+
+
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on usage problems; this CLI reserves 2 for data errors
     def error(self, message):
@@ -130,7 +142,7 @@ def build_parser() -> _Parser:
     p.add_argument("--weights", required=True)
     p.add_argument("--vocab", required=True)
     p.add_argument("--prompt", required=True)
-    p.add_argument("--steps", type=int, required=True)
+    p.add_argument("--steps", type=_count, required=True)
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("score", help="negative log likelihood of a text")
@@ -152,9 +164,9 @@ def build_parser() -> _Parser:
     p.add_argument("--config", required=True)
     p.add_argument("--vocab", required=True)
     p.add_argument("--corpus", required=True)
-    p.add_argument("--steps", type=int, required=True)
+    p.add_argument("--steps", type=_count, required=True)
     p.add_argument("--lr", type=float, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_count, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train_toy)
 

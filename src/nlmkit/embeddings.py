@@ -60,15 +60,17 @@ def add_positions(x: np.ndarray, positions: np.ndarray,
 
 
 def tied_logits(h: np.ndarray, e: np.ndarray, out_bias: np.ndarray | None = None) -> np.ndarray:
-    """Vocabulary scores from a hidden vector via the transposed embedding table.
+    """Vocabulary scores from hidden states via the transposed embedding table.
 
-    Component j is the dot product of embedding column j with h, plus the
-    optional output bias.
+    `h` is one hidden vector or a d_e x len matrix with one column per
+    position; the result is a |V| vector or a |V| x len matrix.  Component
+    j of a column is the dot product of embedding column j with the hidden
+    column, plus the optional output bias.
     """
-    h = as_vector(h)
+    h = np.asarray(h, dtype=np.float64)
     e = as_matrix(e)
-    if h.shape[0] != e.shape[0]:
-        raise ShapeError(f"hidden dim {h.shape[0]} != embedding dim {e.shape[0]}")
+    if h.ndim not in (1, 2) or h.shape[0] != e.shape[0]:
+        raise ShapeError(f"hidden shape {h.shape} does not match embedding dim {e.shape[0]}")
     z = e.T @ h
     if out_bias is not None:
         out_bias = as_vector(out_bias)
@@ -76,18 +78,5 @@ def tied_logits(h: np.ndarray, e: np.ndarray, out_bias: np.ndarray | None = None
             raise ShapeError(
                 f"output bias dim {out_bias.shape[0]} != vocabulary size {e.shape[1]}"
             )
-        z = z + out_bias
-    return z
-
-
-def tied_logits_columns(h: np.ndarray, e: np.ndarray,
-                        out_bias: np.ndarray | None = None) -> np.ndarray:
-    """tied_logits applied to every column of h; returns |V| x len."""
-    h = as_matrix(h)
-    e = as_matrix(e)
-    if h.shape[0] != e.shape[0]:
-        raise ShapeError(f"hidden dim {h.shape[0]} != embedding dim {e.shape[0]}")
-    z = e.T @ h
-    if out_bias is not None:
-        z = z + as_vector(out_bias)[:, None]
+        z += out_bias if h.ndim == 1 else out_bias[:, None]
     return z

@@ -7,8 +7,6 @@ of the next token after a context, and a greedy continuation.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .config import ModelConfig
 from .errors import ConfigError
 from .ffnn import ffnn_forward, ffnn_generate
@@ -52,7 +50,3 @@ def generate_tokens(cfg: ModelConfig, weights, prompt_ids: list[int], steps: int
 def min_context(cfg: ModelConfig) -> int:
     """Shortest context the architecture can condition on."""
     return cfg.max_len if cfg.arch == "ffnn" else 1
-
-
-def predict_ids(distribution: np.ndarray) -> int:
-    return int(np.argmax(np.asarray(distribution)))

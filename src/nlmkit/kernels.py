@@ -4,8 +4,13 @@ This module fixes the numerical conventions used everywhere else:
 
 * all computation is IEEE-754 binary64,
 * matrices are 2-D ``numpy`` arrays whose columns index sequence positions,
+* each kernel has one implementation that works along an axis; a vector is
+  the one-slice case.  Vocabulary distributions and layer norm run along
+  axis 0 (down each column, one column per position); attention weights run
+  along axis 1 (across each row, one row per query),
 * attention masks may carry ``-inf`` sentinels; softmax maps them to exact 0,
-* softmax subtracts the largest finite entry before exponentiation,
+* softmax subtracts the largest finite entry of each slice before
+  exponentiation,
 * layer normalization uses the population standard deviation and adds
   ``LAYER_NORM_EPS`` under the square root.
 """
@@ -20,6 +25,7 @@ from .errors import ShapeError, UndefinedDistributionError
 LAYER_NORM_EPS = 1e-5
 
 GELU_TANH_COEFF = 0.044715
+SQRT_2_OVER_PI = np.sqrt(2.0 / np.pi)
 
 
 def as_matrix(a) -> np.ndarray:
@@ -50,35 +56,35 @@ def matmul(a, b) -> np.ndarray:
     return a @ b
 
 
-def softmax(v) -> np.ndarray:
-    """Probability vector from scores.
+def softmax(v, axis: int = -1) -> np.ndarray:
+    """Probability distributions from scores, one per slice along `axis`.
 
-    Entries equal to -inf get probability exactly 0; the largest finite
-    entry is subtracted first so no finite input can overflow.  NaN and
-    +inf entries are rejected, and a vector with no finite entry has no
-    defined distribution.
+    `v` is a vector or a matrix.  Entries equal to -inf get probability
+    exactly 0; the largest finite entry of each slice is subtracted first
+    so no finite input can overflow.  NaN and +inf entries are rejected,
+    and a slice with no finite entry has no defined distribution.
     """
-    v = as_vector(v)
-    if np.isnan(v).any():
-        raise UndefinedDistributionError("softmax input contains NaN")
-    if np.isposinf(v).any():
-        raise UndefinedDistributionError("softmax input contains +inf")
-    finite = np.isfinite(v)
-    if not finite.any():
+    v = np.asarray(v, dtype=np.float64)
+    if v.ndim not in (1, 2):
+        raise ShapeError(f"softmax expects a vector or a matrix, got ndim={v.ndim}")
+    if v.shape[axis] == 0:
+        raise UndefinedDistributionError("softmax input has no finite entry; it is empty")
+    # NaN propagates through max and +inf or an all -inf slice makes it
+    # infinite, so finite maxima prove every slice valid without a pass
+    # over the entries; the max of a valid slice is its largest finite entry
+    peak = v.max(axis=axis, keepdims=True)
+    if not np.isfinite(peak).all():
+        if np.isnan(v).any():
+            raise UndefinedDistributionError("softmax input contains NaN")
+        if np.isposinf(v).any():
+            raise UndefinedDistributionError("softmax input contains +inf")
         raise UndefinedDistributionError(
             "softmax input has no finite entry; all scores are masked"
         )
-    e = np.exp(v - v[finite].max())  # exp(-inf) == 0.0 exactly
-    return e / e.sum()
-
-
-def softmax_rows(m) -> np.ndarray:
-    """Row-wise softmax; one attention-weight distribution per query row."""
-    m = as_matrix(m)
-    out = np.empty_like(m)
-    for i in range(m.shape[0]):
-        out[i] = softmax(m[i])
-    return out
+    e = v - peak
+    np.exp(e, out=e)  # exp(-inf) == 0.0 exactly
+    e /= e.sum(axis=axis, keepdims=True)
+    return e
 
 
 def sigmoid(x):
@@ -86,14 +92,10 @@ def sigmoid(x):
     return expit(np.asarray(x, dtype=np.float64))
 
 
-def tanh(x):
-    return np.tanh(np.asarray(x, dtype=np.float64))
-
-
 def gelu_tanh(x):
     """GELU via the tanh approximation used by the transformer models."""
     x = np.asarray(x, dtype=np.float64)
-    return 0.5 * x * (1.0 + np.tanh(np.sqrt(2.0 / np.pi) * (x + GELU_TANH_COEFF * x**3)))
+    return 0.5 * x * (1.0 + np.tanh(SQRT_2_OVER_PI * (x + GELU_TANH_COEFF * (x * x * x))))
 
 
 def gelu_exact(x):
@@ -111,33 +113,24 @@ def gelu(x, mode: str = "tanh"):
 
 
 def layer_norm(x, gain, bias, eps: float = LAYER_NORM_EPS) -> np.ndarray:
-    """Z-score a vector, then apply the learned gain and bias.
+    """Z-score along axis 0, then apply the learned gain and bias.
 
-    Mean and standard deviation are taken over the vector itself
-    (population form); eps sits under the square root so constant
-    vectors normalize to the bias.
+    `x` is a vector or a d x n matrix normalized column by column.  Mean
+    and standard deviation are taken over each column (population form);
+    eps sits under the square root so constant columns normalize to the
+    bias.
     """
-    x = as_vector(x)
+    x = np.asarray(x, dtype=np.float64)
     gain = as_vector(gain)
     bias = as_vector(bias)
-    if not (x.shape == gain.shape == bias.shape):
+    if x.ndim not in (1, 2) or not (x.shape[0] == gain.shape[0] == bias.shape[0]):
         raise ShapeError(
             f"layer_norm dims disagree: x {x.shape}, gain {gain.shape}, bias {bias.shape}"
         )
-    mu = x.mean()
-    var = x.var()
-    return gain * ((x - mu) / np.sqrt(var + eps)) + bias
-
-
-def layer_norm_columns(m, gain, bias, eps: float = LAYER_NORM_EPS) -> np.ndarray:
-    """Apply layer_norm independently to every column of a matrix."""
-    m = as_matrix(m)
-    gain = as_vector(gain)
-    bias = as_vector(bias)
-    if m.shape[0] != gain.shape[0] or m.shape[0] != bias.shape[0]:
-        raise ShapeError(
-            f"layer_norm dims disagree: matrix {m.shape}, gain {gain.shape}, bias {bias.shape}"
-        )
-    mu = m.mean(axis=0)
-    var = m.var(axis=0)
-    return gain[:, None] * ((m - mu) / np.sqrt(var + eps)) + bias[:, None]
+    column = (-1,) + (1,) * (x.ndim - 1)
+    out = x - x.mean(axis=0)
+    var = (out * out).mean(axis=0)
+    out /= np.sqrt(var + eps)
+    out *= gain.reshape(column)
+    out += bias.reshape(column)
+    return out

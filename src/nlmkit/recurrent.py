@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .embeddings import embed, tied_logits_columns
+from .embeddings import embed, tied_logits
 from .errors import SequenceLengthError, ShapeError
 from .ffnn import activation_fn
 from .kernels import sigmoid, softmax
@@ -86,12 +86,7 @@ def recurrent_hidden(seq: TokenSequence | list[int], w: RnnWeights | LstmWeights
 def recurrent_lm_forward(seq: TokenSequence | list[int],
                          w: RnnWeights | LstmWeights) -> np.ndarray:
     """Next-token distributions per position (|V| x len), tied output head."""
-    h = recurrent_hidden(seq, w)
-    z = tied_logits_columns(h, w.embedding)
-    probs = np.empty_like(z)
-    for i in range(z.shape[1]):
-        probs[:, i] = softmax(z[:, i])
-    return probs
+    return softmax(tied_logits(recurrent_hidden(seq, w), w.embedding), axis=0)
 
 
 def recurrent_generate(prompt: list[int], w: RnnWeights | LstmWeights, steps: int) -> list[int]:

@@ -19,9 +19,9 @@ from __future__ import annotations
 import numpy as np
 
 from .attention import AE_MODE, AR_MODE, build_mask, multi_head_attention
-from .embeddings import add_positions, embed, tied_logits_columns
+from .embeddings import add_positions, embed, tied_logits
 from .errors import SequenceFormatError, SequenceLengthError, ShapeError
-from .kernels import gelu, layer_norm_columns, softmax
+from .kernels import gelu, layer_norm, softmax
 from .vocab import SEGMENT_A, TokenSequence, Vocabulary
 from .weights import BertWeights, BlockWeights, Gpt2Weights
 
@@ -38,13 +38,13 @@ def transformer_block(h_in: np.ndarray, w: BlockWeights, mask: np.ndarray,
         raise ShapeError(f"block input must be 2-D, got ndim={h_in.ndim}")
     if variant == "post":
         a = multi_head_attention(h_in, w.mha, mask)
-        c = layer_norm_columns(h_in + a, w.ln1_gain, w.ln1_bias)
+        c = layer_norm(h_in + a, w.ln1_gain, w.ln1_bias)
         d = position_ffn(c, w, gelu_mode)
-        return layer_norm_columns(c + d, w.ln2_gain, w.ln2_bias)
+        return layer_norm(c + d, w.ln2_gain, w.ln2_bias)
     if variant == "pre":
-        a = multi_head_attention(layer_norm_columns(h_in, w.ln1_gain, w.ln1_bias), w.mha, mask)
+        a = multi_head_attention(layer_norm(h_in, w.ln1_gain, w.ln1_bias), w.mha, mask)
         c = h_in + a
-        d = position_ffn(layer_norm_columns(c, w.ln2_gain, w.ln2_bias), w, gelu_mode)
+        d = position_ffn(layer_norm(c, w.ln2_gain, w.ln2_bias), w, gelu_mode)
         return c + d
     raise ValueError(f"unknown block variant {variant!r}; expected 'post' or 'pre'")
 
@@ -65,11 +65,11 @@ def gpt2_hidden(seq: TokenSequence | list[int], w: Gpt2Weights) -> np.ndarray:
         raise SequenceLengthError(f"sequence length {len(ids)} exceeds maximum {n_max}")
     h = add_positions(embed(ids, w.embedding), w.positions)
     if w.norm_variant == "post":
-        h = layer_norm_columns(h, w.emb_norm_gain, w.emb_norm_bias)
+        h = layer_norm(h, w.emb_norm_gain, w.emb_norm_bias)
     mask = build_mask(len(ids), AR_MODE)
     h = transformer_stack(h, w.blocks, mask, w.norm_variant, w.gelu_mode)
     if w.norm_variant == "pre":
-        h = layer_norm_columns(h, w.emb_norm_gain, w.emb_norm_bias)
+        h = layer_norm(h, w.emb_norm_gain, w.emb_norm_bias)
     return h
 
 
@@ -79,12 +79,7 @@ def gpt2_forward(seq: TokenSequence | list[int], w: Gpt2Weights) -> np.ndarray:
     Column i conditions only on tokens 1..i (causal mask); logits use the
     tied embedding transpose.
     """
-    h = gpt2_hidden(seq, w)
-    z = tied_logits_columns(h, w.embedding)
-    probs = np.empty_like(z)
-    for i in range(z.shape[1]):
-        probs[:, i] = softmax(z[:, i])
-    return probs
+    return softmax(tied_logits(gpt2_hidden(seq, w), w.embedding), axis=0)
 
 
 def segment_matrix(seq: TokenSequence, w: BertWeights) -> np.ndarray:
@@ -113,8 +108,8 @@ def bert_forward(seq: TokenSequence, w: BertWeights, vocab: Vocabulary | None = 
     if len(seq) > n_max:
         raise SequenceLengthError(f"sequence length {len(seq)} exceeds maximum {n_max}")
     x = embed(seq.ids, w.embedding)
-    h0 = layer_norm_columns(x + w.positions[:, : len(seq)] + segment_matrix(seq, w),
-                            w.emb_norm_gain, w.emb_norm_bias)
+    h0 = layer_norm(x + w.positions[:, : len(seq)] + segment_matrix(seq, w),
+                    w.emb_norm_gain, w.emb_norm_bias)
     mask = build_mask(len(seq), AE_MODE)
     return transformer_stack(h0, w.blocks, mask, w.norm_variant, w.gelu_mode)
 
@@ -122,12 +117,8 @@ def bert_forward(seq: TokenSequence, w: BertWeights, vocab: Vocabulary | None = 
 def mlm_head(h: np.ndarray, w: BertWeights) -> np.ndarray:
     """Masked-token distributions for every position (|V| x len)."""
     transformed = gelu(w.mlm_w @ h + w.mlm_b[:, None], w.gelu_mode)
-    normed = layer_norm_columns(transformed, w.mlm_norm_gain, w.mlm_norm_bias)
-    z = tied_logits_columns(normed, w.embedding, w.out_bias)
-    probs = np.empty_like(z)
-    for i in range(z.shape[1]):
-        probs[:, i] = softmax(z[:, i])
-    return probs
+    normed = layer_norm(transformed, w.mlm_norm_gain, w.mlm_norm_bias)
+    return softmax(tied_logits(normed, w.embedding, w.out_bias), axis=0)
 
 
 def nsp_head(h: np.ndarray, w: BertWeights) -> np.ndarray:

@@ -75,9 +75,6 @@ class Vocabulary:
     def mask_id(self) -> int | None:
         return self.specials.get(MASK_TOKEN)
 
-    def special_ids(self) -> set[int]:
-        return set(self.specials.values())
-
 
 @dataclass
 class TokenSequence:

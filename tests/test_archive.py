@@ -1,0 +1,101 @@
+"""ANLM archive round trips and the rejection of malformed or hostile files."""
+
+import struct
+
+import numpy as np
+import numpy.testing as npt
+import pytest
+
+from nlmkit.archive import MAGIC, load_weights, save_weights
+from nlmkit.errors import (
+    ArchiveDuplicateNameError,
+    ArchiveError,
+    ArchiveMagicError,
+    ArchiveTruncatedError,
+    ArchiveVersionError,
+)
+
+
+def header(count=1, version=1) -> bytes:
+    return MAGIC + struct.pack("<QQ", version, count)
+
+
+def entry(name: bytes, dims, payload: bytes = b"", rank=None) -> bytes:
+    rank = len(dims) if rank is None else rank
+    return (struct.pack("<Q", len(name)) + name + struct.pack("<Q", rank)
+            + struct.pack(f"<{len(dims)}Q", *dims) + payload)
+
+
+def write(tmp_path, data: bytes):
+    path = tmp_path / "w.anlm"
+    path.write_bytes(data)
+    return path
+
+
+class TestRoundTrip:
+    def test_bitwise_round_trip(self, tmp_path, rng):
+        tensors = {"a": rng.normal(size=(3, 4)), "b": rng.normal(size=5),
+                   "c": np.array([[-0.0, np.inf], [np.nan, 5e-324]])}
+        path = tmp_path / "w.anlm"
+        save_weights(tensors, path)
+        loaded = load_weights(path)
+        assert list(loaded) == list(tensors)
+        for name, t in tensors.items():
+            assert loaded[name].tobytes() == t.tobytes()
+            assert loaded[name].shape == t.shape
+
+    def test_zero_size_tensor(self, tmp_path):
+        path = write(tmp_path, header() + entry(b"z", (0, 7)))
+        assert load_weights(path)["z"].shape == (0, 7)
+
+
+class TestMalformed:
+    def test_bad_magic(self, tmp_path):
+        with pytest.raises(ArchiveMagicError):
+            load_weights(write(tmp_path, b"NOPE" + header()[4:]))
+
+    def test_bad_version(self, tmp_path):
+        with pytest.raises(ArchiveVersionError):
+            load_weights(write(tmp_path, header(version=2)))
+
+    def test_truncated_payload(self, tmp_path):
+        data = header() + entry(b"a", (2, 2), struct.pack("<3d", 1.0, 2.0, 3.0))
+        with pytest.raises(ArchiveTruncatedError, match="payload of a"):
+            load_weights(write(tmp_path, data))
+
+    def test_duplicate_name(self, tmp_path):
+        one = entry(b"a", (1,), struct.pack("<d", 1.0))
+        with pytest.raises(ArchiveDuplicateNameError):
+            load_weights(write(tmp_path, header(count=2) + one + one))
+
+    def test_trailing_bytes(self, tmp_path):
+        with pytest.raises(ArchiveError, match="trailing"):
+            load_weights(write(tmp_path, header(count=0) + b"x"))
+
+
+class TestHostileHeaders:
+    """Declared lengths far beyond the file must fail before any allocation."""
+
+    def test_huge_name_length(self, tmp_path):
+        data = header() + struct.pack("<Q", 2**62) + b"abc"
+        with pytest.raises(ArchiveTruncatedError, match="tensor name"):
+            load_weights(write(tmp_path, data))
+
+    def test_huge_rank(self, tmp_path):
+        data = header() + entry(b"a", (), rank=2**61) + b"\0" * 16
+        with pytest.raises(ArchiveTruncatedError, match="dims of a"):
+            load_weights(write(tmp_path, data))
+
+    def test_huge_dims(self, tmp_path):
+        data = header() + entry(b"a", (2**40, 2**40), b"\0" * 64)
+        with pytest.raises(ArchiveTruncatedError, match="payload of a"):
+            load_weights(write(tmp_path, data))
+
+    def test_huge_tensor_count(self, tmp_path):
+        with pytest.raises(ArchiveTruncatedError, match="name length"):
+            load_weights(write(tmp_path, header(count=2**64 - 1)))
+
+    def test_unindexable_zero_size_dims(self, tmp_path):
+        data = header() + entry(b"a", (0, 2**64 - 1))
+        with pytest.raises(ArchiveError, match="unsupported dims"):
+            load_weights(write(tmp_path, data))

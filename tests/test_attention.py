@@ -13,7 +13,7 @@ from nlmkit.attention import (
     self_attention_head,
 )
 from nlmkit.errors import SequenceLengthError
-from nlmkit.kernels import softmax_rows
+from nlmkit.kernels import softmax
 from nlmkit.weights import HeadWeights, MultiHeadWeights
 
 import oracles
@@ -57,7 +57,7 @@ class TestSelfAttentionHead:
     def test_first_row_attends_only_to_itself_under_ar(self, rng):
         head = random_head(rng, d_e=4, d_k=3, d_v=3)
         x = rng.normal(size=(4, 2))
-        weights = softmax_rows(attention_scores(x, head, build_mask(2, "AR")))
+        weights = softmax(attention_scores(x, head, build_mask(2, "AR")), axis=1)
         npt.assert_array_equal(weights[0], [1.0, 0.0])
 
     @pytest.mark.parametrize("biases", [False, True])
@@ -78,7 +78,7 @@ class TestSelfAttentionHead:
     def test_weight_rows_are_distributions_with_exact_mask_zeros(self, rng):
         head = random_head(rng, d_e=5, d_k=4, d_v=4, biases=True)
         x = rng.normal(size=(5, 6))
-        weights = softmax_rows(attention_scores(x, head, build_mask(6, "AR")))
+        weights = softmax(attention_scores(x, head, build_mask(6, "AR")), axis=1)
         npt.assert_allclose(weights.sum(axis=1), 1.0, atol=1e-12)
         for i in range(6):
             npt.assert_array_equal(weights[i, i + 1:], 0.0)

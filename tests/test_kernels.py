@@ -5,6 +5,8 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nlmkit.errors import ShapeError, UndefinedDistributionError
 from nlmkit.kernels import (
@@ -12,14 +14,26 @@ from nlmkit.kernels import (
     gelu_exact,
     gelu_tanh,
     layer_norm,
-    layer_norm_columns,
     matmul,
     sigmoid,
     softmax,
-    softmax_rows,
 )
 
-from oracles import normal_cdf_series
+from oracles import gelu_tanh_scalar, layer_norm_vec, naive_softmax, normal_cdf_series
+
+
+def masked_matrix(rng, shape, rate=0.3):
+    """Normal scores with about `rate` of the entries set to -inf, leaving
+    at least one finite entry in every row and every column."""
+    m = rng.normal(scale=3.0, size=shape)
+    m[rng.uniform(size=shape) < rate] = -np.inf
+    keep = np.arange(max(shape))
+    m[keep % shape[0], keep % shape[1]] = rng.normal(size=max(shape))
+    return m
+
+
+def slices(m, axis):
+    return [m[:, j] for j in range(m.shape[1])] if axis == 0 else list(m)
 
 
 class TestMatmul:
@@ -68,6 +82,10 @@ class TestSoftmax:
         with pytest.raises(UndefinedDistributionError):
             softmax([-np.inf, -np.inf])
 
+    def test_empty_rejected(self):
+        with pytest.raises(UndefinedDistributionError):
+            softmax([])
+
     def test_nan_rejected(self):
         with pytest.raises(UndefinedDistributionError):
             softmax([0.0, np.nan])
@@ -83,9 +101,54 @@ class TestSoftmax:
 
     def test_row_wise_matches_vector_form(self, rng):
         m = rng.normal(size=(5, 7))
-        out = softmax_rows(m)
+        out = softmax(m, axis=1)
         for i in range(5):
             npt.assert_array_equal(out[i], softmax(m[i]))
+
+    def test_pos_inf_rejected(self):
+        with pytest.raises(UndefinedDistributionError, match=r"\+inf"):
+            softmax([0.0, np.inf])
+        with pytest.raises(UndefinedDistributionError, match=r"\+inf"):
+            softmax(np.array([[0.0, 1.0], [-np.inf, np.inf]]), axis=0)
+
+    def test_nan_rejected_in_matrix(self):
+        m = np.zeros((3, 4))
+        m[2, 1] = np.nan
+        for axis in (0, 1):
+            with pytest.raises(UndefinedDistributionError, match="NaN"):
+                softmax(m, axis=axis)
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_masked_matrix_matches_naive_oracle(self, rng, axis):
+        m = masked_matrix(rng, (7, 9))
+        out = softmax(m, axis=axis)
+        for got, scores in zip(slices(out, axis), slices(m, axis)):
+            npt.assert_allclose(got, naive_softmax(scores), rtol=1e-12, atol=1e-15)
+            npt.assert_array_equal(got[scores == -np.inf], 0.0)
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_one_all_masked_slice_rejected(self, rng, axis):
+        m = masked_matrix(rng, (5, 6))
+        if axis == 0:
+            m[:, 2] = -np.inf
+        else:
+            m[3] = -np.inf
+        with pytest.raises(UndefinedDistributionError, match="no finite entry"):
+            softmax(m, axis=axis)
+
+    def test_rejects_higher_rank(self):
+        with pytest.raises(ShapeError):
+            softmax(np.zeros((2, 2, 2)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.integers(1, 12), cols=st.integers(1, 12), axis=st.sampled_from([0, 1]),
+           seed=st.integers(0, 2**32 - 1), rate=st.floats(0.0, 0.9))
+    def test_property_masked_slices_sum_to_one(self, rows, cols, axis, seed, rate):
+        m = masked_matrix(np.random.default_rng(seed), (rows, cols), rate)
+        out = softmax(m, axis=axis)
+        npt.assert_allclose(out.sum(axis=axis), 1.0, rtol=0, atol=1e-12)
+        for got, scores in zip(slices(out, axis), slices(m, axis)):
+            npt.assert_allclose(got, softmax(scores), rtol=0, atol=1e-15)
 
 
 class TestGelu:
@@ -105,6 +168,14 @@ class TestGelu:
     def test_modes_agree_within_5e3(self):
         x = np.linspace(-5.0, 5.0, 10_000)
         assert np.max(np.abs(gelu_tanh(x) - gelu_exact(x))) <= 5e-3
+
+    def test_matrix_matches_scalar_oracle(self, rng):
+        x = rng.uniform(-30.0, 30.0, size=(16, 12))
+        x[0, :6] = [-30.0, -5.0, -1e-8, 0.0, 1e-8, 30.0]
+        out = gelu_tanh(x)
+        assert out.shape == x.shape
+        for (i, j), xi in np.ndenumerate(x):
+            assert abs(out[i, j] - gelu_tanh_scalar(xi)) <= 1e-12 * max(1.0, abs(xi))
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
@@ -146,13 +217,25 @@ class TestLayerNorm:
         m = rng.normal(size=(6, 4))
         gain = rng.normal(size=6)
         bias = rng.normal(size=6)
-        out = layer_norm_columns(m, gain, bias)
+        out = layer_norm(m, gain, bias)
         for j in range(4):
             npt.assert_allclose(out[:, j], layer_norm(m[:, j], gain, bias), rtol=1e-12, atol=1e-14)
+
+    def test_matrix_matches_vector_oracle(self, rng):
+        m = rng.normal(loc=2.0, scale=5.0, size=(9, 7))
+        m[:, 3] = 4.0  # constant column normalizes to the bias
+        gain = rng.normal(size=9)
+        bias = rng.normal(size=9)
+        out = layer_norm(m, gain, bias)
+        for j in range(7):
+            npt.assert_allclose(out[:, j], layer_norm_vec(list(m[:, j]), list(gain), list(bias)),
+                                rtol=1e-12, atol=1e-12)
 
     def test_dim_mismatch(self):
         with pytest.raises(ShapeError):
             layer_norm(np.zeros(3), np.zeros(4), np.zeros(3))
+        with pytest.raises(ShapeError):
+            layer_norm(np.zeros((3, 5)), np.zeros(5), np.zeros(5))
 
 
 class TestSigmoidTanh:

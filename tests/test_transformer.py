@@ -6,7 +6,7 @@ import pytest
 
 from nlmkit.attention import build_mask
 from nlmkit.errors import SequenceFormatError, SequenceLengthError
-from nlmkit.kernels import layer_norm_columns
+from nlmkit.kernels import layer_norm
 from nlmkit.transformer import (
     bert_forward,
     gpt2_forward,
@@ -127,7 +127,7 @@ class TestGpt2Forward:
         # zero attention/ffn weights, unit gains, zero biases: both variants
         # collapse to layer_norm chains over an already z-scored input
         raw = rng.normal(size=(8, 3))
-        zscored = layer_norm_columns(raw, np.ones(8), np.zeros(8), eps=0.0)
+        zscored = layer_norm(raw, np.ones(8), np.zeros(8), eps=0.0)
         variant_outputs = []
         for variant in ("post", "pre"):
             cfg = tiny_gpt2_config(variant=variant, zeta=0)

@@ -182,8 +182,19 @@ class TestTiedLogits:
         for j in range(7):
             assert abs(z[j] - (sum(e[i, j] * h[i] for i in range(5)) + b[j])) < 1e-12
 
+    def test_matrix_matches_vector_form_per_column(self, rng):
+        e = rng.normal(size=(5, 7))
+        h = rng.normal(size=(5, 4))
+        b = rng.normal(size=7)
+        z = tied_logits(h, e, b)
+        assert z.shape == (7, 4)
+        for j in range(4):
+            npt.assert_allclose(z[:, j], tied_logits(h[:, j], e, b), rtol=1e-12, atol=1e-14)
+
     def test_dimension_mismatch(self, rng):
         with pytest.raises(ShapeError):
             tied_logits(np.zeros(3), rng.normal(size=(4, 6)))
+        with pytest.raises(ShapeError):
+            tied_logits(np.zeros((3, 2)), rng.normal(size=(4, 6)))
         with pytest.raises(ShapeError):
             tied_logits(np.zeros(4), rng.normal(size=(4, 6)), np.zeros(5))
