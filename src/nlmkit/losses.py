@@ -14,6 +14,11 @@ import numpy as np
 
 from .errors import SequenceFormatError, SequenceLengthError, ShapeError
 from .vocab import MASK_TOKEN, TokenSequence, Vocabulary
+from .weights import philox
+
+# full windows corpus_nll hands to a window scorer at once; bounds the
+# scorer's working set (a batched unroll holds d_e x window x WINDOW_BATCH)
+WINDOW_BATCH = 64
 
 
 def ce_loss(y_true_id: int, y_hat: np.ndarray) -> float:
@@ -111,7 +116,7 @@ def mlm_corrupt(seq: TokenSequence, mask_rate: float, seed: int, vocab: Vocabula
     if not eligible:
         raise SequenceFormatError("sequence contains only [CLS]/[SEP] tokens; nothing to mask")
     count = max(1, int(math.floor(mask_rate * len(eligible))))
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    rng = philox(seed)
     chosen = sorted(rng.choice(len(eligible), size=count, replace=False).tolist())
     return apply_mlm_mask(seq, [eligible[i] for i in chosen], vocab)
 
@@ -130,26 +135,73 @@ def mlm_loss(target: MlmTarget, distributions: np.ndarray) -> float:
     return float(total)
 
 
+class Predictor:
+    """Next-token distributions of a causal model in the three forms
+    ``corpus_nll`` uses.
+
+    Calling it on a context gives the |V| distribution of the next token.
+    ``prefix(ids)``, None for a model that needs a full window, gives the
+    |V| x len(ids) distributions after every prefix ids[:j+1] from one
+    causal pass.  ``windows(ids, n)`` gives the |V| x (len(ids) - n + 1)
+    distributions after every n-token window ids[s:s+n]; unless the model
+    supplies a batched scorer, that is one call per window.
+    """
+
+    def __init__(self, predict, prefix=None, windows=None):
+        self._predict = predict
+        self._windows = windows
+        self.prefix = prefix
+
+    def __call__(self, context: list[int]) -> np.ndarray:
+        return self._predict(context)
+
+    def windows(self, ids: list[int], n: int) -> np.ndarray:
+        if self._windows is not None:
+            return self._windows(ids, n)
+        return np.column_stack([np.asarray(self._predict(ids[s:s + n]))
+                                for s in range(len(ids) - n + 1)])
+
+
 def corpus_nll(corpus_ids: list[int], predict_next, window: int,
                min_context: int = 1) -> float:
     """Sliding-window negative log likelihood over a token stream.
 
-    Each position after the first is scored from at most ``window``
-    preceding tokens.  Models that demand a full window (the feedforward
-    LM) pass ``min_context=window`` so shorter prefixes are skipped.
+    Each position i after the first is scored from its context
+    corpus[max(0, i - window):i].  Models that demand a full window (the
+    feedforward LM) pass ``min_context=window`` so shorter prefixes are
+    skipped.
+
+    The contexts shorter than ``window`` are the prefixes corpus[:i] with
+    i < window, so a ``Predictor`` with a prefix pass scores them all in
+    one causal pass over corpus[:window-1]; without one, each is one call.
+    The full windows corpus[i-window:i] go to its window scorer,
+    WINDOW_BATCH at a time.  A plain callable (context -> |V| vector) is
+    wrapped into a Predictor that makes one call per context.
     """
     if len(corpus_ids) < 2:
         raise SequenceLengthError("corpus must contain at least two tokens")
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
+    if not isinstance(predict_next, Predictor):
+        predict_next = Predictor(predict_next)
+    n = len(corpus_ids)
+    short = range(max(1, min_context), min(window, n))
     total = 0.0
-    scored = 0
-    for i in range(1, len(corpus_ids)):
-        context = corpus_ids[max(0, i - window):i]
-        if len(context) < min_context:
-            continue
-        total += ce_loss(corpus_ids[i], np.asarray(predict_next(context)))
-        scored += 1
+    if short and predict_next.prefix is not None:
+        probs = np.asarray(predict_next.prefix(corpus_ids[:short[-1]]))
+        for i in short:
+            total += ce_loss(corpus_ids[i], probs[:, i - 1])
+    else:
+        for i in short:
+            total += ce_loss(corpus_ids[i], np.asarray(predict_next(corpus_ids[:i])))
+    scored = len(short)
+    if window >= min_context:
+        for lo in range(window, n, WINDOW_BATCH):
+            hi = min(lo + WINDOW_BATCH, n)
+            probs = np.asarray(predict_next.windows(corpus_ids[lo - window:hi - 1], window))
+            for i in range(lo, hi):
+                total += ce_loss(corpus_ids[i], probs[:, i - lo])
+            scored += hi - lo
     if scored == 0:
         raise SequenceLengthError(
             f"no position has the {min_context} tokens of context the model requires"

@@ -12,13 +12,19 @@ stream raw:
 
 The decoder LM pairs post-norm blocks with an input embedding norm, or
 pre-norm blocks with that same norm moved to the transformer output.
+
+The decoder decodes incrementally through a ``KVCache``: every head keeps
+the keys and values of the positions already seen, so a call with a cache
+computes only its new columns.  The new queries attend over all cached
+positions through the matching rows of the causal mask.  A full forward
+pass is the empty-cache case and needs no cache at all.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .attention import AE_MODE, AR_MODE, build_mask, multi_head_attention
+from .attention import AE_MODE, AR_MODE, HeadCache, build_mask, multi_head_attention
 from .embeddings import add_positions, embed, tied_logits
 from .errors import SequenceFormatError, SequenceLengthError, ShapeError
 from .kernels import gelu, layer_norm, softmax
@@ -33,43 +39,69 @@ def position_ffn(c: np.ndarray, w: BlockWeights, gelu_mode: str) -> np.ndarray:
 
 
 def transformer_block(h_in: np.ndarray, w: BlockWeights, mask: np.ndarray,
-                      variant: str = "post", gelu_mode: str = "tanh") -> np.ndarray:
+                      variant: str = "post", gelu_mode: str = "tanh",
+                      cache: list[HeadCache] | None = None) -> np.ndarray:
+    """One block over the columns of h_in; `cache` holds the block's heads' caches."""
     if h_in.ndim != 2:
         raise ShapeError(f"block input must be 2-D, got ndim={h_in.ndim}")
     if variant == "post":
-        a = multi_head_attention(h_in, w.mha, mask)
+        a = multi_head_attention(h_in, w.mha, mask, cache)
         c = layer_norm(h_in + a, w.ln1_gain, w.ln1_bias)
         d = position_ffn(c, w, gelu_mode)
         return layer_norm(c + d, w.ln2_gain, w.ln2_bias)
     if variant == "pre":
-        a = multi_head_attention(layer_norm(h_in, w.ln1_gain, w.ln1_bias), w.mha, mask)
+        a = multi_head_attention(layer_norm(h_in, w.ln1_gain, w.ln1_bias), w.mha, mask, cache)
         c = h_in + a
         d = position_ffn(layer_norm(c, w.ln2_gain, w.ln2_bias), w, gelu_mode)
         return c + d
     raise ValueError(f"unknown block variant {variant!r}; expected 'post' or 'pre'")
 
 
+class KVCache:
+    """Keys and values of every block and head for the positions a decoder
+    has seen: ``length`` rows of each preallocated max_len-row HeadCache."""
+
+    def __init__(self, w: Gpt2Weights):
+        n_max = w.positions.shape[1]
+        self.length = 0
+        self.blocks = [[HeadCache(np.empty((n_max, head.w_k.shape[1])),
+                                  np.empty((n_max, head.w_v.shape[1])))
+                        for head in block.mha.heads] for block in w.blocks]
+
+
 def transformer_stack(h0: np.ndarray, blocks: list[BlockWeights], mask: np.ndarray,
-                      variant: str = "post", gelu_mode: str = "tanh") -> np.ndarray:
+                      variant: str = "post", gelu_mode: str = "tanh",
+                      cache: KVCache | None = None) -> np.ndarray:
     h = h0
-    for block in blocks:
-        h = transformer_block(h, block, mask, variant, gelu_mode)
+    for l, block in enumerate(blocks):
+        h = transformer_block(h, block, mask, variant, gelu_mode,
+                              None if cache is None else cache.blocks[l])
     return h
 
 
-def gpt2_hidden(seq: TokenSequence | list[int], w: Gpt2Weights) -> np.ndarray:
-    """Contextualized representations (d_e x len) before the output head."""
+def gpt2_hidden(seq: TokenSequence | list[int], w: Gpt2Weights,
+                cache: KVCache | None = None) -> np.ndarray:
+    """Contextualized representations (d_e x len) before the output head.
+
+    With a cache, `seq` continues the ``cache.length`` positions already in
+    it: only its columns are computed, at the positions that follow, and
+    their keys and values are added to the cache.
+    """
     ids = seq.ids if isinstance(seq, TokenSequence) else seq
     n_max = w.positions.shape[1]
-    if len(ids) > n_max:
-        raise SequenceLengthError(f"sequence length {len(ids)} exceeds maximum {n_max}")
-    h = add_positions(embed(ids, w.embedding), w.positions)
+    start = 0 if cache is None else cache.length
+    end = start + len(ids)
+    if end > n_max:
+        raise SequenceLengthError(f"sequence length {end} exceeds maximum {n_max}")
+    h = add_positions(embed(ids, w.embedding), w.positions[:, start:])
     if w.norm_variant == "post":
         h = layer_norm(h, w.emb_norm_gain, w.emb_norm_bias)
-    mask = build_mask(len(ids), AR_MODE)
-    h = transformer_stack(h, w.blocks, mask, w.norm_variant, w.gelu_mode)
+    mask = build_mask(end, AR_MODE)[start:]
+    h = transformer_stack(h, w.blocks, mask, w.norm_variant, w.gelu_mode, cache)
     if w.norm_variant == "pre":
         h = layer_norm(h, w.emb_norm_gain, w.emb_norm_bias)
+    if cache is not None:
+        cache.length = end
     return h
 
 
@@ -131,7 +163,9 @@ def greedy_decode(prompt: TokenSequence | list[int], w: Gpt2Weights, steps: int)
     """Append the argmax continuation token `steps` times.
 
     Ties break toward the lowest id; the prompt plus all generated tokens
-    must fit within the positional table.
+    must fit within the positional table.  The first step runs the prompt
+    through a KV cache in one pass; every later step feeds only the token
+    just chosen.
     """
     ids = list(prompt.ids if isinstance(prompt, TokenSequence) else prompt)
     n_max = w.positions.shape[1]
@@ -139,7 +173,10 @@ def greedy_decode(prompt: TokenSequence | list[int], w: Gpt2Weights, steps: int)
         raise SequenceLengthError(
             f"prompt length {len(ids)} plus {steps} steps exceeds maximum {n_max}"
         )
+    cache = KVCache(w)
+    new = ids
     for _ in range(steps):
-        probs = gpt2_forward(ids, w)
-        ids.append(int(np.argmax(probs[:, -1])))
+        h = gpt2_hidden(new, w, cache)
+        ids.append(int(np.argmax(softmax(tied_logits(h[:, -1], w.embedding)))))
+        new = ids[-1:]
     return ids

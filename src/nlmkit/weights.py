@@ -342,6 +342,13 @@ def zeros_weights(cfg: ModelConfig) -> AnyWeights:
     return assemble_weights(cfg, {name: np.zeros(shape) for name, shape in tensor_layout(cfg)})
 
 
+def philox(seed: int) -> np.random.Generator:
+    """Generator over the Philox stream keyed by `seed`, an integer in [0, 2**64)."""
+    if not 0 <= seed < 2**64:
+        raise ConfigError(f"seed must be an integer in [0, 2**64), got {seed}")
+    return np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+
+
 def init_weights(cfg: ModelConfig, seed: int) -> AnyWeights:
     """Deterministic uniform(-0.05, 0.05) initialization.
 
@@ -349,7 +356,7 @@ def init_weights(cfg: ModelConfig, seed: int) -> AnyWeights:
     tensor by tensor in canonical layout order, so equal seeds give
     bitwise-equal weights.
     """
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    rng = philox(seed)
     tensors = {name: rng.uniform(INIT_LOW, INIT_HIGH, size=shape)
                for name, shape in tensor_layout(cfg)}
     return assemble_weights(cfg, tensors)

@@ -277,3 +277,36 @@ def unroll(x_cols, layers, kind):
             value = h_state[l]
         outputs.append(value)
     return outputs
+
+
+# ---------------------------------------------------------------------------
+# full-recompute decoding and per-context scoring
+# ---------------------------------------------------------------------------
+
+def greedy_decode(prompt, dists, steps):
+    """Greedy continuation that re-runs the model on the whole sequence for
+    every new token.  `dists(ids)` gives the next-token distribution at
+    every position of ids (indexable by position: a list of distributions,
+    or the transpose of a |V| x len matrix).  Ties break toward the lowest
+    id.  This is the specification of incremental gpt2 decoding and of
+    recurrent generation with a carried state."""
+    ids = list(prompt)
+    for _ in range(steps):
+        last = [float(p) for p in dists(ids)[-1]]
+        ids.append(max(range(len(last)), key=last.__getitem__))
+    return ids
+
+
+def corpus_nll(corpus, predict_next, window, min_context=1):
+    """Sliding-window NLL with one model call per scored position: position
+    i is scored from corpus[max(0, i - window):i]; contexts shorter than
+    min_context are skipped.  `predict_next(context)` gives one next-token
+    distribution."""
+    total = 0.0
+    for i in range(1, len(corpus)):
+        context = corpus[max(0, i - window):i]
+        if len(context) < min_context:
+            continue
+        p = float(predict_next(context)[corpus[i]])
+        total += math.inf if p == 0.0 else -math.log(p)
+    return total

@@ -7,12 +7,13 @@ import numpy.testing as npt
 import pytest
 
 from nlmkit.attention import (
+    HeadCache,
     attention_scores,
     build_mask,
     multi_head_attention,
     self_attention_head,
 )
-from nlmkit.errors import SequenceLengthError
+from nlmkit.errors import SequenceLengthError, ShapeError
 from nlmkit.kernels import softmax
 from nlmkit.weights import HeadWeights, MultiHeadWeights
 
@@ -114,6 +115,36 @@ class TestSelfAttentionHead:
         npt.assert_allclose(attention_scores(x, doubled, mask),
                             math.sqrt(2.0) * attention_scores(x, head, mask),
                             rtol=1e-12)
+
+
+class TestHeadCache:
+    def _cache(self, head, n_max):
+        return HeadCache(np.empty((n_max, head.w_k.shape[1])), np.empty((n_max, head.w_v.shape[1])))
+
+    @pytest.mark.parametrize("biases", [False, True])
+    @pytest.mark.parametrize("split", [[5], [1, 1, 1, 1, 1], [2, 3], [3, 1, 1]])
+    def test_chunks_through_cache_match_one_pass(self, rng, biases, split):
+        head = random_head(rng, d_e=6, d_k=4, d_v=3, biases=biases)
+        x = rng.normal(size=(6, 5))
+        full = self_attention_head(x, head, build_mask(5, "AR"))
+        cache = self._cache(head, 7)
+        start = 0
+        for n in split:
+            end = start + n
+            out = self_attention_head(x[:, start:end], head, build_mask(end, "AR")[start:], cache)
+            npt.assert_allclose(out, full[start:end], rtol=1e-13, atol=1e-15)
+            start = end
+
+    def test_mask_must_fit_the_cache(self, rng):
+        head = random_head(rng, d_e=4, d_k=3, d_v=3)
+        cache = self._cache(head, 3)
+        x = rng.normal(size=(4, 2))
+        with pytest.raises(ShapeError):   # more keys than the cache holds
+            attention_scores(x, head, build_mask(4, "AR")[2:], cache)
+        with pytest.raises(ShapeError):   # fewer keys than new columns
+            attention_scores(x, head, np.zeros((2, 1)), cache)
+        with pytest.raises(ShapeError):   # a row per new column
+            attention_scores(x, head, np.zeros((1, 3)), cache)
 
 
 class TestMultiHeadAttention:

@@ -6,7 +6,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from nlmkit.errors import SequenceFormatError, SequenceLengthError
+from nlmkit.errors import ConfigError, SequenceFormatError, SequenceLengthError
 from nlmkit.losses import (
     apply_mlm_mask,
     ar_loss,
@@ -138,6 +138,17 @@ class TestMlmCorrupt:
         for seed in range(20):
             target = mlm_corrupt(seq, 0.6, seed=seed, vocab=vocab)
             assert not target.mask[0] and not target.mask[3]
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_out_of_range_seed_is_config_error(self, seed):
+        with pytest.raises(ConfigError):
+            mlm_corrupt(TokenSequence(list(range(10))), 0.4, seed=seed, vocab=umbrella_vocab())
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_range_ends_are_accepted(self, seed):
+        seq = TokenSequence(list(range(10)))
+        a = mlm_corrupt(seq, 0.4, seed=seed, vocab=umbrella_vocab())
+        assert a.mask == mlm_corrupt(seq, 0.4, seed=seed, vocab=umbrella_vocab()).mask
 
     def test_all_special_sequence_rejected(self):
         vocab = Vocabulary(["[CLS]", "[SEP]", "[MASK]", "a"])

@@ -11,6 +11,7 @@ from nlmkit.transformer import (
     bert_forward,
     gpt2_forward,
     gpt2_hidden,
+    KVCache,
     greedy_decode,
     mlm_head,
     nsp_head,
@@ -140,6 +141,31 @@ class TestGpt2Forward:
             w.positions[:] = 0.0
             variant_outputs.append(gpt2_forward([0, 1, 2], w))
         npt.assert_allclose(variant_outputs[0], variant_outputs[1], atol=1e-9)
+
+
+class TestKvCache:
+    @pytest.mark.parametrize("variant,zeta", [("pre", 1), ("post", 1), ("post", 0)])
+    @pytest.mark.parametrize("split", [[6], [1] * 6, [2, 4], [4, 1, 1]])
+    def test_chunks_through_cache_match_full_pass(self, variant, zeta, split):
+        w = init_weights(tiny_gpt2_config(zeta=zeta, variant=variant), 17)
+        ids = [3, 1, 4, 1, 5, 9]
+        full = gpt2_hidden(ids, w)
+        cache = KVCache(w)
+        start = 0
+        for n in split:
+            h = gpt2_hidden(ids[start:start + n], w, cache)
+            npt.assert_allclose(h, full[:, start:start + n], rtol=1e-12, atol=1e-14)
+            start += n
+            assert cache.length == start
+
+    def test_cache_capacity_is_max_len(self):
+        w = init_weights(tiny_gpt2_config(max_len=4), 0)
+        cache = KVCache(w)
+        gpt2_hidden([1, 2, 3], w, cache)
+        with pytest.raises(SequenceLengthError):
+            gpt2_hidden([4, 5], w, cache)
+        assert cache.length == 3
+        assert gpt2_hidden([4], w, cache).shape == (8, 1)
 
 
 class TestBertForward:
