@@ -22,7 +22,7 @@ from .audit import (
 )
 from .config import ModelConfig, load_config, parse_config
 from .embeddings import add_positions, embed, one_hot, tied_logits
-from .ffnn import ffnn_forward, ffnn_generate, ffnn_predict
+from .ffnn import ffnn_batch_forward, ffnn_forward, ffnn_generate, ffnn_predict
 from .kernels import gelu, layer_norm, matmul, sigmoid, softmax
 from .losses import ar_loss, ce_loss, corpus_nll, mlm_corrupt, mlm_loss
 from .recurrent import lstm_cell, recurrent_lm_forward, rnn_cell, unroll

@@ -4,21 +4,17 @@ Images are split into square patches and flattened into one column per
 patch, so a transformer treats patches as tokens.  Series columns are
 z-scored and linearly projected; self-supervised corruption masks each
 channel independently with geometric run lengths.
-
-Binary file formats (little-endian throughout):
-  image   three uint32 dims (H, W, C) then H*W*C float32 values, row-major
-  series  two uint32 dims (C, n) then C*n float32 values, row-major
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArchiveTruncatedError, ShapeError
+from .errors import ConfigError, ShapeError
 from .kernels import as_matrix, as_vector
+from .weights import philox
 
 
 def patchify(image: np.ndarray, patch: int) -> np.ndarray:
@@ -96,7 +92,7 @@ class NoiseMask:
 
 def _channel_mask(length: int, rate: float, mean_len: int, seed: int, channel: int) -> np.ndarray:
     """Alternating geometric runs for one channel, keyed by (seed, channel)."""
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed) + (np.uint64(channel) << np.uint64(32))))
+    rng = philox(seed + (channel << 32))
     p_end_masked = 1.0 / mean_len
     p_end_clear = rate / (mean_len * (1.0 - rate))
     mask = np.zeros(length, dtype=np.uint8)
@@ -118,52 +114,18 @@ def tst_mask(series: np.ndarray, rate: float, mean_len: int,
     Masked runs average ``mean_len`` steps and clear runs
     ``mean_len * (1 - rate) / rate``, so the long-run masked fraction is
     ``rate``.  Channels are masked independently: a channel's mask depends
-    only on the seed, its index, and the length.
+    only on the seed, its index, and the length.  The seed lies in
+    [0, 2**32), so no two (seed, channel) pairs share a stream.
     """
     series = as_matrix(series)
     if not (0.0 < rate < 1.0):
         raise ValueError(f"rate must lie in (0, 1), got {rate}")
     if mean_len < 1:
         raise ValueError(f"mean_len must be >= 1, got {mean_len}")
+    if not 0 <= seed < 2**32:
+        raise ConfigError(f"seed must be an integer in [0, 2**32), got {seed}")
     channels, length = series.shape
     mask = np.stack([_channel_mask(length, rate, mean_len, seed, c) for c in range(channels)])
     corrupted = series.copy()
     corrupted[mask == 1] = 0.0
     return corrupted, NoiseMask(mask=mask, rate=rate, mean_len=mean_len)
-
-
-def _read_exact(fh, count: int, what: str) -> bytes:
-    data = fh.read(count)
-    if len(data) != count:
-        raise ArchiveTruncatedError(f"file ends inside {what}: wanted {count} bytes, got {len(data)}")
-    return data
-
-
-def save_image_tensor(image: np.ndarray, path) -> None:
-    image = np.asarray(image)
-    if image.ndim != 3:
-        raise ShapeError(f"image must be H x W x C, got ndim={image.ndim}")
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<III", *image.shape))
-        fh.write(np.ascontiguousarray(image, dtype="<f4").tobytes())
-
-
-def load_image_tensor(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        h, w, c = struct.unpack("<III", _read_exact(fh, 12, "image dimensions"))
-        payload = _read_exact(fh, 4 * h * w * c, "image payload")
-    return np.frombuffer(payload, dtype="<f4").astype(np.float64).reshape(h, w, c)
-
-
-def save_series_tensor(series: np.ndarray, path) -> None:
-    series = as_matrix(series)
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<II", *series.shape))
-        fh.write(np.ascontiguousarray(series, dtype="<f4").tobytes())
-
-
-def load_series_tensor(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        c, n = struct.unpack("<II", _read_exact(fh, 8, "series dimensions"))
-        payload = _read_exact(fh, 4 * c * n, "series payload")
-    return np.frombuffer(payload, dtype="<f4").astype(np.float64).reshape(c, n)

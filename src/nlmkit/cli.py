@@ -98,9 +98,9 @@ def cmd_fill_mask(args) -> int:
     masked = [i for i, t in enumerate(ids) if t == vocab.mask_id]
     if not masked:
         raise ConfigError("text contains no [MASK] token")
-    probs = mlm_head(bert_forward(seq, weights, vocab), weights)
+    logits = mlm_head(bert_forward(seq, weights, vocab), weights)
     for pos in masked:
-        print(vocab.token_of(int(probs[:, pos].argmax())))
+        print(vocab.token_of(int(logits[:, pos].argmax())))
     return EXIT_OK
 
 

@@ -159,20 +159,3 @@ def parse_config(text: str) -> ModelConfig:
 def load_config(path) -> ModelConfig:
     with open(path, encoding="utf-8") as fh:
         return parse_config(fh.read())
-
-
-def format_config(cfg: ModelConfig) -> str:
-    lines = [f"arch={cfg.arch}", f"d_e={cfg.d_e}",
-             f"vocab_size={cfg.vocab_size}", f"max_len={cfg.max_len}"]
-    if cfg.arch in ("gpt2", "bert"):
-        lines += [f"d_k={cfg.d_k}", f"d_v={cfg.d_v}", f"d_f={cfg.d_f}",
-                  f"M={cfg.M}", f"L={cfg.L}", f"zeta={cfg.zeta}",
-                  f"norm_variant={cfg.norm_variant}", f"gelu_mode={cfg.gelu_mode}"]
-    elif cfg.arch in ("rnn", "lstm"):
-        lines.append(f"L={cfg.L}")
-        if cfg.arch == "rnn":
-            lines.append(f"activation={cfg.activation}")
-    else:
-        lines.append("hidden_dims=" + ",".join(str(w) for w in cfg.hidden_dims))
-        lines.append(f"activation={cfg.activation}")
-    return "\n".join(lines) + "\n"

@@ -5,11 +5,14 @@ This module fixes the numerical conventions used everywhere else:
 * all computation is IEEE-754 binary64,
 * matrices are 2-D ``numpy`` arrays whose columns index sequence positions,
 * each kernel has one implementation that works along an axis; a vector is
-  the one-slice case.  Vocabulary distributions and layer norm run along
+  the one-slice case.  Vocabulary logits and layer norm run along
   axis 0 (down each column, one column per position); attention weights run
   along axis 1 (across each row, one row per query),
+* models emit logits; a distribution is ``softmax`` of them and a loss is
+  taken from them directly (``losses.ce_loss``), never from probabilities,
 * attention masks may carry ``-inf`` sentinels; softmax maps them to exact 0,
-* softmax subtracts the largest finite entry of each slice before
+* softmax and the loss share one validation and shift step (``shifted``):
+  the largest finite entry of each slice is subtracted before
   exponentiation,
 * layer normalization uses the population standard deviation and adds
   ``LAYER_NORM_EPS`` under the square root.
@@ -56,13 +59,13 @@ def matmul(a, b) -> np.ndarray:
     return a @ b
 
 
-def softmax(v, axis: int = -1) -> np.ndarray:
-    """Probability distributions from scores, one per slice along `axis`.
+def shifted(v, axis: int = -1) -> np.ndarray:
+    """Scores minus the largest entry of each slice along `axis`, as a new array.
 
-    `v` is a vector or a matrix.  Entries equal to -inf get probability
-    exactly 0; the largest finite entry of each slice is subtracted first
-    so no finite input can overflow.  NaN and +inf entries are rejected,
-    and a slice with no finite entry has no defined distribution.
+    `v` is a vector or a matrix.  This is the step softmax and cross
+    entropy share: it rejects NaN and +inf entries and a slice with no
+    finite entry, which has no defined distribution, and leaves every
+    finite entry <= 0 so no exponential can overflow; -inf stays -inf.
     """
     v = np.asarray(v, dtype=np.float64)
     if v.ndim not in (1, 2):
@@ -81,7 +84,16 @@ def softmax(v, axis: int = -1) -> np.ndarray:
         raise UndefinedDistributionError(
             "softmax input has no finite entry; all scores are masked"
         )
-    e = v - peak
+    return v - peak
+
+
+def softmax(v, axis: int = -1) -> np.ndarray:
+    """Probability distributions from scores, one per slice along `axis`.
+
+    `v` is a vector or a matrix.  Entries equal to -inf get probability
+    exactly 0; inputs are validated and shifted by ``shifted``.
+    """
+    e = shifted(v, axis)
     np.exp(e, out=e)  # exp(-inf) == 0.0 exactly
     e /= e.sum(axis=axis, keepdims=True)
     return e

@@ -1,18 +1,22 @@
 """Cross-entropy machinery: next-token loss, masked-token loss, corpus NLL.
 
-All losses consume probability distributions (post-softmax) and reduce to
-``-log p`` of the correct class.  A zero probability gives an infinite
-loss value rather than an exception, so a diverged model still reports.
+Models emit logits, and every loss reduces them through ``ce_loss``: the
+summed ``-log softmax(z)[t]`` of the correct classes, computed in log space
+so it stays finite wherever the true loss is finite.  A target whose logit
+is -inf gives an infinite loss rather than an exception, so a diverged
+model still reports.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .errors import SequenceFormatError, SequenceLengthError, ShapeError
+from .kernels import shifted, softmax
 from .vocab import MASK_TOKEN, TokenSequence, Vocabulary
 from .weights import philox
 
@@ -21,58 +25,43 @@ from .weights import philox
 WINDOW_BATCH = 64
 
 
-def ce_loss(y_true_id: int, y_hat: np.ndarray) -> float:
-    """Cross entropy against a one-hot truth: -log y_hat[y_true_id]."""
-    y_hat = np.asarray(y_hat, dtype=np.float64)
-    if not (0 <= y_true_id < y_hat.shape[0]):
-        raise ShapeError(f"class id {y_true_id} out of range for distribution of {y_hat.shape[0]}")
-    p = y_hat[y_true_id]
-    if p == 0.0:
-        return math.inf
-    return float(-np.log(p))
+def ce_loss(targets, logits) -> float:
+    """Summed cross entropy -log softmax(z)[t] against one-hot truths.
 
-
-def cross_entropy_full(y_true: np.ndarray, y_hat: np.ndarray) -> float:
-    """Definition-form cross entropy -sum_j y_j log yhat_j.
-
-    Terms with y_j == 0 contribute exactly zero (the 0*log 0 convention),
-    so for one-hot truths this equals ce_loss bit for bit.
+    Either one class id and a |V| logit vector, or k class ids and a
+    |V| x k matrix with one column per target.  The columns are shifted
+    by their maxima, the target entries read, and only then exponentiated
+    (in place), so the one |V| x k temporary is the shifted copy.
     """
-    y_true = np.asarray(y_true, dtype=np.float64)
-    y_hat = np.asarray(y_hat, dtype=np.float64)
-    if y_true.shape != y_hat.shape:
-        raise ShapeError(f"distribution shapes disagree: {y_true.shape} vs {y_hat.shape}")
-    total = 0.0
-    for y, p in zip(y_true, y_hat):
-        if y != 0.0:
-            total += -y * (math.log(p) if p > 0.0 else -math.inf)
-    return float(total)
-
-
-def ar_targets(ids: list[int]) -> tuple[list[int], list[int]]:
-    """Teacher-forcing pair: the full input and the one-step-shifted output."""
-    if len(ids) < 2:
-        raise SequenceLengthError("need at least two tokens to form a next-token target")
-    return ids[:-1], ids[1:]
+    targets = np.asarray(targets, dtype=np.intp)
+    s = shifted(logits, axis=0)
+    if s.shape[1:] != targets.shape:
+        raise ShapeError(f"targets of shape {targets.shape} do not match logits of shape {s.shape}")
+    if targets.size and not (0 <= targets.min() and targets.max() < s.shape[0]):
+        raise ShapeError(f"class ids from {targets.min()} to {targets.max()} are out of "
+                         f"range for {s.shape[0]} classes")
+    picked = s[targets, np.arange(s.shape[1])] if s.ndim == 2 else s[targets]
+    np.exp(s, out=s)  # exp(-inf) == 0.0 exactly; a target at -inf gives inf
+    return float((np.log(s.sum(axis=0)) - picked).sum())
 
 
 def ar_loss(seq: TokenSequence | list[int], forward) -> float:
     """Summed next-token cross entropy under teacher forcing.
 
-    ``forward`` maps the ground-truth sequence to per-position
-    distributions (|V| x len); position i is scored against token i+1.
-    The model is called exactly once, on the ground-truth tokens, never on
-    its own predictions.
+    ``forward`` maps the ground-truth sequence to per-position logits
+    (|V| x len); position i is scored against token i+1.  The model is
+    called exactly once, on the ground-truth tokens, never on its own
+    predictions.
     """
     ids = seq.ids if isinstance(seq, TokenSequence) else list(seq)
     if len(ids) < 2:
         raise SequenceLengthError(f"ar_loss needs a sequence of length >= 2, got {len(ids)}")
-    probs = np.asarray(forward(ids), dtype=np.float64)
-    if probs.ndim != 2 or probs.shape[1] != len(ids):
+    logits = np.asarray(forward(ids), dtype=np.float64)
+    if logits.ndim != 2 or logits.shape[1] != len(ids):
         raise ShapeError(
-            f"forward returned shape {probs.shape}, expected (|V|, {len(ids)})"
+            f"forward returned shape {logits.shape}, expected (|V|, {len(ids)})"
         )
-    return float(sum(ce_loss(ids[i + 1], probs[:, i]) for i in range(len(ids) - 1)))
+    return ce_loss(ids[1:], logits[:, :-1])
 
 
 @dataclass
@@ -121,48 +110,37 @@ def mlm_corrupt(seq: TokenSequence, mask_rate: float, seed: int, vocab: Vocabula
     return apply_mlm_mask(seq, [eligible[i] for i in chosen], vocab)
 
 
-def mlm_loss(target: MlmTarget, distributions: np.ndarray) -> float:
-    """Summed -log p of the original token, over masked positions only."""
-    probs = np.asarray(distributions, dtype=np.float64)
-    if probs.ndim != 2 or probs.shape[1] != len(target.mask):
+def mlm_loss(target: MlmTarget, logits: np.ndarray) -> float:
+    """Summed cross entropy of the original token, over masked positions only."""
+    logits = np.asarray(logits, dtype=np.float64)
+    if logits.ndim != 2 or logits.shape[1] != len(target.mask):
         raise ShapeError(
-            f"distributions shape {probs.shape} does not cover {len(target.mask)} positions"
+            f"logits shape {logits.shape} does not cover {len(target.mask)} positions"
         )
-    total = 0.0
-    for i, flag in enumerate(target.mask):
-        if flag:
-            total += ce_loss(target.original_ids[i], probs[:, i])
-    return float(total)
+    masked = target.masked_positions()
+    return ce_loss([target.original_ids[i] for i in masked], logits[:, masked])
 
 
+@dataclass
 class Predictor:
-    """Next-token distributions of a causal model in the three forms
-    ``corpus_nll`` uses.
+    """Next-token logits of a causal model in the two forms ``corpus_nll``
+    uses.
 
-    Calling it on a context gives the |V| distribution of the next token.
     ``prefix(ids)``, None for a model that needs a full window, gives the
-    |V| x len(ids) distributions after every prefix ids[:j+1] from one
-    causal pass.  ``windows(ids, n)`` gives the |V| x (len(ids) - n + 1)
-    distributions after every n-token window ids[s:s+n]; unless the model
-    supplies a batched scorer, that is one call per window.
+    |V| x len(ids) logits after every prefix ids[:j+1] from one causal
+    pass.  ``windows(ids, n)`` gives the |V| x (len(ids) - n + 1) logits
+    after every n-token window ids[s:s+n].  Calling it on a context gives
+    the next-token distribution: the softmax of the context's one window.
     """
 
-    def __init__(self, predict, prefix=None, windows=None):
-        self._predict = predict
-        self._windows = windows
-        self.prefix = prefix
+    prefix: Callable | None
+    windows: Callable
 
     def __call__(self, context: list[int]) -> np.ndarray:
-        return self._predict(context)
-
-    def windows(self, ids: list[int], n: int) -> np.ndarray:
-        if self._windows is not None:
-            return self._windows(ids, n)
-        return np.column_stack([np.asarray(self._predict(ids[s:s + n]))
-                                for s in range(len(ids) - n + 1)])
+        return softmax(self.windows(context, len(context))[:, 0])
 
 
-def corpus_nll(corpus_ids: list[int], predict_next, window: int,
+def corpus_nll(corpus_ids: list[int], predict_next: Predictor, window: int,
                min_context: int = 1) -> float:
     """Sliding-window negative log likelihood over a token stream.
 
@@ -172,35 +150,32 @@ def corpus_nll(corpus_ids: list[int], predict_next, window: int,
     skipped.
 
     The contexts shorter than ``window`` are the prefixes corpus[:i] with
-    i < window, so a ``Predictor`` with a prefix pass scores them all in
-    one causal pass over corpus[:window-1]; without one, each is one call.
-    The full windows corpus[i-window:i] go to its window scorer,
-    WINDOW_BATCH at a time.  A plain callable (context -> |V| vector) is
-    wrapped into a Predictor that makes one call per context.
+    i < window, so the predictor's prefix pass scores them all in one
+    causal pass over corpus[:window-1].  The full windows
+    corpus[i-window:i] go to its window scorer, WINDOW_BATCH at a time.
+    Each pass is reduced by one ``ce_loss`` call.
     """
     if len(corpus_ids) < 2:
         raise SequenceLengthError("corpus must contain at least two tokens")
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
-    if not isinstance(predict_next, Predictor):
-        predict_next = Predictor(predict_next)
     n = len(corpus_ids)
     short = range(max(1, min_context), min(window, n))
     total = 0.0
-    if short and predict_next.prefix is not None:
-        probs = np.asarray(predict_next.prefix(corpus_ids[:short[-1]]))
-        for i in short:
-            total += ce_loss(corpus_ids[i], probs[:, i - 1])
-    else:
-        for i in short:
-            total += ce_loss(corpus_ids[i], np.asarray(predict_next(corpus_ids[:i])))
+    if short:
+        if predict_next.prefix is None:
+            raise SequenceLengthError(
+                f"the model cannot score contexts shorter than {window} tokens; "
+                f"pass min_context={window}"
+            )
+        logits = predict_next.prefix(corpus_ids[:short[-1]])
+        total += ce_loss(corpus_ids[short.start:short.stop], logits[:, short.start - 1:])
     scored = len(short)
     if window >= min_context:
         for lo in range(window, n, WINDOW_BATCH):
             hi = min(lo + WINDOW_BATCH, n)
-            probs = np.asarray(predict_next.windows(corpus_ids[lo - window:hi - 1], window))
-            for i in range(lo, hi):
-                total += ce_loss(corpus_ids[i], probs[:, i - lo])
+            total += ce_loss(corpus_ids[lo:hi],
+                             predict_next.windows(corpus_ids[lo - window:hi - 1], window))
             scored += hi - lo
     if scored == 0:
         raise SequenceLengthError(

@@ -19,7 +19,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .embeddings import embed, tied_logits
 from .errors import SequenceLengthError, ShapeError
 from .ffnn import activation_fn
-from .kernels import sigmoid, softmax
+from .kernels import sigmoid
 from .vocab import TokenSequence
 from .weights import LstmLayerWeights, LstmWeights, RnnLayerWeights, RnnWeights
 
@@ -132,8 +132,8 @@ def recurrent_windows(ids: list[int], n: int, w: RnnWeights | LstmWeights) -> np
 
 def recurrent_lm_forward(seq: TokenSequence | list[int],
                          w: RnnWeights | LstmWeights) -> np.ndarray:
-    """Next-token distributions per position (|V| x len), tied output head."""
-    return softmax(tied_logits(recurrent_hidden(seq, w)[0], w.embedding), axis=0)
+    """Next-token logits per position (|V| x len), tied output head."""
+    return tied_logits(recurrent_hidden(seq, w)[0], w.embedding)
 
 
 def recurrent_generate(prompt: list[int], w: RnnWeights | LstmWeights, steps: int) -> list[int]:
@@ -149,6 +149,6 @@ def recurrent_generate(prompt: list[int], w: RnnWeights | LstmWeights, steps: in
     new = ids
     for _ in range(steps):
         h, state = recurrent_hidden(new, w, state)
-        ids.append(int(np.argmax(softmax(tied_logits(h[:, -1], w.embedding)))))
+        ids.append(int(np.argmax(tied_logits(h[:, -1], w.embedding))))
         new = ids[-1:]
     return ids

@@ -13,12 +13,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .config import ModelConfig
 from .errors import ConfigError, NonFiniteLossError, ShapeError
-from .ffnn import activation_fn
-from .losses import ar_loss
-from .weights import AnyWeights, FfnnWeights
+from .ffnn import ffnn_batch_forward
+from .losses import ar_loss, ce_loss
+from .weights import AnyWeights
 
 DEFAULT_STEP = 1e-5
 
@@ -90,36 +91,13 @@ def gd_step(state: TrainState, gradient: dict[str, np.ndarray]) -> TrainState:
     return TrainState(weights=new_weights, mu_lr=state.mu_lr, step=state.step + 1)
 
 
-def _ffnn_batched_loss(corpus_ids: list[int], weights: FfnnWeights) -> float:
-    """Mean next-token cross entropy over every full context window.
-
-    All windows are evaluated as one batch of concatenated-embedding
-    columns; this matches the per-window forward pass (verified in tests)
-    but costs a handful of matrix products instead of thousands.
-    """
-    n = weights.context_width
-    starts = range(len(corpus_ids) - n)
-    windows = np.array([corpus_ids[s:s + n] for s in starts])          # B x n
-    targets = np.array([corpus_ids[s + n] for s in starts])
-    h = weights.embedding[:, windows.reshape(-1)]                      # d0 x (B*n)
-    d0 = weights.embedding.shape[0]
-    batch = windows.shape[0]
-    # each column: the window's embeddings concatenated position-major
-    h = h.T.reshape(batch, n * d0).T
-    for layer in weights.layers:
-        h = activation_fn(layer.activation)(layer.w @ h + layer.b[:, None])
-    z = weights.output @ h                                             # |V| x B
-    z_max = z.max(axis=0)
-    log_norm = np.log(np.exp(z - z_max).sum(axis=0)) + z_max
-    return float(np.mean(log_norm - z[targets, np.arange(batch)]))
-
-
 def make_corpus_loss(cfg: ModelConfig, corpus_ids: list[int]):
     """Mean per-predicted-token training loss for one architecture.
 
-    Feedforward models slide a fixed window over the corpus; sequence
-    models split it into maximum-length chunks overlapping by one token so
-    every transition is scored exactly once, under teacher forcing.
+    Feedforward models slide a fixed window over the corpus; the windows
+    are built once and scored as one batch per call.  Sequence models
+    split the corpus into maximum-length chunks overlapping by one token
+    so every transition is scored exactly once, under teacher forcing.
     """
     if cfg.arch == "bert":
         raise ConfigError("training targets next-token prediction; arch 'bert' is not autoregressive")
@@ -129,7 +107,10 @@ def make_corpus_loss(cfg: ModelConfig, corpus_ids: list[int]):
             raise ShapeError(
                 f"corpus of {len(corpus_ids)} tokens is too short for window {n}"
             )
-        return lambda w: _ffnn_batched_loss(corpus_ids, w)
+        # every full window but the last, which has no next token: B x n
+        windows = np.ascontiguousarray(sliding_window_view(np.asarray(corpus_ids), n)[:-1])
+        targets = np.asarray(corpus_ids[n:])
+        return lambda w: ce_loss(targets, ffnn_batch_forward(windows, w)) / len(targets)
 
     from .inference import make_forward  # deferred: inference imports models
 

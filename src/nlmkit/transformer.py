@@ -106,12 +106,12 @@ def gpt2_hidden(seq: TokenSequence | list[int], w: Gpt2Weights,
 
 
 def gpt2_forward(seq: TokenSequence | list[int], w: Gpt2Weights) -> np.ndarray:
-    """Next-token distributions, one column per position.
+    """Next-token logits, one column per position (|V| x len).
 
-    Column i conditions only on tokens 1..i (causal mask); logits use the
+    Column i conditions only on tokens 1..i (causal mask); the head is the
     tied embedding transpose.
     """
-    return softmax(tied_logits(gpt2_hidden(seq, w), w.embedding), axis=0)
+    return tied_logits(gpt2_hidden(seq, w), w.embedding)
 
 
 def segment_matrix(seq: TokenSequence, w: BertWeights) -> np.ndarray:
@@ -147,10 +147,10 @@ def bert_forward(seq: TokenSequence, w: BertWeights, vocab: Vocabulary | None = 
 
 
 def mlm_head(h: np.ndarray, w: BertWeights) -> np.ndarray:
-    """Masked-token distributions for every position (|V| x len)."""
+    """Masked-token logits for every position (|V| x len)."""
     transformed = gelu(w.mlm_w @ h + w.mlm_b[:, None], w.gelu_mode)
     normed = layer_norm(transformed, w.mlm_norm_gain, w.mlm_norm_bias)
-    return softmax(tied_logits(normed, w.embedding, w.out_bias), axis=0)
+    return tied_logits(normed, w.embedding, w.out_bias)
 
 
 def nsp_head(h: np.ndarray, w: BertWeights) -> np.ndarray:
@@ -177,6 +177,6 @@ def greedy_decode(prompt: TokenSequence | list[int], w: Gpt2Weights, steps: int)
     new = ids
     for _ in range(steps):
         h = gpt2_hidden(new, w, cache)
-        ids.append(int(np.argmax(softmax(tied_logits(h[:, -1], w.embedding)))))
+        ids.append(int(np.argmax(tied_logits(h[:, -1], w.embedding))))
         new = ids[-1:]
     return ids

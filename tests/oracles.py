@@ -53,6 +53,16 @@ def naive_softmax(v):
     return [e / total for e in exps]
 
 
+def ce_loss(logits, target):
+    """-log softmax(logits)[target] in log space: the log of the exactly
+    summed exponentials of the shifted logits, minus the shifted target
+    logit.  A -inf target logit gives inf."""
+    peak = max(logits)
+    if logits[target] == -math.inf:
+        return math.inf
+    return math.log(math.fsum(math.exp(z - peak) for z in logits)) - (logits[target] - peak)
+
+
 def sigmoid_scalar(x):
     return 1.0 / (1.0 + math.exp(-x))
 
@@ -183,8 +193,8 @@ def ae_mask(n):
     return [[0.0] * n for _ in range(n)]
 
 
-def gpt2_forward(ids, w):
-    """Full decoder LM: embeddings + positions, blocks, tied softmax head."""
+def gpt2_logits(ids, w):
+    """Full decoder LM: embeddings + positions, blocks, tied logit head."""
     e_cols = cols(w.embedding)
     pos_cols = cols(w.positions)
     gain, bias = vec(w.emb_norm_gain), vec(w.emb_norm_bias)
@@ -196,7 +206,12 @@ def gpt2_forward(ids, w):
         h_cols = block_forward(h_cols, block, mask, w.norm_variant, w.gelu_mode)
     if w.norm_variant == "pre":
         h_cols = [layer_norm_vec(h, gain, bias) for h in h_cols]
-    return [naive_softmax([dot(e, h) for e in e_cols]) for h in h_cols]
+    return [[dot(e, h) for e in e_cols] for h in h_cols]
+
+
+def gpt2_forward(ids, w):
+    """Next-token distributions of the decoder LM, one per position."""
+    return [naive_softmax(z) for z in gpt2_logits(ids, w)]
 
 
 def bert_hidden(ids, segments, w):
@@ -280,15 +295,50 @@ def unroll(x_cols, layers, kind):
 
 
 # ---------------------------------------------------------------------------
+# input adapters
+# ---------------------------------------------------------------------------
+
+def patchify(image, patch):
+    """Columns of square patches of an H x W x C nested-list image: patches
+    in row-major grid order, pixels row-major inside a patch, channels
+    innermost."""
+    height, width, channels = len(image), len(image[0]), len(image[0][0])
+    columns = []
+    for grid_row in range(height // patch):
+        for grid_col in range(width // patch):
+            column = []
+            for i in range(patch):
+                for j in range(patch):
+                    for c in range(channels):
+                        column.append(float(image[grid_row * patch + i][grid_col * patch + j][c]))
+            columns.append(column)
+    return columns
+
+
+def tst_embed(series_rows, embedding_rows, bias, eps=1e-8):
+    """Per time step: z-score across channels (population variance, eps
+    under the square root), project, add the bias.  One column per step."""
+    channels = len(series_rows)
+    out = []
+    for t in range(len(series_rows[0])):
+        x = [series_rows[c][t] for c in range(channels)]
+        mu = sum(x) / channels
+        var = sum((v - mu) ** 2 for v in x) / channels
+        z = [(v - mu) / math.sqrt(var + eps) for v in x]
+        out.append(vec_add(mat_vec(embedding_rows, z), bias))
+    return out
+
+
+# ---------------------------------------------------------------------------
 # full-recompute decoding and per-context scoring
 # ---------------------------------------------------------------------------
 
 def greedy_decode(prompt, dists, steps):
     """Greedy continuation that re-runs the model on the whole sequence for
-    every new token.  `dists(ids)` gives the next-token distribution at
-    every position of ids (indexable by position: a list of distributions,
-    or the transpose of a |V| x len matrix).  Ties break toward the lowest
-    id.  This is the specification of incremental gpt2 decoding and of
+    every new token.  `dists(ids)` gives the next-token distribution, or
+    the logits, at every position of ids (indexable by position: a list of
+    vectors, or the transpose of a |V| x len matrix).  Ties break toward
+    the lowest id.  This is the specification of incremental gpt2 decoding and of
     recurrent generation with a carried state."""
     ids = list(prompt)
     for _ in range(steps):

@@ -8,6 +8,7 @@ import pytest
 from nlmkit.archive import MAGIC, save_weights
 from nlmkit.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from nlmkit.config import load_config
+from nlmkit.kernels import softmax
 from nlmkit.recurrent import recurrent_lm_forward
 from nlmkit.transformer import gpt2_forward
 from nlmkit.weights import init_weights
@@ -96,5 +97,62 @@ def test_score_prints_the_per_context_nll(tmp_path, capsys, arch):
     text = " ".join(WORDS[i] for i in ids)
     code, out, err = run(["score", *args, "--text", text], capsys, out=True)
     assert code == EXIT_OK and "Traceback" not in err
-    want = oracles.corpus_nll(ids, lambda ctx: forward(ctx)[:, -1], 6)
+    want = oracles.corpus_nll(ids, lambda ctx: softmax(forward(ctx)[:, -1]), 6)
     assert float(out) == pytest.approx(want, rel=1e-10)
+
+
+BERT_CONFIG = "arch=bert\nd_e=8\nd_k=4\nd_v=4\nd_f=16\nM=2\nL=1\nvocab_size=11\nmax_len=8\n"
+BERT_WORDS = ["[CLS]", "[SEP]", "[MASK]"] + [f"w{i}" for i in range(3, 11)]
+
+
+def write_bert(tmp_path):
+    """A tiny seeded bert archive and its vocabulary; returns the CLI
+    arguments and the weights."""
+    config, vocab, archive = (tmp_path / f"bert.{ext}" for ext in ("cfg", "vocab", "anlm"))
+    config.write_text(BERT_CONFIG)
+    vocab.write_text("\n".join(BERT_WORDS) + "\n")
+    w = init_weights(load_config(config), 9)
+    save_weights(w, archive)
+    return ["--config", str(config), "--weights", str(archive), "--vocab", str(vocab)], w
+
+
+def test_fill_mask_prints_the_oracle_argmax_at_each_mask(tmp_path, capsys):
+    args, w = write_bert(tmp_path)
+    text = "[CLS] w3 [MASK] w5 [SEP] w7 [MASK] [SEP]"
+    code, out, err = run(["fill-mask", *args, "--text", text], capsys, out=True)
+    assert code == EXIT_OK and "Traceback" not in err
+    ids = [BERT_WORDS.index(t) for t in text.split()]
+    segments = ["A"] * 5 + ["B"] * 3
+    dists = oracles.bert_mlm(oracles.bert_hidden(ids, segments, w), w)
+    want = [BERT_WORDS[max(range(len(d)), key=d.__getitem__)] for d in (dists[2], dists[6])]
+    assert out.split() == want
+
+
+def test_fill_mask_without_mask_is_a_data_error(tmp_path, capsys):
+    args, _ = write_bert(tmp_path)
+    code, err = run(["fill-mask", *args, "--text", "[CLS] w3 w4 [SEP]"], capsys)
+    assert code == EXIT_DATA
+    assert "[MASK]" in err and "Traceback" not in err
+
+
+def test_fill_mask_on_a_non_bert_model_is_a_data_error(tmp_path, capsys):
+    args, _ = write_model(tmp_path, "gpt2")
+    code, err = run(["fill-mask", *args, "--text", "w3 w4"], capsys)
+    assert code == EXIT_DATA
+    assert "arch=bert" in err and "Traceback" not in err
+
+
+PAPER_SCALE = "d_e=768\nd_k=64\nd_v=64\nd_f=3072\nM=12\nL=12\n"
+
+
+@pytest.mark.parametrize("arch,sizes,flags,total", [
+    ("gpt2", "vocab_size=50257\nmax_len=1024\n", [], "124,439,808"),
+    ("bert", "vocab_size=30522\nmax_len=512\n", [], "109,482,240"),
+    ("bert", "vocab_size=30522\nmax_len=512\n", ["--with-mlm", "--with-nsp"], "110,106,428"),
+])
+def test_count_params_prints_paper_scale_totals(tmp_path, capsys, arch, sizes, flags, total):
+    config = tmp_path / f"{arch}.cfg"
+    config.write_text(f"arch={arch}\n" + PAPER_SCALE + sizes)
+    code, out, err = run(["count-params", "--config", str(config), *flags], capsys, out=True)
+    assert code == EXIT_OK and "Traceback" not in err
+    assert out.splitlines()[-1].split() == ["total", total]

@@ -7,8 +7,9 @@ import numpy.testing as npt
 import pytest
 
 from nlmkit.config import ModelConfig
-from nlmkit.errors import SequenceLengthError
-from nlmkit.ffnn import ffnn_forward, ffnn_generate, ffnn_predict
+from nlmkit.errors import OutOfVocabularyError, SequenceLengthError
+from nlmkit.ffnn import ffnn_batch_forward, ffnn_forward, ffnn_generate, ffnn_predict
+from nlmkit.kernels import softmax
 from nlmkit.weights import init_weights, zeros_weights
 
 
@@ -20,7 +21,7 @@ def ffnn_config(vocab_size=5, n=2, d0=1, hidden=(1,), activation="sigmoid"):
 class TestFfnnForward:
     def test_zero_weights_give_uniform(self):
         cfg = ffnn_config(vocab_size=8, n=3, d0=2, hidden=(4,))
-        out = ffnn_forward([0, 1, 2], zeros_weights(cfg))
+        out = softmax(ffnn_forward([0, 1, 2], zeros_weights(cfg)))
         npt.assert_allclose(out, 1.0 / 8, atol=1e-15)
 
     def test_hand_sized_scalar_case(self):
@@ -37,7 +38,7 @@ class TestFfnnForward:
         logits = [1.0 * h, -1.0 * h, 0.5 * h]
         exps = [math.exp(z) for z in logits]
         expected = [e / sum(exps) for e in exps]
-        npt.assert_allclose(ffnn_forward(ids, w), expected, rtol=1e-14)
+        npt.assert_allclose(softmax(ffnn_forward(ids, w)), expected, rtol=1e-14)
 
     def test_concatenated_width_drives_first_layer(self):
         cfg = ffnn_config(vocab_size=6, n=4, d0=3, hidden=(5,))
@@ -53,7 +54,7 @@ class TestFfnnForward:
 
     def test_output_is_distribution(self, rng):
         cfg = ffnn_config(vocab_size=9, n=3, d0=4, hidden=(6, 5))
-        out = ffnn_forward([1, 2, 3], init_weights(cfg, 7))
+        out = softmax(ffnn_forward([1, 2, 3], init_weights(cfg, 7)))
         assert np.all(out >= 0)
         assert abs(out.sum() - 1.0) < 1e-9
 
@@ -76,6 +77,30 @@ class TestFfnnForward:
         base = ffnn_forward(ids, w)
         w.embedding[:, 6] += 42.0
         npt.assert_array_equal(ffnn_forward(ids, w), base)
+
+
+class TestFfnnBatchForward:
+    def test_each_row_is_its_window(self, rng):
+        cfg = ffnn_config(vocab_size=9, n=3, d0=4, hidden=(6, 5))
+        w = init_weights(cfg, 7)
+        windows = rng.integers(0, 9, size=(10, 3))
+        out = ffnn_batch_forward(windows, w)
+        assert out.shape == (9, 10)
+        for b, row in enumerate(windows):
+            npt.assert_allclose(out[:, b], ffnn_forward(row.tolist(), w), rtol=1e-12, atol=1e-15)
+
+    def test_out_of_vocabulary_id_rejected(self):
+        w = init_weights(ffnn_config(vocab_size=5, n=2), 1)
+        for bad in ([[0, 5]], [[-1, 0]]):
+            with pytest.raises(OutOfVocabularyError):
+                ffnn_batch_forward(bad, w)
+
+    def test_window_width_checked(self):
+        w = init_weights(ffnn_config(n=2), 1)
+        with pytest.raises(SequenceLengthError):
+            ffnn_batch_forward(np.zeros((4, 3), dtype=int), w)
+        with pytest.raises(SequenceLengthError):
+            ffnn_batch_forward([0, 1], w)
 
 
 class TestFfnnPredict:

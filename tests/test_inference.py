@@ -10,6 +10,7 @@ from nlmkit.config import ModelConfig
 from nlmkit.errors import ConfigError, SequenceLengthError
 from nlmkit.ffnn import ffnn_forward
 from nlmkit.inference import generate_tokens, make_forward, make_predict_next, min_context
+from nlmkit.kernels import softmax
 from nlmkit.losses import WINDOW_BATCH, corpus_nll
 from nlmkit.recurrent import recurrent_lm_forward
 from nlmkit.transformer import gpt2_forward
@@ -55,9 +56,9 @@ def full_forward(cfg, w):
 def full_recompute_predict(cfg, w):
     """Next-token distribution from one full forward pass per context."""
     if cfg.arch == "ffnn":
-        return lambda ctx: ffnn_forward(ctx, w)
+        return lambda ctx: softmax(ffnn_forward(ctx, w))
     forward = full_forward(cfg, w)
-    return lambda ctx: forward(ctx)[:, -1]
+    return lambda ctx: softmax(forward(ctx)[:, -1])
 
 
 def corpus(length, seed=3):
@@ -99,7 +100,7 @@ class TestPredictor:
         cfg, w = model(name)
         predict = make_predict_next(cfg, w)
         ids = corpus(MAX_LEN)
-        probs = predict.prefix(ids)
+        probs = softmax(predict.prefix(ids), axis=0)
         assert probs.shape == (VOCAB, MAX_LEN)
         for j in range(MAX_LEN):
             npt.assert_allclose(probs[:, j], predict(ids[:j + 1]), rtol=RTOL, atol=0)
@@ -113,7 +114,7 @@ class TestPredictor:
         cfg, w = model(name)
         predict = make_predict_next(cfg, w)
         ids = corpus(3 * MAX_LEN)
-        probs = predict.windows(ids, n)
+        probs = softmax(predict.windows(ids, n), axis=0)
         assert probs.shape == (VOCAB, len(ids) - n + 1)
         for s in range(len(ids) - n + 1):
             npt.assert_allclose(probs[:, s], predict(ids[s:s + n]), rtol=RTOL, atol=0)

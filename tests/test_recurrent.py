@@ -6,6 +6,7 @@ import pytest
 
 from nlmkit.config import ModelConfig
 from nlmkit.errors import SequenceLengthError, ShapeError
+from nlmkit.kernels import softmax
 from nlmkit.recurrent import (
     lstm_cell,
     recurrent_generate,
@@ -224,7 +225,7 @@ class TestUnroll:
 class TestRecurrentLm:
     def test_zero_weights_give_uniform_everywhere(self):
         w = zeros_weights(rnn_config(vocab=6))
-        out = recurrent_lm_forward([0, 1, 2], w)
+        out = softmax(recurrent_lm_forward([0, 1, 2], w), axis=0)
         npt.assert_allclose(out, 1.0 / 6, atol=1e-15)
 
     def test_causality_of_distributions(self):
@@ -235,7 +236,7 @@ class TestRecurrentLm:
 
     def test_distributions_normalized(self):
         for cfg in (rnn_config(), lstm_config()):
-            out = recurrent_lm_forward([1, 2, 3], init_weights(cfg, 9))
+            out = softmax(recurrent_lm_forward([1, 2, 3], init_weights(cfg, 9)), axis=0)
             npt.assert_allclose(out.sum(axis=0), 1.0, atol=1e-9)
 
     @pytest.mark.parametrize("cfg", [rnn_config(), lstm_config()])

@@ -6,7 +6,7 @@ import pytest
 
 from nlmkit.attention import build_mask
 from nlmkit.errors import SequenceFormatError, SequenceLengthError
-from nlmkit.kernels import layer_norm
+from nlmkit.kernels import layer_norm, softmax
 from nlmkit.transformer import (
     bert_forward,
     gpt2_forward,
@@ -102,13 +102,13 @@ class TestGpt2Forward:
         cfg = tiny_gpt2_config(zeta=zeta, variant=variant)
         w = init_weights(cfg, 123)
         ids = [3, 1, 4, 1, 5]
-        out = gpt2_forward(ids, w)
+        out = softmax(gpt2_forward(ids, w), axis=0)
         expected = np.array(oracles.gpt2_forward(ids, w)).T
         npt.assert_allclose(out, expected, atol=1e-10)
 
     def test_distributions_are_normalized(self, rng):
         w = init_weights(tiny_gpt2_config(), 5)
-        out = gpt2_forward([1, 2, 3, 4], w)
+        out = softmax(gpt2_forward([1, 2, 3, 4], w), axis=0)
         assert np.all(out >= 0)
         npt.assert_allclose(out.sum(axis=0), 1.0, atol=1e-9)
 
@@ -213,13 +213,13 @@ class TestMlmHead:
         cfg = tiny_bert_config()
         w = zeros_weights(cfg)
         h = np.ones((8, 4))
-        out = mlm_head(h, w)
+        out = softmax(mlm_head(h, w), axis=0)
         npt.assert_allclose(out, 1.0 / cfg.vocab_size, atol=1e-12)
 
     def test_one_distribution_per_position(self, rng):
         w = init_weights(tiny_bert_config(), 6)
         h = rng.normal(size=(8, 5))
-        out = mlm_head(h, w)
+        out = softmax(mlm_head(h, w), axis=0)
         assert out.shape == (11, 5)
         npt.assert_allclose(out.sum(axis=0), 1.0, atol=1e-9)
 
@@ -227,7 +227,7 @@ class TestMlmHead:
         w = init_weights(tiny_bert_config(), 13)
         h = rng.normal(size=(8, 3))
         expected = np.array(oracles.bert_mlm(oracles.cols(h), w)).T
-        npt.assert_allclose(mlm_head(h, w), expected, atol=1e-10)
+        npt.assert_allclose(softmax(mlm_head(h, w), axis=0), expected, atol=1e-10)
 
 
 class TestNspHead:
