@@ -9,17 +9,7 @@ adapters, binary weight archives, and a CLI.
 from .adapters import patch_embed, patchify, tst_embed, tst_mask, unpatchify
 from .archive import load_weights, save_weights
 from .attention import build_mask, multi_head_attention, self_attention_head
-from .audit import (
-    CountReport,
-    audit_config,
-    count_bert,
-    count_ffnn,
-    count_for_config,
-    count_gpt2,
-    count_lstm,
-    count_rnn,
-    enumerate_weights,
-)
+from .audit import CountReport, audit_config, count_for_config, enumerate_weights
 from .config import ModelConfig, load_config, parse_config
 from .embeddings import add_positions, embed, one_hot, tied_logits
 from .ffnn import ffnn_batch_forward, ffnn_forward, ffnn_generate, ffnn_predict

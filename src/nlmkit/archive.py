@@ -35,7 +35,7 @@ from .errors import (
     ArchiveTruncatedError,
     ArchiveVersionError,
 )
-from .training import named_tensor_view
+from .weights import named_tensor_view
 
 MAGIC = b"ANLM"
 FORMAT_VERSION = 1

@@ -7,6 +7,9 @@ they agree.
 
 Tied output projections are listed with zero incremental cost so reports
 stay honest about what sharing saves.
+
+The formulas live in ``COUNTS``, one entry per architecture; adding an
+architecture means adding its entry there.
 """
 
 from __future__ import annotations
@@ -14,8 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .config import ModelConfig
-from .errors import AuditMismatchError, ConfigError
-from .training import named_tensor_view
+from .errors import AuditMismatchError
+from .weights import named_tensor_view
 
 
 @dataclass
@@ -24,7 +27,6 @@ class CountReport:
 
     arch: str
     components: list[tuple[str, int]]
-    config_echo: dict[str, object]
 
     @property
     def total(self) -> int:
@@ -44,112 +46,77 @@ class CountReport:
         return "\n".join(lines)
 
 
-def _transformer_blocks_count(cfg: ModelConfig) -> tuple[int, int, int]:
-    """Per-block (attention, feedforward, norms) parameter subtotals."""
-    attention = (2 * cfg.M * cfg.d_e * (cfg.d_k + cfg.d_v)
-                 + cfg.zeta * (cfg.M * (2 * cfg.d_k + cfg.d_v) + cfg.d_e))
-    feedforward = 2 * cfg.d_e * cfg.d_f + cfg.d_e + cfg.d_f
-    norms = 4 * cfg.d_e  # two gain/bias pairs
-    return attention, feedforward, norms
-
-
-def count_gpt2(cfg: ModelConfig) -> CountReport:
-    if cfg.arch != "gpt2":
-        raise ConfigError(f"count_gpt2 expects arch 'gpt2', got {cfg.arch!r}")
-    attention, feedforward, norms = _transformer_blocks_count(cfg)
-    components = [
-        ("embedding", cfg.d_e * cfg.vocab_size),
-        ("positional_encoding", cfg.d_e * cfg.max_len),
-        ("embedding_layer_norm", 2 * cfg.d_e),
+def _transformer(cfg: ModelConfig, segments: bool) -> list[tuple[str, int]]:
+    """Subtotals shared by the decoder and the encoder, segment vectors optional."""
+    d_e = cfg.d_e
+    attention = (2 * cfg.M * d_e * (cfg.d_k + cfg.d_v)
+                 + cfg.zeta * (cfg.M * (2 * cfg.d_k + cfg.d_v) + d_e))
+    return [
+        ("embedding", d_e * cfg.vocab_size),
+        ("positional_encoding", d_e * cfg.max_len),
+        *([("segment_encoding", 2 * d_e)] if segments else []),
+        ("embedding_layer_norm", 2 * d_e),
         ("attention", cfg.L * attention),
-        ("feedforward", cfg.L * feedforward),
-        ("block_layer_norms", cfg.L * norms),
-        ("output_projection_tied", 0),
+        ("feedforward", cfg.L * (2 * d_e * cfg.d_f + d_e + cfg.d_f)),
+        ("block_layer_norms", cfg.L * 4 * d_e),  # two gain/bias pairs per block
     ]
-    return CountReport("gpt2", components, _echo(cfg))
 
 
-def count_bert(cfg: ModelConfig, include_mlm: bool = False,
-               include_nsp: bool = False) -> CountReport:
-    if cfg.arch != "bert":
-        raise ConfigError(f"count_bert expects arch 'bert', got {cfg.arch!r}")
-    attention, feedforward, norms = _transformer_blocks_count(cfg)
-    components = [
-        ("embedding", cfg.d_e * cfg.vocab_size),
-        ("positional_encoding", cfg.d_e * cfg.max_len),
-        ("segment_encoding", 2 * cfg.d_e),
-        ("embedding_layer_norm", 2 * cfg.d_e),
-        ("attention", cfg.L * attention),
-        ("feedforward", cfg.L * feedforward),
-        ("block_layer_norms", cfg.L * norms),
-        ("pooler", cfg.d_e * (cfg.d_e + 1)),
+def _gpt2(cfg: ModelConfig, include_mlm: bool, include_nsp: bool) -> list[tuple[str, int]]:
+    return _transformer(cfg, segments=False) + [("output_projection_tied", 0)]
+
+
+def _bert(cfg: ModelConfig, include_mlm: bool, include_nsp: bool) -> list[tuple[str, int]]:
+    d_e = cfg.d_e
+    components = _transformer(cfg, segments=True) + [
+        ("pooler", d_e * (d_e + 1)),
         ("output_projection_tied", 0),
     ]
     if include_mlm:
         components += [
-            ("mlm_transform", cfg.d_e * (cfg.d_e + 1)),
-            ("mlm_layer_norm", 2 * cfg.d_e),
+            ("mlm_transform", d_e * (d_e + 1)),
+            ("mlm_layer_norm", 2 * d_e),
             ("mlm_output_bias", cfg.vocab_size),
         ]
     if include_nsp:
-        components.append(("nsp_head", 2 * (cfg.d_e + 1)))
-    return CountReport("bert", components, _echo(cfg))
+        components.append(("nsp_head", 2 * (d_e + 1)))
+    return components
 
 
-def count_rnn(cfg: ModelConfig) -> CountReport:
-    if cfg.arch != "rnn":
-        raise ConfigError(f"count_rnn expects arch 'rnn', got {cfg.arch!r}")
-    per_layer = 2 * cfg.d_e ** 2 + cfg.d_e
-    components = [
+def _recurrent(per_layer):
+    """Counter of a tied recurrent LM whose layers hold per_layer(d_e) scalars each."""
+    return lambda cfg, include_mlm, include_nsp: [
         ("embedding", cfg.d_e * cfg.vocab_size),
-        ("recurrent_layers", cfg.L * per_layer),
+        ("recurrent_layers", cfg.L * per_layer(cfg.d_e)),
         ("output_projection_tied", 0),
     ]
-    report = CountReport("rnn", components, _echo(cfg))
-    report.config_echo["per_layer"] = per_layer
-    return report
 
 
-def count_lstm(cfg: ModelConfig) -> CountReport:
-    if cfg.arch != "lstm":
-        raise ConfigError(f"count_lstm expects arch 'lstm', got {cfg.arch!r}")
-    per_layer = 4 * cfg.d_e * (2 * cfg.d_e + 1)
-    components = [
-        ("embedding", cfg.d_e * cfg.vocab_size),
-        ("recurrent_layers", cfg.L * per_layer),
-        ("output_projection_tied", 0),
-    ]
-    report = CountReport("lstm", components, _echo(cfg))
-    report.config_echo["per_layer"] = per_layer
-    return report
-
-
-def count_ffnn(cfg: ModelConfig) -> CountReport:
-    if cfg.arch != "ffnn":
-        raise ConfigError(f"count_ffnn expects arch 'ffnn', got {cfg.arch!r}")
-    d0, n = cfg.d_e, cfg.max_len
-    components = [("embedding", d0 * cfg.vocab_size)]
-    prev = n * d0
-    hidden = 0
+def _ffnn(cfg: ModelConfig, include_mlm: bool, include_nsp: bool) -> list[tuple[str, int]]:
+    hidden, width_in = 0, cfg.max_len * cfg.d_e
     for width in cfg.hidden_dims:
-        hidden += width * (prev + 1)
-        prev = width
-    components.append(("hidden_layers", hidden))
-    components.append(("output_projection", cfg.vocab_size * prev))
-    return CountReport("ffnn", components, _echo(cfg))
+        hidden += width * (width_in + 1)
+        width_in = width
+    return [
+        ("embedding", cfg.d_e * cfg.vocab_size),
+        ("hidden_layers", hidden),
+        ("output_projection", cfg.vocab_size * width_in),
+    ]
+
+
+# closed-form (name, count) subtotals; the flags add BERT's MLM and NSP heads
+COUNTS = {
+    "ffnn": _ffnn,
+    "rnn": _recurrent(lambda d: 2 * d * d + d),
+    "lstm": _recurrent(lambda d: 4 * d * (2 * d + 1)),
+    "gpt2": _gpt2,
+    "bert": _bert,
+}
 
 
 def count_for_config(cfg: ModelConfig, include_mlm: bool = False,
                      include_nsp: bool = False) -> CountReport:
-    if cfg.arch == "gpt2":
-        return count_gpt2(cfg)
-    if cfg.arch == "bert":
-        return count_bert(cfg, include_mlm, include_nsp)
-    if cfg.arch == "rnn":
-        return count_rnn(cfg)
-    if cfg.arch == "lstm":
-        return count_lstm(cfg)
-    return count_ffnn(cfg)
+    return CountReport(cfg.arch, COUNTS[cfg.arch](cfg, include_mlm, include_nsp))
 
 
 def enumerate_weights(weights) -> int:
@@ -172,16 +139,3 @@ def audit_config(cfg: ModelConfig, weights) -> CountReport:
         )
     return report
 
-
-def _echo(cfg: ModelConfig) -> dict[str, object]:
-    echo: dict[str, object] = {
-        "arch": cfg.arch, "d_e": cfg.d_e,
-        "vocab_size": cfg.vocab_size, "max_len": cfg.max_len,
-    }
-    if cfg.arch in ("gpt2", "bert"):
-        echo.update(d_k=cfg.d_k, d_v=cfg.d_v, d_f=cfg.d_f, M=cfg.M, L=cfg.L, zeta=cfg.zeta)
-    elif cfg.arch in ("rnn", "lstm"):
-        echo.update(L=cfg.L)
-    else:
-        echo.update(hidden_dims=list(cfg.hidden_dims))
-    return echo

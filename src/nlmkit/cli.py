@@ -7,11 +7,12 @@ Exit codes: 0 success, 1 usage error (bad arguments or unreadable files),
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .archive import load_weights, save_weights
 from .audit import audit_config, count_for_config
-from .config import ModelConfig, load_config
+from .config import ModelConfig, load_config, read_text
 from .errors import AuditMismatchError, ConfigError, NlmError
 from .inference import generate_tokens, make_predict_next, min_context
 from .losses import corpus_nll
@@ -26,16 +27,22 @@ EXIT_DATA = 2
 EXIT_AUDIT = 3
 
 
-def _count(text: str) -> int:
-    """argparse type of --steps and --seed: an integer in [0, 2**64), the
-    range of the uint64 that keys init_weights' Philox stream."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1
-    if not 0 <= value < 2**64:
-        raise argparse.ArgumentTypeError(f"expected an integer in [0, 2**64), got {text!r}")
-    return value
+def _checked(convert, ok, expected: str):
+    """argparse type: ``convert(text)``, refused unless ``ok`` holds for it."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        return value
+    return parse
+
+
+# --steps and --seed span the uint64 that keys init_weights' Philox stream
+_count = _checked(int, lambda v: 0 <= v < 2**64, "an integer in [0, 2**64)")
+_rate = _checked(float, lambda v: math.isfinite(v) and v > 0, "a finite positive number")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -108,8 +115,7 @@ def cmd_train_toy(args) -> int:
     cfg = load_config(args.config)
     vocab = load_vocab(args.vocab)
     _check_vocab(cfg, vocab)
-    with open(args.corpus, encoding="utf-8") as fh:
-        corpus_ids = tokenize(fh.read(), vocab).ids
+    corpus_ids = tokenize(read_text(args.corpus), vocab).ids
     weights = init_weights(cfg, args.seed)
     weights, final_loss = train_toy(cfg, weights, corpus_ids, args.steps, args.lr,
                                     log_fn=print)
@@ -165,7 +171,7 @@ def build_parser() -> _Parser:
     p.add_argument("--vocab", required=True)
     p.add_argument("--corpus", required=True)
     p.add_argument("--steps", type=_count, required=True)
-    p.add_argument("--lr", type=float, required=True)
+    p.add_argument("--lr", type=_rate, required=True)
     p.add_argument("--seed", type=_count, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train_toy)
@@ -182,8 +188,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
-        print(f"nlmkit: error: cannot read file: {exc.filename}", file=sys.stderr)
+    except OSError as exc:
+        print(f"nlmkit: error: cannot read file: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except AuditMismatchError as exc:
         print(f"nlmkit: audit failed: {exc}", file=sys.stderr)

@@ -2,7 +2,9 @@
 
 A config file holds one ``key=value`` pair per line; blank lines and lines
 starting with ``#`` are ignored.  Unknown keys are rejected, as are
-configs missing a key their architecture requires.
+configs missing a key their architecture requires.  ``ARCH_KEYS`` holds
+each architecture's keys and defaults; adding an architecture means adding
+its entry there and its range checks to ``ModelConfig.validate``.
 """
 
 from __future__ import annotations
@@ -11,29 +13,42 @@ from dataclasses import dataclass, field
 
 from .errors import ConfigError
 
-ARCHITECTURES = ("ffnn", "rnn", "lstm", "gpt2", "bert")
-
 _INT_KEYS = {"d_e", "d_k", "d_v", "d_f", "M", "L", "vocab_size", "max_len", "zeta"}
 _STR_KEYS = {"arch", "norm_variant", "gelu_mode", "activation"}
 _LIST_KEYS = {"hidden_dims"}
 _ALL_KEYS = _INT_KEYS | _STR_KEYS | _LIST_KEYS
 
-# keys every architecture needs / keys each one adds
 _BASE_REQUIRED = {"arch", "d_e", "vocab_size", "max_len"}
-_ARCH_REQUIRED = {
-    "gpt2": {"d_k", "d_v", "d_f", "M", "L"},
-    "bert": {"d_k", "d_v", "d_f", "M", "L"},
-    "rnn": {"L"},
-    "lstm": {"L"},
-    "ffnn": {"hidden_dims"},
+
+
+@dataclass(frozen=True)
+class ArchKeys:
+    """The config keys of one architecture beyond ``_BASE_REQUIRED``, and
+    the values its empty ``norm_variant`` and ``activation`` take."""
+
+    required: frozenset[str]
+    optional: frozenset[str] = frozenset()
+    norm_variant: str = "post"
+    activation: str = "tanh"
+
+
+_TRANSFORMER_REQUIRED = frozenset({"d_k", "d_v", "d_f", "M", "L"})
+_TRANSFORMER_OPTIONAL = frozenset({"zeta", "norm_variant", "gelu_mode"})
+ARCH_KEYS = {
+    "ffnn": ArchKeys(frozenset({"hidden_dims"}), frozenset({"activation"}), activation="sigmoid"),
+    "rnn": ArchKeys(frozenset({"L"}), frozenset({"activation"})),
+    "lstm": ArchKeys(frozenset({"L"})),
+    "gpt2": ArchKeys(_TRANSFORMER_REQUIRED, _TRANSFORMER_OPTIONAL, norm_variant="pre"),
+    "bert": ArchKeys(_TRANSFORMER_REQUIRED, _TRANSFORMER_OPTIONAL),
 }
-_ARCH_ALLOWED = {
-    "gpt2": _BASE_REQUIRED | _ARCH_REQUIRED["gpt2"] | {"zeta", "norm_variant", "gelu_mode"},
-    "bert": _BASE_REQUIRED | _ARCH_REQUIRED["bert"] | {"zeta", "norm_variant", "gelu_mode"},
-    "rnn": _BASE_REQUIRED | _ARCH_REQUIRED["rnn"] | {"activation"},
-    "lstm": _BASE_REQUIRED | _ARCH_REQUIRED["lstm"],
-    "ffnn": _BASE_REQUIRED | _ARCH_REQUIRED["ffnn"] | {"activation"},
-}
+ARCHITECTURES = tuple(ARCH_KEYS)
+
+
+def arch_keys(arch: str) -> ArchKeys:
+    try:
+        return ARCH_KEYS[arch]
+    except KeyError:
+        raise ConfigError(f"unknown arch {arch!r}; expected one of {ARCHITECTURES}") from None
 
 
 @dataclass
@@ -67,12 +82,9 @@ class ModelConfig:
     hidden_dims: list[int] = field(default_factory=list)
 
     def __post_init__(self):
-        if self.arch not in ARCHITECTURES:
-            raise ConfigError(f"unknown arch {self.arch!r}; expected one of {ARCHITECTURES}")
-        if not self.norm_variant:
-            self.norm_variant = "pre" if self.arch == "gpt2" else "post"
-        if not self.activation:
-            self.activation = "sigmoid" if self.arch == "ffnn" else "tanh"
+        keys = arch_keys(self.arch)
+        self.norm_variant = self.norm_variant or keys.norm_variant
+        self.activation = self.activation or keys.activation
         if self.arch == "ffnn":
             self.L = len(self.hidden_dims)
         self.validate()
@@ -128,14 +140,13 @@ def parse_config(text: str) -> ModelConfig:
     arch = pairs.get("arch")
     if arch is None:
         raise ConfigError("config is missing required key 'arch'")
-    if arch not in ARCHITECTURES:
-        raise ConfigError(f"unknown arch {arch!r}; expected one of {ARCHITECTURES}")
-
-    allowed = _ARCH_ALLOWED[arch]
+    keys = arch_keys(arch)
+    required = _BASE_REQUIRED | keys.required
+    allowed = required | keys.optional
     for key in pairs:
         if key not in allowed:
             raise ConfigError(f"key {key!r} is not valid for arch {arch!r}")
-    missing = (_BASE_REQUIRED | _ARCH_REQUIRED[arch]) - pairs.keys()
+    missing = required - pairs.keys()
     if missing:
         raise ConfigError(f"config for arch {arch!r} is missing keys: {sorted(missing)}")
 
@@ -156,6 +167,14 @@ def parse_config(text: str) -> ModelConfig:
     return ModelConfig(**kwargs)
 
 
-def load_config(path) -> ModelConfig:
+def read_text(path) -> str:
+    """A UTF-8 text file's contents; other bytes are a ConfigError."""
     with open(path, encoding="utf-8") as fh:
-        return parse_config(fh.read())
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path} is not UTF-8 text: {exc}") from None
+
+
+def load_config(path) -> ModelConfig:
+    return parse_config(read_text(path))

@@ -13,9 +13,14 @@ output head once on the stacked last columns, and the feedforward LM runs
 its batched forward once.  The feedforward LM needs a full window, so it
 has no prefix pass.  Generation decodes incrementally: a KV cache for
 gpt2, the carried ``(h, c)`` state for rnn and lstm.
+
+``CAUSAL`` holds the passes of each autoregressive architecture; adding
+one means adding its entry there.  The encoder (bert) has none.
 """
 
 from __future__ import annotations
+
+from typing import Callable, NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -28,56 +33,70 @@ from .losses import Predictor
 from .recurrent import recurrent_generate, recurrent_lm_forward, recurrent_windows
 from .transformer import gpt2_forward, gpt2_hidden, greedy_decode
 
-AR_ARCHS = ("ffnn", "rnn", "lstm", "gpt2")
-
-
-def make_forward(cfg: ModelConfig, weights):
-    """Per-position logit function (|V| x len) for sequence models."""
-    if cfg.arch == "gpt2":
-        return lambda ids: gpt2_forward(ids, weights)
-    if cfg.arch in ("rnn", "lstm"):
-        return lambda ids: recurrent_lm_forward(ids, weights)
-    raise ConfigError(f"arch {cfg.arch!r} has no per-position forward pass")
-
 
 def _gpt2_windows(ids: list[int], n: int, w) -> np.ndarray:
-    """Top hidden column after every n-token window, one decoder pass per window."""
+    """Logits after every n-token window: one decoder pass per window, one head."""
     # fill one column at a time so no window's d_e x n hidden outlives its step
     last = np.empty((w.embedding.shape[0], len(ids) - n + 1))
     for s in range(last.shape[1]):
         last[:, s] = gpt2_hidden(ids[s:s + n], w)[:, -1]
-    return last
+    return tied_logits(last, w.embedding)
+
+
+class CausalModel(NamedTuple):
+    """The passes of one causal architecture, each taking its weights last."""
+
+    forward: Callable | None  # (ids, w) -> |V| x len(ids); None: needs a full window
+    windows: Callable  # (ids, n, w) -> |V| x (len(ids) - n + 1), one column per window
+    generate: Callable  # (prompt, w, steps) -> greedy continuation
+
+
+# The lambdas look the model functions up when called, so a module-level
+# name rebound after import (as perfbench's tracer does) sees every call.
+_RECURRENT = CausalModel(lambda ids, w: recurrent_lm_forward(ids, w),
+                         lambda ids, n, w: tied_logits(recurrent_windows(ids, n, w), w.embedding),
+                         lambda prompt, w, steps: recurrent_generate(prompt, w, steps))
+CAUSAL = {
+    "ffnn": CausalModel(
+        None,
+        lambda ids, n, w: ffnn_batch_forward(sliding_window_view(np.asarray(ids), n), w),
+        lambda prompt, w, steps: ffnn_generate(prompt, w, steps)),
+    "rnn": _RECURRENT,
+    "lstm": _RECURRENT,
+    "gpt2": CausalModel(lambda ids, w: gpt2_forward(ids, w), _gpt2_windows,
+                        lambda prompt, w, steps: greedy_decode(prompt, w, steps)),
+}
+
+
+def causal_model(cfg: ModelConfig) -> CausalModel:
+    """The architecture's entry in ``CAUSAL``; the encoder has none."""
+    model = CAUSAL.get(cfg.arch)
+    if model is None:
+        raise ConfigError(f"arch {cfg.arch!r} is not autoregressive")
+    return model
+
+
+def make_forward(cfg: ModelConfig, weights):
+    """Per-position logit function (|V| x len) for sequence models."""
+    forward = causal_model(cfg).forward
+    if forward is None:
+        raise ConfigError(f"arch {cfg.arch!r} has no per-position forward pass")
+    return lambda ids: forward(ids, weights)
 
 
 def make_predict_next(cfg: ModelConfig, weights) -> Predictor:
     """Next-token logit passes (and distribution of a context) of a causal model."""
-    if cfg.arch == "ffnn":
-        return Predictor(None, lambda ids, n: ffnn_batch_forward(
-            sliding_window_view(np.asarray(ids), n), weights))
-    if cfg.arch in ("rnn", "lstm"):
-        return Predictor(lambda ids: recurrent_lm_forward(ids, weights),
-                         lambda ids, n: tied_logits(recurrent_windows(ids, n, weights),
-                                                    weights.embedding))
-    if cfg.arch == "gpt2":
-        return Predictor(lambda ids: gpt2_forward(ids, weights),
-                         lambda ids, n: tied_logits(_gpt2_windows(ids, n, weights),
-                                                    weights.embedding))
-    raise ConfigError(f"arch {cfg.arch!r} is not autoregressive; cannot score next tokens")
+    model = causal_model(cfg)
+    prefix = None if model.forward is None else (lambda ids: model.forward(ids, weights))
+    return Predictor(prefix, lambda ids, n: model.windows(ids, n, weights))
 
 
 def generate_tokens(cfg: ModelConfig, weights, prompt_ids: list[int], steps: int) -> list[int]:
     """Greedy continuation of the prompt for any autoregressive arch."""
-    if cfg.arch == "gpt2":
-        return greedy_decode(prompt_ids, weights, steps)
-    if cfg.arch in ("rnn", "lstm"):
-        return recurrent_generate(prompt_ids, weights, steps)
-    if cfg.arch == "ffnn":
-        return ffnn_generate(prompt_ids, weights, steps)
-    raise ConfigError(f"arch {cfg.arch!r} cannot generate autoregressively")
+    return causal_model(cfg).generate(prompt_ids, weights, steps)
 
 
 def min_context(cfg: ModelConfig) -> int:
-    """Shortest context the architecture can condition on."""
-    if cfg.arch not in AR_ARCHS:
-        raise ConfigError(f"arch {cfg.arch!r} is not autoregressive; it has no next-token context")
-    return cfg.max_len if cfg.arch == "ffnn" else 1
+    """Shortest context the architecture can condition on: a model with no
+    per-position forward pass needs a full window."""
+    return cfg.max_len if causal_model(cfg).forward is None else 1

@@ -16,21 +16,13 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .config import ModelConfig
-from .errors import ConfigError, NonFiniteLossError, ShapeError
+from .errors import NonFiniteLossError, ShapeError
 from .ffnn import ffnn_batch_forward
+from .inference import causal_model, make_forward
 from .losses import ar_loss, ce_loss
-from .weights import AnyWeights
+from .weights import AnyWeights, named_tensor_view
 
 DEFAULT_STEP = 1e-5
-
-
-def named_tensor_view(weights) -> dict[str, np.ndarray]:
-    """Flat name -> array view of structured weights (or a plain dict)."""
-    if hasattr(weights, "named_tensors"):
-        return weights.named_tensors()
-    if isinstance(weights, dict):
-        return weights
-    raise TypeError(f"cannot view {type(weights).__name__} as named tensors")
 
 
 @dataclass
@@ -40,8 +32,8 @@ class TrainState:
     step: int = 0
 
     def __post_init__(self):
-        if self.mu_lr <= 0:
-            raise ValueError(f"learning rate must be positive, got {self.mu_lr}")
+        if not (math.isfinite(self.mu_lr) and self.mu_lr > 0):
+            raise ValueError(f"learning rate must be finite and positive, got {self.mu_lr}")
 
 
 def numerical_gradient(loss_fn, weights, h: float = DEFAULT_STEP) -> dict[str, np.ndarray]:
@@ -94,14 +86,14 @@ def gd_step(state: TrainState, gradient: dict[str, np.ndarray]) -> TrainState:
 def make_corpus_loss(cfg: ModelConfig, corpus_ids: list[int]):
     """Mean per-predicted-token training loss for one architecture.
 
-    Feedforward models slide a fixed window over the corpus; the windows
-    are built once and scored as one batch per call.  Sequence models
-    split the corpus into maximum-length chunks overlapping by one token
-    so every transition is scored exactly once, under teacher forcing.
+    A model with no per-position forward pass (the feedforward LM) needs
+    a full window: its windows over the corpus are built once and scored as
+    one batch per call.  Sequence models split the corpus into
+    maximum-length chunks overlapping by one token so every transition is
+    scored exactly once, under teacher forcing.  The encoder (bert) has no
+    causal passes and is refused.
     """
-    if cfg.arch == "bert":
-        raise ConfigError("training targets next-token prediction; arch 'bert' is not autoregressive")
-    if cfg.arch == "ffnn":
+    if causal_model(cfg).forward is None:
         n = cfg.max_len
         if len(corpus_ids) < n + 1:
             raise ShapeError(
@@ -111,8 +103,6 @@ def make_corpus_loss(cfg: ModelConfig, corpus_ids: list[int]):
         windows = np.ascontiguousarray(sliding_window_view(np.asarray(corpus_ids), n)[:-1])
         targets = np.asarray(corpus_ids[n:])
         return lambda w: ce_loss(targets, ffnn_batch_forward(windows, w)) / len(targets)
-
-    from .inference import make_forward  # deferred: inference imports models
 
     if len(corpus_ids) < 2:
         raise ShapeError("corpus must contain at least two tokens")

@@ -136,12 +136,8 @@ def bert_forward(seq: TokenSequence, w: BertWeights, vocab: Vocabulary | None = 
             raise SequenceFormatError("sequence must start with [CLS]")
         if vocab.sep_id is None or seq.ids[-1] != vocab.sep_id:
             raise SequenceFormatError("sequence must end with [SEP]")
-    n_max = w.positions.shape[1]
-    if len(seq) > n_max:
-        raise SequenceLengthError(f"sequence length {len(seq)} exceeds maximum {n_max}")
-    x = embed(seq.ids, w.embedding)
-    h0 = layer_norm(x + w.positions[:, : len(seq)] + segment_matrix(seq, w),
-                    w.emb_norm_gain, w.emb_norm_bias)
+    x = add_positions(embed(seq.ids, w.embedding), w.positions, segment_matrix(seq, w))
+    h0 = layer_norm(x, w.emb_norm_gain, w.emb_norm_bias)
     mask = build_mask(len(seq), AE_MODE)
     return transformer_stack(h0, w.blocks, mask, w.norm_variant, w.gelu_mode)
 

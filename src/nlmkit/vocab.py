@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .config import read_text
 from .errors import ConfigError, OutOfVocabularyError, SequenceLengthError
 
 CLS_TOKEN = "[CLS]"
@@ -109,7 +110,8 @@ def parse_vocab(text: str) -> Vocabulary:
             decl = raw[len("#special"):].strip()
             name, _, value = decl.partition("=")
             name = name.strip().upper()
-            if name not in _SPECIAL_NAMES or not value.strip().isdigit():
+            value = value.strip()
+            if name not in _SPECIAL_NAMES or not (value.isascii() and value.isdigit()):
                 raise ConfigError(f"bad special-token header: {raw!r}")
             specials[_SPECIAL_NAMES[name]] = int(value)
             continue
@@ -122,8 +124,7 @@ def parse_vocab(text: str) -> Vocabulary:
 
 
 def load_vocab(path) -> Vocabulary:
-    with open(path, encoding="utf-8") as fh:
-        return parse_vocab(fh.read())
+    return parse_vocab(read_text(path))
 
 
 def save_vocab(vocab: Vocabulary, path) -> None:

@@ -6,22 +6,19 @@ and the finite-difference trainer).  The two share the same underlying
 arrays: mutating ``weights.named_tensors()["blk1.WO"]`` is visible to the
 next forward call.
 
-Canonical tensor names
-----------------------
-ffnn    ffnn.E, ffnn.W1, ffnn.b1, ..., ffnn.U
-rnn     emb.E, rnn.l<k>.{W,U,b}
-lstm    emb.E, lstm.l<k>.{UQ,WQ,bQ,UP,WP,bP,UR,WR,bR,US,WS,bS}
-gpt2    emb.E, emb.pos, emb.lnG, emb.lnB,
-        blk<l>.h<m>.{WQ,WK,WV,bQ,bK,bV}, blk<l>.WO, blk<l>.bO,
-        blk<l>.ln1G, blk<l>.ln1B, blk<l>.ffn.{W1,b1,W2,b2},
-        blk<l>.ln2G, blk<l>.ln2B
-bert    gpt2 names plus emb.segA, emb.segB, mlm.{W,b,lnG,lnB,outB},
-        pool.{W,b}, nsp.{W,b}
+Tensor names are dotted paths such as ``blk2.h1.WQ`` (block 2, head 1,
+query projection); layer and head indices are 1-based.  Each architecture
+has one builder in ``BUILDERS``.  It names every tensor once, asking
+``t(name, *shape)`` for its array in canonical order (Python evaluates call
+arguments left to right), and returns the structured weights.
+``tensor_layout``, ``assemble_weights``, ``init_weights`` and
+``zeros_weights`` differ only in where ``t`` gets the arrays from.  Adding
+an architecture means adding its builder to ``BUILDERS``.
 
-Layer and head indices are 1-based.  Weight initialization draws from a
-Philox counter-based generator (identifier "philox-4x64-10"), uniform on
-(-0.05, 0.05), one tensor at a time in canonical order, so a seed fully
-determines every bit of the result.
+Weight initialization draws from a Philox counter-based generator
+(identifier "philox-4x64-10"), uniform on (-0.05, 0.05), one tensor at a
+time in canonical order, so a seed fully determines every bit of the
+result.
 """
 
 from __future__ import annotations
@@ -78,6 +75,15 @@ class _TensorBacked:
     def named_tensors(self) -> dict[str, np.ndarray]:
         """Flat ordered view sharing storage with the structured fields."""
         return self._tensors
+
+
+def named_tensor_view(weights) -> dict[str, np.ndarray]:
+    """Flat name -> array view of structured weights (or a plain dict)."""
+    if hasattr(weights, "named_tensors"):
+        return weights.named_tensors()
+    if isinstance(weights, dict):
+        return weights
+    raise TypeError(f"cannot view {type(weights).__name__} as named tensors")
 
 
 @dataclass
@@ -180,166 +186,131 @@ class BertWeights(_TensorBacked):
 AnyWeights = FfnnWeights | RnnWeights | LstmWeights | Gpt2Weights | BertWeights
 
 
-def _block_layout(prefix: str, cfg: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
-    names: list[tuple[str, tuple[int, ...]]] = []
-    for m in range(1, cfg.M + 1):
-        names.append((f"{prefix}.h{m}.WQ", (cfg.d_e, cfg.d_k)))
-        names.append((f"{prefix}.h{m}.WK", (cfg.d_e, cfg.d_k)))
-        names.append((f"{prefix}.h{m}.WV", (cfg.d_e, cfg.d_v)))
-        if cfg.zeta:
-            names.append((f"{prefix}.h{m}.bQ", (cfg.d_k,)))
-            names.append((f"{prefix}.h{m}.bK", (cfg.d_k,)))
-            names.append((f"{prefix}.h{m}.bV", (cfg.d_v,)))
-    names.append((f"{prefix}.WO", (cfg.M * cfg.d_v, cfg.d_e)))
-    if cfg.zeta:
-        names.append((f"{prefix}.bO", (cfg.d_e,)))
-    names.append((f"{prefix}.ln1G", (cfg.d_e,)))
-    names.append((f"{prefix}.ln1B", (cfg.d_e,)))
-    names.append((f"{prefix}.ffn.W1", (cfg.d_f, cfg.d_e)))
-    names.append((f"{prefix}.ffn.b1", (cfg.d_f,)))
-    names.append((f"{prefix}.ffn.W2", (cfg.d_e, cfg.d_f)))
-    names.append((f"{prefix}.ffn.b2", (cfg.d_e,)))
-    names.append((f"{prefix}.ln2G", (cfg.d_e,)))
-    names.append((f"{prefix}.ln2B", (cfg.d_e,)))
-    return names
+def _block(cfg: ModelConfig, t, p: str) -> BlockWeights:
+    d_e, d_k, d_v = cfg.d_e, cfg.d_k, cfg.d_v
+
+    def bias(name, width):  # attention biases exist only when zeta=1
+        return t(name, width) if cfg.zeta else None
+
+    heads = [HeadWeights(t(f"{h}WQ", d_e, d_k), t(f"{h}WK", d_e, d_k), t(f"{h}WV", d_e, d_v),
+                         bias(f"{h}bQ", d_k), bias(f"{h}bK", d_k), bias(f"{h}bV", d_v))
+             for h in (f"{p}.h{m}." for m in range(1, cfg.M + 1))]
+    mha = MultiHeadWeights(heads, t(f"{p}.WO", cfg.M * d_v, d_e), bias(f"{p}.bO", d_e))
+    return BlockWeights(mha, ln1_gain=t(f"{p}.ln1G", d_e), ln1_bias=t(f"{p}.ln1B", d_e),
+                        ffn_w1=t(f"{p}.ffn.W1", cfg.d_f, d_e), ffn_b1=t(f"{p}.ffn.b1", cfg.d_f),
+                        ffn_w2=t(f"{p}.ffn.W2", d_e, cfg.d_f), ffn_b2=t(f"{p}.ffn.b2", d_e),
+                        ln2_gain=t(f"{p}.ln2G", d_e), ln2_bias=t(f"{p}.ln2B", d_e))
+
+
+def _embedding(cfg: ModelConfig, t) -> np.ndarray:
+    return t("emb.E", cfg.d_e, cfg.vocab_size)
+
+
+def _transformer(cfg: ModelConfig, t, segments: bool) -> dict:
+    """Fields shared by the decoder and the encoder, segment vectors optional."""
+    d_e = cfg.d_e
+    fields = dict(embedding=_embedding(cfg, t), positions=t("emb.pos", d_e, cfg.max_len))
+    if segments:
+        fields.update(seg_a=t("emb.segA", d_e), seg_b=t("emb.segB", d_e))
+    fields.update(emb_norm_gain=t("emb.lnG", d_e), emb_norm_bias=t("emb.lnB", d_e),
+                  blocks=[_block(cfg, t, f"blk{l}") for l in range(1, cfg.L + 1)],
+                  norm_variant=cfg.norm_variant, gelu_mode=cfg.gelu_mode)
+    return fields
+
+
+def _ffnn(cfg: ModelConfig, t) -> FfnnWeights:
+    embedding = t("ffnn.E", cfg.d_e, cfg.vocab_size)
+    layers, width_in = [], cfg.max_len * cfg.d_e
+    for l, width in enumerate(cfg.hidden_dims, start=1):
+        layers.append(FfnnLayer(t(f"ffnn.W{l}", width, width_in), t(f"ffnn.b{l}", width),
+                                cfg.activation))
+        width_in = width
+    return FfnnWeights(embedding=embedding, layers=layers,
+                       output=t("ffnn.U", cfg.vocab_size, width_in), context_width=cfg.max_len)
+
+
+def _rnn(cfg: ModelConfig, t) -> RnnWeights:
+    d = cfg.d_e
+    return RnnWeights(embedding=_embedding(cfg, t), layers=[
+        RnnLayerWeights(t(f"rnn.l{l}.W", d, d), t(f"rnn.l{l}.U", d, d), t(f"rnn.l{l}.b", d),
+                        cfg.activation)
+        for l in range(1, cfg.L + 1)])
+
+
+def _lstm(cfg: ModelConfig, t) -> LstmWeights:
+    d = cfg.d_e
+    return LstmWeights(embedding=_embedding(cfg, t), layers=[
+        LstmLayerWeights(*(t(f"lstm.l{l}.{kind}{gate}", *((d,) if kind == "b" else (d, d)))
+                           for gate in "QPRS" for kind in "UWb"))
+        for l in range(1, cfg.L + 1)])
+
+
+def _gpt2(cfg: ModelConfig, t) -> Gpt2Weights:
+    return Gpt2Weights(**_transformer(cfg, t, segments=False))
+
+
+def _bert(cfg: ModelConfig, t) -> BertWeights:
+    d_e = cfg.d_e
+    return BertWeights(**_transformer(cfg, t, segments=True),
+                       mlm_w=t("mlm.W", d_e, d_e), mlm_b=t("mlm.b", d_e),
+                       mlm_norm_gain=t("mlm.lnG", d_e), mlm_norm_bias=t("mlm.lnB", d_e),
+                       out_bias=t("mlm.outB", cfg.vocab_size),
+                       pool_w=t("pool.W", d_e, d_e), pool_b=t("pool.b", d_e),
+                       nsp_w=t("nsp.W", 2, d_e), nsp_b=t("nsp.b", 2))
+
+
+BUILDERS = {"ffnn": _ffnn, "rnn": _rnn, "lstm": _lstm, "gpt2": _gpt2, "bert": _bert}
+
+
+def _build(cfg: ModelConfig, tensor) -> AnyWeights:
+    """Run the architecture's builder, taking each array from
+    ``tensor(name, shape)`` in canonical order."""
+    named: dict[str, np.ndarray] = {}
+
+    def t(name, *shape):
+        named[name] = array = tensor(name, shape)
+        return array
+
+    weights = BUILDERS[cfg.arch](cfg, t)
+    weights._tensors = named
+    return weights
 
 
 def tensor_layout(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
     """Canonical (name, shape) list for one architecture, in build order."""
-    d_e, v, n = cfg.d_e, cfg.vocab_size, cfg.max_len
     layout: list[tuple[str, tuple[int, ...]]] = []
-    if cfg.arch == "ffnn":
-        layout.append(("ffnn.E", (d_e, v)))
-        prev = n * d_e
-        for l, width in enumerate(cfg.hidden_dims, start=1):
-            layout.append((f"ffnn.W{l}", (width, prev)))
-            layout.append((f"ffnn.b{l}", (width,)))
-            prev = width
-        layout.append(("ffnn.U", (v, prev)))
-    elif cfg.arch == "rnn":
-        layout.append(("emb.E", (d_e, v)))
-        for l in range(1, cfg.L + 1):
-            layout.append((f"rnn.l{l}.W", (d_e, d_e)))
-            layout.append((f"rnn.l{l}.U", (d_e, d_e)))
-            layout.append((f"rnn.l{l}.b", (d_e,)))
-    elif cfg.arch == "lstm":
-        layout.append(("emb.E", (d_e, v)))
-        for l in range(1, cfg.L + 1):
-            for gate in "QPRS":
-                layout.append((f"lstm.l{l}.U{gate}", (d_e, d_e)))
-                layout.append((f"lstm.l{l}.W{gate}", (d_e, d_e)))
-                layout.append((f"lstm.l{l}.b{gate}", (d_e,)))
-    elif cfg.arch == "gpt2":
-        layout.append(("emb.E", (d_e, v)))
-        layout.append(("emb.pos", (d_e, n)))
-        layout.append(("emb.lnG", (d_e,)))
-        layout.append(("emb.lnB", (d_e,)))
-        for l in range(1, cfg.L + 1):
-            layout.extend(_block_layout(f"blk{l}", cfg))
-    elif cfg.arch == "bert":
-        layout.append(("emb.E", (d_e, v)))
-        layout.append(("emb.pos", (d_e, n)))
-        layout.append(("emb.segA", (d_e,)))
-        layout.append(("emb.segB", (d_e,)))
-        layout.append(("emb.lnG", (d_e,)))
-        layout.append(("emb.lnB", (d_e,)))
-        for l in range(1, cfg.L + 1):
-            layout.extend(_block_layout(f"blk{l}", cfg))
-        layout.append(("mlm.W", (d_e, d_e)))
-        layout.append(("mlm.b", (d_e,)))
-        layout.append(("mlm.lnG", (d_e,)))
-        layout.append(("mlm.lnB", (d_e,)))
-        layout.append(("mlm.outB", (v,)))
-        layout.append(("pool.W", (d_e, d_e)))
-        layout.append(("pool.b", (d_e,)))
-        layout.append(("nsp.W", (2, d_e)))
-        layout.append(("nsp.b", (2,)))
-    else:  # pragma: no cover - ModelConfig already validates arch
-        raise ConfigError(f"unknown arch {cfg.arch!r}")
+    _build(cfg, lambda name, shape: layout.append((name, shape)))
     return layout
-
-
-def _assemble_block(prefix: str, cfg: ModelConfig, t: dict[str, np.ndarray]) -> BlockWeights:
-    heads = []
-    for m in range(1, cfg.M + 1):
-        heads.append(HeadWeights(
-            w_q=t[f"{prefix}.h{m}.WQ"],
-            w_k=t[f"{prefix}.h{m}.WK"],
-            w_v=t[f"{prefix}.h{m}.WV"],
-            b_q=t.get(f"{prefix}.h{m}.bQ"),
-            b_k=t.get(f"{prefix}.h{m}.bK"),
-            b_v=t.get(f"{prefix}.h{m}.bV"),
-        ))
-    mha = MultiHeadWeights(heads=heads, w_o=t[f"{prefix}.WO"], b_o=t.get(f"{prefix}.bO"))
-    return BlockWeights(
-        mha=mha,
-        ffn_w1=t[f"{prefix}.ffn.W1"], ffn_b1=t[f"{prefix}.ffn.b1"],
-        ffn_w2=t[f"{prefix}.ffn.W2"], ffn_b2=t[f"{prefix}.ffn.b2"],
-        ln1_gain=t[f"{prefix}.ln1G"], ln1_bias=t[f"{prefix}.ln1B"],
-        ln2_gain=t[f"{prefix}.ln2G"], ln2_bias=t[f"{prefix}.ln2B"],
-    )
 
 
 def assemble_weights(cfg: ModelConfig, tensors: dict[str, np.ndarray]) -> AnyWeights:
     """Wire a flat named-tensor dict into the architecture's structure.
 
     The dict must contain exactly the canonical names with the canonical
-    shapes; arrays are adopted by reference, not copied.
+    shapes; float64 C-contiguous arrays are adopted by reference, not copied.
     """
-    layout = tensor_layout(cfg)
-    expected = dict(layout)
-    missing = expected.keys() - tensors.keys()
-    extra = tensors.keys() - expected.keys()
+    missing = []
+
+    def take(name, shape):
+        if name not in tensors:
+            missing.append(name)
+            return None
+        array = np.ascontiguousarray(tensors[name], dtype=np.float64)
+        if array.shape != shape:
+            raise ShapeError(f"tensor {name} has shape {array.shape}, expected {shape}")
+        return array
+
+    weights = _build(cfg, take)
     if missing:
         raise ConfigError(f"weights are missing tensors: {sorted(missing)}")
+    extra = tensors.keys() - weights._tensors.keys()
     if extra:
         raise ConfigError(f"weights contain unexpected tensors: {sorted(extra)}")
-    for name, shape in layout:
-        arr = np.ascontiguousarray(tensors[name], dtype=np.float64)
-        if arr.shape != shape:
-            raise ShapeError(f"tensor {name} has shape {arr.shape}, expected {shape}")
-        tensors[name] = arr
-    ordered = {name: tensors[name] for name, _ in layout}
-    t = ordered
-
-    if cfg.arch == "ffnn":
-        layers = [FfnnLayer(t[f"ffnn.W{l}"], t[f"ffnn.b{l}"], cfg.activation)
-                  for l in range(1, len(cfg.hidden_dims) + 1)]
-        return FfnnWeights(_tensors=t, embedding=t["ffnn.E"], layers=layers,
-                           output=t["ffnn.U"], context_width=cfg.max_len)
-    if cfg.arch == "rnn":
-        layers = [RnnLayerWeights(t[f"rnn.l{l}.W"], t[f"rnn.l{l}.U"], t[f"rnn.l{l}.b"],
-                                  cfg.activation)
-                  for l in range(1, cfg.L + 1)]
-        return RnnWeights(_tensors=t, embedding=t["emb.E"], layers=layers)
-    if cfg.arch == "lstm":
-        layers = [LstmLayerWeights(*(t[f"lstm.l{l}.{kind}{gate}"]
-                                     for gate in "QPRS" for kind in ("U", "W", "b")))
-                  for l in range(1, cfg.L + 1)]
-        return LstmWeights(_tensors=t, embedding=t["emb.E"], layers=layers)
-    blocks = [_assemble_block(f"blk{l}", cfg, t) for l in range(1, cfg.L + 1)]
-    if cfg.arch == "gpt2":
-        return Gpt2Weights(
-            _tensors=t, embedding=t["emb.E"], positions=t["emb.pos"],
-            emb_norm_gain=t["emb.lnG"], emb_norm_bias=t["emb.lnB"],
-            blocks=blocks, norm_variant=cfg.norm_variant, gelu_mode=cfg.gelu_mode,
-        )
-    return BertWeights(
-        _tensors=t, embedding=t["emb.E"], positions=t["emb.pos"],
-        seg_a=t["emb.segA"], seg_b=t["emb.segB"],
-        emb_norm_gain=t["emb.lnG"], emb_norm_bias=t["emb.lnB"],
-        blocks=blocks,
-        mlm_w=t["mlm.W"], mlm_b=t["mlm.b"],
-        mlm_norm_gain=t["mlm.lnG"], mlm_norm_bias=t["mlm.lnB"],
-        out_bias=t["mlm.outB"],
-        pool_w=t["pool.W"], pool_b=t["pool.b"],
-        nsp_w=t["nsp.W"], nsp_b=t["nsp.b"],
-        norm_variant=cfg.norm_variant, gelu_mode=cfg.gelu_mode,
-    )
+    return weights
 
 
 def zeros_weights(cfg: ModelConfig) -> AnyWeights:
-    return assemble_weights(cfg, {name: np.zeros(shape) for name, shape in tensor_layout(cfg)})
+    return _build(cfg, lambda name, shape: np.zeros(shape))
 
 
 def philox(seed: int) -> np.random.Generator:
@@ -357,6 +328,4 @@ def init_weights(cfg: ModelConfig, seed: int) -> AnyWeights:
     bitwise-equal weights.
     """
     rng = philox(seed)
-    tensors = {name: rng.uniform(INIT_LOW, INIT_HIGH, size=shape)
-               for name, shape in tensor_layout(cfg)}
-    return assemble_weights(cfg, tensors)
+    return _build(cfg, lambda name, shape: rng.uniform(INIT_LOW, INIT_HIGH, size=shape))

@@ -156,3 +156,68 @@ def test_count_params_prints_paper_scale_totals(tmp_path, capsys, arch, sizes, f
     code, out, err = run(["count-params", "--config", str(config), *flags], capsys, out=True)
     assert code == EXIT_OK and "Traceback" not in err
     assert out.splitlines()[-1].split() == ["total", total]
+
+
+FFNN_CONFIG = "arch=ffnn\nd_e=2\nhidden_dims=3\nvocab_size=4\nmax_len=2\n"
+
+
+def train_toy_files(tmp_path, vocab="a\nb\nc\nd\n", corpus="a b c d a b c d"):
+    """--config/--vocab/--corpus/--out files of a tiny feedforward model."""
+    paths = {name: tmp_path / name for name in ("cfg", "vocab", "corpus", "out")}
+    paths["cfg"].write_text(FFNN_CONFIG)
+    for name, text in (("vocab", vocab), ("corpus", corpus)):
+        if isinstance(text, bytes):
+            paths[name].write_bytes(text)
+        else:
+            paths[name].write_text(text, encoding="utf-8")
+    return paths
+
+
+def train_toy_argv(paths, lr="0.1"):
+    return ["train-toy", "--config", str(paths["cfg"]), "--vocab", str(paths["vocab"]),
+            "--corpus", str(paths["corpus"]), "--steps", "1", "--lr", lr,
+            "--out", str(paths["out"])]
+
+
+def test_train_toy_runs(tmp_path, capsys):
+    code, out, err = run(train_toy_argv(train_toy_files(tmp_path)), capsys, out=True)
+    assert code == EXIT_OK and "Traceback" not in err
+    assert out.splitlines()[0].startswith("1\t")
+
+
+def test_non_ascii_digit_in_vocab_header_is_a_data_error(tmp_path, capsys):
+    paths = train_toy_files(tmp_path, vocab="#special UNK=\u00b2\na\nb\nc\nd\n")
+    code, err = run(train_toy_argv(paths), capsys)
+    assert code == EXIT_DATA
+    assert "bad special-token header" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("which", ["cfg", "vocab", "corpus"])
+def test_non_utf8_input_is_a_data_error(tmp_path, capsys, which):
+    paths = train_toy_files(tmp_path)
+    paths[which].write_bytes(paths[which].read_bytes() + b"\xff\xfe\n")
+    code, err = run(train_toy_argv(paths), capsys)
+    assert code == EXIT_DATA
+    assert "not UTF-8" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("which", ["cfg", "vocab", "corpus"])
+def test_directory_as_input_is_a_usage_error(tmp_path, capsys, which):
+    paths = train_toy_files(tmp_path)
+    paths[which] = tmp_path
+    code, err = run(train_toy_argv(paths), capsys)
+    assert code == EXIT_USAGE
+    assert "cannot read file" in err and "Traceback" not in err
+
+
+def test_directory_as_config_of_count_params_is_a_usage_error(tmp_path, capsys):
+    code, err = run(["count-params", "--config", str(tmp_path)], capsys)
+    assert code == EXIT_USAGE
+    assert "cannot read file" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("lr", ["0", "-1", "nan", "inf", "abc"])
+def test_learning_rate_must_be_finite_and_positive(tmp_path, capsys, lr):
+    code, err = run(train_toy_argv(train_toy_files(tmp_path), lr=lr), capsys)
+    assert code == EXIT_USAGE
+    assert "usage:" in err and "--lr" in err and "Traceback" not in err

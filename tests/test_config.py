@@ -38,6 +38,12 @@ class TestParseAccepts:
         path.write_text(LSTM)
         assert load_config(path) == parse_config(LSTM)
 
+    def test_load_config_of_non_utf8_file(self, tmp_path):
+        path = tmp_path / "m.cfg"
+        path.write_bytes(LSTM.encode() + b"# \xe9t\xe9\n")
+        with pytest.raises(ConfigError, match="not UTF-8"):
+            load_config(path)
+
 
 class TestParseRejects:
     @pytest.mark.parametrize("line", ["d_e 8", "d_e=", "=8", "d_e:8"])

@@ -7,7 +7,7 @@ import numpy.testing as npt
 import pytest
 
 from nlmkit.config import ModelConfig
-from nlmkit.errors import NonFiniteLossError, ShapeError
+from nlmkit.errors import ConfigError, NonFiniteLossError, ShapeError
 from nlmkit.ffnn import ffnn_forward
 from nlmkit.kernels import softmax
 from nlmkit.losses import ce_loss
@@ -65,6 +65,11 @@ class TestNumericalGradient:
 
 
 class TestGdStep:
+    @pytest.mark.parametrize("rate", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    def test_rate_must_be_finite_and_positive(self, rate):
+        with pytest.raises(ValueError, match="learning rate"):
+            TrainState(weights={"a": np.zeros(3)}, mu_lr=rate)
+
     def test_zero_gradient_keeps_weights(self, rng):
         w = {"a": rng.normal(size=(2, 2))}
         state = TrainState(weights=w, mu_lr=0.5)
@@ -141,6 +146,12 @@ class TestCorpusLoss:
 
 
 class TestTrainToy:
+    def test_bert_is_refused(self):
+        cfg = ModelConfig(arch="bert", d_e=4, d_k=2, d_v=2, d_f=4, M=1, L=1, vocab_size=5,
+                          max_len=4)
+        with pytest.raises(ConfigError, match="not autoregressive"):
+            make_corpus_loss(cfg, [0, 1, 2, 3])
+
     def test_loss_drops_and_log_format_holds(self):
         cfg = ffnn_config(vocab=5, n=2, d0=2, hidden=(4,))
         corpus = [0, 1, 2, 3, 4] * 3

@@ -178,6 +178,23 @@ class TestBertForward:
             expected = np.array(oracles.bert_hidden(seq.ids, seq.segments, w)).T
             npt.assert_allclose(h, expected, atol=1e-10)
 
+    @pytest.mark.parametrize("variant", ["post", "pre"])
+    def test_equals_the_hand_written_positional_sum_bitwise(self, variant):
+        cfg = tiny_bert_config()
+        cfg.norm_variant = variant
+        w = init_weights(cfg, 31)
+        seq = TokenSequence([0, 3, 4, 1, 5, 1], segments=["A"] * 4 + ["B"] * 2)
+        x = w.embedding[:, seq.ids] + w.positions[:, :6] + np.column_stack(
+            [w.seg_a] * 4 + [w.seg_b] * 2)
+        h0 = layer_norm(x, w.emb_norm_gain, w.emb_norm_bias)
+        want = transformer_stack(h0, w.blocks, build_mask(6, "AE"), variant, w.gelu_mode)
+        npt.assert_array_equal(bert_forward(seq, w), want)
+
+    def test_length_checked_against_max_len(self):
+        w = init_weights(tiny_bert_config(max_len=4), 2)
+        with pytest.raises(SequenceLengthError, match="sequence length 5 exceeds maximum 4"):
+            bert_forward(TokenSequence([0, 3, 4, 5, 1]), w)
+
     def test_requires_cls_and_sep_with_vocab(self):
         vocab = bert_vocab()
         w = init_weights(tiny_bert_config(), 2)

@@ -45,6 +45,18 @@ class TestVocabulary:
         with pytest.raises(ConfigError):
             parse_vocab("#special WAT=0\nfoo\n")
 
+    @pytest.mark.parametrize("value", ["\u00b2", "\u0661", "\uff11", "1\u00b2", "", "-1", "x"])
+    def test_header_id_must_be_ascii_digits(self, value):
+        # str.isdigit accepts superscripts, Arabic-Indic and full-width digits
+        with pytest.raises(ConfigError, match="bad special-token header"):
+            parse_vocab(f"#special UNK={value}\nfoo\nbar\n")
+
+    def test_non_utf8_file_is_config_error(self, tmp_path):
+        path = tmp_path / "v.txt"
+        path.write_bytes(b"foo\n\xff\xfebar\n")
+        with pytest.raises(ConfigError, match="not UTF-8"):
+            load_vocab(path)
+
     def test_file_round_trip(self, tmp_path):
         v = Vocabulary(["[CLS]", "hello", "world", "[SEP]"])
         path = tmp_path / "v.txt"
