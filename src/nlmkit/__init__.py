@@ -2,18 +2,16 @@
 
 Forward passes, losses, and closed-form parameter counts for feedforward,
 Elman RNN, LSTM, decoder-transformer (GPT2-style) and encoder-transformer
-(BERT-style) language models, plus image-patch and time-series input
-adapters, binary weight archives, and a CLI.
+(BERT-style) language models, plus binary weight archives and a CLI.
 """
 
-from .adapters import patch_embed, patchify, tst_embed, tst_mask, unpatchify
 from .archive import load_weights, save_weights
 from .attention import build_mask, multi_head_attention, self_attention_head
 from .audit import CountReport, audit_config, count_for_config, enumerate_weights
 from .config import ModelConfig, load_config, parse_config
-from .embeddings import add_positions, embed, one_hot, tied_logits
+from .embeddings import add_positions, embed, tied_logits
 from .ffnn import ffnn_batch_forward, ffnn_forward, ffnn_generate, ffnn_predict
-from .kernels import gelu, layer_norm, matmul, sigmoid, softmax
+from .kernels import gelu, layer_norm, sigmoid, softmax
 from .losses import ar_loss, ce_loss, corpus_nll, mlm_corrupt, mlm_loss
 from .recurrent import lstm_cell, recurrent_lm_forward, rnn_cell, unroll
 from .training import TrainState, gd_step, numerical_gradient, train_toy

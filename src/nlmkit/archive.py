@@ -49,7 +49,7 @@ def save_weights(weights, path) -> None:
         fh.write(struct.pack("<QQ", FORMAT_VERSION, len(tensors)))
         for name, tensor in tensors.items():
             encoded = name.encode("utf-8")
-            arr = np.ascontiguousarray(tensor, dtype="<f8")
+            arr = np.asarray(tensor, dtype="<f8")  # tobytes() is row-major for any layout
             fh.write(struct.pack("<Q", len(encoded)))
             fh.write(encoded)
             fh.write(struct.pack("<Q", arr.ndim))

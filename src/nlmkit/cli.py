@@ -1,13 +1,15 @@
 """Command-line surface: parameter audits, scoring, generation, toy training.
 
-Exit codes: 0 success, 1 usage error (bad arguments or unreadable files),
-2 data or format error, 3 audit assertion failure.
+Exit codes: 0 success, 1 usage error (bad arguments, unreadable or unwritable
+files), 2 data or format error, 3 audit assertion failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import math
+import os
 import sys
 
 from .archive import load_weights, save_weights
@@ -111,7 +113,19 @@ def cmd_fill_mask(args) -> int:
     return EXIT_OK
 
 
+def _check_writable(path) -> None:
+    """Raise the OSError that creating or replacing file `path` would meet."""
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    if not os.path.isdir(parent):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+    if not os.access(path if os.path.exists(path) else parent, os.W_OK):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+
+
 def cmd_train_toy(args) -> int:
+    _check_writable(args.out)  # fail before the training run, not after it
     cfg = load_config(args.config)
     vocab = load_vocab(args.vocab)
     _check_vocab(cfg, vocab)
@@ -189,7 +203,9 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except OSError as exc:
-        print(f"nlmkit: error: cannot read file: {exc}", file=sys.stderr)
+        out = getattr(args, "out", None)
+        action = "write" if out is not None and exc.filename == out else "read"
+        print(f"nlmkit: error: cannot {action} file: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except AuditMismatchError as exc:
         print(f"nlmkit: audit failed: {exc}", file=sys.stderr)

@@ -168,8 +168,9 @@ def parse_config(text: str) -> ModelConfig:
 
 
 def read_text(path) -> str:
-    """A UTF-8 text file's contents; other bytes are a ConfigError."""
-    with open(path, encoding="utf-8") as fh:
+    """A UTF-8 text file's contents without a leading byte-order mark;
+    other bytes are a ConfigError."""
+    with open(path, encoding="utf-8-sig") as fh:
         try:
             return fh.read()
         except UnicodeDecodeError as exc:

@@ -1,4 +1,4 @@
-"""One-hot vectors, embedding lookup, positional sums, and tied output logits.
+"""Embedding lookup, positional sums, and tied output logits.
 
 Embedding matrices store one token per column (shape d_e x |V|), so a
 sequence embeds to a d_e x len matrix whose columns follow the token order.
@@ -10,24 +10,14 @@ import numpy as np
 
 from .errors import OutOfVocabularyError, SequenceLengthError, ShapeError
 from .kernels import as_matrix, as_vector
-from .vocab import TokenSequence
 
 
-def one_hot(token_id: int, size: int) -> np.ndarray:
-    if not (0 <= token_id < size):
-        raise OutOfVocabularyError(f"id {token_id} out of range for size {size}")
-    v = np.zeros(size)
-    v[token_id] = 1.0
-    return v
-
-
-def embed(seq: TokenSequence | list[int], e: np.ndarray) -> np.ndarray:
+def embed(ids: list[int], e: np.ndarray) -> np.ndarray:
     """Select one embedding column per token id.
 
     Repeated ids produce identical columns; the result has shape
-    (d_e, len(seq)).
+    (d_e, len(ids)).
     """
-    ids = seq.ids if isinstance(seq, TokenSequence) else seq
     e = as_matrix(e)
     for i in ids:
         if not (0 <= i < e.shape[1]):

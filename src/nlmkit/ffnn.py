@@ -16,7 +16,6 @@ import numpy as np
 
 from .errors import OutOfVocabularyError, SequenceLengthError, ShapeError
 from .kernels import sigmoid
-from .vocab import TokenSequence
 from .weights import FfnnWeights
 
 _ACTIVATIONS = {
@@ -55,15 +54,14 @@ def ffnn_batch_forward(windows, w: FfnnWeights) -> np.ndarray:
     return w.output @ h
 
 
-def ffnn_forward(seq: TokenSequence | list[int], w: FfnnWeights) -> np.ndarray:
+def ffnn_forward(ids: list[int], w: FfnnWeights) -> np.ndarray:
     """Logits over the vocabulary for the token after the window."""
-    ids = seq.ids if isinstance(seq, TokenSequence) else seq
     return ffnn_batch_forward([ids], w)[:, 0]
 
 
-def ffnn_predict(seq: TokenSequence | list[int], w: FfnnWeights) -> int:
+def ffnn_predict(ids: list[int], w: FfnnWeights) -> int:
     """Argmax next-token id; ties break toward the lowest id."""
-    return int(np.argmax(ffnn_forward(seq, w)))
+    return int(np.argmax(ffnn_forward(ids, w)))
 
 
 def ffnn_generate(prompt: list[int], w: FfnnWeights, steps: int) -> list[int]:

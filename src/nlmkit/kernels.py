@@ -46,19 +46,6 @@ def as_vector(a) -> np.ndarray:
     return m
 
 
-def matmul(a, b) -> np.ndarray:
-    """Matrix product with an explicit shape check.
-
-    Raises ShapeError naming both operand shapes when inner dimensions
-    disagree.
-    """
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"cannot multiply {a.shape} by {b.shape}")
-    return a @ b
-
-
 def shifted(v, axis: int = -1) -> np.ndarray:
     """Scores minus the largest entry of each slice along `axis`, as a new array.
 

@@ -45,7 +45,7 @@ def ce_loss(targets, logits) -> float:
     return float((np.log(s.sum(axis=0)) - picked).sum())
 
 
-def ar_loss(seq: TokenSequence | list[int], forward) -> float:
+def ar_loss(ids: list[int], forward) -> float:
     """Summed next-token cross entropy under teacher forcing.
 
     ``forward`` maps the ground-truth sequence to per-position logits
@@ -53,7 +53,6 @@ def ar_loss(seq: TokenSequence | list[int], forward) -> float:
     called exactly once, on the ground-truth tokens, never on its own
     predictions.
     """
-    ids = seq.ids if isinstance(seq, TokenSequence) else list(seq)
     if len(ids) < 2:
         raise SequenceLengthError(f"ar_loss needs a sequence of length >= 2, got {len(ids)}")
     logits = np.asarray(forward(ids), dtype=np.float64)
@@ -89,7 +88,7 @@ def apply_mlm_mask(seq: TokenSequence, positions: list[int], vocab: Vocabulary) 
         corrupted[pos] = mask_id
         flags[pos] = True
     return MlmTarget(
-        corrupted=TokenSequence(corrupted, segments=seq.segments, mlm_mask=flags),
+        corrupted=TokenSequence(corrupted, segments=seq.segments),
         mask=flags,
         original_ids=list(seq.ids),
     )

@@ -20,7 +20,6 @@ from .embeddings import embed, tied_logits
 from .errors import SequenceLengthError, ShapeError
 from .ffnn import activation_fn
 from .kernels import sigmoid
-from .vocab import TokenSequence
 from .weights import LstmLayerWeights, LstmWeights, RnnLayerWeights, RnnWeights
 
 
@@ -69,22 +68,21 @@ def lstm_cell(h_prev: np.ndarray, c_prev: np.ndarray, x_in: np.ndarray,
     return h, c
 
 
-def unroll(seq_embeddings: np.ndarray, layers: list, kind: str,
+def unroll(seq_embeddings: np.ndarray, layers: list,
            state: list | None = None) -> tuple[np.ndarray, list]:
     """Run stacked recurrent layers over time; returns the top layer's
     outputs as a d_e x len matrix and the final per-layer ``(h, c)`` state.
 
-    A d_e x len x B input unrolls B sequences at once; outputs are then
-    d_e x len x B and states d_e x B.  Column i depends only on input
-    columns <= i, by construction.  The initial state is `state`, as
+    A layer of ``LstmLayerWeights`` runs the LSTM cell, any other layer the
+    Elman cell.  A d_e x len x B input unrolls B sequences at once; outputs
+    are then d_e x len x B and states d_e x B.  Column i depends only on
+    input columns <= i, by construction.  The initial state is `state`, as
     returned by an earlier call, or zero (the Elman cell ignores c).
     """
     if seq_embeddings.ndim not in (2, 3) or seq_embeddings.shape[1] < 1:
         raise SequenceLengthError("unroll requires a nonempty d_e x len (x B) input")
     if not layers:
         raise SequenceLengthError("unroll requires at least one layer")
-    if kind not in ("rnn", "lstm"):
-        raise ValueError(f"unknown recurrent kind {kind!r}")
     if state is None:
         # cells never write into their inputs, so one zero array serves all
         h_state = [np.zeros(seq_embeddings.shape[:1] + seq_embeddings.shape[2:])] * len(layers)
@@ -99,25 +97,20 @@ def unroll(seq_embeddings: np.ndarray, layers: list, kind: str,
     for i in range(length):
         x = seq_embeddings[:, i]
         for l, layer in enumerate(layers):
-            if kind == "rnn":
-                h_state[l] = rnn_cell(h_state[l], x, layer)
-            else:
+            if isinstance(layer, LstmLayerWeights):
                 h_state[l], c_state[l] = lstm_cell(h_state[l], c_state[l], x, layer)
+            else:
+                h_state[l] = rnn_cell(h_state[l], x, layer)
             x = h_state[l]
         out[:, i] = x
     return out, list(zip(h_state, c_state))
 
 
-def _kind(w: RnnWeights | LstmWeights) -> str:
-    return "rnn" if isinstance(w, RnnWeights) else "lstm"
-
-
-def recurrent_hidden(seq: TokenSequence | list[int], w: RnnWeights | LstmWeights,
+def recurrent_hidden(ids: list[int], w: RnnWeights | LstmWeights,
                      state: list | None = None) -> tuple[np.ndarray, list]:
-    """Top-layer hidden states (d_e x len) and the final state; `seq`
+    """Top-layer hidden states (d_e x len) and the final state; `ids`
     continues `state` when one is given."""
-    ids = seq.ids if isinstance(seq, TokenSequence) else seq
-    return unroll(embed(ids, w.embedding), w.layers, _kind(w), state)
+    return unroll(embed(ids, w.embedding), w.layers, state)
 
 
 def recurrent_windows(ids: list[int], n: int, w: RnnWeights | LstmWeights) -> np.ndarray:
@@ -126,14 +119,13 @@ def recurrent_windows(ids: list[int], n: int, w: RnnWeights | LstmWeights) -> np
     if not 1 <= n <= len(ids):
         raise SequenceLengthError(f"window {n} does not fit a sequence of {len(ids)} tokens")
     windows = sliding_window_view(embed(ids, w.embedding), n, axis=1)  # d_e x B x n view
-    _, state = unroll(windows.transpose(0, 2, 1), w.layers, _kind(w))
+    _, state = unroll(windows.transpose(0, 2, 1), w.layers)
     return state[-1][0]
 
 
-def recurrent_lm_forward(seq: TokenSequence | list[int],
-                         w: RnnWeights | LstmWeights) -> np.ndarray:
+def recurrent_lm_forward(ids: list[int], w: RnnWeights | LstmWeights) -> np.ndarray:
     """Next-token logits per position (|V| x len), tied output head."""
-    return tied_logits(recurrent_hidden(seq, w)[0], w.embedding)
+    return tied_logits(recurrent_hidden(ids, w)[0], w.embedding)
 
 
 def recurrent_generate(prompt: list[int], w: RnnWeights | LstmWeights, steps: int) -> list[int]:

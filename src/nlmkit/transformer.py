@@ -79,15 +79,14 @@ def transformer_stack(h0: np.ndarray, blocks: list[BlockWeights], mask: np.ndarr
     return h
 
 
-def gpt2_hidden(seq: TokenSequence | list[int], w: Gpt2Weights,
+def gpt2_hidden(ids: list[int], w: Gpt2Weights,
                 cache: KVCache | None = None) -> np.ndarray:
     """Contextualized representations (d_e x len) before the output head.
 
-    With a cache, `seq` continues the ``cache.length`` positions already in
+    With a cache, `ids` continues the ``cache.length`` positions already in
     it: only its columns are computed, at the positions that follow, and
     their keys and values are added to the cache.
     """
-    ids = seq.ids if isinstance(seq, TokenSequence) else seq
     n_max = w.positions.shape[1]
     start = 0 if cache is None else cache.length
     end = start + len(ids)
@@ -105,13 +104,13 @@ def gpt2_hidden(seq: TokenSequence | list[int], w: Gpt2Weights,
     return h
 
 
-def gpt2_forward(seq: TokenSequence | list[int], w: Gpt2Weights) -> np.ndarray:
+def gpt2_forward(ids: list[int], w: Gpt2Weights) -> np.ndarray:
     """Next-token logits, one column per position (|V| x len).
 
     Column i conditions only on tokens 1..i (causal mask); the head is the
     tied embedding transpose.
     """
-    return tied_logits(gpt2_hidden(seq, w), w.embedding)
+    return tied_logits(gpt2_hidden(ids, w), w.embedding)
 
 
 def segment_matrix(seq: TokenSequence, w: BertWeights) -> np.ndarray:
@@ -155,7 +154,7 @@ def nsp_head(h: np.ndarray, w: BertWeights) -> np.ndarray:
     return softmax(w.nsp_w @ pooled + w.nsp_b)
 
 
-def greedy_decode(prompt: TokenSequence | list[int], w: Gpt2Weights, steps: int) -> list[int]:
+def greedy_decode(prompt: list[int], w: Gpt2Weights, steps: int) -> list[int]:
     """Append the argmax continuation token `steps` times.
 
     Ties break toward the lowest id; the prompt plus all generated tokens
@@ -163,7 +162,7 @@ def greedy_decode(prompt: TokenSequence | list[int], w: Gpt2Weights, steps: int)
     through a KV cache in one pass; every later step feeds only the token
     just chosen.
     """
-    ids = list(prompt.ids if isinstance(prompt, TokenSequence) else prompt)
+    ids = list(prompt)
     n_max = w.positions.shape[1]
     if len(ids) + steps > n_max:
         raise SequenceLengthError(

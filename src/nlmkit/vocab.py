@@ -79,21 +79,19 @@ class Vocabulary:
 
 @dataclass
 class TokenSequence:
-    """Token ids with optional parallel segment labels and MLM flags."""
+    """Token ids with optional parallel segment labels."""
 
     ids: list[int]
     segments: list[str] | None = None
-    mlm_mask: list[bool] | None = None
 
     def __post_init__(self):
         if len(self.ids) < 1:
             raise SequenceLengthError("a token sequence must contain at least one token")
-        for name, parallel in (("segments", self.segments), ("mlm_mask", self.mlm_mask)):
-            if parallel is not None and len(parallel) != len(self.ids):
-                raise SequenceLengthError(
-                    f"{name} length {len(parallel)} != ids length {len(self.ids)}"
-                )
         if self.segments is not None:
+            if len(self.segments) != len(self.ids):
+                raise SequenceLengthError(
+                    f"segments length {len(self.segments)} != ids length {len(self.ids)}"
+                )
             bad = set(self.segments) - {SEGMENT_A, SEGMENT_B}
             if bad:
                 raise SequenceLengthError(f"segment labels must be 'A' or 'B', got {bad}")
@@ -127,14 +125,6 @@ def load_vocab(path) -> Vocabulary:
     return parse_vocab(read_text(path))
 
 
-def save_vocab(vocab: Vocabulary, path) -> None:
-    lines = [f"#special {name}={vocab.specials[tok]}"
-             for name, tok in _SPECIAL_NAMES.items() if tok in vocab.specials]
-    lines += vocab.tokens
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
 def tokenize(text: str, vocab: Vocabulary) -> TokenSequence:
     """Whitespace-split text into ids; unknown tokens fall back to [UNK]."""
     words = text.split()
@@ -143,8 +133,7 @@ def tokenize(text: str, vocab: Vocabulary) -> TokenSequence:
     return TokenSequence([vocab.id_of(w) for w in words])
 
 
-def detokenize(seq: TokenSequence | list[int], vocab: Vocabulary) -> str:
-    ids = seq.ids if isinstance(seq, TokenSequence) else seq
+def detokenize(ids: list[int], vocab: Vocabulary) -> str:
     return " ".join(vocab.token_of(i) for i in ids)
 
 

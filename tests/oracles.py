@@ -295,41 +295,6 @@ def unroll(x_cols, layers, kind):
 
 
 # ---------------------------------------------------------------------------
-# input adapters
-# ---------------------------------------------------------------------------
-
-def patchify(image, patch):
-    """Columns of square patches of an H x W x C nested-list image: patches
-    in row-major grid order, pixels row-major inside a patch, channels
-    innermost."""
-    height, width, channels = len(image), len(image[0]), len(image[0][0])
-    columns = []
-    for grid_row in range(height // patch):
-        for grid_col in range(width // patch):
-            column = []
-            for i in range(patch):
-                for j in range(patch):
-                    for c in range(channels):
-                        column.append(float(image[grid_row * patch + i][grid_col * patch + j][c]))
-            columns.append(column)
-    return columns
-
-
-def tst_embed(series_rows, embedding_rows, bias, eps=1e-8):
-    """Per time step: z-score across channels (population variance, eps
-    under the square root), project, add the bias.  One column per step."""
-    channels = len(series_rows)
-    out = []
-    for t in range(len(series_rows[0])):
-        x = [series_rows[c][t] for c in range(channels)]
-        mu = sum(x) / channels
-        var = sum((v - mu) ** 2 for v in x) / channels
-        z = [(v - mu) / math.sqrt(var + eps) for v in x]
-        out.append(vec_add(mat_vec(embedding_rows, z), bias))
-    return out
-
-
-# ---------------------------------------------------------------------------
 # full-recompute decoding and per-context scoring
 # ---------------------------------------------------------------------------
 

@@ -5,6 +5,9 @@ import struct
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from nlmkit.archive import MAGIC, load_weights, save_weights
 from nlmkit.errors import (
@@ -43,6 +46,22 @@ class TestRoundTrip:
         for name, t in tensors.items():
             assert loaded[name].tobytes() == t.tobytes()
             assert loaded[name].shape == t.shape
+
+    @settings(max_examples=100, deadline=None)
+    @given(bits=st.dictionaries(
+        st.text(max_size=8),  # any Unicode but lone surrogates, which UTF-8 cannot encode
+        array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4).flatmap(
+            lambda shape: arrays(np.uint64, shape, elements=st.integers(0, 2**64 - 1))),
+        max_size=4))
+    def test_any_names_shapes_and_bit_patterns(self, tmp_path_factory, bits):
+        # raw bit patterns cover -0.0, subnormals, infinities and NaN payloads
+        path = tmp_path_factory.mktemp("archive") / "w.anlm"
+        save_weights({name: b.view(np.float64) for name, b in bits.items()}, path)
+        loaded = load_weights(path)
+        assert list(loaded) == list(bits)
+        for name, b in bits.items():
+            assert loaded[name].shape == b.shape
+            npt.assert_array_equal(loaded[name].view(np.uint64), b)
 
     def test_zero_size_tensor(self, tmp_path):
         path = write(tmp_path, header() + entry(b"z", (0, 7)))

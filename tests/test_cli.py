@@ -221,3 +221,20 @@ def test_learning_rate_must_be_finite_and_positive(tmp_path, capsys, lr):
     code, err = run(train_toy_argv(train_toy_files(tmp_path), lr=lr), capsys)
     assert code == EXIT_USAGE
     assert "usage:" in err and "--lr" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("out", ["", "missing/w.anlm"], ids=["directory", "missing-parent"])
+def test_unwritable_out_fails_before_training(tmp_path, capsys, out):
+    paths = train_toy_files(tmp_path)
+    paths["out"] = tmp_path / out  # the directory itself, or a file in a missing directory
+    code, stdout, err = run(train_toy_argv(paths), capsys, out=True)
+    assert code == EXIT_USAGE and stdout == ""
+    assert "cannot write file" in err and "Traceback" not in err
+
+
+def test_config_with_byte_order_mark_is_read(tmp_path, capsys):
+    config = tmp_path / "bom.cfg"
+    config.write_bytes(b"\xef\xbb\xbf" + GPT2_CONFIG.encode())
+    code, out, err = run(["count-params", "--config", str(config)], capsys, out=True)
+    assert code == EXIT_OK and err == ""
+    assert out.splitlines()[-1].split()[0] == "total"

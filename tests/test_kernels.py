@@ -1,4 +1,4 @@
-"""Numeric kernel contracts: matmul, softmax, GELU, layer norm, sigmoid/tanh."""
+"""Numeric kernel contracts: softmax, GELU, layer norm, sigmoid/tanh."""
 
 import math
 
@@ -14,7 +14,6 @@ from nlmkit.kernels import (
     gelu_exact,
     gelu_tanh,
     layer_norm,
-    matmul,
     sigmoid,
     softmax,
 )
@@ -34,36 +33,6 @@ def masked_matrix(rng, shape, rate=0.3):
 
 def slices(m, axis):
     return [m[:, j] for j in range(m.shape[1])] if axis == 0 else list(m)
-
-
-class TestMatmul:
-    def test_identity(self):
-        m = np.arange(12.0).reshape(3, 4)
-        npt.assert_array_equal(matmul(np.eye(3), m), m)
-
-    def test_zero_annihilates(self):
-        m = np.ones((3, 4))
-        npt.assert_array_equal(matmul(np.zeros((2, 3)), m), np.zeros((2, 4)))
-
-    def test_matches_triple_loop(self, rng):
-        a = rng.normal(size=(4, 5))
-        b = rng.normal(size=(5, 2))
-        expected = np.zeros((4, 2))
-        for i in range(4):
-            for j in range(2):
-                for k in range(5):
-                    expected[i, j] += a[i, k] * b[k, j]
-        npt.assert_allclose(matmul(a, b), expected, rtol=1e-13)
-
-    def test_shape_error_names_both_shapes(self):
-        with pytest.raises(ShapeError, match=r"\(2, 3\).*\(4, 5\)"):
-            matmul(np.zeros((2, 3)), np.zeros((4, 5)))
-
-    def test_associativity(self, rng):
-        a, b, c = (rng.normal(size=(4, 4)) for _ in range(3))
-        left = matmul(matmul(a, b), c)
-        right = matmul(a, matmul(b, c))
-        npt.assert_allclose(left, right, rtol=1e-9)
 
 
 class TestSoftmax:

@@ -148,38 +148,38 @@ class TestUnroll:
     def test_length_one_equals_single_cell(self, rng):
         layer = random_rnn_layer(rng, 3)
         x = rng.normal(size=(3, 1))
-        out = unroll(x, [layer], "rnn")[0]
+        out = unroll(x, [layer])[0]
         npt.assert_array_equal(out[:, 0], rnn_cell(np.zeros(3), x[:, 0], layer))
 
     def test_prefix_truncation_reproduces_columns(self, rng):
         layers = [random_rnn_layer(rng, 3) for _ in range(2)]
         x = rng.normal(size=(3, 3))
-        full = unroll(x, layers, "rnn")[0]
-        prefix = unroll(x[:, :2], layers, "rnn")[0]
+        full = unroll(x, layers)[0]
+        prefix = unroll(x[:, :2], layers)[0]
         npt.assert_array_equal(full[:, :2], prefix)
 
     def test_stacked_layers_match_double_loop_oracle(self, rng):
         for kind, make in (("rnn", random_rnn_layer), ("lstm", random_lstm_layer)):
             layers = [make(rng, 3) for _ in range(2)]
             x = rng.normal(size=(3, 4))
-            out = unroll(x, layers, kind)[0]
+            out = unroll(x, layers)[0]
             expected = oracles.unroll(oracles.cols(x), layers, kind)
             npt.assert_allclose(out, np.array(expected).T, atol=1e-12)
 
     def test_causality_under_future_perturbation(self, rng):
         layers = [random_lstm_layer(rng, 3)]
         x = rng.normal(size=(3, 5))
-        base = unroll(x, layers, "lstm")[0]
+        base = unroll(x, layers)[0]
         x2 = x.copy()
         x2[:, 3:] += rng.normal(size=(3, 2))
-        npt.assert_array_equal(unroll(x2, layers, "lstm")[0][:, :3], base[:, :3])
+        npt.assert_array_equal(unroll(x2, layers)[0][:, :3], base[:, :3])
 
     def test_identity_activation_linear_recurrence(self):
         # d_e=1, identity activation: h_i = u*h_{i-1} + w*x_i + b in closed form
         layer = RnnLayerWeights(w=np.array([[0.5]]), u=np.array([[0.8]]),
                                 b=np.array([0.1]), activation="identity")
         x = np.array([[1.0, -2.0, 3.0, 0.5]])
-        out = unroll(x, [layer], "rnn")[0][0]
+        out = unroll(x, [layer])[0][0]
         h = 0.0
         for i in range(4):
             h = 0.8 * h + 0.5 * x[0, i] + 0.1
@@ -189,10 +189,10 @@ class TestUnroll:
     def test_carried_state_continues_the_sequence(self, rng, kind, make):
         layers = [make(rng, 3) for _ in range(2)]
         x = rng.normal(size=(3, 6))
-        full, full_state = unroll(x, layers, kind)
-        head, state = unroll(x[:, :2], layers, kind)
+        full, full_state = unroll(x, layers)
+        head, state = unroll(x[:, :2], layers)
         for i in range(2, 6):
-            step, state = unroll(x[:, i:i + 1], layers, kind, state)
+            step, state = unroll(x[:, i:i + 1], layers, state)
             npt.assert_array_equal(step[:, 0], full[:, i])
         for (h, c), (fh, fc) in zip(state, full_state):
             npt.assert_array_equal(h, fh)
@@ -203,23 +203,23 @@ class TestUnroll:
     def test_batch_equals_separate_sequences(self, rng, kind, make):
         layers = [make(rng, 3) for _ in range(2)]
         x = rng.normal(size=(3, 4, 5))  # d_e x len x B
-        out, state = unroll(x, layers, kind)
+        out, state = unroll(x, layers)
         assert out.shape == (3, 4, 5) and state[-1][0].shape == (3, 5)
         for b in range(5):
-            npt.assert_allclose(out[:, :, b], unroll(x[:, :, b], layers, kind)[0],
+            npt.assert_allclose(out[:, :, b], unroll(x[:, :, b], layers)[0],
                                 rtol=1e-13, atol=1e-15)
 
     def test_state_must_match_layers(self, rng):
         layers = [random_rnn_layer(rng, 3) for _ in range(2)]
-        _, state = unroll(np.zeros((3, 1)), layers, "rnn")
+        _, state = unroll(np.zeros((3, 1)), layers)
         with pytest.raises(ShapeError):
-            unroll(np.zeros((3, 1)), layers[:1], "rnn", state)
+            unroll(np.zeros((3, 1)), layers[:1], state)
 
     def test_empty_inputs_rejected(self, rng):
         with pytest.raises(SequenceLengthError):
-            unroll(np.zeros((3, 0)), [random_rnn_layer(rng, 3)], "rnn")
+            unroll(np.zeros((3, 0)), [random_rnn_layer(rng, 3)])
         with pytest.raises(SequenceLengthError):
-            unroll(np.zeros((3, 2)), [], "rnn")
+            unroll(np.zeros((3, 2)), [])
 
 
 class TestRecurrentLm:

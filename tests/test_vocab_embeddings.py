@@ -1,10 +1,10 @@
-"""Vocabulary, tokenizer, one-hot/embedding lookup, positions, tied logits."""
+"""Vocabulary, tokenizer, embedding lookup, positions, tied logits."""
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from nlmkit.embeddings import add_positions, embed, one_hot, tied_logits
+from nlmkit.embeddings import add_positions, embed, tied_logits
 from nlmkit.errors import (
     ConfigError,
     OutOfVocabularyError,
@@ -18,7 +18,6 @@ from nlmkit.vocab import (
     infer_segments,
     load_vocab,
     parse_vocab,
-    save_vocab,
     tokenize,
 )
 
@@ -57,13 +56,18 @@ class TestVocabulary:
         with pytest.raises(ConfigError, match="not UTF-8"):
             load_vocab(path)
 
-    def test_file_round_trip(self, tmp_path):
-        v = Vocabulary(["[CLS]", "hello", "world", "[SEP]"])
+    def test_byte_order_mark_is_not_part_of_the_first_token(self, tmp_path):
         path = tmp_path / "v.txt"
-        save_vocab(v, path)
+        path.write_bytes(b"\xef\xbb\xbf[CLS]\nfoo\n")
+        assert load_vocab(path).tokens == ["[CLS]", "foo"]
+
+    def test_file_round_trip(self, tmp_path):
+        path = tmp_path / "v.txt"
+        path.write_text("#special CLS=0\n#special SEP=3\n#special UNK=1\n"
+                        "[CLS]\nhello\nworld\n[SEP]\n", encoding="utf-8")
         loaded = load_vocab(path)
-        assert loaded.tokens == v.tokens
-        assert loaded.specials == v.specials
+        assert loaded.tokens == ["[CLS]", "hello", "world", "[SEP]"]
+        assert loaded.specials == {"[CLS]": 0, "[SEP]": 3, "[UNK]": 1}
 
 
 class TestTokenize:
@@ -86,7 +90,7 @@ class TestTokenize:
     def test_round_trip_in_vocabulary_text(self):
         v = Vocabulary(["the", "cat", "sat"])
         text = "the cat sat sat the"
-        assert detokenize(tokenize(text, v), v) == text
+        assert detokenize(tokenize(text, v).ids, v) == text
 
     def test_infer_segments_splits_at_first_sep(self):
         v = Vocabulary(["[CLS]", "a", "[SEP]", "b"])
@@ -96,28 +100,6 @@ class TestTokenize:
     def test_parallel_list_lengths_checked(self):
         with pytest.raises(SequenceLengthError):
             TokenSequence([1, 2], segments=["A"])
-
-
-class TestOneHot:
-    def test_first_and_last_positions(self):
-        npt.assert_array_equal(one_hot(0, 3), [1, 0, 0])
-        npt.assert_array_equal(one_hot(2, 3), [0, 0, 1])
-
-    def test_out_of_range(self):
-        with pytest.raises(OutOfVocabularyError):
-            one_hot(3, 3)
-
-    def test_binary_entries_sum_to_one(self, rng):
-        for _ in range(20):
-            size = int(rng.integers(1, 50))
-            v = one_hot(int(rng.integers(0, size)), size)
-            assert set(np.unique(v)) <= {0.0, 1.0}
-            assert v.sum() == 1.0
-
-    def test_matmul_extracts_column(self, rng):
-        e = rng.normal(size=(4, 6))
-        for j in range(6):
-            npt.assert_array_equal(e @ one_hot(j, 6), e[:, j])
 
 
 class TestEmbed:
@@ -135,7 +117,7 @@ class TestEmbed:
     def test_equals_one_hot_matrix_product(self, rng):
         e = rng.normal(size=(4, 9))
         ids = [0, 8, 3, 3, 5]
-        omega = np.column_stack([one_hot(i, 9) for i in ids])
+        omega = np.eye(9)[:, ids]
         npt.assert_allclose(embed(ids, e), e @ omega, rtol=1e-15)
 
     def test_unused_columns_never_read(self, rng):
