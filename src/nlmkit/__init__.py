@@ -10,7 +10,8 @@ from .attention import build_mask, multi_head_attention, self_attention_head
 from .audit import CountReport, audit_config, count_for_config, enumerate_weights
 from .config import ModelConfig, load_config, parse_config
 from .embeddings import add_positions, embed, tied_logits
-from .ffnn import ffnn_batch_forward, ffnn_forward, ffnn_generate, ffnn_predict
+from .ffnn import ffnn_batch_forward, ffnn_forward
+from .inference import generate_tokens
 from .kernels import gelu, layer_norm, sigmoid, softmax
 from .losses import ar_loss, ce_loss, corpus_nll, mlm_corrupt, mlm_loss
 from .recurrent import lstm_cell, recurrent_lm_forward, rnn_cell, unroll
@@ -18,7 +19,6 @@ from .training import TrainState, gd_step, numerical_gradient, train_toy
 from .transformer import (
     bert_forward,
     gpt2_forward,
-    greedy_decode,
     mlm_head,
     nsp_head,
     transformer_block,

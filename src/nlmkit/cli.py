@@ -62,10 +62,12 @@ def _check_vocab(cfg: ModelConfig, vocab: Vocabulary) -> None:
         )
 
 
-def _load_model(args) -> tuple[ModelConfig, object]:
+def _load_model(args) -> tuple[ModelConfig, object, Vocabulary]:
     cfg = load_config(args.config)
     weights = assemble_weights(cfg, load_weights(args.weights))
-    return cfg, weights
+    vocab = load_vocab(args.vocab)
+    _check_vocab(cfg, vocab)
+    return cfg, weights, vocab
 
 
 def cmd_count_params(args) -> int:
@@ -76,9 +78,7 @@ def cmd_count_params(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    cfg, weights = _load_model(args)
-    vocab = load_vocab(args.vocab)
-    _check_vocab(cfg, vocab)
+    cfg, weights, vocab = _load_model(args)
     prompt = tokenize(args.prompt, vocab)
     ids = generate_tokens(cfg, weights, prompt.ids, args.steps)
     print(detokenize(ids, vocab))
@@ -86,9 +86,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_score(args) -> int:
-    cfg, weights = _load_model(args)
-    vocab = load_vocab(args.vocab)
-    _check_vocab(cfg, vocab)
+    cfg, weights, vocab = _load_model(args)
     ids = tokenize(args.text, vocab).ids
     nll = corpus_nll(ids, make_predict_next(cfg, weights), cfg.max_len,
                      min_context=min_context(cfg))
@@ -97,9 +95,7 @@ def cmd_score(args) -> int:
 
 
 def cmd_fill_mask(args) -> int:
-    cfg, weights = _load_model(args)
-    vocab = load_vocab(args.vocab)
-    _check_vocab(cfg, vocab)
+    cfg, weights, vocab = _load_model(args)
     if cfg.arch != "bert":
         raise ConfigError(f"fill-mask requires arch=bert, config declares {cfg.arch!r}")
     ids = tokenize(args.text, vocab).ids
@@ -139,8 +135,8 @@ def cmd_train_toy(args) -> int:
 
 
 def cmd_audit(args) -> int:
-    cfg, weights = _load_model(args)
-    report = audit_config(cfg, weights)
+    cfg = load_config(args.config)
+    report = audit_config(cfg, assemble_weights(cfg, load_weights(args.weights)))
     print(f"ok: {cfg.arch} formula count == enumerated count == {report.total}")
     return EXIT_OK
 
@@ -149,6 +145,9 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="nlmkit",
                      description="From-scratch language-model kit: audits, scoring, generation.")
     sub = parser.add_subparsers(dest="command", required=True)
+    model = argparse.ArgumentParser(add_help=False)  # the model a command runs
+    for name in ("--config", "--weights", "--vocab"):
+        model.add_argument(name, required=True)
 
     p = sub.add_parser("count-params", help="closed-form parameter count for a config")
     p.add_argument("--config", required=True)
@@ -157,25 +156,16 @@ def build_parser() -> _Parser:
     p.add_argument("--format", choices=("table", "kv"), default="table")
     p.set_defaults(func=cmd_count_params)
 
-    p = sub.add_parser("generate", help="greedy continuation of a prompt")
-    p.add_argument("--config", required=True)
-    p.add_argument("--weights", required=True)
-    p.add_argument("--vocab", required=True)
+    p = sub.add_parser("generate", parents=[model], help="greedy continuation of a prompt")
     p.add_argument("--prompt", required=True)
     p.add_argument("--steps", type=_count, required=True)
     p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("score", help="negative log likelihood of a text")
-    p.add_argument("--config", required=True)
-    p.add_argument("--weights", required=True)
-    p.add_argument("--vocab", required=True)
+    p = sub.add_parser("score", parents=[model], help="negative log likelihood of a text")
     p.add_argument("--text", required=True)
     p.set_defaults(func=cmd_score)
 
-    p = sub.add_parser("fill-mask", help="top-1 prediction per [MASK] slot (bert)")
-    p.add_argument("--config", required=True)
-    p.add_argument("--weights", required=True)
-    p.add_argument("--vocab", required=True)
+    p = sub.add_parser("fill-mask", parents=[model], help="top-1 prediction per [MASK] slot (bert)")
     p.add_argument("--text", required=True,
                    help="whitespace tokens incl. [CLS] ... [SEP]; [MASK] marks slots to fill")
     p.set_defaults(func=cmd_fill_mask)
@@ -210,7 +200,7 @@ def main(argv=None) -> int:
     except AuditMismatchError as exc:
         print(f"nlmkit: audit failed: {exc}", file=sys.stderr)
         return EXIT_AUDIT
-    except NlmError as exc:
+    except (NlmError, MemoryError) as exc:  # MemoryError: a config too big to allocate
         print(f"nlmkit: error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

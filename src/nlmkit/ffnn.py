@@ -7,7 +7,8 @@ weight tying here).
 
 There is one forward pass, ``ffnn_batch_forward``: a B x n matrix of window
 ids becomes B concatenated-embedding columns and |V| x B logits after a
-handful of matrix products.  One window is its one-row case.
+handful of matrix products.  One window is its one-row case, and
+``ffnn_decoder`` slides that window over a generation.
 """
 
 from __future__ import annotations
@@ -59,19 +60,8 @@ def ffnn_forward(ids: list[int], w: FfnnWeights) -> np.ndarray:
     return ffnn_batch_forward([ids], w)[:, 0]
 
 
-def ffnn_predict(ids: list[int], w: FfnnWeights) -> int:
-    """Argmax next-token id; ties break toward the lowest id."""
-    return int(np.argmax(ffnn_forward(ids, w)))
-
-
-def ffnn_generate(prompt: list[int], w: FfnnWeights, steps: int) -> list[int]:
-    """Greedy continuation by sliding the fixed window over the output."""
+def ffnn_decoder(w: FfnnWeights, total: int):
+    """Next-token logits after the last window of the ids so far, one call
+    per token.  The window slides, so `total` needs no bound here."""
     n = w.context_width
-    if len(prompt) < n:
-        raise SequenceLengthError(
-            f"prompt must contain at least {n} tokens to fill the window, got {len(prompt)}"
-        )
-    ids = list(prompt)
-    for _ in range(steps):
-        ids.append(ffnn_predict(ids[-n:], w))
-    return ids
+    return lambda ids: ffnn_forward(ids[-n:], w)

@@ -11,8 +11,9 @@ once.  The window scorer gives ``corpus_nll``'s full windows: rnn and lstm
 unroll all windows as one batch, gpt2 runs the decoder per window but the
 output head once on the stacked last columns, and the feedforward LM runs
 its batched forward once.  The feedforward LM needs a full window, so it
-has no prefix pass.  Generation decodes incrementally: a KV cache for
-gpt2, the carried ``(h, c)`` state for rnn and lstm.
+has no prefix pass.  ``generate_tokens`` holds the one greedy loop and its
+length contract; each model's decoder keeps its state between calls: a KV
+cache for gpt2, the carried ``(h, c)`` state for rnn and lstm.
 
 ``CAUSAL`` holds the passes of each autoregressive architecture; adding
 one means adding its entry there.  The encoder (bert) has none.
@@ -27,11 +28,15 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .config import ModelConfig
 from .embeddings import tied_logits
-from .errors import ConfigError
-from .ffnn import ffnn_batch_forward, ffnn_generate
+from .errors import ConfigError, SequenceLengthError
+from .ffnn import ffnn_batch_forward, ffnn_decoder
 from .losses import Predictor
-from .recurrent import recurrent_generate, recurrent_lm_forward, recurrent_windows
-from .transformer import gpt2_forward, gpt2_hidden, greedy_decode
+from .recurrent import recurrent_decoder, recurrent_lm_forward, recurrent_windows
+from .transformer import gpt2_decoder, gpt2_forward, gpt2_hidden
+
+# Longest sequence generate_tokens builds, prompt included: only gpt2 has a
+# positional table, and nothing else would bound the id list.
+MAX_TOKENS = 2**16
 
 
 def _gpt2_windows(ids: list[int], n: int, w) -> np.ndarray:
@@ -48,23 +53,23 @@ class CausalModel(NamedTuple):
 
     forward: Callable | None  # (ids, w) -> |V| x len(ids); None: needs a full window
     windows: Callable  # (ids, n, w) -> |V| x (len(ids) - n + 1), one column per window
-    generate: Callable  # (prompt, w, steps) -> greedy continuation
+    decoder: Callable  # (w, total) -> next-token logits of the ids so far, per call
 
 
 # The lambdas look the model functions up when called, so a module-level
 # name rebound after import (as perfbench's tracer does) sees every call.
+# The decoders look their passes up in their own modules on every call.
 _RECURRENT = CausalModel(lambda ids, w: recurrent_lm_forward(ids, w),
                          lambda ids, n, w: tied_logits(recurrent_windows(ids, n, w), w.embedding),
-                         lambda prompt, w, steps: recurrent_generate(prompt, w, steps))
+                         recurrent_decoder)
 CAUSAL = {
     "ffnn": CausalModel(
         None,
         lambda ids, n, w: ffnn_batch_forward(sliding_window_view(np.asarray(ids), n), w),
-        lambda prompt, w, steps: ffnn_generate(prompt, w, steps)),
+        ffnn_decoder),
     "rnn": _RECURRENT,
     "lstm": _RECURRENT,
-    "gpt2": CausalModel(lambda ids, w: gpt2_forward(ids, w), _gpt2_windows,
-                        lambda prompt, w, steps: greedy_decode(prompt, w, steps)),
+    "gpt2": CausalModel(lambda ids, w: gpt2_forward(ids, w), _gpt2_windows, gpt2_decoder),
 }
 
 
@@ -92,8 +97,20 @@ def make_predict_next(cfg: ModelConfig, weights) -> Predictor:
 
 
 def generate_tokens(cfg: ModelConfig, weights, prompt_ids: list[int], steps: int) -> list[int]:
-    """Greedy continuation of the prompt for any autoregressive arch."""
-    return causal_model(cfg).generate(prompt_ids, weights, steps)
+    """Greedy continuation of the prompt for any autoregressive arch; ties
+    break toward the lowest id.  Before any pass: the prompt holds
+    ``min_context(cfg)`` tokens, prompt plus steps at most ``MAX_TOKENS``,
+    and the decoder refuses a total its model cannot hold."""
+    need, total = min_context(cfg), len(prompt_ids) + steps
+    if len(prompt_ids) < need:
+        raise SequenceLengthError(f"prompt has {len(prompt_ids)} tokens, fewer than {need}")
+    if total > MAX_TOKENS:
+        raise SequenceLengthError(f"prompt plus steps is {total} tokens, over {MAX_TOKENS}")
+    next_logits = causal_model(cfg).decoder(weights, total)
+    ids = list(prompt_ids)
+    for _ in range(steps):
+        ids.append(int(np.argmax(next_logits(ids))))
+    return ids
 
 
 def min_context(cfg: ModelConfig) -> int:

@@ -7,8 +7,8 @@ matrix (weight tying).
 
 A cell takes one state vector, or a d x B matrix that advances B
 sequences at once, one column each.  ``unroll`` takes and returns the
-per-layer ``(h, c)`` state, so generation carries it forward one token at
-a time instead of re-reading the prefix.
+per-layer ``(h, c)`` state, so ``recurrent_decoder`` carries it forward one
+token at a time instead of re-reading the prefix.
 """
 
 from __future__ import annotations
@@ -128,19 +128,15 @@ def recurrent_lm_forward(ids: list[int], w: RnnWeights | LstmWeights) -> np.ndar
     return tied_logits(recurrent_hidden(ids, w)[0], w.embedding)
 
 
-def recurrent_generate(prompt: list[int], w: RnnWeights | LstmWeights, steps: int) -> list[int]:
-    """Greedy continuation; ties break toward the lowest id.
+def recurrent_decoder(w: RnnWeights | LstmWeights, total: int):
+    """Next-token logits after the ids so far, one call per token; each call
+    unrolls only the ids not yet consumed.  `total` needs no bound here."""
+    state, seen = None, 0
 
-    The prompt is unrolled once; each later step advances the carried
-    state by the token just chosen.
-    """
-    if not prompt:
-        raise SequenceLengthError("prompt must contain at least one token")
-    ids = list(prompt)
-    state = None
-    new = ids
-    for _ in range(steps):
-        h, state = recurrent_hidden(new, w, state)
-        ids.append(int(np.argmax(tied_logits(h[:, -1], w.embedding))))
-        new = ids[-1:]
-    return ids
+    def next_logits(ids):
+        nonlocal state, seen
+        h, state = recurrent_hidden(ids[seen:], w, state)
+        seen = len(ids)
+        return tied_logits(h[:, -1], w.embedding)
+
+    return next_logits

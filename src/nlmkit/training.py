@@ -122,8 +122,7 @@ def make_corpus_loss(cfg: ModelConfig, corpus_ids: list[int]):
 
 
 def train_toy(cfg: ModelConfig, weights: AnyWeights, corpus_ids: list[int],
-              steps: int, mu_lr: float, log_fn=None,
-              h: float = DEFAULT_STEP) -> tuple[AnyWeights, float]:
+              steps: int, mu_lr: float, log_fn=None) -> tuple[AnyWeights, float]:
     """Gradient-descent memorization loop; returns (weights, final loss).
 
     Emits one log line per step as "step<TAB>loss<TAB>mu_lr", where the
@@ -133,7 +132,7 @@ def train_toy(cfg: ModelConfig, weights: AnyWeights, corpus_ids: list[int],
     state = TrainState(weights=weights, mu_lr=mu_lr)
     loss = loss_fn(state.weights)
     for _ in range(steps):
-        grad = numerical_gradient(loss_fn, state.weights, h)
+        grad = numerical_gradient(loss_fn, state.weights, DEFAULT_STEP)
         state = gd_step(state, grad)
         loss = loss_fn(state.weights)
         if log_fn is not None:

@@ -17,7 +17,8 @@ The decoder decodes incrementally through a ``KVCache``: every head keeps
 the keys and values of the positions already seen, so a call with a cache
 computes only its new columns.  The new queries attend over all cached
 positions through the matching rows of the causal mask.  A full forward
-pass is the empty-cache case and needs no cache at all.
+pass is the empty-cache case and needs no cache at all; ``gpt2_decoder``
+keeps one cache for a whole generation.
 """
 
 from __future__ import annotations
@@ -104,6 +105,16 @@ def gpt2_hidden(ids: list[int], w: Gpt2Weights,
     return h
 
 
+def gpt2_decoder(w: Gpt2Weights, total: int):
+    """Next-token logits after the ids so far, one call per token, for at
+    most `total` ids; each call feeds only the ids the cache has not seen."""
+    n_max = w.positions.shape[1]
+    if total > n_max:
+        raise SequenceLengthError(f"sequence length {total} exceeds maximum {n_max}")
+    cache = KVCache(w)
+    return lambda ids: tied_logits(gpt2_hidden(ids[cache.length:], w, cache)[:, -1], w.embedding)
+
+
 def gpt2_forward(ids: list[int], w: Gpt2Weights) -> np.ndarray:
     """Next-token logits, one column per position (|V| x len).
 
@@ -152,26 +163,3 @@ def nsp_head(h: np.ndarray, w: BertWeights) -> np.ndarray:
     """Two-way continuation distribution from the [CLS] column alone."""
     pooled = np.tanh(w.pool_w @ h[:, 0] + w.pool_b)
     return softmax(w.nsp_w @ pooled + w.nsp_b)
-
-
-def greedy_decode(prompt: list[int], w: Gpt2Weights, steps: int) -> list[int]:
-    """Append the argmax continuation token `steps` times.
-
-    Ties break toward the lowest id; the prompt plus all generated tokens
-    must fit within the positional table.  The first step runs the prompt
-    through a KV cache in one pass; every later step feeds only the token
-    just chosen.
-    """
-    ids = list(prompt)
-    n_max = w.positions.shape[1]
-    if len(ids) + steps > n_max:
-        raise SequenceLengthError(
-            f"prompt length {len(ids)} plus {steps} steps exceeds maximum {n_max}"
-        )
-    cache = KVCache(w)
-    new = ids
-    for _ in range(steps):
-        h = gpt2_hidden(new, w, cache)
-        ids.append(int(np.argmax(tied_logits(h[:, -1], w.embedding))))
-        new = ids[-1:]
-    return ids

@@ -1,6 +1,10 @@
 """CLI exit codes: 1 for usage errors, 2 for data errors, never a traceback."""
 
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +12,7 @@ import pytest
 from nlmkit.archive import MAGIC, save_weights
 from nlmkit.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from nlmkit.config import load_config
+from nlmkit.inference import MAX_TOKENS
 from nlmkit.kernels import softmax
 from nlmkit.recurrent import recurrent_lm_forward
 from nlmkit.transformer import gpt2_forward
@@ -68,11 +73,12 @@ TINY_MODELS = {
 }
 
 
-def write_model(tmp_path, arch):
-    """Config, vocabulary and archive of a tiny seeded model; returns the
-    --config/--weights/--vocab arguments and the per-position forward pass."""
+def write_model(tmp_path, arch, text=None):
+    """Config (`text`, or the arch's tiny one), vocabulary and archive of a
+    seeded model; returns the --config/--weights/--vocab arguments and the
+    per-position forward pass."""
     config, vocab, archive = (tmp_path / f"{arch}.{ext}" for ext in ("cfg", "vocab", "anlm"))
-    config.write_text(TINY_MODELS[arch])
+    config.write_text(text or TINY_MODELS[arch])
     vocab.write_text("\n".join(WORDS) + "\n")
     w = init_weights(load_config(config), 5)
     save_weights(w, archive)
@@ -88,6 +94,24 @@ def test_generate_prints_the_full_recompute_continuation(tmp_path, capsys, arch)
     assert code == EXIT_OK and "Traceback" not in err
     want = oracles.greedy_decode([3, 1], lambda ids: forward(ids).T, 4)
     assert out.split() == [WORDS[i] for i in want]
+
+
+@pytest.mark.parametrize("arch,text", [
+    ("lstm", None),
+    ("ffnn", "arch=ffnn\nd_e=2\nhidden_dims=3\nvocab_size=11\nmax_len=2\n"),
+])
+def test_generate_refuses_more_steps_than_the_token_bound(tmp_path, arch, text):
+    # a child process, so that a count the bound misses times out instead
+    # of growing the test process until it is killed
+    args, _ = write_model(tmp_path, arch, text)
+    path = [str(Path(__file__).parent.parent / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    argv = ["generate", *args, "--prompt", "w3 w1", "--steps", str(2**64 - 1)]
+    done = subprocess.run([sys.executable, "-m", "nlmkit.cli", *argv],
+                          capture_output=True, text=True, timeout=60, env=env)
+    assert done.returncode == EXIT_DATA
+    want = f"nlmkit: error: prompt plus steps is {2**64 + 1} tokens, over {MAX_TOKENS}\n"
+    assert done.stderr == want
 
 
 @pytest.mark.parametrize("arch", sorted(TINY_MODELS))
@@ -183,6 +207,17 @@ def test_train_toy_runs(tmp_path, capsys):
     code, out, err = run(train_toy_argv(train_toy_files(tmp_path)), capsys, out=True)
     assert code == EXIT_OK and "Traceback" not in err
     assert out.splitlines()[0].startswith("1\t")
+
+
+def test_config_too_big_to_allocate_is_a_data_error(tmp_path, capsys):
+    # the first hidden layer is 10**15 x 2 float64 (14 PiB), more than any
+    # address space holds, so the allocation fails without touching memory
+    paths = train_toy_files(tmp_path)
+    paths["cfg"].write_text("arch=ffnn\nd_e=1\nvocab_size=4\nmax_len=2\n"
+                            "hidden_dims=1000000000000000\n")
+    code, err = run(train_toy_argv(paths), capsys)
+    assert code == EXIT_DATA
+    assert err.startswith("nlmkit: error: ") and err.count("\n") == 1
 
 
 def test_non_ascii_digit_in_vocab_header_is_a_data_error(tmp_path, capsys):

@@ -8,7 +8,8 @@ import pytest
 
 from nlmkit.config import ModelConfig
 from nlmkit.errors import OutOfVocabularyError, SequenceLengthError
-from nlmkit.ffnn import ffnn_batch_forward, ffnn_forward, ffnn_generate, ffnn_predict
+from nlmkit.ffnn import ffnn_batch_forward, ffnn_forward
+from nlmkit.inference import generate_tokens
 from nlmkit.kernels import softmax
 from nlmkit.weights import init_weights, zeros_weights
 
@@ -106,24 +107,24 @@ class TestFfnnBatchForward:
 class TestFfnnPredict:
     def test_uniform_ties_break_to_zero(self):
         cfg = ffnn_config(vocab_size=8, n=3, d0=2, hidden=(4,))
-        assert ffnn_predict([0, 1, 2], zeros_weights(cfg)) == 0
+        assert generate_tokens(cfg, zeros_weights(cfg), [0, 1, 2], 1)[-1] == 0
 
     def test_unique_max_selected(self):
         cfg = ffnn_config(vocab_size=3, n=2, d0=1, hidden=(1,))
         w = zeros_weights(cfg)
         w.output[:, 0] = [0.0, 5.0, -1.0]
         w.layers[0].b[0] = 10.0  # hidden saturates near 1
-        assert ffnn_predict([0, 1], w) == 1
+        assert generate_tokens(cfg, w, [0, 1], 1)[-1] == 1
 
 
 class TestFfnnGenerate:
     def test_prompt_shorter_than_window_rejected(self):
-        w = init_weights(ffnn_config(n=3, d0=2, hidden=(4,)), 1)
+        cfg = ffnn_config(n=3, d0=2, hidden=(4,))
         with pytest.raises(SequenceLengthError):
-            ffnn_generate([0, 1], w, 2)
+            generate_tokens(cfg, init_weights(cfg, 1), [0, 1], 2)
 
     def test_appends_requested_tokens(self):
-        w = init_weights(ffnn_config(vocab_size=6, n=2, d0=2, hidden=(4,)), 5)
-        out = ffnn_generate([0, 1], w, 4)
+        cfg = ffnn_config(vocab_size=6, n=2, d0=2, hidden=(4,))
+        out = generate_tokens(cfg, init_weights(cfg, 5), [0, 1], 4)
         assert len(out) == 6
         assert out[:2] == [0, 1]

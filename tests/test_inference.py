@@ -5,11 +5,17 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from nlmkit import recurrent, transformer
+from nlmkit import ffnn, recurrent, transformer
 from nlmkit.config import ModelConfig
 from nlmkit.errors import ConfigError, SequenceLengthError
 from nlmkit.ffnn import ffnn_forward
-from nlmkit.inference import generate_tokens, make_forward, make_predict_next, min_context
+from nlmkit.inference import (
+    MAX_TOKENS,
+    generate_tokens,
+    make_forward,
+    make_predict_next,
+    min_context,
+)
 from nlmkit.kernels import softmax
 from nlmkit.losses import WINDOW_BATCH, corpus_nll
 from nlmkit.recurrent import recurrent_lm_forward
@@ -39,6 +45,9 @@ def make_cfg(name):
 
 CAUSAL = ["gpt2-pre", "gpt2-post", "rnn", "lstm"]
 AUTOREGRESSIVE = CAUSAL + ["ffnn"]
+# the pass each decoder looks up in its own module, once per generated token
+DECODER_PASS = {"gpt2": (transformer, "gpt2_hidden"), "rnn": (recurrent, "recurrent_hidden"),
+                "lstm": (recurrent, "recurrent_hidden"), "ffnn": (ffnn, "ffnn_forward")}
 
 
 def model(name, seed=7):
@@ -63,6 +72,10 @@ def full_recompute_predict(cfg, w):
 
 def corpus(length, seed=3):
     return np.random.default_rng(seed).integers(0, VOCAB, length).tolist()
+
+
+def no_pass(*args, **kwargs):
+    pytest.fail("a refused or zero-step request ran a forward pass")
 
 
 def assert_rel(got, want):
@@ -178,7 +191,8 @@ class TestGenerateTokens:
         cfg, w = model("gpt2-pre")
         with pytest.raises(SequenceLengthError):
             generate_tokens(cfg, w, corpus(MAX_LEN + 1), 0)
-        assert generate_tokens(cfg, w, [], 0) == []
+        with pytest.raises(SequenceLengthError):
+            generate_tokens(cfg, w, [], 0)
 
     def test_gpt2_budget_checked(self):
         cfg, w = model("gpt2-post")
@@ -187,12 +201,26 @@ class TestGenerateTokens:
         with pytest.raises(SequenceLengthError):
             generate_tokens(cfg, w, [], 1)
 
-    @pytest.mark.parametrize("name", ["rnn", "lstm"])
-    def test_recurrent_empty_prompt_rejected(self, name):
+    @pytest.mark.parametrize("name", ["gpt2-pre", "rnn", "lstm", "ffnn"])
+    def test_prompt_shorter_than_min_context_refused(self, name, monkeypatch):
         cfg, w = model(name)
+        monkeypatch.setattr(*DECODER_PASS[cfg.arch], no_pass)
         for steps in (0, 2):
             with pytest.raises(SequenceLengthError):
-                generate_tokens(cfg, w, [], steps)
+                generate_tokens(cfg, w, corpus(min_context(cfg) - 1), steps)
+
+    @pytest.mark.parametrize("name", ["gpt2-pre", "rnn", "lstm", "ffnn"])
+    def test_at_most_max_tokens(self, name, monkeypatch):
+        cfg = make_cfg(name)
+        if name == "gpt2-pre":  # a positional table longer than the bound
+            cfg = tiny_gpt2_config(vocab_size=VOCAB, max_len=MAX_TOKENS + 1)
+        w = init_weights(cfg, 7)
+        monkeypatch.setattr(*DECODER_PASS[cfg.arch], no_pass)
+        prompt = corpus(MAX_TOKENS)
+        assert generate_tokens(cfg, w, prompt, 0) == prompt
+        for longer, steps in ((prompt + [0], 0), (prompt, 1)):
+            with pytest.raises(SequenceLengthError):
+                generate_tokens(cfg, w, longer, steps)
 
     def test_bert_refused(self):
         with pytest.raises(ConfigError):

@@ -6,10 +6,10 @@ import pytest
 
 from nlmkit.config import ModelConfig
 from nlmkit.errors import SequenceLengthError, ShapeError
+from nlmkit.inference import generate_tokens
 from nlmkit.kernels import softmax
 from nlmkit.recurrent import (
     lstm_cell,
-    recurrent_generate,
     recurrent_hidden,
     recurrent_lm_forward,
     recurrent_windows,
@@ -262,7 +262,8 @@ class TestRecurrentLm:
                 recurrent_windows(ids, n, w)
 
     def test_generate_appends_greedy_tokens(self):
-        w = init_weights(lstm_config(vocab=6), 2)
-        out = recurrent_generate([1, 2], w, 3)
+        cfg = lstm_config(vocab=6)
+        w = init_weights(cfg, 2)
+        out = generate_tokens(cfg, w, [1, 2], 3)
         assert len(out) == 5 and out[:2] == [1, 2]
-        assert out == recurrent_generate([1, 2], w, 3)
+        assert out == generate_tokens(cfg, w, [1, 2], 3)

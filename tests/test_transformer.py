@@ -6,13 +6,13 @@ import pytest
 
 from nlmkit.attention import build_mask
 from nlmkit.errors import SequenceFormatError, SequenceLengthError
+from nlmkit.inference import generate_tokens
 from nlmkit.kernels import layer_norm, softmax
 from nlmkit.transformer import (
     bert_forward,
     gpt2_forward,
     gpt2_hidden,
     KVCache,
-    greedy_decode,
     mlm_head,
     nsp_head,
     transformer_block,
@@ -269,19 +269,20 @@ class TestNspHead:
 
 class TestGreedyDecode:
     def test_zero_steps_echo_prompt(self):
-        w = init_weights(tiny_gpt2_config(), 1)
-        assert greedy_decode([1, 2], w, 0) == [1, 2]
+        cfg = tiny_gpt2_config()
+        assert generate_tokens(cfg, init_weights(cfg, 1), [1, 2], 0) == [1, 2]
 
     def test_deterministic(self):
-        w = init_weights(tiny_gpt2_config(), 1)
-        assert greedy_decode([1, 2], w, 3) == greedy_decode([1, 2], w, 3)
+        cfg = tiny_gpt2_config()
+        w = init_weights(cfg, 1)
+        assert generate_tokens(cfg, w, [1, 2], 3) == generate_tokens(cfg, w, [1, 2], 3)
 
     def test_budget_checked_against_max_len(self):
-        w = init_weights(tiny_gpt2_config(max_len=4), 1)
+        cfg = tiny_gpt2_config(max_len=4)
         with pytest.raises(SequenceLengthError):
-            greedy_decode([1, 2], w, 3)
+            generate_tokens(cfg, init_weights(cfg, 1), [1, 2], 3)
 
     def test_tie_breaks_to_lowest_id(self):
         # all-zero weights make every distribution uniform
-        w = zeros_weights(tiny_gpt2_config())
-        assert greedy_decode([1], w, 1)[-1] == 0
+        cfg = tiny_gpt2_config()
+        assert generate_tokens(cfg, zeros_weights(cfg), [1], 1)[-1] == 0
