@@ -1,19 +1,20 @@
 """Attention masks, single heads, and multi-head attention.
 
-Sequences are matrices with one column per position (d_e x n).  A head
-maps that to an n x d_v matrix with one *row* per position; multi-head
-attention concatenates the head outputs side by side and projects back,
-transposing so the result is d_e x n again.
-
-Incremental decoding passes a per-head ``HeadCache`` holding the keys and
-values of earlier positions.  The new columns' keys and values are written
-after the cached ones and the new queries score against all of them.  The
-mask then has one row per new column and one column per key, so its width
-says how many positions the cache holds once the new ones are added.
+Sequences are matrices with one column per position (d_e x n), or several
+such side by side.  A head maps the query columns (``query_columns``: the
+last mask.shape[0] of each sequence) to one *row* each of a d_v-wide
+matrix; multi-head attention concatenates the head outputs side by side
+and projects back, transposing to d_e rows again.  Only the score and
+value-mixing matmuls see the sequences apart.  Incremental decoding passes
+a per-head ``HeadCache`` holding the keys and values of earlier positions.
+Then x is one sequence of new columns, a mask row each, whose keys and
+values are written after the cached ones; the mask's width is the number
+of keys once they are added.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,41 +57,45 @@ def _extend(store: np.ndarray, rows: np.ndarray, total: int) -> np.ndarray:
     return store[:total]
 
 
+def query_columns(x: np.ndarray, mask: np.ndarray, cache: HeadCache | None = None) -> np.ndarray:
+    """The columns of x that the rows of `mask` query: the last mask.shape[0]
+    of each sequence, mask.shape[1] wide without a cache; with one, x is a
+    single sequence of new columns and the mask has a row for each."""
+    rows, keys = mask.shape
+    n = keys if cache is None else x.shape[1]  # columns per sequence
+    if not (1 <= rows <= n <= keys and x.shape[1] and x.shape[1] % n == 0) or (
+            cache is not None and (rows != n or keys > cache.k.shape[0])):
+        raise ShapeError(f"mask shape {mask.shape} does not fit {x.shape[1]} columns or the cache")
+    return x if rows == n else x.reshape(len(x), -1, n)[:, :, n - rows:].reshape(len(x), -1)
+
+
 def attention_scores(x: np.ndarray, w: HeadWeights, mask: np.ndarray,
                      cache: HeadCache | None = None) -> np.ndarray:
-    """Masked, scaled query-key score matrix (one query per row).
-
-    Without a cache the keys are x's own columns and the mask is n x n.
-    With one, the mask is n x total: the keys of x are stored as the last
-    n of `total` cached rows and every query scores against all of them.
-    """
+    """Masked, scaled query-key scores, (B*r) x keys for B sequences and an r x
+    keys mask: one row per query, against its own sequence's keys or, with a
+    cache, all `keys` cached rows, the keys of x stored as the last of them."""
     x = as_matrix(x)
     mask = as_matrix(mask)
-    n = x.shape[1]
-    if cache is None:
-        if mask.shape != (n, n):
-            raise ShapeError(f"mask shape {mask.shape} does not match sequence length {n}")
-    elif mask.shape[0] != n or not n <= mask.shape[1] <= cache.k.shape[0]:
-        raise ShapeError(
-            f"mask shape {mask.shape} does not fit {n} new columns in a cache of {cache.k.shape[0]}"
-        )
     if x.shape[0] != w.w_q.shape[0]:
         raise ShapeError(f"sequence rows {x.shape[0]} != projection rows {w.w_q.shape[0]}")
-    d_k = w.w_q.shape[1]
-    q = x.T @ w.w_q  # n x d_k, one query per row
+    (rows, keys), d_k = mask.shape, w.w_q.shape[1]
+    q = query_columns(x, mask, cache).T @ w.w_q  # B*r x d_k, one query per row
     k = x.T @ w.w_k
     if w.b_q is not None:
         q = q + w.b_q
     if w.b_k is not None:
         k = k + w.b_k
     if cache is not None:
-        k = _extend(cache.k, k, mask.shape[1])
-    return mask + (q @ k.T) / np.sqrt(d_k)
+        k = _extend(cache.k, k, keys)
+    if len(q) == rows:  # one sequence: 2-D matmuls spare small calls the reshapes' cost
+        return mask + (q @ k.T) / math.sqrt(d_k)
+    scores = q.reshape(-1, rows, d_k) @ k.reshape(-1, keys, d_k).transpose(0, 2, 1)
+    return (mask + scores / math.sqrt(d_k)).reshape(-1, keys)
 
 
 def self_attention_head(x: np.ndarray, w: HeadWeights, mask: np.ndarray,
                         cache: HeadCache | None = None) -> np.ndarray:
-    """One attention head: weighted value sums per query; returns n x d_v."""
+    """One attention head: weighted value sums per query; returns (B*r) x d_v."""
     x = as_matrix(x)
     v = x.T @ w.w_v
     if w.b_v is not None:
@@ -98,14 +103,18 @@ def self_attention_head(x: np.ndarray, w: HeadWeights, mask: np.ndarray,
     scores = attention_scores(x, w, mask, cache)
     if cache is not None:
         v = _extend(cache.v, v, scores.shape[1])
-    return softmax(scores, axis=1) @ v
+    weights, keys = softmax(scores, axis=1), scores.shape[1]
+    if len(weights) == len(mask):  # one sequence, as in attention_scores
+        return weights @ v
+    mixed = weights.reshape(-1, len(mask), keys) @ v.reshape(-1, keys, v.shape[1])
+    return mixed.reshape(-1, v.shape[1])
 
 
 def multi_head_attention(x: np.ndarray, w: MultiHeadWeights, mask: np.ndarray,
                          cache: list[HeadCache] | None = None) -> np.ndarray:
     """Concatenate head outputs (head m occupies columns [m*d_v, (m+1)*d_v))
-    and project back to the embedding space; returns d_e x n.  `cache`, if
-    given, holds one HeadCache per head."""
+    and project back to the embedding space; returns d_e x (B*r), the
+    query columns' outputs.  `cache`, if given, holds one HeadCache per head."""
     x = as_matrix(x)
     caches = [None] * len(w.heads) if cache is None else cache
     concat = np.hstack([self_attention_head(x, head, mask, c) for head, c in zip(w.heads, caches)])

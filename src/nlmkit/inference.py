@@ -4,16 +4,17 @@ Thin glue shared by the CLI and the trainer so every architecture answers
 the same three questions: logits for a sequence, the logits of the next
 token after a context, and a greedy continuation.
 
-Next-token scoring returns a ``losses.Predictor`` of two logit passes.
-For the causal sequence models the prefix pass is the model's
-per-position forward pass, which scores every prefix of a sequence at
-once.  The window scorer gives ``corpus_nll``'s full windows: rnn and lstm
-unroll all windows as one batch, gpt2 runs the decoder per window but the
-output head once on the stacked last columns, and the feedforward LM runs
-its batched forward once.  The feedforward LM needs a full window, so it
-has no prefix pass.  ``generate_tokens`` holds the one greedy loop and its
-length contract; each model's decoder keeps its state between calls: a KV
-cache for gpt2, the carried ``(h, c)`` state for rnn and lstm.
+Next-token scoring returns a ``losses.Predictor`` of two logit passes.  For
+the causal sequence models the prefix pass is the model's per-position
+forward pass, which scores every prefix of a sequence at once.  The window
+scorer gives ``corpus_nll``'s full windows and refuses one wider than the
+ids: rnn and lstm unroll all windows as one batch, gpt2 runs
+``WINDOW_COLUMNS`` columns of windows per pass and its final block on their
+last columns only, and the feedforward LM runs its batched forward once.
+The feedforward LM needs a full window, so it has no prefix pass.
+``generate_tokens`` holds the one greedy loop and its length contract; each
+model's decoder keeps its state between calls: a KV cache for gpt2, the
+carried ``(h, c)`` state for rnn and lstm.
 
 ``CAUSAL`` holds the passes of each autoregressive architecture; adding
 one means adding its entry there.  The encoder (bert) has none.
@@ -26,25 +27,32 @@ from typing import Callable, NamedTuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .attention import AR_MODE, build_mask
 from .config import ModelConfig
-from .embeddings import tied_logits
+from .embeddings import embed, tied_logits
 from .errors import ConfigError, SequenceLengthError
 from .ffnn import ffnn_batch_forward, ffnn_decoder
 from .losses import Predictor
 from .recurrent import recurrent_decoder, recurrent_lm_forward, recurrent_windows
-from .transformer import gpt2_decoder, gpt2_forward, gpt2_hidden
+from .transformer import gpt2_blocks, gpt2_decoder, gpt2_forward
 
 # Longest sequence generate_tokens builds, prompt included: only gpt2 has a
 # positional table, and nothing else would bound the id list.
 MAX_TOKENS = 2**16
+# Columns of windows one gpt2 window-scorer pass stacks: bounds its working set.
+WINDOW_COLUMNS = 256
 
 
 def _gpt2_windows(ids: list[int], n: int, w) -> np.ndarray:
-    """Logits after every n-token window: one decoder pass per window, one head."""
-    # fill one column at a time so no window's d_e x n hidden outlives its step
-    last = np.empty((w.embedding.shape[0], len(ids) - n + 1))
-    for s in range(last.shape[1]):
-        last[:, s] = gpt2_hidden(ids[s:s + n], w)[:, -1]
+    """Logits after every n-token window, WINDOW_COLUMNS columns of windows per pass."""
+    if n > w.positions.shape[1]:
+        raise SequenceLengthError(f"window {n} exceeds maximum {w.positions.shape[1]}")
+    windows = sliding_window_view(embed(ids, w.embedding), n, axis=1)  # d_e x windows x n
+    per_pass, mask = max(1, WINDOW_COLUMNS // n), build_mask(n, AR_MODE)
+    last = np.empty(windows.shape[:2])
+    for lo in range(0, last.shape[1], per_pass):
+        h = windows[:, lo:lo + per_pass] + w.positions[:, None, :n]
+        last[:, lo:lo + per_pass] = gpt2_blocks(h.reshape(len(h), -1), w, mask, last_only=True)
     return tied_logits(last, w.embedding)
 
 
@@ -93,7 +101,12 @@ def make_predict_next(cfg: ModelConfig, weights) -> Predictor:
     """Next-token logit passes (and distribution of a context) of a causal model."""
     model = causal_model(cfg)
     prefix = None if model.forward is None else (lambda ids: model.forward(ids, weights))
-    return Predictor(prefix, lambda ids, n: model.windows(ids, n, weights))
+
+    def windows(ids, n):
+        if not 1 <= n <= len(ids):
+            raise SequenceLengthError(f"window {n} does not fit a sequence of {len(ids)} tokens")
+        return model.windows(ids, n, weights)
+    return Predictor(prefix, windows)
 
 
 def generate_tokens(cfg: ModelConfig, weights, prompt_ids: list[int], steps: int) -> list[int]:

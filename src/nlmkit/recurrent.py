@@ -116,8 +116,6 @@ def recurrent_hidden(ids: list[int], w: RnnWeights | LstmWeights,
 def recurrent_windows(ids: list[int], n: int, w: RnnWeights | LstmWeights) -> np.ndarray:
     """Top-layer hidden state after every n-token window ids[s:s+n], one
     column per window (d_e x (len(ids) - n + 1)), from one batched unroll."""
-    if not 1 <= n <= len(ids):
-        raise SequenceLengthError(f"window {n} does not fit a sequence of {len(ids)} tokens")
     windows = sliding_window_view(embed(ids, w.embedding), n, axis=1)  # d_e x B x n view
     _, state = unroll(windows.transpose(0, 2, 1), w.layers)
     return state[-1][0]

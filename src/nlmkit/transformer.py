@@ -13,21 +13,25 @@ stream raw:
 The decoder LM pairs post-norm blocks with an input embedding norm, or
 pre-norm blocks with that same norm moved to the transformer output.
 
-The decoder decodes incrementally through a ``KVCache``: every head keeps
-the keys and values of the positions already seen, so a call with a cache
-computes only its new columns.  The new queries attend over all cached
-positions through the matching rows of the causal mask.  A full forward
-pass is the empty-cache case and needs no cache at all; ``gpt2_decoder``
-keeps one cache for a whole generation.
+A block returns only the columns its mask queries
+(``attention.query_columns``), and its residual and FFN run on those alone;
+with ``last_only`` the final block queries each sequence's last column, all
+the window scorer reads.  The decoder decodes incrementally through a
+``KVCache``: every head keeps the keys and values of the positions already
+seen, so a call with a cache computes only its new columns, whose keys and
+values it adds.  The new queries attend over all cached positions through
+the matching rows of the causal mask, one row per new column.  A full
+forward pass is the empty-cache case and needs no cache at all;
+``gpt2_decoder`` keeps one cache for a whole generation.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .attention import AE_MODE, AR_MODE, HeadCache, build_mask, multi_head_attention
+from .attention import AE_MODE, AR_MODE, HeadCache, build_mask, multi_head_attention, query_columns
 from .embeddings import add_positions, embed, tied_logits
-from .errors import SequenceFormatError, SequenceLengthError, ShapeError
+from .errors import SequenceFormatError, SequenceLengthError
 from .kernels import gelu, layer_norm, softmax
 from .vocab import SEGMENT_A, TokenSequence, Vocabulary
 from .weights import BertWeights, BlockWeights, Gpt2Weights
@@ -42,17 +46,16 @@ def position_ffn(c: np.ndarray, w: BlockWeights, gelu_mode: str) -> np.ndarray:
 def transformer_block(h_in: np.ndarray, w: BlockWeights, mask: np.ndarray,
                       variant: str = "post", gelu_mode: str = "tanh",
                       cache: list[HeadCache] | None = None) -> np.ndarray:
-    """One block over the columns of h_in; `cache` holds the block's heads' caches."""
-    if h_in.ndim != 2:
-        raise ShapeError(f"block input must be 2-D, got ndim={h_in.ndim}")
+    """One block over h_in's sequences; returns their query columns. `cache`: its heads' caches."""
+    first = None if cache is None else cache[0]  # every head's cache has one capacity
     if variant == "post":
         a = multi_head_attention(h_in, w.mha, mask, cache)
-        c = layer_norm(h_in + a, w.ln1_gain, w.ln1_bias)
+        c = layer_norm(query_columns(h_in, mask, first) + a, w.ln1_gain, w.ln1_bias)
         d = position_ffn(c, w, gelu_mode)
         return layer_norm(c + d, w.ln2_gain, w.ln2_bias)
     if variant == "pre":
         a = multi_head_attention(layer_norm(h_in, w.ln1_gain, w.ln1_bias), w.mha, mask, cache)
-        c = h_in + a
+        c = query_columns(h_in, mask, first) + a
         d = position_ffn(layer_norm(c, w.ln2_gain, w.ln2_bias), w, gelu_mode)
         return c + d
     raise ValueError(f"unknown block variant {variant!r}; expected 'post' or 'pre'")
@@ -72,11 +75,23 @@ class KVCache:
 
 def transformer_stack(h0: np.ndarray, blocks: list[BlockWeights], mask: np.ndarray,
                       variant: str = "post", gelu_mode: str = "tanh",
-                      cache: KVCache | None = None) -> np.ndarray:
+                      cache: KVCache | None = None, last_only: bool = False) -> np.ndarray:
     h = h0
     for l, block in enumerate(blocks):
-        h = transformer_block(h, block, mask, variant, gelu_mode,
+        final = last_only and l == len(blocks) - 1  # query each sequence's last column
+        h = transformer_block(h, block, mask[-1:] if final else mask, variant, gelu_mode,
                               None if cache is None else cache.blocks[l])
+    return h
+
+
+def gpt2_blocks(h: np.ndarray, w: Gpt2Weights, mask: np.ndarray,
+                cache: KVCache | None = None, last_only: bool = False) -> np.ndarray:
+    """Embedding norm, blocks and final norm over the sequences side by side in h."""
+    if w.norm_variant == "post":
+        h = layer_norm(h, w.emb_norm_gain, w.emb_norm_bias)
+    h = transformer_stack(h, w.blocks, mask, w.norm_variant, w.gelu_mode, cache, last_only)
+    if w.norm_variant == "pre":
+        h = layer_norm(h, w.emb_norm_gain, w.emb_norm_bias)
     return h
 
 
@@ -94,12 +109,7 @@ def gpt2_hidden(ids: list[int], w: Gpt2Weights,
     if end > n_max:
         raise SequenceLengthError(f"sequence length {end} exceeds maximum {n_max}")
     h = add_positions(embed(ids, w.embedding), w.positions[:, start:])
-    if w.norm_variant == "post":
-        h = layer_norm(h, w.emb_norm_gain, w.emb_norm_bias)
-    mask = build_mask(end, AR_MODE)[start:]
-    h = transformer_stack(h, w.blocks, mask, w.norm_variant, w.gelu_mode, cache)
-    if w.norm_variant == "pre":
-        h = layer_norm(h, w.emb_norm_gain, w.emb_norm_bias)
+    h = gpt2_blocks(h, w, build_mask(end, AR_MODE)[start:], cache)
     if cache is not None:
         cache.length = end
     return h

@@ -117,6 +117,38 @@ class TestSelfAttentionHead:
                             rtol=1e-12)
 
 
+class TestQueryRule:
+    """The mask's rows score the last columns of each sequence in x."""
+
+    @pytest.mark.parametrize("biases", [False, True])
+    @pytest.mark.parametrize("rows", [1, 2, 4])
+    def test_sequences_side_by_side_match_separate_calls(self, rng, biases, rows):
+        head = random_head(rng, d_e=5, d_k=3, d_v=2, biases=biases)
+        seqs = [rng.normal(size=(5, 4)) for _ in range(3)]
+        mask = build_mask(4, "AR")[4 - rows:]
+        out = self_attention_head(np.hstack(seqs), head, mask)
+        assert out.shape == (3 * rows, 2)
+        for b, x in enumerate(seqs):
+            want = self_attention_head(x, head, build_mask(4, "AR"))[4 - rows:]
+            npt.assert_allclose(out[b * rows:(b + 1) * rows], want, rtol=1e-13, atol=1e-15)
+
+    def test_mask_with_no_rows_refused(self, rng):
+        head = random_head(rng, d_e=4, d_k=3, d_v=3)
+        with pytest.raises(ShapeError):
+            attention_scores(rng.normal(size=(4, 3)), head, np.zeros((0, 3)))
+
+    def test_more_rows_than_sequence_columns_refused(self, rng):
+        head = random_head(rng, d_e=4, d_k=3, d_v=3)
+        with pytest.raises(ShapeError):
+            attention_scores(rng.normal(size=(4, 6)), head, np.zeros((4, 3)))
+
+    @pytest.mark.parametrize("columns", [5, 0])
+    def test_key_count_must_divide_the_columns(self, rng, columns):
+        head = random_head(rng, d_e=4, d_k=3, d_v=3)
+        with pytest.raises(ShapeError):
+            attention_scores(rng.normal(size=(4, columns)), head, build_mask(2, "AR"))
+
+
 class TestHeadCache:
     def _cache(self, head, n_max):
         return HeadCache(np.empty((n_max, head.w_k.shape[1])), np.empty((n_max, head.w_v.shape[1])))

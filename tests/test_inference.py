@@ -1,6 +1,9 @@
 """Architecture dispatch, next-token predictors, incremental decoding and
 shared-pass corpus scoring, checked against the full-recompute oracles."""
 
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -11,6 +14,7 @@ from nlmkit.errors import ConfigError, SequenceLengthError
 from nlmkit.ffnn import ffnn_forward
 from nlmkit.inference import (
     MAX_TOKENS,
+    WINDOW_COLUMNS,
     generate_tokens,
     make_forward,
     make_predict_next,
@@ -132,9 +136,70 @@ class TestPredictor:
         for s in range(len(ids) - n + 1):
             npt.assert_allclose(probs[:, s], predict(ids[s:s + n]), rtol=RTOL, atol=0)
 
+    @pytest.mark.parametrize("name", AUTOREGRESSIVE)
+    @pytest.mark.parametrize("extra", [-MAX_LEN, 1])  # n = 0 and n = len(ids) + 1
+    def test_window_wider_than_ids_refused(self, name, extra):
+        cfg, w = model(name)
+        ids = corpus(MAX_LEN)
+        with pytest.raises(SequenceLengthError):
+            make_predict_next(cfg, w).windows(ids, len(ids) + extra)
+
     def test_bert_refused(self):
         with pytest.raises(ConfigError):
             make_predict_next(*model("bert"))
+
+
+def window_counts(n):
+    """Windows per scorer call around one gpt2 pass of WINDOW_COLUMNS
+    columns (B windows), and more than corpus_nll hands over at once."""
+    per_pass = WINDOW_COLUMNS // n
+    return sorted({1, per_pass - 1, per_pass, per_pass + 1, WINDOW_BATCH + 1} - {0})
+
+
+class TestGpt2WindowScorer:
+    """Batched windows with a one-column final block against one unpruned
+    gpt2_forward pass per window."""
+
+    @pytest.mark.parametrize("variant,zeta,gelu_mode", [("pre", 1, "tanh"), ("post", 1, "exact"),
+                                                        ("post", 0, "tanh"), ("pre", 0, "exact")])
+    @pytest.mark.parametrize("n", [1, 3, 16])
+    def test_every_window_matches_its_forward_pass(self, variant, zeta, gelu_mode, n):
+        cfg = replace(tiny_gpt2_config(zeta=zeta, variant=variant, vocab_size=VOCAB, max_len=16),
+                      gelu_mode=gelu_mode)
+        w = init_weights(cfg, 23)
+        windows = make_predict_next(cfg, w).windows
+        for count in window_counts(n):
+            ids = corpus(count + n - 1, seed=count)
+            got = windows(ids, n)
+            assert got.shape == (VOCAB, count)
+            for s in range(count):
+                npt.assert_allclose(got[:, s], gpt2_forward(ids[s:s + n], w)[:, -1],
+                                    rtol=RTOL, atol=0)
+
+    def test_window_longer_than_max_len_refused(self):
+        cfg, w = model("gpt2-pre")
+        with pytest.raises(SequenceLengthError):
+            make_predict_next(cfg, w).windows(corpus(MAX_LEN + 2), MAX_LEN + 1)
+
+    def test_peak_memory_follows_the_column_budget(self):
+        # 64 windows make several passes; their peak stays that of one pass
+        cfg = ModelConfig(arch="gpt2", d_e=32, d_k=16, d_v=16, d_f=128, M=2, L=2,
+                          vocab_size=VOCAB, max_len=32)
+        windows = make_predict_next(cfg, init_weights(cfg, 5)).windows
+        n = cfg.max_len
+        per_pass = WINDOW_COLUMNS // n
+        assert 1 < per_pass < WINDOW_BATCH
+
+        def peak(count):
+            ids = corpus(count + n - 1)
+            tracemalloc.start()
+            try:
+                windows(ids, n)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(WINDOW_BATCH) <= 2 * peak(per_pass)
 
 
 class TestMinContext:

@@ -66,6 +66,28 @@ class TestTransformerBlock:
         out = transformer_block(h2, w, build_mask(5, "AR"), "pre")
         npt.assert_array_equal(out[:, :4], base[:, :4])
 
+    @pytest.mark.parametrize("variant,gelu_mode", [("post", "tanh"), ("pre", "exact")])
+    def test_one_row_mask_gives_the_last_column(self, rng, variant, gelu_mode):
+        w = init_weights(tiny_gpt2_config(variant=variant), 5).blocks[1]
+        h = rng.normal(size=(8, 5))
+        mask = build_mask(5, "AR")
+        full = transformer_block(h, w, mask, variant, gelu_mode)
+        last = transformer_block(h, w, mask[-1:], variant, gelu_mode)
+        assert last.shape == (8, 1)
+        npt.assert_allclose(last, full[:, -1:], rtol=1e-12, atol=1e-14)
+
+    @pytest.mark.parametrize("variant", ["post", "pre"])
+    def test_sequences_side_by_side_match_separate_calls(self, rng, variant):
+        w = init_weights(tiny_gpt2_config(variant=variant), 5).blocks[0]
+        seqs = [rng.normal(size=(8, 4)) for _ in range(3)]
+        mask = build_mask(4, "AR")
+        for rows in (1, 4):
+            out = transformer_block(np.hstack(seqs), w, mask[4 - rows:], variant)
+            for b, h in enumerate(seqs):
+                npt.assert_allclose(out[:, b * rows:(b + 1) * rows],
+                                    transformer_block(h, w, mask, variant)[:, 4 - rows:],
+                                    rtol=1e-12, atol=1e-14)
+
 
 class TestTransformerStack:
     def test_single_block_equals_block_call(self, rng):
