@@ -1,9 +1,10 @@
 """Elman RNN and LSTM cells, time unrolling, and the recurrent LM.
 
-States start at zero.  The LSTM updates its gates in a fixed order:
-candidate, forget, add, context update, output.  Stacked layers all share
-the embedding width, and the output head reuses the transposed embedding
-matrix (weight tying).
+States start at zero.  An LSTM layer steps through its stacked form
+(U, W, b): its gate blocks Q, P, R, S, in update order, as a 4d x d U and W
+and a 4d b, which ``stack_lstm_layer`` copies from the per-gate tensors (the
+only storage).  All layers share the embedding width, and the output head
+reuses the transposed embedding matrix (weight tying).
 
 A cell takes one state vector, or a d x B matrix that advances B
 sequences at once, one column each.  ``unroll`` takes and returns the
@@ -41,31 +42,38 @@ def rnn_cell(h_prev: np.ndarray, x_in: np.ndarray, w: RnnLayerWeights) -> np.nda
     return activation_fn(w.activation)(w.u @ h_prev + w.w @ x_in + b)
 
 
-def lstm_cell(h_prev: np.ndarray, c_prev: np.ndarray, x_in: np.ndarray,
-              w: LstmLayerWeights) -> tuple[np.ndarray, np.ndarray]:
-    """One LSTM step for state vectors or d x B state matrices; returns
-    (hidden, context).
+def stack_lstm_layer(t: LstmLayerWeights) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A layer's stacked form (U, W, b), copied from its per-gate tensors."""
+    return (np.vstack((t.u_q, t.u_p, t.u_r, t.u_s)), np.vstack((t.w_q, t.w_p, t.w_r, t.w_s)),
+            np.concatenate((t.b_q, t.b_p, t.b_r, t.b_s)))
 
-    The candidate passes through tanh, the three gates through sigmoid,
-    so every gate value lies strictly inside (0, 1) for finite inputs.
-    """
-    if (w.u_q.shape[1] != h_prev.shape[0] or w.w_q.shape[1] != x_in.shape[0]
+
+def lstm_cell(h_prev: np.ndarray, c_prev: np.ndarray, x_in: np.ndarray,
+              layer: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """One LSTM step through a stacked layer (U, W, b) for state vectors or
+    d x B state matrices; returns (hidden, context).  One ``U h + W x + b``
+    feeds all four gates: tanh on its Q rows, sigmoid on its P, R and S rows,
+    so every gate value lies strictly inside (0, 1) for finite inputs."""
+    u, w, b = layer
+    d = h_prev.shape[0]
+    if (u.shape != (4 * d, d) or w.shape[1] != x_in.shape[0]
             or h_prev.shape != c_prev.shape or h_prev.ndim != x_in.ndim
             or h_prev.ndim != 1 and not _same_batch(h_prev, x_in)):
         raise ShapeError(
-            f"lstm cell dims disagree: U {w.u_q.shape} vs h {h_prev.shape}, "
-            f"c {c_prev.shape}, W {w.w_q.shape} vs x {x_in.shape}"
+            f"lstm cell dims disagree: U {u.shape} vs h {h_prev.shape}, "
+            f"c {c_prev.shape}, W {w.shape} vs x {x_in.shape}"
         )
-    b_q, b_p, b_r, b_s = w.b_q, w.b_p, w.b_r, w.b_s
-    if h_prev.ndim == 2:  # column biases, as in rnn_cell
-        b_q, b_p, b_r, b_s = b_q[:, None], b_p[:, None], b_r[:, None], b_s[:, None]
-    q = np.tanh(w.u_q @ h_prev + w.w_q @ x_in + b_q)   # candidate
-    p = sigmoid(w.u_p @ h_prev + w.w_p @ x_in + b_p)   # forget gate
-    r = sigmoid(w.u_r @ h_prev + w.w_r @ x_in + b_r)   # add gate
+    b = b if h_prev.ndim == 1 else b[:, None]  # column biases, as in rnn_cell
+    z = u @ h_prev + w @ x_in + b
+    q = np.tanh(z[:d])  # candidate
+    p, r, s = sigmoid(z[d:]).reshape((3,) + h_prev.shape)  # forget, add and output gates
     c = q * r + c_prev * p
-    s = sigmoid(w.u_s @ h_prev + w.w_s @ x_in + b_s)   # output gate
-    h = s * np.tanh(c)
-    return h, c
+    return s * np.tanh(c), c
+
+
+def _stacked(layers: list) -> list:
+    """Each ``LstmLayerWeights`` in its stacked form, any other layer as it is."""
+    return [stack_lstm_layer(l) if isinstance(l, LstmLayerWeights) else l for l in layers]
 
 
 def unroll(seq_embeddings: np.ndarray, layers: list,
@@ -73,9 +81,10 @@ def unroll(seq_embeddings: np.ndarray, layers: list,
     """Run stacked recurrent layers over time; returns the top layer's
     outputs as a d_e x len matrix and the final per-layer ``(h, c)`` state.
 
-    A layer of ``LstmLayerWeights`` runs the LSTM cell, any other layer the
-    Elman cell.  A d_e x len x B input unrolls B sequences at once; outputs
-    are then d_e x len x B and states d_e x B.  Column i depends only on
+    An ``RnnLayerWeights`` layer runs the Elman cell, any other the LSTM
+    cell: ``LstmLayerWeights`` are stacked once per call, stacked layers
+    pass through.  A d_e x len x B input unrolls B sequences at once;
+    outputs are then d_e x len x B and states d_e x B.  Column i depends only on
     input columns <= i, by construction.  The initial state is `state`, as
     returned by an earlier call, or zero (the Elman cell ignores c).
     """
@@ -83,6 +92,7 @@ def unroll(seq_embeddings: np.ndarray, layers: list,
         raise SequenceLengthError("unroll requires a nonempty d_e x len (x B) input")
     if not layers:
         raise SequenceLengthError("unroll requires at least one layer")
+    layers = _stacked(layers)
     if state is None:
         # cells never write into their inputs, so one zero array serves all
         h_state = [np.zeros(seq_embeddings.shape[:1] + seq_embeddings.shape[2:])] * len(layers)
@@ -97,10 +107,10 @@ def unroll(seq_embeddings: np.ndarray, layers: list,
     for i in range(length):
         x = seq_embeddings[:, i]
         for l, layer in enumerate(layers):
-            if isinstance(layer, LstmLayerWeights):
-                h_state[l], c_state[l] = lstm_cell(h_state[l], c_state[l], x, layer)
-            else:
+            if isinstance(layer, RnnLayerWeights):
                 h_state[l] = rnn_cell(h_state[l], x, layer)
+            else:
+                h_state[l], c_state[l] = lstm_cell(h_state[l], c_state[l], x, layer)
             x = h_state[l]
         out[:, i] = x
     return out, list(zip(h_state, c_state))
@@ -128,12 +138,12 @@ def recurrent_lm_forward(ids: list[int], w: RnnWeights | LstmWeights) -> np.ndar
 
 def recurrent_decoder(w: RnnWeights | LstmWeights, total: int):
     """Next-token logits after the ids so far, one call per token; each call
-    unrolls only the ids not yet consumed.  `total` needs no bound here."""
-    state, seen = None, 0
+    unrolls only the new ids, through layers stacked once.  `total` needs no bound."""
+    state, seen, layers = None, 0, _stacked(w.layers)
 
     def next_logits(ids):
         nonlocal state, seen
-        h, state = recurrent_hidden(ids[seen:], w, state)
+        h, state = unroll(embed(ids[seen:], w.embedding), layers, state)
         seen = len(ids)
         return tied_logits(h[:, -1], w.embedding)
 

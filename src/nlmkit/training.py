@@ -16,7 +16,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .config import ModelConfig
-from .errors import NonFiniteLossError, ShapeError
+from .errors import NonFiniteLossError, SequenceLengthError, ShapeError
 from .ffnn import ffnn_batch_forward
 from .inference import causal_model, make_forward
 from .losses import ar_loss, ce_loss
@@ -91,7 +91,7 @@ def make_corpus_loss(cfg: ModelConfig, corpus_ids: list[int]):
     one batch per call.  Sequence models split the corpus into
     maximum-length chunks overlapping by one token so every transition is
     scored exactly once, under teacher forcing.  The encoder (bert) has no
-    causal passes and is refused.
+    causal passes and is refused, as is a max_len of 1 (no transitions).
     """
     if causal_model(cfg).forward is None:
         n = cfg.max_len
@@ -106,12 +106,11 @@ def make_corpus_loss(cfg: ModelConfig, corpus_ids: list[int]):
 
     if len(corpus_ids) < 2:
         raise ShapeError("corpus must contain at least two tokens")
-    chunks = []
-    stride = max(cfg.max_len - 1, 1)
-    for start in range(0, len(corpus_ids) - 1, stride):
-        chunk = corpus_ids[start:start + cfg.max_len]
-        if len(chunk) >= 2:
-            chunks.append(chunk)
+    if cfg.max_len < 2:
+        raise SequenceLengthError(f"max_len {cfg.max_len} leaves no transition to train on")
+    # every chunk starts before the last token, so it holds at least one transition
+    chunks = [corpus_ids[start:start + cfg.max_len]
+              for start in range(0, len(corpus_ids) - 1, cfg.max_len - 1)]
     transitions = sum(len(c) - 1 for c in chunks)
 
     def loss(w):

@@ -267,6 +267,21 @@ def test_unwritable_out_fails_before_training(tmp_path, capsys, out):
     assert "cannot write file" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("config", [
+    "arch=rnn\nd_e=2\nL=1\nvocab_size=4\nmax_len=1\n",
+    "arch=lstm\nd_e=2\nL=1\nvocab_size=4\nmax_len=1\n",
+    GPT2_CONFIG.replace("vocab_size=11\nmax_len=6", "vocab_size=4\nmax_len=1"),
+], ids=["rnn", "lstm", "gpt2"])
+def test_train_toy_refuses_max_len_one(tmp_path, capsys, config):
+    paths = train_toy_files(tmp_path)
+    paths["cfg"].write_text(config)
+    argv = train_toy_argv(paths)
+    argv[argv.index("--steps") + 1] = "0"
+    code, stdout, err = run(argv, capsys, out=True)
+    assert code == EXIT_DATA and stdout == ""
+    assert err.startswith("nlmkit: error: ") and err.count("\n") == 1 and "max_len 1" in err
+
+
 def test_config_with_byte_order_mark_is_read(tmp_path, capsys):
     config = tmp_path / "bom.cfg"
     config.write_bytes(b"\xef\xbb\xbf" + GPT2_CONFIG.encode())

@@ -1,9 +1,12 @@
 """Elman and LSTM cells, time unrolling, and the recurrent language model."""
 
+import copy
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+from nlmkit import recurrent
 from nlmkit.config import ModelConfig
 from nlmkit.errors import SequenceLengthError, ShapeError
 from nlmkit.inference import generate_tokens
@@ -14,12 +17,14 @@ from nlmkit.recurrent import (
     recurrent_lm_forward,
     recurrent_windows,
     rnn_cell,
+    stack_lstm_layer,
     unroll,
 )
 from nlmkit.weights import (
     LstmLayerWeights,
     RnnLayerWeights,
     init_weights,
+    named_tensor_view,
     zeros_weights,
 )
 
@@ -94,7 +99,7 @@ class TestLstmCell:
     def test_zero_weights_fixed_point(self):
         layer = LstmLayerWeights(*(np.zeros((3, 3)) if i % 3 != 2 else np.zeros(3)
                                    for i in range(12)))
-        h, c = lstm_cell(np.zeros(3), np.zeros(3), np.zeros(3), layer)
+        h, c = lstm_cell(np.zeros(3), np.zeros(3), np.zeros(3), stack_lstm_layer(layer))
         npt.assert_array_equal(h, np.zeros(3))
         npt.assert_array_equal(c, np.zeros(3))
 
@@ -105,13 +110,13 @@ class TestLstmCell:
         h_prev = rng.normal(size=3) * 0.1
         c_prev = rng.normal(size=3)
         x = rng.normal(size=3) * 0.1
-        _, c = lstm_cell(h_prev, c_prev, x, layer)
+        _, c = lstm_cell(h_prev, c_prev, x, stack_lstm_layer(layer))
         q = np.tanh(layer.u_q @ h_prev + layer.w_q @ x + layer.b_q)
         r = 1 / (1 + np.exp(-(layer.u_r @ h_prev + layer.w_r @ x + layer.b_r)))
         npt.assert_allclose(c, q * r + c_prev, rtol=1e-12)
 
     def test_gates_stay_inside_unit_interval(self, rng):
-        layer = random_lstm_layer(rng, 3)
+        layer = stack_lstm_layer(random_lstm_layer(rng, 3))
         for _ in range(20):
             h, c = lstm_cell(rng.normal(size=3), rng.normal(size=3), rng.normal(size=3), layer)
             assert np.all(np.abs(h) < 1.0)  # |s|<1 and |tanh(c)|<1
@@ -119,7 +124,7 @@ class TestLstmCell:
     def test_matches_loop_oracle(self, rng):
         layer = random_lstm_layer(rng, 3)
         h_prev, c_prev, x = (rng.normal(size=3) for _ in range(3))
-        h, c = lstm_cell(h_prev, c_prev, x, layer)
+        h, c = lstm_cell(h_prev, c_prev, x, stack_lstm_layer(layer))
         eh, ec = oracles.lstm_cell(list(h_prev), list(c_prev), list(x), layer)
         npt.assert_allclose(h, eh, atol=1e-13)
         npt.assert_allclose(c, ec, atol=1e-13)
@@ -127,7 +132,7 @@ class TestLstmCell:
 
     def test_batched_columns_equal_single_vector_calls(self, rng):
         for batch in (1, 2, 3):
-            layer = random_lstm_layer(rng, 3)
+            layer = stack_lstm_layer(random_lstm_layer(rng, 3))
             h, c, x = (rng.normal(size=(3, batch)) for _ in range(3))
             out_h, out_c = lstm_cell(h, c, x, layer)
             assert out_h.shape == out_c.shape == (3, batch)
@@ -137,11 +142,67 @@ class TestLstmCell:
                 npt.assert_allclose(out_c[:, b], ec, rtol=1e-14, atol=1e-15)
 
     def test_batch_width_mismatch(self, rng):
-        layer = random_lstm_layer(rng, 3)
+        layer = stack_lstm_layer(random_lstm_layer(rng, 3))
         with pytest.raises(ShapeError):
             lstm_cell(np.zeros((3, 2)), np.zeros((3, 2)), np.zeros((3, 1)), layer)
         with pytest.raises(ShapeError):
             lstm_cell(np.zeros((3, 2)), np.zeros(3), np.zeros((3, 2)), layer)
+
+
+class TestStackedLstm:
+    def test_blocks_are_copied_in_update_order(self, rng):
+        layer = random_lstm_layer(rng, 3)
+        u, w, b = stack_lstm_layer(layer)
+        assert u.shape == w.shape == (12, 3) and b.shape == (12,)
+        for i, g in enumerate("qprs"):
+            npt.assert_array_equal(u[3 * i:3 * i + 3], getattr(layer, f"u_{g}"))
+            npt.assert_array_equal(w[3 * i:3 * i + 3], getattr(layer, f"w_{g}"))
+            npt.assert_array_equal(b[3 * i:3 * i + 3], getattr(layer, f"b_{g}"))
+            assert not np.shares_memory(u, getattr(layer, f"u_{g}"))
+
+    def test_cell_rejects_unstacked_widths(self, rng):
+        u, w, b = stack_lstm_layer(random_lstm_layer(rng, 3))
+        with pytest.raises(ShapeError):
+            lstm_cell(np.zeros(3), np.zeros(3), np.zeros(3), (u[:9], w[:9], b[:9]))
+
+    @pytest.fixture
+    def stack_calls(self, monkeypatch):
+        calls = []
+        stack = recurrent.stack_lstm_layer
+        monkeypatch.setattr(recurrent, "stack_lstm_layer", lambda t: calls.append(t) or stack(t))
+        return calls
+
+    def test_generation_stacks_each_layer_once(self, stack_calls):
+        cfg = lstm_config(layers=2)
+        w = init_weights(cfg, 3)
+        assert len(generate_tokens(cfg, w, [1, 2], 20)) == 22
+        assert [id(t) for t in stack_calls] == [id(t) for t in w.layers]
+
+    def test_unroll_stacks_each_layer_once_per_call(self, rng, stack_calls):
+        layers = [random_lstm_layer(rng, 3) for _ in range(2)]
+        for calls in (1, 2):
+            unroll(rng.normal(size=(3, 5)), layers)
+            assert len(stack_calls) == 2 * calls
+        stacked = [recurrent.stack_lstm_layer(l) for l in layers]
+        unroll(rng.normal(size=(3, 5)), stacked)
+        assert len(stack_calls) == 6  # stacked layers pass through unroll
+
+    def test_forward_sees_in_place_writes(self):
+        # numerical_gradient probes each scalar in place: a cached stacked
+        # form would hide the write from the next forward pass
+        w = init_weights(lstm_config(), 5)
+        ids = [1, 2, 3, 4]
+        base = recurrent_lm_forward(ids, w)
+        for name, tensor in named_tensor_view(w).items():
+            if name.startswith("lstm.l1."):
+                flat = tensor.reshape(-1)
+                original = flat[0]
+                flat[0] = original + 0.5
+                probed = recurrent_lm_forward(ids, w)
+                assert not np.array_equal(probed, base), name
+                npt.assert_array_equal(probed, recurrent_lm_forward(ids, copy.deepcopy(w)))
+                flat[0] = original
+        npt.assert_array_equal(recurrent_lm_forward(ids, w), base)
 
 
 class TestUnroll:
@@ -214,6 +275,18 @@ class TestUnroll:
         _, state = unroll(np.zeros((3, 1)), layers)
         with pytest.raises(ShapeError):
             unroll(np.zeros((3, 1)), layers[:1], state)
+
+    @pytest.mark.parametrize("kind,make", [("rnn", random_rnn_layer), ("lstm", random_lstm_layer)])
+    def test_carried_state_must_match_the_input(self, rng, kind, make):
+        layers = [make(rng, 3) for _ in range(2)]
+        _, state = unroll(rng.normal(size=(3, 2, 4)), layers)  # states 3 x 4
+        with pytest.raises(ShapeError):  # batch of 5 against states of 4
+            unroll(rng.normal(size=(3, 1, 5)), layers, state)
+        with pytest.raises(ShapeError):  # one sequence against batched states
+            unroll(rng.normal(size=(3, 1)), layers, state)
+        wide = [(np.zeros(4), np.zeros(4))] * 2
+        with pytest.raises(ShapeError):  # states of width 4 against width 3
+            unroll(rng.normal(size=(3, 1)), layers, wide)
 
     def test_empty_inputs_rejected(self, rng):
         with pytest.raises(SequenceLengthError):

@@ -7,7 +7,7 @@ import numpy.testing as npt
 import pytest
 
 from nlmkit.config import ModelConfig
-from nlmkit.errors import ConfigError, NonFiniteLossError, ShapeError
+from nlmkit.errors import ConfigError, NonFiniteLossError, SequenceLengthError, ShapeError
 from nlmkit.ffnn import ffnn_forward
 from nlmkit.kernels import softmax
 from nlmkit.losses import ce_loss
@@ -19,6 +19,8 @@ from nlmkit.training import (
     train_toy,
 )
 from nlmkit.weights import init_weights
+
+from conftest import tiny_gpt2_config
 
 
 def ffnn_config(vocab=6, n=2, d0=3, hidden=(4,)):
@@ -151,6 +153,26 @@ class TestTrainToy:
                           max_len=4)
         with pytest.raises(ConfigError, match="not autoregressive"):
             make_corpus_loss(cfg, [0, 1, 2, 3])
+
+    @pytest.mark.parametrize("cfg", [
+        ModelConfig(arch="rnn", d_e=2, vocab_size=4, max_len=1, L=1),
+        ModelConfig(arch="lstm", d_e=2, vocab_size=4, max_len=1, L=1),
+        tiny_gpt2_config(vocab_size=4, max_len=1),
+    ], ids=["rnn", "lstm", "gpt2"])
+    def test_max_len_one_is_refused_before_any_loss(self, cfg):
+        # 1-token chunks hold no transition, so the mean loss would divide by zero
+        with pytest.raises(SequenceLengthError, match="max_len 1"):
+            train_toy(cfg, init_weights(cfg, 0), [0, 1, 2, 3], steps=0, mu_lr=0.1)
+
+    def test_lstm_loss_drops_at_every_step(self):
+        cfg = ModelConfig(arch="lstm", d_e=2, vocab_size=4, max_len=4, L=1)
+        corpus = [0, 1, 2, 3] * 3
+        w0 = init_weights(cfg, 3)
+        losses = [make_corpus_loss(cfg, corpus)(w0)]
+        train_toy(cfg, w0, corpus, steps=5, mu_lr=0.3,
+                  log_fn=lambda line: losses.append(float(line.split("\t")[1])))
+        assert len(losses) == 6
+        assert all(b < a for a, b in zip(losses, losses[1:]))
 
     def test_loss_drops_and_log_format_holds(self):
         cfg = ffnn_config(vocab=5, n=2, d0=2, hidden=(4,))
