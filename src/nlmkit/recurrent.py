@@ -56,12 +56,12 @@ def lstm_cell(h_prev: np.ndarray, c_prev: np.ndarray, x_in: np.ndarray,
     so every gate value lies strictly inside (0, 1) for finite inputs."""
     u, w, b = layer
     d = h_prev.shape[0]
-    if (u.shape != (4 * d, d) or w.shape[1] != x_in.shape[0]
+    if (u.shape != (4 * d, d) or w.shape != (4 * d, x_in.shape[0]) or b.shape != (4 * d,)
             or h_prev.shape != c_prev.shape or h_prev.ndim != x_in.ndim
             or h_prev.ndim != 1 and not _same_batch(h_prev, x_in)):
         raise ShapeError(
             f"lstm cell dims disagree: U {u.shape} vs h {h_prev.shape}, "
-            f"c {c_prev.shape}, W {w.shape} vs x {x_in.shape}"
+            f"c {c_prev.shape}, W {w.shape} vs x {x_in.shape}, b {b.shape}"
         )
     b = b if h_prev.ndim == 1 else b[:, None]  # column biases, as in rnn_cell
     z = u @ h_prev + w @ x_in + b

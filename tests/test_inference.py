@@ -50,8 +50,8 @@ def make_cfg(name):
 CAUSAL = ["gpt2-pre", "gpt2-post", "rnn", "lstm"]
 AUTOREGRESSIVE = CAUSAL + ["ffnn"]
 # the pass each decoder looks up in its own module, once per generated token
-DECODER_PASS = {"gpt2": (transformer, "gpt2_hidden"), "rnn": (recurrent, "recurrent_hidden"),
-                "lstm": (recurrent, "recurrent_hidden"), "ffnn": (ffnn, "ffnn_forward")}
+DECODER_PASS = {"gpt2": (transformer, "gpt2_hidden"), "rnn": (recurrent, "unroll"),
+                "lstm": (recurrent, "unroll"), "ffnn": (ffnn, "ffnn_forward")}
 
 
 def model(name, seed=7):

@@ -162,8 +162,9 @@ class TestStackedLstm:
 
     def test_cell_rejects_unstacked_widths(self, rng):
         u, w, b = stack_lstm_layer(random_lstm_layer(rng, 3))
-        with pytest.raises(ShapeError):
-            lstm_cell(np.zeros(3), np.zeros(3), np.zeros(3), (u[:9], w[:9], b[:9]))
+        for layer in ((u[:9], w, b), (u, w[:9], b), (u, w, b[:9])):
+            with pytest.raises(ShapeError):
+                lstm_cell(np.zeros(3), np.zeros(3), np.zeros(3), layer)
 
     @pytest.fixture
     def stack_calls(self, monkeypatch):
