@@ -15,7 +15,7 @@ from .inference import generate_tokens
 from .kernels import gelu, layer_norm, sigmoid, softmax
 from .losses import ar_loss, ce_loss, corpus_nll, mlm_corrupt, mlm_loss
 from .recurrent import lstm_cell, recurrent_lm_forward, rnn_cell, stack_lstm_layer, unroll
-from .training import TrainState, gd_step, numerical_gradient, train_toy
+from .training import gd_step, numerical_gradient, train_toy
 from .transformer import (
     bert_forward,
     gpt2_forward,

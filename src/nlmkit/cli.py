@@ -14,7 +14,7 @@ import sys
 
 from .archive import load_weights, save_weights
 from .audit import audit_config, count_for_config
-from .config import ModelConfig, load_config, read_text
+from .config import ModelConfig, load_config, parse_int, read_text
 from .errors import AuditMismatchError, ConfigError, NlmError
 from .inference import generate_tokens, make_predict_next, min_context
 from .losses import corpus_nll
@@ -43,7 +43,7 @@ def _checked(convert, ok, expected: str):
 
 
 # --steps and --seed span the uint64 that keys init_weights' Philox stream
-_count = _checked(int, lambda v: 0 <= v < 2**64, "an integer in [0, 2**64)")
+_count = _checked(parse_int, lambda v: 0 <= v < 2**64, "an integer in [0, 2**64)")
 _rate = _checked(float, lambda v: math.isfinite(v) and v > 0, "a finite positive number")
 
 

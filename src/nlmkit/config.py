@@ -9,6 +9,7 @@ its entry there and its range checks to ``ModelConfig.validate``.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
@@ -121,6 +122,12 @@ class ModelConfig:
                 raise ConfigError(f"ffnn activation must be sigmoid/tanh/identity, got {self.activation!r}")
 
 
+def parse_int(text: str) -> int | None:
+    """The integer `text` spells in ASCII digits (at most 4300, int()'s default
+    limit), with an optional leading '-' and surrounding whitespace; else None."""
+    return int(text) if re.fullmatch(r"\s*-?[0-9]{1,4300}\s*", text) else None
+
+
 def parse_config(text: str) -> ModelConfig:
     pairs: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -153,15 +160,13 @@ def parse_config(text: str) -> ModelConfig:
     kwargs: dict = {}
     for key, value in pairs.items():
         if key in _INT_KEYS:
-            try:
-                kwargs[key] = int(value)
-            except ValueError:
-                raise ConfigError(f"key {key!r} expects an integer, got {value!r}") from None
+            kwargs[key] = parse_int(value)
+            if kwargs[key] is None:
+                raise ConfigError(f"key {key!r} expects an integer, got {value!r}")
         elif key in _LIST_KEYS:
-            try:
-                kwargs[key] = [int(part) for part in value.split(",")]
-            except ValueError:
-                raise ConfigError(f"key {key!r} expects comma-separated integers, got {value!r}") from None
+            kwargs[key] = [parse_int(part) for part in value.split(",")]
+            if None in kwargs[key]:
+                raise ConfigError(f"key {key!r} expects comma-separated integers, got {value!r}")
         else:
             kwargs[key] = value
     return ModelConfig(**kwargs)

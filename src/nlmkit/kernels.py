@@ -111,13 +111,13 @@ def gelu(x, mode: str = "tanh"):
     raise ValueError(f"unknown gelu mode {mode!r}; expected 'tanh' or 'exact'")
 
 
-def layer_norm(x, gain, bias, eps: float = LAYER_NORM_EPS) -> np.ndarray:
+def layer_norm(x, gain, bias) -> np.ndarray:
     """Z-score along axis 0, then apply the learned gain and bias.
 
     `x` is a vector or a d x n matrix normalized column by column.  Mean
     and standard deviation are taken over each column (population form);
-    eps sits under the square root so constant columns normalize to the
-    bias.
+    ``LAYER_NORM_EPS`` sits under the square root so constant columns
+    normalize to the bias.
     """
     x = np.asarray(x, dtype=np.float64)
     gain = as_vector(gain)
@@ -129,7 +129,7 @@ def layer_norm(x, gain, bias, eps: float = LAYER_NORM_EPS) -> np.ndarray:
     column = (-1,) + (1,) * (x.ndim - 1)
     out = x - x.mean(axis=0)
     var = (out * out).mean(axis=0)
-    out /= np.sqrt(var + eps)
+    out /= np.sqrt(var + LAYER_NORM_EPS)
     out *= gain.reshape(column)
     out += bias.reshape(column)
     return out

@@ -116,13 +116,6 @@ def unroll(seq_embeddings: np.ndarray, layers: list,
     return out, list(zip(h_state, c_state))
 
 
-def recurrent_hidden(ids: list[int], w: RnnWeights | LstmWeights,
-                     state: list | None = None) -> tuple[np.ndarray, list]:
-    """Top-layer hidden states (d_e x len) and the final state; `ids`
-    continues `state` when one is given."""
-    return unroll(embed(ids, w.embedding), w.layers, state)
-
-
 def recurrent_windows(ids: list[int], n: int, w: RnnWeights | LstmWeights) -> np.ndarray:
     """Top-layer hidden state after every n-token window ids[s:s+n], one
     column per window (d_e x (len(ids) - n + 1)), from one batched unroll."""
@@ -133,7 +126,7 @@ def recurrent_windows(ids: list[int], n: int, w: RnnWeights | LstmWeights) -> np
 
 def recurrent_lm_forward(ids: list[int], w: RnnWeights | LstmWeights) -> np.ndarray:
     """Next-token logits per position (|V| x len), tied output head."""
-    return tied_logits(recurrent_hidden(ids, w)[0], w.embedding)
+    return tied_logits(unroll(embed(ids, w.embedding), w.layers)[0], w.embedding)
 
 
 def recurrent_decoder(w: RnnWeights | LstmWeights, total: int):

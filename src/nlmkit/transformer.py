@@ -144,18 +144,13 @@ def segment_matrix(seq: TokenSequence, w: BertWeights) -> np.ndarray:
     return np.column_stack(cols)
 
 
-def bert_forward(seq: TokenSequence, w: BertWeights, vocab: Vocabulary | None = None) -> np.ndarray:
-    """Bidirectional encoder representations H (d_e x len).
-
-    The sequence must start with [CLS] and end with [SEP]; when a
-    vocabulary is supplied those ids are checked explicitly, otherwise the
-    caller vouches for the format.
-    """
-    if vocab is not None:
-        if vocab.cls_id is None or seq.ids[0] != vocab.cls_id:
-            raise SequenceFormatError("sequence must start with [CLS]")
-        if vocab.sep_id is None or seq.ids[-1] != vocab.sep_id:
-            raise SequenceFormatError("sequence must end with [SEP]")
+def bert_forward(seq: TokenSequence, w: BertWeights, vocab: Vocabulary) -> np.ndarray:
+    """Bidirectional encoder representations H (d_e x len) of a sequence
+    that starts with the vocabulary's [CLS] and ends with its [SEP]."""
+    if vocab.cls_id is None or seq.ids[0] != vocab.cls_id:
+        raise SequenceFormatError("sequence must start with [CLS]")
+    if vocab.sep_id is None or seq.ids[-1] != vocab.sep_id:
+        raise SequenceFormatError("sequence must end with [SEP]")
     x = add_positions(embed(seq.ids, w.embedding), w.positions, segment_matrix(seq, w))
     h0 = layer_norm(x, w.emb_norm_gain, w.emb_norm_bias)
     mask = build_mask(len(seq), AE_MODE)

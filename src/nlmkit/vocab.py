@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .config import read_text
+from .config import parse_int, read_text
 from .errors import ConfigError, OutOfVocabularyError, SequenceLengthError
 
 CLS_TOKEN = "[CLS]"
@@ -105,13 +105,12 @@ def parse_vocab(text: str) -> Vocabulary:
     specials: dict[str, int] = {}
     for raw in text.splitlines():
         if raw.startswith("#special"):
-            decl = raw[len("#special"):].strip()
-            name, _, value = decl.partition("=")
+            name, _, value = raw.removeprefix("#special").partition("=")
             name = name.strip().upper()
-            value = value.strip()
-            if name not in _SPECIAL_NAMES or not (value.isascii() and value.isdigit()):
+            index = parse_int(value)
+            if name not in _SPECIAL_NAMES or index is None or index < 0:
                 raise ConfigError(f"bad special-token header: {raw!r}")
-            specials[_SPECIAL_NAMES[name]] = int(value)
+            specials[_SPECIAL_NAMES[name]] = index
             continue
         if raw.strip() == "":
             continue

@@ -23,6 +23,7 @@ result.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,6 +33,7 @@ from .errors import ConfigError, ShapeError
 
 INIT_GENERATOR = "philox-4x64-10"
 INIT_LOW, INIT_HIGH = -0.05, 0.05
+MAX_ELEMENTS = np.iinfo(np.intp).max // 8  # float64s one numpy array can address
 
 
 @dataclass
@@ -268,6 +270,8 @@ def _build(cfg: ModelConfig, tensor) -> AnyWeights:
     named: dict[str, np.ndarray] = {}
 
     def t(name, *shape):
+        if math.prod(shape) > MAX_ELEMENTS:
+            raise ConfigError(f"tensor {name} of shape {shape} is too big to address")
         named[name] = array = tensor(name, shape)
         return array
 

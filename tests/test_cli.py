@@ -43,6 +43,10 @@ def run(argv, capsys, out=False):
      "--lr", "0.1", "--out", "o"],
     ["train-toy", "--config", "c", "--vocab", "v", "--corpus", "t", "--steps", "1",
      "--lr", "0.1", "--seed", str(2**64), "--out", "o"],
+    ["generate", "--config", "c", "--weights", "w", "--vocab", "v", "--prompt", "a",
+     "--steps", "\u0663"],
+    ["train-toy", "--config", "c", "--vocab", "v", "--corpus", "t", "--steps", "1",
+     "--lr", "0.1", "--seed", "1_0", "--out", "o"],
 ])
 def test_negative_or_malformed_counts_are_usage_errors(argv, capsys):
     code, err = run(argv, capsys)
@@ -280,6 +284,31 @@ def test_train_toy_refuses_max_len_one(tmp_path, capsys, config):
     code, stdout, err = run(argv, capsys, out=True)
     assert code == EXIT_DATA and stdout == ""
     assert err.startswith("nlmkit: error: ") and err.count("\n") == 1 and "max_len 1" in err
+
+
+def test_tensor_numpy_cannot_address_is_a_data_error(tmp_path, capsys):
+    # emb.pos is 2 x 2**62 float64, 2**66 bytes: refused before any array is asked for
+    paths = train_toy_files(tmp_path)
+    paths["cfg"].write_text(GPT2_CONFIG.replace("vocab_size=11\nmax_len=6",
+                                                f"vocab_size=4\nmax_len={2**62}"))
+    argv = train_toy_argv(paths)
+    argv[argv.index("--steps") + 1] = "0"
+    code, stdout, err = run(argv, capsys, out=True)
+    assert code == EXIT_DATA and stdout == ""
+    assert err.startswith("nlmkit: error: tensor emb.pos") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("config", [
+    GPT2_CONFIG.replace("d_e=8", "d_e=\u0664"),
+    GPT2_CONFIG.replace("L=1", "L=1_0"),
+    FFNN_CONFIG.replace("hidden_dims=3", "hidden_dims=4,\u0664"),
+], ids=["arabic-indic-digit", "underscore", "hidden-dims"])
+def test_integer_outside_ascii_digits_in_config_is_a_data_error(tmp_path, capsys, config):
+    path = tmp_path / "model.cfg"
+    path.write_text(config, encoding="utf-8")
+    code, stdout, err = run(["count-params", "--config", str(path)], capsys, out=True)
+    assert code == EXIT_DATA and stdout == ""
+    assert err.startswith("nlmkit: error: key ") and " expects " in err and err.count("\n") == 1
 
 
 def test_config_with_byte_order_mark_is_read(tmp_path, capsys):

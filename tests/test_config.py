@@ -91,12 +91,13 @@ class TestParseRejects:
         with pytest.raises(ConfigError, match=f"missing keys: \\['{key}'\\]"):
             parse_config(without(TEXTS[arch], key))
 
-    @pytest.mark.parametrize("value", ["eight", "8.0", "0x8", "8e0"])
+    @pytest.mark.parametrize("value", ["eight", "8.0", "0x8", "8e0", "\u0668", "8_0", "+8",
+                                       "1" * 5000])
     def test_non_integer(self, value):
         with pytest.raises(ConfigError, match="'d_e' expects an integer"):
             parse_config(without(GPT2, "d_e") + f"d_e={value}\n")
 
-    @pytest.mark.parametrize("value", ["5,x", "5,,4", "5;4", "5,", "5.0"])
+    @pytest.mark.parametrize("value", ["5,x", "5,,4", "5;4", "5,", "5.0", "4,\u0664", "4,1_0"])
     def test_bad_hidden_dims_list(self, value):
         with pytest.raises(ConfigError, match="'hidden_dims' expects comma-separated integers"):
             parse_config(without(FFNN, "hidden_dims") + f"hidden_dims={value}\n")

@@ -8,12 +8,12 @@ import pytest
 
 from nlmkit import recurrent
 from nlmkit.config import ModelConfig
+from nlmkit.embeddings import embed
 from nlmkit.errors import SequenceLengthError, ShapeError
 from nlmkit.inference import generate_tokens
 from nlmkit.kernels import softmax
 from nlmkit.recurrent import (
     lstm_cell,
-    recurrent_hidden,
     recurrent_lm_forward,
     recurrent_windows,
     rnn_cell,
@@ -314,14 +314,6 @@ class TestRecurrentLm:
             npt.assert_allclose(out.sum(axis=0), 1.0, atol=1e-9)
 
     @pytest.mark.parametrize("cfg", [rnn_config(), lstm_config()])
-    def test_hidden_continues_from_state(self, cfg):
-        w = init_weights(cfg, 4)
-        full, _ = recurrent_hidden([1, 2, 3, 4], w)
-        _, state = recurrent_hidden([1, 2], w)
-        rest, _ = recurrent_hidden([3, 4], w, state)
-        npt.assert_array_equal(rest, full[:, 2:])
-
-    @pytest.mark.parametrize("cfg", [rnn_config(), lstm_config()])
     def test_windows_are_last_hidden_columns(self, cfg):
         w = init_weights(cfg, 6)
         ids = [1, 2, 3, 4, 5, 6, 7]
@@ -329,8 +321,8 @@ class TestRecurrentLm:
             got = recurrent_windows(ids, n, w)
             assert got.shape == (3, len(ids) - n + 1)
             for s in range(len(ids) - n + 1):
-                npt.assert_allclose(got[:, s], recurrent_hidden(ids[s:s + n], w)[0][:, -1],
-                                    rtol=1e-13, atol=1e-15)
+                hidden, _ = unroll(embed(ids[s:s + n], w.embedding), w.layers)
+                npt.assert_allclose(got[:, s], hidden[:, -1], rtol=1e-13, atol=1e-15)
 
     def test_generate_appends_greedy_tokens(self):
         cfg = lstm_config(vocab=6)

@@ -11,13 +11,7 @@ from nlmkit.errors import ConfigError, NonFiniteLossError, SequenceLengthError, 
 from nlmkit.ffnn import ffnn_forward
 from nlmkit.kernels import softmax
 from nlmkit.losses import ce_loss
-from nlmkit.training import (
-    TrainState,
-    gd_step,
-    make_corpus_loss,
-    numerical_gradient,
-    train_toy,
-)
+from nlmkit.training import gd_step, make_corpus_loss, numerical_gradient, train_toy
 from nlmkit.weights import init_weights
 
 from conftest import tiny_gpt2_config
@@ -39,7 +33,7 @@ class TestNumericalGradient:
         for _ in range(50):
             z = {"z": rng.uniform(-2, 2, size=8)}
             c = int(rng.integers(0, 8))
-            grad = numerical_gradient(lambda w: ce_loss(c, w["z"]), z, h=1e-5)
+            grad = numerical_gradient(lambda w: ce_loss(c, w["z"]), z)
             analytic = softmax(z["z"])
             analytic[c] -= 1.0
             rel = np.linalg.norm(grad["z"] - analytic) / np.linalg.norm(analytic)
@@ -70,41 +64,37 @@ class TestGdStep:
     @pytest.mark.parametrize("rate", [0.0, -1.0, math.nan, math.inf, -math.inf])
     def test_rate_must_be_finite_and_positive(self, rate):
         with pytest.raises(ValueError, match="learning rate"):
-            TrainState(weights={"a": np.zeros(3)}, mu_lr=rate)
+            gd_step({"a": np.zeros(3)}, {"a": np.zeros(3)}, rate)
 
     def test_zero_gradient_keeps_weights(self, rng):
         w = {"a": rng.normal(size=(2, 2))}
-        state = TrainState(weights=w, mu_lr=0.5)
-        new = gd_step(state, {"a": np.zeros((2, 2))})
-        npt.assert_array_equal(new.weights["a"], w["a"])
-        assert new.step == 1
+        new = gd_step(w, {"a": np.zeros((2, 2))}, 0.5)
+        npt.assert_array_equal(new["a"], w["a"])
 
     def test_unit_rate_with_gradient_theta_zeroes(self, rng):
         w = {"a": rng.normal(size=3)}
-        state = TrainState(weights=w, mu_lr=1.0)
-        new = gd_step(state, {"a": w["a"].copy()})
-        npt.assert_allclose(new.weights["a"], 0.0, atol=1e-15)
+        new = gd_step(w, {"a": w["a"].copy()}, 1.0)
+        npt.assert_allclose(new["a"], 0.0, atol=1e-15)
 
     def test_is_pure(self, rng):
         w = {"a": rng.normal(size=3)}
         before = w["a"].copy()
-        gd_step(TrainState(weights=w, mu_lr=0.1), {"a": np.ones(3)})
+        gd_step(w, {"a": np.ones(3)}, 0.1)
         npt.assert_array_equal(w["a"], before)
 
     def test_shape_mismatch_rejected(self, rng):
-        state = TrainState(weights={"a": np.zeros(3)}, mu_lr=0.1)
+        w = {"a": np.zeros(3)}
         with pytest.raises(ShapeError):
-            gd_step(state, {"a": np.zeros(4)})
+            gd_step(w, {"a": np.zeros(4)}, 0.1)
         with pytest.raises(ShapeError):
-            gd_step(state, {"b": np.zeros(3)})
+            gd_step(w, {"b": np.zeros(3)}, 0.1)
 
     def test_quadratic_descent_converges(self):
-        state = TrainState(weights={"theta": np.array([3.0, -2.0])}, mu_lr=0.1)
+        w = {"theta": np.array([3.0, -2.0])}
         loss = lambda w: float((w["theta"] ** 2).sum())
         for _ in range(200):
-            state = gd_step(state, numerical_gradient(loss, state.weights))
-        assert loss(state.weights) < 1e-6
-        assert state.step == 200
+            w = gd_step(w, numerical_gradient(loss, w), 0.1)
+        assert loss(w) < 1e-6
 
 
 class TestCorpusLoss:
@@ -139,11 +129,11 @@ class TestCorpusLoss:
         cfg = ffnn_config(vocab=6, n=2, d0=3, hidden=(4,))
         corpus = [0, 1, 2, 3, 4, 5] * 3
         loss_fn = make_corpus_loss(cfg, corpus)
-        state = TrainState(weights=init_weights(cfg, 1), mu_lr=0.1)
-        losses = [loss_fn(state.weights)]
+        w = init_weights(cfg, 1)
+        losses = [loss_fn(w)]
         for _ in range(10):
-            state = gd_step(state, numerical_gradient(loss_fn, state.weights))
-            losses.append(loss_fn(state.weights))
+            w = gd_step(w, numerical_gradient(loss_fn, w), 0.1)
+            losses.append(loss_fn(w))
         assert all(b < a for a, b in zip(losses, losses[1:]))
 
 
@@ -163,6 +153,12 @@ class TestTrainToy:
         # 1-token chunks hold no transition, so the mean loss would divide by zero
         with pytest.raises(SequenceLengthError, match="max_len 1"):
             train_toy(cfg, init_weights(cfg, 0), [0, 1, 2, 3], steps=0, mu_lr=0.1)
+
+    @pytest.mark.parametrize("rate", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_rate_is_refused_with_zero_steps(self, rate):
+        cfg = ffnn_config()
+        with pytest.raises(ValueError, match="learning rate"):
+            train_toy(cfg, init_weights(cfg, 0), [0, 1, 2, 3], steps=0, mu_lr=rate)
 
     def test_lstm_loss_drops_at_every_step(self):
         cfg = ModelConfig(arch="lstm", d_e=2, vocab_size=4, max_len=4, L=1)

@@ -150,7 +150,7 @@ class TestGpt2Forward:
         # zero attention/ffn weights, unit gains, zero biases: both variants
         # collapse to layer_norm chains over an already z-scored input
         raw = rng.normal(size=(8, 3))
-        zscored = layer_norm(raw, np.ones(8), np.zeros(8), eps=0.0)
+        zscored = (raw - raw.mean(axis=0)) / raw.std(axis=0)
         variant_outputs = []
         for variant in ("post", "pre"):
             cfg = tiny_gpt2_config(variant=variant, zeta=0)
@@ -196,7 +196,7 @@ class TestBertForward:
             cfg = tiny_bert_config(zeta=zeta)
             w = init_weights(cfg, 77)
             seq = TokenSequence([0, 3, 4, 5, 1], segments=["A"] * 5)
-            h = bert_forward(seq, w)
+            h = bert_forward(seq, w, bert_vocab())
             expected = np.array(oracles.bert_hidden(seq.ids, seq.segments, w)).T
             npt.assert_allclose(h, expected, atol=1e-10)
 
@@ -210,12 +210,12 @@ class TestBertForward:
             [w.seg_a] * 4 + [w.seg_b] * 2)
         h0 = layer_norm(x, w.emb_norm_gain, w.emb_norm_bias)
         want = transformer_stack(h0, w.blocks, build_mask(6, "AE"), variant, w.gelu_mode)
-        npt.assert_array_equal(bert_forward(seq, w), want)
+        npt.assert_array_equal(bert_forward(seq, w, bert_vocab()), want)
 
     def test_length_checked_against_max_len(self):
         w = init_weights(tiny_bert_config(max_len=4), 2)
         with pytest.raises(SequenceLengthError, match="sequence length 5 exceeds maximum 4"):
-            bert_forward(TokenSequence([0, 3, 4, 5, 1]), w)
+            bert_forward(TokenSequence([0, 3, 4, 5, 1]), w, bert_vocab())
 
     def test_requires_cls_and_sep_with_vocab(self):
         vocab = bert_vocab()
@@ -230,9 +230,10 @@ class TestBertForward:
         w = init_weights(cfg, 4)
         seq_plain = TokenSequence([0, 3, 4, 1])
         seq_a = TokenSequence([0, 3, 4, 1], segments=["A"] * 4)
-        npt.assert_array_equal(bert_forward(seq_plain, w), bert_forward(seq_a, w))
+        vocab = bert_vocab()
+        npt.assert_array_equal(bert_forward(seq_plain, w, vocab), bert_forward(seq_a, w, vocab))
         w.seg_b[:] += 99.0  # untouched segment vector is irrelevant
-        npt.assert_array_equal(bert_forward(seq_plain, w), bert_forward(seq_a, w))
+        npt.assert_array_equal(bert_forward(seq_plain, w, vocab), bert_forward(seq_a, w, vocab))
 
     def test_swap_equivariance_without_positions(self, rng):
         # zero positional/segment encodings + all-zero mask: swapping two
@@ -242,8 +243,8 @@ class TestBertForward:
         w.positions[:] = 0.0
         w.seg_a[:] = 0.0
         w.seg_b[:] = 0.0
-        a = bert_forward(TokenSequence([0, 3, 4, 1]), w)
-        b = bert_forward(TokenSequence([0, 4, 3, 1]), w)
+        a = bert_forward(TokenSequence([0, 3, 4, 1]), w, bert_vocab())
+        b = bert_forward(TokenSequence([0, 4, 3, 1]), w, bert_vocab())
         npt.assert_allclose(b[:, [0, 2, 1, 3]], a, atol=1e-12)
 
 

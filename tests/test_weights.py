@@ -22,6 +22,11 @@ class TestInitWeightsSeed:
             init_weights(tiny_gpt2_config(), seed)
         assert isinstance(err.value, NlmError)
 
+    def test_tensor_numpy_cannot_address_is_refused_before_any_array(self):
+        cfg = tiny_gpt2_config(max_len=2**62)  # emb.pos holds 8 * 2**62 float64
+        with pytest.raises(ConfigError, match=rf"tensor emb.pos of shape \(8, {2**62}\)"):
+            init_weights(cfg, 0)
+
     @pytest.mark.parametrize("seed", [0, 2**64 - 1])
     def test_range_ends_are_accepted_and_deterministic(self, seed):
         a = named_tensor_view(init_weights(tiny_gpt2_config(), seed))
