@@ -57,7 +57,7 @@ def _extend(store: np.ndarray, rows: np.ndarray, total: int) -> np.ndarray:
     return store[:total]
 
 
-def query_columns(x: np.ndarray, mask: np.ndarray, cache: HeadCache | None = None) -> np.ndarray:
+def query_columns(x: np.ndarray, mask: np.ndarray, cache: HeadCache | None) -> np.ndarray:
     """The columns of x that the rows of `mask` query: the last mask.shape[0]
     of each sequence, mask.shape[1] wide without a cache; with one, x is a
     single sequence of new columns and the mask has a row for each."""
@@ -70,7 +70,7 @@ def query_columns(x: np.ndarray, mask: np.ndarray, cache: HeadCache | None = Non
 
 
 def attention_scores(x: np.ndarray, w: HeadWeights, mask: np.ndarray,
-                     cache: HeadCache | None = None) -> np.ndarray:
+                     cache: HeadCache | None) -> np.ndarray:
     """Masked, scaled query-key scores, (B*r) x keys for B sequences and an r x
     keys mask: one row per query, against its own sequence's keys or, with a
     cache, all `keys` cached rows, the keys of x stored as the last of them."""
@@ -94,7 +94,7 @@ def attention_scores(x: np.ndarray, w: HeadWeights, mask: np.ndarray,
 
 
 def self_attention_head(x: np.ndarray, w: HeadWeights, mask: np.ndarray,
-                        cache: HeadCache | None = None) -> np.ndarray:
+                        cache: HeadCache | None) -> np.ndarray:
     """One attention head: weighted value sums per query; returns (B*r) x d_v."""
     x = as_matrix(x)
     v = x.T @ w.w_v
@@ -111,11 +111,10 @@ def self_attention_head(x: np.ndarray, w: HeadWeights, mask: np.ndarray,
 
 
 def multi_head_attention(x: np.ndarray, w: MultiHeadWeights, mask: np.ndarray,
-                         cache: list[HeadCache] | None = None) -> np.ndarray:
+                         cache: list[HeadCache] | None) -> np.ndarray:
     """Concatenate head outputs (head m occupies columns [m*d_v, (m+1)*d_v))
     and project back to the embedding space; returns d_e x (B*r), the
     query columns' outputs.  `cache`, if given, holds one HeadCache per head."""
-    x = as_matrix(x)
     caches = [None] * len(w.heads) if cache is None else cache
     concat = np.hstack([self_attention_head(x, head, mask, c) for head, c in zip(w.heads, caches)])
     if concat.shape[1] != w.w_o.shape[0]:

@@ -114,8 +114,7 @@ COUNTS = {
 }
 
 
-def count_for_config(cfg: ModelConfig, include_mlm: bool = False,
-                     include_nsp: bool = False) -> CountReport:
+def count_for_config(cfg: ModelConfig, include_mlm: bool, include_nsp: bool) -> CountReport:
     return CountReport(cfg.arch, COUNTS[cfg.arch](cfg, include_mlm, include_nsp))
 
 

@@ -57,10 +57,10 @@ class ModelConfig:
     """Hyperparameters for one architecture.
 
     For transformers, ``norm_variant`` selects the block layout: "post"
-    normalizes after attention/feedforward with the embedding norm at the
-    input; "pre" normalizes before them with the embedding norm moved to
-    the transformer output.  ``zeta`` switches the optional attention
-    biases on (1) or off (0).
+    normalizes after attention/feedforward, "pre" before them.  The decoder
+    (gpt2) normalizes its embeddings under "post" and its transformer output
+    under "pre"; the encoder (bert) normalizes its input under both.
+    ``zeta`` switches the optional attention biases on (1) or off (0).
 
     For the feedforward LM, ``d_e`` is the per-token embedding width and
     ``max_len`` the fixed context width; ``hidden_dims`` lists the dense
@@ -86,14 +86,14 @@ class ModelConfig:
         keys = arch_keys(self.arch)
         self.norm_variant = self.norm_variant or keys.norm_variant
         self.activation = self.activation or keys.activation
-        if self.arch == "ffnn":
-            self.L = len(self.hidden_dims)
         self.validate()
 
     def validate(self) -> None:
         def positive(name, value):
             if value < 1:
                 raise ConfigError(f"{name} must be positive, got {value}")
+            if value > 2**63 - 1:  # numpy shapes are int64; far larger counts cannot be printed
+                raise ConfigError(f"{name} must be at most 2**63 - 1")
 
         positive("d_e", self.d_e)
         positive("vocab_size", self.vocab_size)
@@ -103,6 +103,8 @@ class ModelConfig:
                 positive(name, getattr(self, name))
             if self.L < 0:
                 raise ConfigError(f"L must be nonnegative, got {self.L}")
+            if self.L:  # 0 is a model without blocks
+                positive("L", self.L)
             if self.zeta not in (0, 1):
                 raise ConfigError(f"zeta must be 0 or 1, got {self.zeta}")
             if self.norm_variant not in ("post", "pre"):

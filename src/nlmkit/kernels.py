@@ -46,7 +46,7 @@ def as_vector(a) -> np.ndarray:
     return m
 
 
-def shifted(v, axis: int = -1) -> np.ndarray:
+def shifted(v, axis: int) -> np.ndarray:
     """Scores minus the largest entry of each slice along `axis`, as a new array.
 
     `v` is a vector or a matrix.  This is the step softmax and cross
@@ -103,7 +103,7 @@ def gelu_exact(x):
     return x * ndtr(x)
 
 
-def gelu(x, mode: str = "tanh"):
+def gelu(x, mode: str):
     if mode == "tanh":
         return gelu_tanh(x)
     if mode == "exact":

@@ -140,7 +140,7 @@ class Predictor:
 
 
 def corpus_nll(corpus_ids: list[int], predict_next: Predictor, window: int,
-               min_context: int = 1) -> float:
+               min_context: int) -> float:
     """Sliding-window negative log likelihood over a token stream.
 
     Each position i after the first is scored from its context

@@ -43,9 +43,8 @@ def position_ffn(c: np.ndarray, w: BlockWeights, gelu_mode: str) -> np.ndarray:
     return w.ffn_w2 @ hidden + w.ffn_b2[:, None]
 
 
-def transformer_block(h_in: np.ndarray, w: BlockWeights, mask: np.ndarray,
-                      variant: str = "post", gelu_mode: str = "tanh",
-                      cache: list[HeadCache] | None = None) -> np.ndarray:
+def transformer_block(h_in: np.ndarray, w: BlockWeights, mask: np.ndarray, variant: str,
+                      gelu_mode: str, cache: list[HeadCache] | None) -> np.ndarray:
     """One block over h_in's sequences; returns their query columns. `cache`: its heads' caches."""
     first = None if cache is None else cache[0]  # every head's cache has one capacity
     if variant == "post":
@@ -73,14 +72,15 @@ class KVCache:
                         for head in block.mha.heads] for block in w.blocks]
 
 
-def transformer_stack(h0: np.ndarray, blocks: list[BlockWeights], mask: np.ndarray,
-                      variant: str = "post", gelu_mode: str = "tanh",
+def transformer_stack(h0: np.ndarray, w: Gpt2Weights | BertWeights, mask: np.ndarray,
                       cache: KVCache | None = None, last_only: bool = False) -> np.ndarray:
+    if last_only and not w.blocks:  # no final block to pick each sequence's last column
+        return query_columns(h0, mask[-1:], None)
     h = h0
-    for l, block in enumerate(blocks):
-        final = last_only and l == len(blocks) - 1  # query each sequence's last column
-        h = transformer_block(h, block, mask[-1:] if final else mask, variant, gelu_mode,
-                              None if cache is None else cache.blocks[l])
+    for l, block in enumerate(w.blocks):
+        final = last_only and l == len(w.blocks) - 1  # query each sequence's last column
+        h = transformer_block(h, block, mask[-1:] if final else mask, w.norm_variant,
+                              w.gelu_mode, None if cache is None else cache.blocks[l])
     return h
 
 
@@ -89,7 +89,7 @@ def gpt2_blocks(h: np.ndarray, w: Gpt2Weights, mask: np.ndarray,
     """Embedding norm, blocks and final norm over the sequences side by side in h."""
     if w.norm_variant == "post":
         h = layer_norm(h, w.emb_norm_gain, w.emb_norm_bias)
-    h = transformer_stack(h, w.blocks, mask, w.norm_variant, w.gelu_mode, cache, last_only)
+    h = transformer_stack(h, w, mask, cache, last_only)
     if w.norm_variant == "pre":
         h = layer_norm(h, w.emb_norm_gain, w.emb_norm_bias)
     return h
@@ -154,7 +154,7 @@ def bert_forward(seq: TokenSequence, w: BertWeights, vocab: Vocabulary) -> np.nd
     x = add_positions(embed(seq.ids, w.embedding), w.positions, segment_matrix(seq, w))
     h0 = layer_norm(x, w.emb_norm_gain, w.emb_norm_bias)
     mask = build_mask(len(seq), AE_MODE)
-    return transformer_stack(h0, w.blocks, mask, w.norm_variant, w.gelu_mode)
+    return transformer_stack(h0, w, mask)
 
 
 def mlm_head(h: np.ndarray, w: BertWeights) -> np.ndarray:

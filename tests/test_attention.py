@@ -52,20 +52,20 @@ class TestSelfAttentionHead:
     def test_singleton_sequence_passes_value_through(self, rng):
         head = random_head(rng, d_e=5, d_k=3, d_v=2)
         x = rng.normal(size=(5, 1))
-        out = self_attention_head(x, head, build_mask(1, "AR"))
+        out = self_attention_head(x, head, build_mask(1, "AR"), None)
         npt.assert_allclose(out, (x.T @ head.w_v), rtol=1e-12)
 
     def test_first_row_attends_only_to_itself_under_ar(self, rng):
         head = random_head(rng, d_e=4, d_k=3, d_v=3)
         x = rng.normal(size=(4, 2))
-        weights = softmax(attention_scores(x, head, build_mask(2, "AR")), axis=1)
+        weights = softmax(attention_scores(x, head, build_mask(2, "AR"), None), axis=1)
         npt.assert_array_equal(weights[0], [1.0, 0.0])
 
     @pytest.mark.parametrize("biases", [False, True])
     def test_matches_per_query_loop_oracle(self, rng, biases):
         head = random_head(rng, d_e=6, d_k=4, d_v=3, biases=biases)
         x = rng.normal(size=(6, 4))
-        out = self_attention_head(x, head, build_mask(4, "AR"))
+        out = self_attention_head(x, head, build_mask(4, "AR"), None)
         expected = oracles.head_attention(
             oracles.cols(x),
             oracles.rows(head.w_q), oracles.rows(head.w_k), oracles.rows(head.w_v),
@@ -79,7 +79,7 @@ class TestSelfAttentionHead:
     def test_weight_rows_are_distributions_with_exact_mask_zeros(self, rng):
         head = random_head(rng, d_e=5, d_k=4, d_v=4, biases=True)
         x = rng.normal(size=(5, 6))
-        weights = softmax(attention_scores(x, head, build_mask(6, "AR")), axis=1)
+        weights = softmax(attention_scores(x, head, build_mask(6, "AR"), None), axis=1)
         npt.assert_allclose(weights.sum(axis=1), 1.0, atol=1e-12)
         for i in range(6):
             npt.assert_array_equal(weights[i, i + 1:], 0.0)
@@ -87,18 +87,18 @@ class TestSelfAttentionHead:
     def test_ar_causality_rows_fixed_under_future_changes(self, rng):
         head = random_head(rng, d_e=5, d_k=3, d_v=4)
         x = rng.normal(size=(5, 5))
-        base = self_attention_head(x, head, build_mask(5, "AR"))
+        base = self_attention_head(x, head, build_mask(5, "AR"), None)
         x2 = x.copy()
         x2[:, 3:] = rng.normal(size=(5, 2))
-        changed = self_attention_head(x2, head, build_mask(5, "AR"))
+        changed = self_attention_head(x2, head, build_mask(5, "AR"), None)
         npt.assert_array_equal(changed[:3], base[:3])
 
     def test_ae_permutation_equivariance(self, rng):
         head = random_head(rng, d_e=5, d_k=3, d_v=4)
         x = rng.normal(size=(5, 6))
         perm = rng.permutation(6)
-        base = self_attention_head(x, head, build_mask(6, "AE"))
-        permuted = self_attention_head(x[:, perm], head, build_mask(6, "AE"))
+        base = self_attention_head(x, head, build_mask(6, "AE"), None)
+        permuted = self_attention_head(x[:, perm], head, build_mask(6, "AE"), None)
         npt.assert_allclose(permuted, base[perm], atol=1e-12)
 
     def test_score_scaling_follows_sqrt_dk(self, rng):
@@ -112,8 +112,8 @@ class TestSelfAttentionHead:
             w_v=head.w_v,
         )
         mask = build_mask(4, "AE")
-        npt.assert_allclose(attention_scores(x, doubled, mask),
-                            math.sqrt(2.0) * attention_scores(x, head, mask),
+        npt.assert_allclose(attention_scores(x, doubled, mask, None),
+                            math.sqrt(2.0) * attention_scores(x, head, mask, None),
                             rtol=1e-12)
 
 
@@ -126,27 +126,27 @@ class TestQueryRule:
         head = random_head(rng, d_e=5, d_k=3, d_v=2, biases=biases)
         seqs = [rng.normal(size=(5, 4)) for _ in range(3)]
         mask = build_mask(4, "AR")[4 - rows:]
-        out = self_attention_head(np.hstack(seqs), head, mask)
+        out = self_attention_head(np.hstack(seqs), head, mask, None)
         assert out.shape == (3 * rows, 2)
         for b, x in enumerate(seqs):
-            want = self_attention_head(x, head, build_mask(4, "AR"))[4 - rows:]
+            want = self_attention_head(x, head, build_mask(4, "AR"), None)[4 - rows:]
             npt.assert_allclose(out[b * rows:(b + 1) * rows], want, rtol=1e-13, atol=1e-15)
 
     def test_mask_with_no_rows_refused(self, rng):
         head = random_head(rng, d_e=4, d_k=3, d_v=3)
         with pytest.raises(ShapeError):
-            attention_scores(rng.normal(size=(4, 3)), head, np.zeros((0, 3)))
+            attention_scores(rng.normal(size=(4, 3)), head, np.zeros((0, 3)), None)
 
     def test_more_rows_than_sequence_columns_refused(self, rng):
         head = random_head(rng, d_e=4, d_k=3, d_v=3)
         with pytest.raises(ShapeError):
-            attention_scores(rng.normal(size=(4, 6)), head, np.zeros((4, 3)))
+            attention_scores(rng.normal(size=(4, 6)), head, np.zeros((4, 3)), None)
 
     @pytest.mark.parametrize("columns", [5, 0])
     def test_key_count_must_divide_the_columns(self, rng, columns):
         head = random_head(rng, d_e=4, d_k=3, d_v=3)
         with pytest.raises(ShapeError):
-            attention_scores(rng.normal(size=(4, columns)), head, build_mask(2, "AR"))
+            attention_scores(rng.normal(size=(4, columns)), head, build_mask(2, "AR"), None)
 
 
 class TestHeadCache:
@@ -158,7 +158,7 @@ class TestHeadCache:
     def test_chunks_through_cache_match_one_pass(self, rng, biases, split):
         head = random_head(rng, d_e=6, d_k=4, d_v=3, biases=biases)
         x = rng.normal(size=(6, 5))
-        full = self_attention_head(x, head, build_mask(5, "AR"))
+        full = self_attention_head(x, head, build_mask(5, "AR"), None)
         cache = self._cache(head, 7)
         start = 0
         for n in split:
@@ -184,8 +184,8 @@ class TestMultiHeadAttention:
         head = random_head(rng, d_e=3, d_k=2, d_v=3)
         x = rng.normal(size=(3, 4))
         mha = MultiHeadWeights(heads=[head], w_o=np.eye(3))
-        out = multi_head_attention(x, mha, build_mask(4, "AE"))
-        npt.assert_allclose(out, self_attention_head(x, head, build_mask(4, "AE")).T,
+        out = multi_head_attention(x, mha, build_mask(4, "AE"), None)
+        npt.assert_allclose(out, self_attention_head(x, head, build_mask(4, "AE"), None).T,
                             rtol=1e-12)
 
     def test_zeroed_value_weights_zero_one_block(self, rng):
@@ -193,7 +193,7 @@ class TestMultiHeadAttention:
         heads[1].w_v = np.zeros((4, 2))
         x = rng.normal(size=(4, 5))
         mask = build_mask(5, "AE")
-        concat = np.hstack([self_attention_head(x, h, mask) for h in heads])
+        concat = np.hstack([self_attention_head(x, h, mask, None) for h in heads])
         npt.assert_array_equal(concat[:, 2:4], 0.0)
 
     @pytest.mark.parametrize("biases", [False, True])
@@ -204,16 +204,16 @@ class TestMultiHeadAttention:
         mha = MultiHeadWeights(heads=heads, w_o=w_o, b_o=b_o)
         x = rng.normal(size=(4, 5))
         mask = build_mask(5, "AR")
-        concat = np.hstack([self_attention_head(x, h, mask) for h in heads])
+        concat = np.hstack([self_attention_head(x, h, mask, None) for h in heads])
         expected = (concat @ w_o + (b_o if biases else 0.0)).T
-        npt.assert_allclose(multi_head_attention(x, mha, mask), expected, rtol=1e-12)
+        npt.assert_allclose(multi_head_attention(x, mha, mask, None), expected, rtol=1e-12)
 
     def test_matches_loop_oracle(self, rng):
         heads = [random_head(rng, 4, 3, 2, biases=True) for _ in range(2)]
         mha = MultiHeadWeights(heads=heads, w_o=rng.normal(size=(4, 4)),
                                b_o=rng.normal(size=4))
         x = rng.normal(size=(4, 3))
-        out = multi_head_attention(x, mha, build_mask(3, "AE"))
+        out = multi_head_attention(x, mha, build_mask(3, "AE"), None)
         expected_rows = oracles.multi_head(
             oracles.cols(x),
             [oracles._head_tuple(h) for h in heads],

@@ -45,7 +45,7 @@ def test_formula_count_equals_enumerated_count(name):
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_component_names(name):
     cfg = CONFIGS[name]
-    assert [c for c, _ in count_for_config(cfg).components] == COMPONENTS[cfg.arch]
+    assert [c for c, _ in count_for_config(cfg, False, False).components] == COMPONENTS[cfg.arch]
 
 
 def tensor_total(w, prefixes):
@@ -56,10 +56,10 @@ def tensor_total(w, prefixes):
 def test_bert_heads_are_counted_only_when_asked(zeta):
     cfg = transformer("bert", zeta, "post")
     w = zeros_weights(cfg)
-    base = count_for_config(cfg)
-    mlm = count_for_config(cfg, include_mlm=True)
-    nsp = count_for_config(cfg, include_nsp=True)
-    both = count_for_config(cfg, include_mlm=True, include_nsp=True)
+    base = count_for_config(cfg, False, False)
+    mlm = count_for_config(cfg, True, False)
+    nsp = count_for_config(cfg, False, True)
+    both = count_for_config(cfg, True, True)
     assert [c for c, _ in mlm.components] == COMPONENTS["bert"] + [
         "mlm_transform", "mlm_layer_norm", "mlm_output_bias"]
     assert [c for c, _ in nsp.components] == COMPONENTS["bert"] + ["nsp_head"]
@@ -74,24 +74,24 @@ def test_bert_heads_are_counted_only_when_asked(zeta):
 @pytest.mark.parametrize("arch", ["gpt2", "rnn", "lstm", "ffnn"])
 def test_head_flags_do_not_change_other_archs(arch):
     cfg = next(c for c in CONFIGS.values() if c.arch == arch)
-    assert (count_for_config(cfg, include_mlm=True, include_nsp=True).components
-            == count_for_config(cfg).components)
+    assert (count_for_config(cfg, True, True).components
+            == count_for_config(cfg, False, False).components)
 
 
 def test_subtotals_by_hand():
     cfg = transformer("gpt2", 1, "pre")
     attention = 2 * 3 * 6 * (3 + 2) + 3 * (2 * 3 + 2) + 6
-    assert dict(count_for_config(cfg).components) == {
+    assert dict(count_for_config(cfg, False, False).components) == {
         "embedding": 6 * 13, "positional_encoding": 6 * 5, "embedding_layer_norm": 12,
         "attention": 2 * attention, "feedforward": 2 * (2 * 6 * 7 + 6 + 7),
         "block_layer_norms": 2 * 24, "output_projection_tied": 0,
     }
     rnn = ModelConfig(arch="rnn", d_e=4, vocab_size=9, max_len=5, L=3)
-    assert dict(count_for_config(rnn).components)["recurrent_layers"] == 3 * (2 * 16 + 4)
+    assert dict(count_for_config(rnn, False, False).components)["recurrent_layers"] == 3 * (2 * 16 + 4)
     lstm = ModelConfig(arch="lstm", d_e=4, vocab_size=9, max_len=5, L=3)
-    assert dict(count_for_config(lstm).components)["recurrent_layers"] == 3 * 4 * 4 * 9
+    assert dict(count_for_config(lstm, False, False).components)["recurrent_layers"] == 3 * 4 * 4 * 9
     ffnn = CONFIGS["ffnn-2"]
-    assert dict(count_for_config(ffnn).components) == {
+    assert dict(count_for_config(ffnn, False, False).components) == {
         "embedding": 21, "hidden_layers": 5 * 13 + 2 * 6, "output_projection": 14}
 
 
@@ -105,7 +105,7 @@ def test_missing_tensor_is_an_audit_mismatch(name):
 
 
 def test_report_formats():
-    report = count_for_config(CONFIGS["rnn-L1"])
+    report = count_for_config(CONFIGS["rnn-L1"], False, False)
     assert report.as_key_values().splitlines() == [
         "arch=rnn", "embedding=36", "recurrent_layers=36", "output_projection_tied=0", "total=72"]
     table = report.as_table().splitlines()

@@ -129,6 +129,16 @@ def test_score_prints_the_per_context_nll(tmp_path, capsys, arch):
     assert float(out) == pytest.approx(want, rel=1e-10)
 
 
+def test_score_of_a_gpt2_without_blocks_prints_the_per_context_nll(tmp_path, capsys):
+    args, forward = write_model(tmp_path, "gpt2", GPT2_CONFIG.replace("L=1", "L=0"))
+    ids = [3, 1, 4, 1, 5, 9, 2, 6]  # more than max_len=6, so full windows are scored
+    code, out, err = run(["score", *args, "--text", " ".join(WORDS[i] for i in ids)], capsys,
+                         out=True)
+    assert code == EXIT_OK and "Traceback" not in err
+    want = oracles.corpus_nll(ids, lambda ctx: softmax(forward(ctx)[:, -1]), 6)
+    assert float(out) == pytest.approx(want, rel=1e-10)
+
+
 BERT_CONFIG = "arch=bert\nd_e=8\nd_k=4\nd_v=4\nd_f=16\nM=2\nL=1\nvocab_size=11\nmax_len=8\n"
 BERT_WORDS = ["[CLS]", "[SEP]", "[MASK]"] + [f"w{i}" for i in range(3, 11)]
 
@@ -184,6 +194,26 @@ def test_count_params_prints_paper_scale_totals(tmp_path, capsys, arch, sizes, f
     code, out, err = run(["count-params", "--config", str(config), *flags], capsys, out=True)
     assert code == EXIT_OK and "Traceback" not in err
     assert out.splitlines()[-1].split() == ["total", total]
+
+
+@pytest.mark.parametrize("fmt", ["table", "kv"])
+def test_count_params_refuses_sizes_past_int64(tmp_path, capsys, fmt):
+    # the embedding count would have 5,000 digits, past int-to-str's limit
+    config = tmp_path / "rnn.cfg"
+    config.write_text(f"arch=rnn\nd_e={'9' * 2500}\nL=1\nvocab_size={'9' * 2500}\nmax_len=4\n")
+    code, out, err = run(["count-params", "--config", str(config), "--format", fmt], capsys,
+                         out=True)
+    assert code == EXIT_DATA and out == ""
+    assert err == "nlmkit: error: d_e must be at most 2**63 - 1\n"
+
+
+def test_count_params_counts_the_largest_size(tmp_path, capsys):
+    config = tmp_path / "rnn.cfg"
+    config.write_text(f"arch=rnn\nd_e=1\nL=1\nvocab_size={2**63 - 1}\nmax_len=4\n")
+    code, out, err = run(["count-params", "--config", str(config), "--format", "kv"], capsys,
+                         out=True)
+    assert code == EXIT_OK and err == ""
+    assert out.splitlines()[-1] == f"total={2**63 - 1 + 3}"
 
 
 FFNN_CONFIG = "arch=ffnn\nd_e=2\nhidden_dims=3\nvocab_size=4\nmax_len=2\n"

@@ -1,6 +1,8 @@
 """The key=value config format: every rejection path, per-arch defaults and
 the range checks of ModelConfig."""
 
+import re
+
 import pytest
 
 from nlmkit.config import ARCHITECTURES, ModelConfig, load_config, parse_config
@@ -121,11 +123,6 @@ class TestDefaults:
         cfg = parse_config(FFNN)
         assert (cfg.activation, cfg.norm_variant) == ("sigmoid", "post")
 
-    @pytest.mark.parametrize("dims", [[4], [5, 4], [3, 3, 3]])
-    def test_ffnn_depth_is_the_hidden_layer_count(self, dims):
-        cfg = ModelConfig(arch="ffnn", d_e=2, vocab_size=5, max_len=3, hidden_dims=dims, L=9)
-        assert cfg.L == len(dims)
-
     def test_explicit_values_win(self):
         assert parse_config(GPT2 + "norm_variant=post\n").norm_variant == "post"
         assert parse_config(BERT + "norm_variant=pre\n").norm_variant == "pre"
@@ -198,6 +195,16 @@ class TestValidate:
     def test_ffnn_activation_checked(self):
         with pytest.raises(ConfigError, match="ffnn activation must be sigmoid/tanh/identity, got 'relu'"):
             parse_config(FFNN + "activation=relu\n")
+
+    @pytest.mark.parametrize("arch,key", [(arch, line.partition("=")[0])
+                                          for arch, text in TEXTS.items()
+                                          for line in text.splitlines()[1:]])
+    def test_sizes_at_most_int64(self, arch, key):
+        text = without(TEXTS[arch], key) + key + ("={0},{0}\n" if key == "hidden_dims" else "={0}\n")
+        assert parse_config(text.format(2**63 - 1))
+        name = "hidden_dims[1]" if key == "hidden_dims" else key
+        with pytest.raises(ConfigError, match=re.escape(f"{name} must be at most 2**63 - 1")):
+            parse_config(text.format(2**63))
 
     def test_validate_rechecks_a_mutated_config(self):
         cfg = parse_config(GPT2)

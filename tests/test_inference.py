@@ -160,12 +160,15 @@ class TestGpt2WindowScorer:
     """Batched windows with a one-column final block against one unpruned
     gpt2_forward pass per window."""
 
-    @pytest.mark.parametrize("variant,zeta,gelu_mode", [("pre", 1, "tanh"), ("post", 1, "exact"),
-                                                        ("post", 0, "tanh"), ("pre", 0, "exact")])
+    # L=0: no final block picks each window's last column, so the stack does
+    @pytest.mark.parametrize("variant,zeta,gelu_mode,L", [
+        ("pre", 1, "tanh", 2), ("post", 1, "exact", 2), ("post", 0, "tanh", 2),
+        ("pre", 0, "exact", 2), ("pre", 1, "tanh", 0), ("post", 0, "exact", 0),
+    ], ids=["pre-1-tanh", "post-1-exact", "post-0-tanh", "pre-0-exact", "pre-L0", "post-L0"])
     @pytest.mark.parametrize("n", [1, 3, 16])
-    def test_every_window_matches_its_forward_pass(self, variant, zeta, gelu_mode, n):
+    def test_every_window_matches_its_forward_pass(self, variant, zeta, gelu_mode, L, n):
         cfg = replace(tiny_gpt2_config(zeta=zeta, variant=variant, vocab_size=VOCAB, max_len=16),
-                      gelu_mode=gelu_mode)
+                      gelu_mode=gelu_mode, L=L)
         w = init_weights(cfg, 23)
         windows = make_predict_next(cfg, w).windows
         for count in window_counts(n):
@@ -301,7 +304,7 @@ class TestCorpusNll:
         cfg, w = model(name)
         ids = corpus(length)
         want = oracles.corpus_nll(ids, full_recompute_predict(cfg, w), MAX_LEN)
-        assert_rel(corpus_nll(ids, make_predict_next(cfg, w), MAX_LEN), want)
+        assert_rel(corpus_nll(ids, make_predict_next(cfg, w), MAX_LEN, 1), want)
 
     @pytest.mark.parametrize("name", CAUSAL)
     @pytest.mark.parametrize("window,need", [(1, 1), (3, 1), (MAX_LEN, MAX_LEN), (3, 3)])
@@ -334,4 +337,4 @@ class TestCorpusNll:
             return oracles.naive_softmax([oracles.dot(e, h) for e in cols])
 
         want = oracles.corpus_nll(ids, predict, MAX_LEN)
-        assert abs(corpus_nll(ids, make_predict_next(cfg, w), MAX_LEN) - want) <= 1e-10 * want
+        assert abs(corpus_nll(ids, make_predict_next(cfg, w), MAX_LEN, 1) - want) <= 1e-10 * want

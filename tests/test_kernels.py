@@ -122,11 +122,11 @@ class TestSoftmax:
 
 class TestGelu:
     def test_zero(self):
-        assert gelu(0.0) == 0.0
+        assert gelu(0.0, "tanh") == 0.0
         assert gelu_exact(0.0) == 0.0
 
     def test_large_positive_is_identity(self):
-        assert abs(gelu(10.0) - 10.0) < 1e-6
+        assert abs(gelu(10.0, "tanh") - 10.0) < 1e-6
         assert abs(gelu_exact(10.0) - 10.0) < 1e-12
 
     def test_exact_mode_against_series_cdf(self):

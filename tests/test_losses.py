@@ -258,11 +258,12 @@ class TestCorpusNll:
     def test_uniform_model_scores_log_vocab_per_token(self):
         predict = predictor(lambda ctx: np.full(16, 1 / 16))
         corpus = list(range(10)) + [0]  # 11 tokens -> 10 predictions
-        assert abs(corpus_nll(corpus, predict, window=4) - 10 * math.log(16)) < 1e-12
+        assert abs(corpus_nll(corpus, predict, window=4, min_context=1) - 10 * math.log(16)) < 1e-12
 
     def test_two_token_corpus_is_single_ce_term(self, rng):
         dist = random_distribution(rng, 5)
-        assert corpus_nll([3, 2], predictor(lambda ctx: dist), window=3) == ce_loss(2, np.log(dist))
+        assert corpus_nll([3, 2], predictor(lambda ctx: dist), window=3, min_context=1) \
+            == ce_loss(2, np.log(dist))
 
     def test_window_clipping_passes_short_prefixes(self):
         seen = []
@@ -271,7 +272,7 @@ class TestCorpusNll:
             seen.append(len(ctx))
             return np.full(4, 0.25)
 
-        corpus_nll([0, 1, 2, 3, 0], predictor(predict), window=2)
+        corpus_nll([0, 1, 2, 3, 0], predictor(predict), window=2, min_context=1)
         assert seen == [1, 2, 2, 2]
 
     def test_min_context_skips_partial_windows(self):
@@ -287,10 +288,10 @@ class TestCorpusNll:
     def test_short_contexts_need_a_prefix_pass(self):
         full_windows_only = Predictor(None, predictor(lambda ctx: np.full(4, 0.25)).windows)
         with pytest.raises(SequenceLengthError):
-            corpus_nll([0, 1, 2, 3, 0], full_windows_only, window=3)
+            corpus_nll([0, 1, 2, 3, 0], full_windows_only, window=3, min_context=1)
         assert corpus_nll([0, 1, 2, 3, 0], full_windows_only, window=3, min_context=3) \
             == pytest.approx(2 * math.log(4), rel=1e-12)
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(SequenceLengthError):
-            corpus_nll([1], predictor(lambda ctx: np.full(4, 0.25)), window=2)
+            corpus_nll([1], predictor(lambda ctx: np.full(4, 0.25)), window=2, min_context=1)

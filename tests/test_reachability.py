@@ -1,15 +1,23 @@
-"""Every module-level function and class in the package has a caller, and
-every parameter with a default has a caller that passes it.
+"""Every module-level function and class in the package has a caller,
+every parameter with a default has a caller that passes it, and some
+caller leaves it at its default.
 
 A definition is reached when its name appears as a name or an attribute
 in a package module other than ``__init__.py``, whose re-exports call
 nothing, or in ``perfbench/*.py``.  A defaulted parameter is passed when a
 call by that function's name in those same files writes it, by position or
 by keyword; a parameter every caller leaves at its default is a constant.
+A default that every such call overrides is an option only tests use: the
+parameter is made required, or its value derived from what the function
+already holds.  In that direction a call through ``*args`` or ``**kw``
+does not count as passing, since it may leave the parameter out.
+
 Tests do not count: a definition or an option that only its own tests
 reach is deleted with them.  ``ENTRY_POINTS`` lists the library functions
 kept without a caller in the repository, ``DEFAULTS_LEFT_TO_TESTS`` the
-parameters kept without a caller that passes them.
+parameters kept without a caller that passes them, and
+``DEFAULTS_EVERY_CALL_OVERRIDES`` those kept although every caller passes
+them.
 """
 
 import ast
@@ -146,3 +154,43 @@ def test_checker_binds_self_and_sees_keyword_only_defaults():
     tree = ast.parse("class C:\n def m(self, a=0): pass\n @staticmethod\n def s(a=0): pass\n"
                      "def k(*, a=0): pass\n")
     assert sorted(defaulted(tree)) == [("k", "a", None), ("m", "a", 0), ("s", "a", 0)]
+
+
+# "function: parameter" -> why a default every call overrides is kept
+DEFAULTS_EVERY_CALL_OVERRIDES = {}
+
+
+def writes(call, param, i):
+    """Whether a call from ``calls`` writes parameter `param` at position `i`
+    explicitly; an unpacked ``*args`` or ``**kw`` may leave it out, so it never counts."""
+    _, count, keywords = call
+    return i is not None and i < count < float("inf") or param in keywords
+
+
+def forced(seen, fn, param, i):
+    """Whether some call in `seen` is by `fn`'s name and every such call writes `param`."""
+    named = [c for c in seen if c[0] == fn]
+    return bool(named) and all(writes(c, param, i) for c in named)
+
+
+def overridden():
+    """'function: parameter' of every defaulted package parameter every call overrides."""
+    seen = [c for p in CALLERS for c in calls(_parse(p))]
+    return sorted({f"{fn}: {param}" for p in SOURCES for fn, param, i in defaulted(_parse(p))
+                   if forced(seen, fn, param, i)})
+
+
+def test_no_default_is_overridden_by_every_caller():
+    assert [entry for entry in overridden() if entry not in DEFAULTS_EVERY_CALL_OVERRIDES] == []
+
+
+def test_defaults_every_call_overrides_are_defined_and_overridden():
+    assert set(overridden()) >= set(DEFAULTS_EVERY_CALL_OVERRIDES)
+
+
+@pytest.mark.parametrize("source,expected", [
+    ("f(1, 2)\nm.f(1, b=3)\n", True), ("f(1, 2)\nf(1)\n", False), ("f(**kw)\n", False),
+    ("f(*xs)\n", False), ("g(1, 2)\n", False)])
+def test_checker_sees_overridden_defaults(source, expected):
+    (_, param, i), = defaulted(ast.parse("def f(a, b=0): pass"))
+    assert forced(list(calls(ast.parse(source))), "f", param, i) is expected

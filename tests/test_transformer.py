@@ -19,7 +19,7 @@ from nlmkit.transformer import (
     transformer_stack,
 )
 from nlmkit.vocab import TokenSequence, Vocabulary
-from nlmkit.weights import init_weights, zeros_weights
+from nlmkit.weights import Gpt2Weights, init_weights, zeros_weights
 
 import oracles
 from conftest import tiny_bert_config, tiny_gpt2_config
@@ -34,14 +34,14 @@ class TestTransformerBlock:
     def test_preserves_shape(self, rng, variant):
         w = init_weights(tiny_gpt2_config(variant=variant), 1).blocks[0]
         h = rng.normal(size=(8, 5))
-        out = transformer_block(h, w, build_mask(5, "AR"), variant)
+        out = transformer_block(h, w, build_mask(5, "AR"), variant, "tanh", None)
         assert out.shape == (8, 5)
 
     def test_zero_weights_post_norm_against_oracle(self):
         cfg = tiny_gpt2_config(variant="post")
         w = zeros_weights(cfg).blocks[0]
         h = np.arange(40.0).reshape(8, 5)
-        out = transformer_block(h, w, build_mask(5, "AR"), "post")
+        out = transformer_block(h, w, build_mask(5, "AR"), "post", "tanh", None)
         expected = oracles.block_forward(oracles.cols(h), w, oracles.ar_mask(5),
                                          "post", "tanh")
         npt.assert_allclose(out, np.array(expected).T, atol=1e-12)
@@ -51,7 +51,7 @@ class TestTransformerBlock:
         cfg = tiny_gpt2_config(variant=variant)
         w = init_weights(cfg, 7).blocks[1]
         h = rng.normal(size=(8, 4))
-        out = transformer_block(h, w, build_mask(4, "AR"), variant)
+        out = transformer_block(h, w, build_mask(4, "AR"), variant, "tanh", None)
         expected = oracles.block_forward(oracles.cols(h), w, oracles.ar_mask(4),
                                          variant, "tanh")
         npt.assert_allclose(out, np.array(expected).T, atol=1e-10)
@@ -60,10 +60,10 @@ class TestTransformerBlock:
         cfg = tiny_gpt2_config()
         w = init_weights(cfg, 3).blocks[0]
         h = rng.normal(size=(8, 5))
-        base = transformer_block(h, w, build_mask(5, "AR"), "pre")
+        base = transformer_block(h, w, build_mask(5, "AR"), "pre", "tanh", None)
         h2 = h.copy()
         h2[:, 4] += 1.0
-        out = transformer_block(h2, w, build_mask(5, "AR"), "pre")
+        out = transformer_block(h2, w, build_mask(5, "AR"), "pre", "tanh", None)
         npt.assert_array_equal(out[:, :4], base[:, :4])
 
     @pytest.mark.parametrize("variant,gelu_mode", [("post", "tanh"), ("pre", "exact")])
@@ -71,8 +71,8 @@ class TestTransformerBlock:
         w = init_weights(tiny_gpt2_config(variant=variant), 5).blocks[1]
         h = rng.normal(size=(8, 5))
         mask = build_mask(5, "AR")
-        full = transformer_block(h, w, mask, variant, gelu_mode)
-        last = transformer_block(h, w, mask[-1:], variant, gelu_mode)
+        full = transformer_block(h, w, mask, variant, gelu_mode, None)
+        last = transformer_block(h, w, mask[-1:], variant, gelu_mode, None)
         assert last.shape == (8, 1)
         npt.assert_allclose(last, full[:, -1:], rtol=1e-12, atol=1e-14)
 
@@ -82,10 +82,10 @@ class TestTransformerBlock:
         seqs = [rng.normal(size=(8, 4)) for _ in range(3)]
         mask = build_mask(4, "AR")
         for rows in (1, 4):
-            out = transformer_block(np.hstack(seqs), w, mask[4 - rows:], variant)
+            out = transformer_block(np.hstack(seqs), w, mask[4 - rows:], variant, "tanh", None)
             for b, h in enumerate(seqs):
                 npt.assert_allclose(out[:, b * rows:(b + 1) * rows],
-                                    transformer_block(h, w, mask, variant)[:, 4 - rows:],
+                                    transformer_block(h, w, mask, variant, "tanh", None)[:, 4 - rows:],
                                     rtol=1e-12, atol=1e-14)
 
 
@@ -95,17 +95,19 @@ class TestTransformerStack:
         blocks = init_weights(cfg, 11).blocks[:1]
         h = rng.normal(size=(8, 3))
         mask = build_mask(3, "AR")
-        npt.assert_array_equal(transformer_stack(h, blocks, mask, "pre"),
-                               transformer_block(h, blocks[0], mask, "pre"))
+        npt.assert_array_equal(
+            transformer_stack(h, Gpt2Weights(blocks=blocks, norm_variant="pre"), mask),
+            transformer_block(h, blocks[0], mask, "pre", "tanh", None))
 
     def test_two_blocks_compose(self, rng):
         cfg = tiny_gpt2_config()
         blocks = init_weights(cfg, 11).blocks
         h = rng.normal(size=(8, 3))
         mask = build_mask(3, "AR")
-        manual = transformer_block(transformer_block(h, blocks[0], mask, "pre"),
-                                   blocks[1], mask, "pre")
-        npt.assert_array_equal(transformer_stack(h, blocks, mask, "pre"), manual)
+        manual = transformer_block(transformer_block(h, blocks[0], mask, "pre", "tanh", None),
+                                   blocks[1], mask, "pre", "tanh", None)
+        npt.assert_array_equal(
+            transformer_stack(h, Gpt2Weights(blocks=blocks, norm_variant="pre"), mask), manual)
 
     def test_three_blocks_against_fold(self, rng):
         cfg = tiny_gpt2_config()
@@ -114,8 +116,9 @@ class TestTransformerStack:
         mask = build_mask(4, "AE")
         expected = h
         for b in blocks:
-            expected = transformer_block(expected, b, mask, "post")
-        npt.assert_array_equal(transformer_stack(h, blocks, mask, "post"), expected)
+            expected = transformer_block(expected, b, mask, "post", "tanh", None)
+        npt.assert_array_equal(
+            transformer_stack(h, Gpt2Weights(blocks=blocks, norm_variant="post"), mask), expected)
 
 
 class TestGpt2Forward:
@@ -209,7 +212,7 @@ class TestBertForward:
         x = w.embedding[:, seq.ids] + w.positions[:, :6] + np.column_stack(
             [w.seg_a] * 4 + [w.seg_b] * 2)
         h0 = layer_norm(x, w.emb_norm_gain, w.emb_norm_bias)
-        want = transformer_stack(h0, w.blocks, build_mask(6, "AE"), variant, w.gelu_mode)
+        want = transformer_stack(h0, w, build_mask(6, "AE"))
         npt.assert_array_equal(bert_forward(seq, w, bert_vocab()), want)
 
     def test_length_checked_against_max_len(self):
