@@ -8,7 +8,7 @@ Next-token scoring returns a ``losses.Predictor`` of two logit passes.  For
 the causal sequence models the prefix pass is the model's per-position
 forward pass, which scores every prefix of a sequence at once.  The window
 scorer gives ``corpus_nll``'s full windows and refuses one wider than the
-ids: rnn and lstm unroll all windows as one batch, gpt2 runs
+ids: rnn and lstm unroll all windows as one batch, ``gpt2_windows`` runs
 ``WINDOW_COLUMNS`` columns of windows per pass and its final block on their
 last columns only, and the feedforward LM runs its batched forward once.
 The feedforward LM needs a full window, so it has no prefix pass.
@@ -27,33 +27,17 @@ from typing import Callable, NamedTuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .attention import AR_MODE, build_mask
 from .config import ModelConfig
-from .embeddings import embed, tied_logits
+from .embeddings import tied_logits
 from .errors import ConfigError, SequenceLengthError
 from .ffnn import ffnn_batch_forward, ffnn_decoder
 from .losses import Predictor
 from .recurrent import recurrent_decoder, recurrent_lm_forward, recurrent_windows
-from .transformer import gpt2_blocks, gpt2_decoder, gpt2_forward
+from .transformer import gpt2_decoder, gpt2_forward, gpt2_windows
 
 # Longest sequence generate_tokens builds, prompt included: only gpt2 has a
 # positional table, and nothing else would bound the id list.
 MAX_TOKENS = 2**16
-# Columns of windows one gpt2 window-scorer pass stacks: bounds its working set.
-WINDOW_COLUMNS = 256
-
-
-def _gpt2_windows(ids: list[int], n: int, w) -> np.ndarray:
-    """Logits after every n-token window, WINDOW_COLUMNS columns of windows per pass."""
-    if n > w.positions.shape[1]:
-        raise SequenceLengthError(f"window {n} exceeds maximum {w.positions.shape[1]}")
-    windows = sliding_window_view(embed(ids, w.embedding), n, axis=1)  # d_e x windows x n
-    per_pass, mask = max(1, WINDOW_COLUMNS // n), build_mask(n, AR_MODE)
-    last = np.empty(windows.shape[:2])
-    for lo in range(0, last.shape[1], per_pass):
-        h = windows[:, lo:lo + per_pass] + w.positions[:, None, :n]
-        last[:, lo:lo + per_pass] = gpt2_blocks(h.reshape(len(h), -1), w, mask, last_only=True)
-    return tied_logits(last, w.embedding)
 
 
 class CausalModel(NamedTuple):
@@ -77,7 +61,7 @@ CAUSAL = {
         ffnn_decoder),
     "rnn": _RECURRENT,
     "lstm": _RECURRENT,
-    "gpt2": CausalModel(lambda ids, w: gpt2_forward(ids, w), _gpt2_windows, gpt2_decoder),
+    "gpt2": CausalModel(lambda ids, w: gpt2_forward(ids, w), gpt2_windows, gpt2_decoder),
 }
 
 

@@ -21,7 +21,7 @@ from .embeddings import embed, tied_logits
 from .errors import SequenceLengthError, ShapeError
 from .ffnn import activation_fn
 from .kernels import sigmoid
-from .weights import LstmLayerWeights, LstmWeights, RnnLayerWeights, RnnWeights
+from .weights import LstmLayerWeights, RecurrentWeights, RnnLayerWeights
 
 
 def _same_batch(h: np.ndarray, x: np.ndarray) -> bool:
@@ -116,7 +116,7 @@ def unroll(seq_embeddings: np.ndarray, layers: list,
     return out, list(zip(h_state, c_state))
 
 
-def recurrent_windows(ids: list[int], n: int, w: RnnWeights | LstmWeights) -> np.ndarray:
+def recurrent_windows(ids: list[int], n: int, w: RecurrentWeights) -> np.ndarray:
     """Top-layer hidden state after every n-token window ids[s:s+n], one
     column per window (d_e x (len(ids) - n + 1)), from one batched unroll."""
     windows = sliding_window_view(embed(ids, w.embedding), n, axis=1)  # d_e x B x n view
@@ -124,12 +124,12 @@ def recurrent_windows(ids: list[int], n: int, w: RnnWeights | LstmWeights) -> np
     return state[-1][0]
 
 
-def recurrent_lm_forward(ids: list[int], w: RnnWeights | LstmWeights) -> np.ndarray:
+def recurrent_lm_forward(ids: list[int], w: RecurrentWeights) -> np.ndarray:
     """Next-token logits per position (|V| x len), tied output head."""
     return tied_logits(unroll(embed(ids, w.embedding), w.layers)[0], w.embedding)
 
 
-def recurrent_decoder(w: RnnWeights | LstmWeights, total: int):
+def recurrent_decoder(w: RecurrentWeights, total: int):
     """Next-token logits after the ids so far, one call per token; each call
     unrolls only the new ids, through layers stacked once.  `total` needs no bound."""
     state, seen, layers = None, 0, _stacked(w.layers)

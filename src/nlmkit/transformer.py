@@ -16,7 +16,7 @@ pre-norm blocks with that same norm moved to the transformer output.
 A block returns only the columns its mask queries
 (``attention.query_columns``), and its residual and FFN run on those alone;
 with ``last_only`` the final block queries each sequence's last column, all
-the window scorer reads.  The decoder decodes incrementally through a
+``gpt2_windows`` reads.  The decoder decodes incrementally through a
 ``KVCache``: every head keeps the keys and values of the positions already
 seen, so a call with a cache computes only its new columns, whose keys and
 values it adds.  The new queries attend over all cached positions through
@@ -28,13 +28,17 @@ forward pass is the empty-cache case and needs no cache at all;
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .attention import AE_MODE, AR_MODE, HeadCache, build_mask, multi_head_attention, query_columns
 from .embeddings import add_positions, embed, tied_logits
 from .errors import SequenceFormatError, SequenceLengthError
-from .kernels import gelu, layer_norm, softmax
+from .kernels import gelu, layer_norm
 from .vocab import SEGMENT_A, TokenSequence, Vocabulary
 from .weights import BertWeights, BlockWeights, Gpt2Weights
+
+# Columns of windows one gpt2_windows pass stacks: bounds its working set.
+WINDOW_COLUMNS = 256
 
 
 def position_ffn(c: np.ndarray, w: BlockWeights, gelu_mode: str) -> np.ndarray:
@@ -125,6 +129,19 @@ def gpt2_decoder(w: Gpt2Weights, total: int):
     return lambda ids: tied_logits(gpt2_hidden(ids[cache.length:], w, cache)[:, -1], w.embedding)
 
 
+def gpt2_windows(ids: list[int], n: int, w: Gpt2Weights) -> np.ndarray:
+    """Logits after every n-token window, WINDOW_COLUMNS columns of windows per pass."""
+    if n > w.positions.shape[1]:
+        raise SequenceLengthError(f"window {n} exceeds maximum {w.positions.shape[1]}")
+    windows = sliding_window_view(embed(ids, w.embedding), n, axis=1)  # d_e x windows x n
+    per_pass, mask = max(1, WINDOW_COLUMNS // n), build_mask(n, AR_MODE)
+    last = np.empty(windows.shape[:2])
+    for lo in range(0, last.shape[1], per_pass):
+        h = windows[:, lo:lo + per_pass] + w.positions[:, None, :n]
+        last[:, lo:lo + per_pass] = gpt2_blocks(h.reshape(len(h), -1), w, mask, last_only=True)
+    return tied_logits(last, w.embedding)
+
+
 def gpt2_forward(ids: list[int], w: Gpt2Weights) -> np.ndarray:
     """Next-token logits, one column per position (|V| x len).
 
@@ -165,6 +182,6 @@ def mlm_head(h: np.ndarray, w: BertWeights) -> np.ndarray:
 
 
 def nsp_head(h: np.ndarray, w: BertWeights) -> np.ndarray:
-    """Two-way continuation distribution from the [CLS] column alone."""
+    """Two-way continuation logits from the [CLS] column alone."""
     pooled = np.tanh(w.pool_w @ h[:, 0] + w.pool_b)
-    return softmax(w.nsp_w @ pooled + w.nsp_b)
+    return w.nsp_w @ pooled + w.nsp_b

@@ -9,7 +9,7 @@ recognized without a header.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .config import parse_int, read_text
 from .errors import ConfigError, OutOfVocabularyError, SequenceLengthError
@@ -30,7 +30,7 @@ class Vocabulary:
     """Ordered token list; a token's id is its position."""
 
     tokens: list[str]
-    specials: dict[str, int] = field(default_factory=dict)
+    specials: dict[str, int]
 
     def __post_init__(self):
         if len(set(self.tokens)) != len(self.tokens):

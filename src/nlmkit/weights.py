@@ -4,7 +4,8 @@ Each architecture has a structured dataclass (used by the forward passes)
 plus a flat named-tensor view (used by serialization, parameter audits,
 and the finite-difference trainer).  The two share the same underlying
 arrays: mutating ``weights.named_tensors()["blk1.WO"]`` is visible to the
-next forward call.
+next forward call.  A record holds only what its builder gives it, so no
+field has a default; rnn and lstm share ``RecurrentWeights``.
 
 Tensor names are dotted paths such as ``blk2.h1.WQ`` (block 2, head 1,
 query projection); layer and head indices are 1-based.  Each architecture
@@ -43,16 +44,16 @@ class HeadWeights:
     w_q: np.ndarray
     w_k: np.ndarray
     w_v: np.ndarray
-    b_q: np.ndarray | None = None
-    b_k: np.ndarray | None = None
-    b_v: np.ndarray | None = None
+    b_q: np.ndarray | None
+    b_k: np.ndarray | None
+    b_v: np.ndarray | None
 
 
 @dataclass
 class MultiHeadWeights:
     heads: list[HeadWeights]
     w_o: np.ndarray
-    b_o: np.ndarray | None = None
+    b_o: np.ndarray | None
 
 
 @dataclass
@@ -72,7 +73,7 @@ class BlockWeights:
 class _TensorBacked:
     """Mixin storing the flat name -> array view alongside the structure."""
 
-    _tensors: dict[str, np.ndarray] = field(default_factory=dict, repr=False)
+    _tensors: dict[str, np.ndarray] = field(default_factory=dict, init=False, repr=False)
 
     def named_tensors(self) -> dict[str, np.ndarray]:
         """Flat ordered view sharing storage with the structured fields."""
@@ -99,10 +100,10 @@ class FfnnLayer:
 class FfnnWeights(_TensorBacked):
     """Untied feedforward LM: embeddings, dense layers, output projection."""
 
-    embedding: np.ndarray = None
-    layers: list[FfnnLayer] = None
-    output: np.ndarray = None
-    context_width: int = 0
+    embedding: np.ndarray
+    layers: list[FfnnLayer]
+    output: np.ndarray
+    context_width: int
 
 
 @dataclass
@@ -110,13 +111,7 @@ class RnnLayerWeights:
     w: np.ndarray
     u: np.ndarray
     b: np.ndarray
-    activation: str = "tanh"
-
-
-@dataclass
-class RnnWeights(_TensorBacked):
-    embedding: np.ndarray = None
-    layers: list[RnnLayerWeights] = None
+    activation: str
 
 
 @dataclass
@@ -138,9 +133,11 @@ class LstmLayerWeights:
 
 
 @dataclass
-class LstmWeights(_TensorBacked):
-    embedding: np.ndarray = None
-    layers: list[LstmLayerWeights] = None
+class RecurrentWeights(_TensorBacked):
+    """Elman or LSTM LM: embeddings tied to the output head, layers of one cell kind."""
+
+    embedding: np.ndarray
+    layers: list[RnnLayerWeights] | list[LstmLayerWeights]
 
 
 @dataclass
@@ -152,40 +149,40 @@ class Gpt2Weights(_TensorBacked):
     transformer output instead.
     """
 
-    embedding: np.ndarray = None
-    positions: np.ndarray = None
-    emb_norm_gain: np.ndarray = None
-    emb_norm_bias: np.ndarray = None
-    blocks: list[BlockWeights] = None
-    norm_variant: str = "pre"
-    gelu_mode: str = "tanh"
+    embedding: np.ndarray
+    positions: np.ndarray
+    emb_norm_gain: np.ndarray
+    emb_norm_bias: np.ndarray
+    blocks: list[BlockWeights]
+    norm_variant: str
+    gelu_mode: str
 
 
 @dataclass
 class BertWeights(_TensorBacked):
     """Encoder backbone plus MLM head, pooler, and detachable NSP head."""
 
-    embedding: np.ndarray = None
-    positions: np.ndarray = None
-    seg_a: np.ndarray = None
-    seg_b: np.ndarray = None
-    emb_norm_gain: np.ndarray = None
-    emb_norm_bias: np.ndarray = None
-    blocks: list[BlockWeights] = None
-    mlm_w: np.ndarray = None
-    mlm_b: np.ndarray = None
-    mlm_norm_gain: np.ndarray = None
-    mlm_norm_bias: np.ndarray = None
-    out_bias: np.ndarray = None
-    pool_w: np.ndarray = None
-    pool_b: np.ndarray = None
-    nsp_w: np.ndarray = None
-    nsp_b: np.ndarray = None
-    norm_variant: str = "post"
-    gelu_mode: str = "tanh"
+    embedding: np.ndarray
+    positions: np.ndarray
+    seg_a: np.ndarray
+    seg_b: np.ndarray
+    emb_norm_gain: np.ndarray
+    emb_norm_bias: np.ndarray
+    blocks: list[BlockWeights]
+    mlm_w: np.ndarray
+    mlm_b: np.ndarray
+    mlm_norm_gain: np.ndarray
+    mlm_norm_bias: np.ndarray
+    out_bias: np.ndarray
+    pool_w: np.ndarray
+    pool_b: np.ndarray
+    nsp_w: np.ndarray
+    nsp_b: np.ndarray
+    norm_variant: str
+    gelu_mode: str
 
 
-AnyWeights = FfnnWeights | RnnWeights | LstmWeights | Gpt2Weights | BertWeights
+AnyWeights = FfnnWeights | RecurrentWeights | Gpt2Weights | BertWeights
 
 
 def _block(cfg: ModelConfig, t, p: str) -> BlockWeights:
@@ -231,17 +228,17 @@ def _ffnn(cfg: ModelConfig, t) -> FfnnWeights:
                        output=t("ffnn.U", cfg.vocab_size, width_in), context_width=cfg.max_len)
 
 
-def _rnn(cfg: ModelConfig, t) -> RnnWeights:
+def _rnn(cfg: ModelConfig, t) -> RecurrentWeights:
     d = cfg.d_e
-    return RnnWeights(embedding=_embedding(cfg, t), layers=[
+    return RecurrentWeights(embedding=_embedding(cfg, t), layers=[
         RnnLayerWeights(t(f"rnn.l{l}.W", d, d), t(f"rnn.l{l}.U", d, d), t(f"rnn.l{l}.b", d),
                         cfg.activation)
         for l in range(1, cfg.L + 1)])
 
 
-def _lstm(cfg: ModelConfig, t) -> LstmWeights:
+def _lstm(cfg: ModelConfig, t) -> RecurrentWeights:
     d = cfg.d_e
-    return LstmWeights(embedding=_embedding(cfg, t), layers=[
+    return RecurrentWeights(embedding=_embedding(cfg, t), layers=[
         LstmLayerWeights(*(t(f"lstm.l{l}.{kind}{gate}", *((d,) if kind == "b" else (d, d)))
                            for gate in "QPRS" for kind in "UWb"))
         for l in range(1, cfg.L + 1)])

@@ -110,6 +110,7 @@ class TestSelfAttentionHead:
             w_q=np.hstack([head.w_q, head.w_q]),
             w_k=np.hstack([head.w_k, head.w_k]),
             w_v=head.w_v,
+            b_q=None, b_k=None, b_v=None,
         )
         mask = build_mask(4, "AE")
         npt.assert_allclose(attention_scores(x, doubled, mask, None),
@@ -183,7 +184,7 @@ class TestMultiHeadAttention:
     def test_single_head_identity_projection(self, rng):
         head = random_head(rng, d_e=3, d_k=2, d_v=3)
         x = rng.normal(size=(3, 4))
-        mha = MultiHeadWeights(heads=[head], w_o=np.eye(3))
+        mha = MultiHeadWeights(heads=[head], w_o=np.eye(3), b_o=None)
         out = multi_head_attention(x, mha, build_mask(4, "AE"), None)
         npt.assert_allclose(out, self_attention_head(x, head, build_mask(4, "AE"), None).T,
                             rtol=1e-12)

@@ -14,7 +14,6 @@ from nlmkit.errors import ConfigError, SequenceLengthError
 from nlmkit.ffnn import ffnn_forward
 from nlmkit.inference import (
     MAX_TOKENS,
-    WINDOW_COLUMNS,
     generate_tokens,
     make_forward,
     make_predict_next,
@@ -23,7 +22,7 @@ from nlmkit.inference import (
 from nlmkit.kernels import softmax
 from nlmkit.losses import WINDOW_BATCH, corpus_nll
 from nlmkit.recurrent import recurrent_lm_forward
-from nlmkit.transformer import gpt2_forward
+from nlmkit.transformer import WINDOW_COLUMNS, gpt2_forward
 from nlmkit.weights import init_weights
 
 import oracles

@@ -162,7 +162,7 @@ class TestArLoss:
 def umbrella_vocab():
     words = ["I", "knew", "it", "was", "going", "to", "rain", "but",
              "forgot", "take", "my", "umbrella", "[MASK]"]
-    return Vocabulary(words)
+    return Vocabulary(words, {})
 
 
 class TestMlmCorrupt:
@@ -194,7 +194,7 @@ class TestMlmCorrupt:
         assert a.mask == b.mask
 
     def test_specials_never_masked(self):
-        vocab = Vocabulary(["[CLS]", "[SEP]", "[MASK]", "a", "b"])
+        vocab = Vocabulary(["[CLS]", "[SEP]", "[MASK]", "a", "b"], {})
         seq = TokenSequence([0, 3, 4, 1])
         for seed in range(20):
             target = mlm_corrupt(seq, 0.6, seed=seed, vocab=vocab)
@@ -212,7 +212,7 @@ class TestMlmCorrupt:
         assert a.mask == mlm_corrupt(seq, 0.4, seed=seed, vocab=umbrella_vocab()).mask
 
     def test_all_special_sequence_rejected(self):
-        vocab = Vocabulary(["[CLS]", "[SEP]", "[MASK]", "a"])
+        vocab = Vocabulary(["[CLS]", "[SEP]", "[MASK]", "a"], {})
         with pytest.raises(SequenceFormatError):
             mlm_corrupt(TokenSequence([0, 1]), 0.5, seed=0, vocab=vocab)
 
@@ -228,7 +228,7 @@ class TestMlmLoss:
         assert mlm_loss(target, np.log(dists)) == 0.0
 
     def test_single_masked_uniform_is_log_vocab(self):
-        vocab = Vocabulary([chr(97 + i) for i in range(7)] + ["[MASK]"])
+        vocab = Vocabulary([chr(97 + i) for i in range(7)] + ["[MASK]"], {})
         target = self._target(vocab, [0, 1, 2, 3], [2])
         dists = np.full((8, 4), 1 / 8)
         assert abs(mlm_loss(target, np.log(dists)) - math.log(8)) < 1e-12

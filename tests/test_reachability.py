@@ -1,6 +1,6 @@
 """Every module-level function and class in the package has a caller,
-every parameter with a default has a caller that passes it, and some
-caller leaves it at its default.
+every parameter or dataclass field with a default has a caller that passes
+it, and some caller leaves it at its default.
 
 A definition is reached when its name appears as a name or an attribute
 in a package module other than ``__init__.py``, whose re-exports call
@@ -18,6 +18,13 @@ kept without a caller in the repository, ``DEFAULTS_LEFT_TO_TESTS`` the
 parameters kept without a caller that passes them, and
 ``DEFAULTS_EVERY_CALL_OVERRIDES`` those kept although every caller passes
 them.
+
+A ``@dataclass`` field that its generated ``__init__`` takes counts as a
+parameter of a call by the class's name, placed among the ``__init__``
+fields with inherited ones first.  A call through ``**kw``, as a builder
+that collects fields in a dict makes, passes every field and overrides
+none, so ``tests/test_weights.py`` checks directly that no field of a
+weights record has a default.
 """
 
 import ast
@@ -110,12 +117,59 @@ def defaulted(tree):
                 yield node.name, arg.arg, None
 
 
+def _name(node):
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+
+def _own_fields(node):
+    """(field, has a default, taken by __init__) of a class body's annotated names."""
+    for stmt in node.body:
+        if not (isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)):
+            continue
+        value = stmt.value
+        if isinstance(value, ast.Call) and _name(value.func) == "field":
+            kw = {k.arg: k.value for k in value.keywords}
+            init = not (isinstance(kw.get("init"), ast.Constant) and kw["init"].value is False)
+            yield stmt.target.id, "default" in kw or "default_factory" in kw, init
+        else:
+            yield stmt.target.id, value is not None, True
+
+
+def field_defaults(tree):
+    """(class, field, position) of every ``__init__`` field with a default in
+    a ``@dataclass`` class; positions count ``__init__`` fields only, those
+    inherited from dataclasses of the same module first."""
+    classes = {node.name: node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+               and any(_name(d.func if isinstance(d, ast.Call) else d) == "dataclass"
+                       for d in node.decorator_list)}
+
+    def fields(node):
+        found = {}
+        for base in node.bases:
+            if _name(base) in classes:
+                found.update(fields(classes[_name(base)]))
+        found.update((name, (default, init)) for name, default, init in _own_fields(node))
+        return found
+
+    for cls, node in classes.items():
+        taken = [(name, default) for name, (default, init) in fields(node).items() if init]
+        for i, (name, default) in enumerate(taken):
+            if default:
+                yield cls, name, i
+
+
+def defaults(tree):
+    """Defaulted parameters, then defaulted dataclass fields, of one module."""
+    yield from defaulted(tree)
+    yield from field_defaults(tree)
+
+
 def calls(tree):
     """(callee name, positional count, keywords) of every call by name or
     attribute; ``*args`` counts as every position, ``**kw`` as every keyword."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
-            name = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+            name = _name(node.func)
             starred = any(isinstance(a, ast.Starred) for a in node.args)
             keywords = {k.arg for k in node.keywords}
             yield name, float("inf") if starred else len(node.args), keywords
@@ -128,9 +182,9 @@ def passes(call, param, i):
 
 
 def unpassed():
-    """'function: parameter' of every defaulted package parameter no caller passes."""
+    """'function: parameter' of every defaulted package parameter or field no caller passes."""
     seen = [c for p in CALLERS for c in calls(_parse(p))]
-    return sorted({f"{fn}: {param}" for p in SOURCES for fn, param, i in defaulted(_parse(p))
+    return sorted({f"{fn}: {param}" for p in SOURCES for fn, param, i in defaults(_parse(p))
                    if not any(c[0] == fn and passes(c, param, i) for c in seen)})
 
 
@@ -174,9 +228,9 @@ def forced(seen, fn, param, i):
 
 
 def overridden():
-    """'function: parameter' of every defaulted package parameter every call overrides."""
+    """'function: parameter' of every defaulted package parameter or field every call overrides."""
     seen = [c for p in CALLERS for c in calls(_parse(p))]
-    return sorted({f"{fn}: {param}" for p in SOURCES for fn, param, i in defaulted(_parse(p))
+    return sorted({f"{fn}: {param}" for p in SOURCES for fn, param, i in defaults(_parse(p))
                    if forced(seen, fn, param, i)})
 
 
@@ -194,3 +248,24 @@ def test_defaults_every_call_overrides_are_defined_and_overridden():
 def test_checker_sees_overridden_defaults(source, expected):
     (_, param, i), = defaulted(ast.parse("def f(a, b=0): pass"))
     assert forced(list(calls(ast.parse(source))), "f", param, i) is expected
+
+
+@pytest.mark.parametrize("source,expected", [
+    ("@dataclass\nclass A:\n a: int\n b: int = 0\n@dataclass\nclass B(A):\n c: int = 1\n",
+     [("A", "b", 1), ("B", "b", 1), ("B", "c", 2)]),
+    ("@dataclass\nclass C:\n t: dict = field(default_factory=dict, init=False)\n a: int\n"
+     " b: int = 0\n", [("C", "b", 1)]),
+    ("@dataclasses.dataclass(frozen=True)\nclass C:\n a: list = field(default_factory=list)\n",
+     [("C", "a", 0)]),
+    ("class P:\n a: int = 0\n@dataclass\nclass D(P):\n b: int = 0\n", [("D", "b", 0)])])
+def test_checker_sees_dataclass_field_defaults(source, expected):
+    assert sorted(field_defaults(ast.parse(source))) == expected
+
+
+@pytest.mark.parametrize("call,passed,overrides", [
+    ("C(1, 2)", True, True), ("C(1)", False, False), ("C(**kw)", True, False)])
+def test_checker_counts_unpacked_field_keywords_as_in_calls(call, passed, overrides):
+    (cls, name, i), = field_defaults(ast.parse("@dataclass\nclass C:\n a: int\n b: int = 0\n"))
+    seen = list(calls(ast.parse(call)))
+    assert any(c[0] == cls and passes(c, name, i) for c in seen) is passed
+    assert forced(seen, cls, name, i) is overrides

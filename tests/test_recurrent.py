@@ -52,11 +52,11 @@ def random_lstm_layer(rng, d_e):
 
 class TestRnnCell:
     def test_zero_everything_is_zero(self):
-        layer = RnnLayerWeights(np.zeros((3, 3)), np.zeros((3, 3)), np.zeros(3))
+        layer = RnnLayerWeights(np.zeros((3, 3)), np.zeros((3, 3)), np.zeros(3), "tanh")
         npt.assert_array_equal(rnn_cell(np.zeros(3), np.zeros(3), layer), np.zeros(3))
 
     def test_identity_input_path(self):
-        layer = RnnLayerWeights(np.eye(3), np.zeros((3, 3)), np.zeros(3))
+        layer = RnnLayerWeights(np.eye(3), np.zeros((3, 3)), np.zeros(3), "tanh")
         x = np.array([0.1, -0.2, 0.05])
         npt.assert_allclose(rnn_cell(np.zeros(3), x, layer), np.tanh(x), rtol=1e-15)
 

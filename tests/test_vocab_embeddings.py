@@ -24,16 +24,16 @@ from nlmkit.vocab import (
 
 class TestVocabulary:
     def test_ids_follow_line_order(self):
-        v = Vocabulary(["a", "b", "c"])
+        v = Vocabulary(["a", "b", "c"], {})
         assert [v.id_of(t) for t in "abc"] == [0, 1, 2]
         assert v.token_of(1) == "b"
 
     def test_duplicate_tokens_rejected(self):
         with pytest.raises(ConfigError):
-            Vocabulary(["a", "a"])
+            Vocabulary(["a", "a"], {})
 
     def test_literal_specials_autodetected(self):
-        v = Vocabulary(["[CLS]", "x", "[SEP]", "[MASK]"])
+        v = Vocabulary(["[CLS]", "x", "[SEP]", "[MASK]"], {})
         assert v.cls_id == 0 and v.sep_id == 2 and v.mask_id == 3
 
     def test_header_declares_specials(self):
@@ -72,28 +72,28 @@ class TestVocabulary:
 
 class TestTokenize:
     def test_basic(self):
-        v = Vocabulary(["a", "b"])
+        v = Vocabulary(["a", "b"], {})
         assert tokenize("a b a", v).ids == [0, 1, 0]
 
     def test_empty_text_rejected(self):
         with pytest.raises(SequenceLengthError):
-            tokenize("   ", Vocabulary(["a"]))
+            tokenize("   ", Vocabulary(["a"], {}))
 
     def test_unknown_maps_to_unk(self):
-        v = Vocabulary(["a", "b", "[UNK]"])
+        v = Vocabulary(["a", "b", "[UNK]"], {})
         assert tokenize("a c", v).ids == [0, 2]
 
     def test_unknown_without_unk_names_token(self):
         with pytest.raises(OutOfVocabularyError, match="'c'"):
-            tokenize("a c", Vocabulary(["a", "b"]))
+            tokenize("a c", Vocabulary(["a", "b"], {}))
 
     def test_round_trip_in_vocabulary_text(self):
-        v = Vocabulary(["the", "cat", "sat"])
+        v = Vocabulary(["the", "cat", "sat"], {})
         text = "the cat sat sat the"
         assert detokenize(tokenize(text, v).ids, v) == text
 
     def test_infer_segments_splits_at_first_sep(self):
-        v = Vocabulary(["[CLS]", "a", "[SEP]", "b"])
+        v = Vocabulary(["[CLS]", "a", "[SEP]", "b"], {})
         ids = [0, 1, 2, 3, 2]
         assert infer_segments(ids, v) == ["A", "A", "A", "B", "B"]
 

@@ -1,6 +1,7 @@
-"""Seeded initialization: determinism, the seed's range, archive bytes, and
-the checks of assemble_weights."""
+"""Seeded initialization: determinism, the seed's range, archive bytes, the
+checks of assemble_weights, and records that take every field from their builder."""
 
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -10,7 +11,7 @@ from nlmkit.archive import save_weights
 from nlmkit.config import ModelConfig
 from nlmkit.errors import ConfigError, NlmError, ShapeError
 from nlmkit.training import named_tensor_view
-from nlmkit.weights import assemble_weights, init_weights, tensor_layout, zeros_weights
+from nlmkit.weights import BUILDERS, assemble_weights, init_weights, tensor_layout, zeros_weights
 
 from conftest import tiny_gpt2_config
 
@@ -81,6 +82,28 @@ def test_every_constructor_gives_the_canonical_layout(name):
     for w in (init_weights(cfg, 1), zeros_weights(cfg),
               assemble_weights(cfg, {n: np.ones(s) for n, s in reversed(layout)})):
         assert [(n, t.shape) for n, t in w.named_tensors().items()] == layout
+
+
+def records(value):
+    """The dataclass instances in a weights tree, outermost first."""
+    if dataclasses.is_dataclass(value):
+        yield value
+        for f in dataclasses.fields(value):
+            yield from records(getattr(value, f.name))
+    elif isinstance(value, list):
+        for item in value:
+            yield from records(item)
+
+
+@pytest.mark.parametrize("arch", sorted(BUILDERS))
+def test_every_record_field_comes_from_its_builder(arch):
+    # fields written through ** escape the default scans of tests/test_reachability.py
+    built = [zeros_weights(cfg) for cfg in VARIANTS.values() if cfg.arch == arch]
+    defaulted = {f"{type(r).__name__}.{f.name}" for w in built for r in records(w)
+                 for f in dataclasses.fields(r) if f.init and (
+                     f.default is not dataclasses.MISSING
+                     or f.default_factory is not dataclasses.MISSING)}
+    assert built and defaulted == set()
 
 
 class TestAssembleRefuses:
