@@ -170,7 +170,8 @@ def build_parser() -> _Parser:
                    help="whitespace tokens incl. [CLS] ... [SEP]; [MASK] marks slots to fill")
     p.set_defaults(func=cmd_fill_mask)
 
-    p = sub.add_parser("train-toy", help="memorize a tiny corpus with finite-difference gradients")
+    p = sub.add_parser("train-toy", help="memorize a tiny corpus by gradient descent (reverse-mode "
+                                         "gradients; finite differences for gpt2)")
     p.add_argument("--config", required=True)
     p.add_argument("--vocab", required=True)
     p.add_argument("--corpus", required=True)

@@ -2,6 +2,8 @@
 
 Embedding matrices store one token per column (shape d_e x |V|), so a
 sequence embeds to a d_e x len matrix whose columns follow the token order.
+The lookup and the tied head each have a backward pass beside them; both
+add into the gradient of the embedding table, which a tied model shares.
 """
 
 from __future__ import annotations
@@ -23,6 +25,12 @@ def embed(ids: list[int], e: np.ndarray) -> np.ndarray:
         if not (0 <= i < e.shape[1]):
             raise OutOfVocabularyError(f"id {i} out of range for embedding table of {e.shape[1]}")
     return e[:, ids].copy()
+
+
+def embed_backward(ids, d_x: np.ndarray, grad_e: np.ndarray) -> None:
+    """Add the gradient of the embedded columns (d_e x len(ids)) into the
+    gradient of the table; a repeated id adds once per occurrence."""
+    np.add.at(grad_e, (slice(None), ids), d_x)
 
 
 def add_positions(x: np.ndarray, positions: np.ndarray,
@@ -70,3 +78,12 @@ def tied_logits(h: np.ndarray, e: np.ndarray, out_bias: np.ndarray | None = None
             )
         z += out_bias if h.ndim == 1 else out_bias[:, None]
     return z
+
+
+def tied_logits_backward(h: np.ndarray, e: np.ndarray, d_z: np.ndarray,
+                         grad_e: np.ndarray) -> np.ndarray:
+    """Backward pass of ``tied_logits`` without an output bias for a d_e x k
+    `h` and a |V| x k logit gradient: adds the table's gradient into
+    `grad_e` and returns the gradient of `h`."""
+    grad_e += h @ d_z.T
+    return e @ d_z

@@ -8,33 +8,46 @@ weight tying here).
 There is one forward pass, ``ffnn_batch_forward``: a B x n matrix of window
 ids becomes B concatenated-embedding columns and |V| x B logits after a
 handful of matrix products.  One window is its one-row case, and
-``ffnn_decoder`` slides that window over a generation.
+``ffnn_decoder`` slides that window over a generation.  ``ffnn_vjp`` runs
+the same pass and returns its backward pass with the logits.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .embeddings import embed_backward
 from .errors import OutOfVocabularyError, SequenceLengthError, ShapeError
 from .kernels import sigmoid
 from .weights import FfnnWeights
 
+# each activation and its derivative, the latter written in the activation's output y
 _ACTIVATIONS = {
-    "sigmoid": sigmoid,
-    "tanh": np.tanh,
-    "identity": lambda x: x,
+    "sigmoid": (sigmoid, lambda y: y * (1.0 - y)),
+    "tanh": (np.tanh, lambda y: 1.0 - y * y),
+    "identity": (lambda x: x, np.ones_like),
 }
 
 
-def activation_fn(name: str):
+def _activation(name: str):
     try:
         return _ACTIVATIONS[name]
     except KeyError:
         raise ValueError(f"unknown activation {name!r}") from None
 
 
-def ffnn_batch_forward(windows, w: FfnnWeights) -> np.ndarray:
-    """Next-token logits (|V| x B) after each row of a B x n matrix of ids."""
+def activation_fn(name: str):
+    return _activation(name)[0]
+
+
+def activation_derivative(name: str):
+    """The activation's derivative as a function of the activation's output."""
+    return _activation(name)[1]
+
+
+def _layers(windows, w: FfnnWeights) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The ids as a B x n array, and the input columns (the windows'
+    embeddings concatenated position-major) followed by each layer's output."""
     windows = np.asarray(windows, dtype=np.intp)
     if windows.ndim != 2 or windows.shape[1] != w.context_width:
         raise SequenceLengthError(
@@ -45,14 +58,43 @@ def ffnn_batch_forward(windows, w: FfnnWeights) -> np.ndarray:
     if windows.size and not (0 <= windows.min() and windows.max() < vocab_size):
         raise OutOfVocabularyError(f"ids from {windows.min()} to {windows.max()} are out of "
                                    f"range for embedding table of {vocab_size}")
-    batch = windows.shape[0]
-    # each column: the window's embeddings concatenated position-major
-    h = w.embedding[:, windows.reshape(-1)].T.reshape(batch, -1).T
+    hs = [w.embedding[:, windows.reshape(-1)].T.reshape(windows.shape[0], -1).T]
     for layer in w.layers:
-        if layer.w.shape[1] != h.shape[0]:
-            raise ShapeError(f"layer weight {layer.w.shape} cannot consume input of {h.shape[0]}")
-        h = activation_fn(layer.activation)(layer.w @ h + layer.b[:, None])
-    return w.output @ h
+        if layer.w.shape[1] != hs[-1].shape[0]:
+            raise ShapeError(f"layer weight {layer.w.shape} cannot consume input of "
+                             f"{hs[-1].shape[0]}")
+        hs.append(activation_fn(layer.activation)(layer.w @ hs[-1] + layer.b[:, None]))
+    return windows, hs
+
+
+def ffnn_batch_forward(windows, w: FfnnWeights) -> np.ndarray:
+    """Next-token logits (|V| x B) after each row of a B x n matrix of ids."""
+    return w.output @ _layers(windows, w)[1][-1]
+
+
+def ffnn_vjp(windows, w: FfnnWeights):
+    """``ffnn_batch_forward``'s logits and its backward pass.
+
+    ``backward(d_z, g)`` takes a |V| x B gradient of the loss in the logits
+    and writes the loss's gradient in every parameter into `g`, a zeroed
+    record built like `w`.
+    """
+    windows, hs = _layers(windows, w)
+
+    def backward(d_z: np.ndarray, g: FfnnWeights) -> None:
+        g.output[...] = d_z @ hs[-1].T
+        d_h = w.output.T @ d_z
+        for layer, g_layer, h_in, h_out in zip(w.layers[::-1], g.layers[::-1], hs[-2::-1],
+                                               hs[:0:-1]):
+            d_a = d_h * activation_derivative(layer.activation)(h_out)
+            g_layer.w[...] = d_a @ h_in.T
+            g_layer.b[...] = d_a.sum(axis=1)
+            d_h = layer.w.T @ d_a
+        # undo the position-major concatenation: one embedding column per id
+        d_e = w.embedding.shape[0]
+        embed_backward(windows.reshape(-1), d_h.T.reshape(-1, d_e).T, g.embedding)
+
+    return w.output @ hs[-1], backward
 
 
 def ffnn_forward(ids: list[int], w: FfnnWeights) -> np.ndarray:

@@ -17,7 +17,13 @@ model's decoder keeps its state between calls: a KV cache for gpt2, the
 carried ``(h, c)`` state for rnn and lstm.
 
 ``CAUSAL`` holds the passes of each autoregressive architecture; adding
-one means adding its entry there.  The encoder (bert) has none.
+one means adding its entry there.  The encoder (bert) has none.  Each
+entry holds a forward pass per position (or None), a window scorer, a
+decoder and a reverse pass, ``grad``: the logits of a training batch with a
+backward pass that turns their gradient into the parameters' gradient.
+The feedforward LM's batch is a matrix of windows, the recurrent models'
+the chunks of a corpus as the columns of an id matrix.  gpt2 has no reverse
+pass yet (None), so the trainer takes finite differences of its loss.
 """
 
 from __future__ import annotations
@@ -30,9 +36,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .config import ModelConfig
 from .embeddings import tied_logits
 from .errors import ConfigError, SequenceLengthError
-from .ffnn import ffnn_batch_forward, ffnn_decoder
+from .ffnn import ffnn_batch_forward, ffnn_decoder, ffnn_vjp
 from .losses import Predictor
-from .recurrent import recurrent_decoder, recurrent_lm_forward, recurrent_windows
+from .recurrent import recurrent_decoder, recurrent_lm_forward, recurrent_lm_vjp, recurrent_windows
 from .transformer import gpt2_decoder, gpt2_forward, gpt2_windows
 
 # Longest sequence generate_tokens builds, prompt included: only gpt2 has a
@@ -46,6 +52,7 @@ class CausalModel(NamedTuple):
     forward: Callable | None  # (ids, w) -> |V| x len(ids); None: needs a full window
     windows: Callable  # (ids, n, w) -> |V| x (len(ids) - n + 1), one column per window
     decoder: Callable  # (w, total) -> next-token logits of the ids so far, per call
+    grad: Callable | None  # (batch, w) -> (logits, backward(d_logits, zeroed gradient record))
 
 
 # The lambdas look the model functions up when called, so a module-level
@@ -53,15 +60,15 @@ class CausalModel(NamedTuple):
 # The decoders look their passes up in their own modules on every call.
 _RECURRENT = CausalModel(lambda ids, w: recurrent_lm_forward(ids, w),
                          lambda ids, n, w: tied_logits(recurrent_windows(ids, n, w), w.embedding),
-                         recurrent_decoder)
+                         recurrent_decoder, recurrent_lm_vjp)
 CAUSAL = {
     "ffnn": CausalModel(
         None,
         lambda ids, n, w: ffnn_batch_forward(sliding_window_view(np.asarray(ids), n), w),
-        ffnn_decoder),
+        ffnn_decoder, ffnn_vjp),
     "rnn": _RECURRENT,
     "lstm": _RECURRENT,
-    "gpt2": CausalModel(lambda ids, w: gpt2_forward(ids, w), gpt2_windows, gpt2_decoder),
+    "gpt2": CausalModel(lambda ids, w: gpt2_forward(ids, w), gpt2_windows, gpt2_decoder, None),
 }
 
 

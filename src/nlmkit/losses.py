@@ -25,6 +25,23 @@ from .weights import philox
 WINDOW_BATCH = 64
 
 
+def _exp_shifted(targets, logits):
+    """The exponentials of the logits shifted by their column maxima, computed
+    in place in the one shifted copy, the shifted target entries read before
+    that, and the index of those entries."""
+    targets = np.asarray(targets, dtype=np.intp)
+    s = shifted(logits, axis=0)
+    if s.shape[1:] != targets.shape:
+        raise ShapeError(f"targets of shape {targets.shape} do not match logits of shape {s.shape}")
+    if targets.size and not (0 <= targets.min() and targets.max() < s.shape[0]):
+        raise ShapeError(f"class ids from {targets.min()} to {targets.max()} are out of "
+                         f"range for {s.shape[0]} classes")
+    index = (targets, np.arange(s.shape[1])) if s.ndim == 2 else targets
+    picked = s[index]
+    np.exp(s, out=s)  # exp(-inf) == 0.0 exactly; a target at -inf gives inf
+    return s, picked, index
+
+
 def ce_loss(targets, logits) -> float:
     """Summed cross entropy -log softmax(z)[t] against one-hot truths.
 
@@ -33,16 +50,23 @@ def ce_loss(targets, logits) -> float:
     by their maxima, the target entries read, and only then exponentiated
     (in place), so the one |V| x k temporary is the shifted copy.
     """
-    targets = np.asarray(targets, dtype=np.intp)
-    s = shifted(logits, axis=0)
-    if s.shape[1:] != targets.shape:
-        raise ShapeError(f"targets of shape {targets.shape} do not match logits of shape {s.shape}")
-    if targets.size and not (0 <= targets.min() and targets.max() < s.shape[0]):
-        raise ShapeError(f"class ids from {targets.min()} to {targets.max()} are out of "
-                         f"range for {s.shape[0]} classes")
-    picked = s[targets, np.arange(s.shape[1])] if s.ndim == 2 else s[targets]
-    np.exp(s, out=s)  # exp(-inf) == 0.0 exactly; a target at -inf gives inf
-    return float((np.log(s.sum(axis=0)) - picked).sum())
+    e, picked, _ = _exp_shifted(targets, logits)
+    return float((np.log(e.sum(axis=0)) - picked).sum())
+
+
+def ce_loss_grad(targets, logits) -> tuple[float, np.ndarray]:
+    """``ce_loss`` and its gradient in the logits, softmax(z) - onehot(t).
+
+    Both come from the one shifted copy: the loss is computed exactly as
+    ``ce_loss`` computes it, then the exponentials are normalized in place,
+    so an entry at -inf gets a gradient of exactly 0.
+    """
+    e, picked, index = _exp_shifted(targets, logits)
+    total = e.sum(axis=0)
+    loss = float((np.log(total) - picked).sum())
+    e /= total
+    e[index] -= 1.0
+    return loss, e
 
 
 def ar_loss(ids: list[int], forward) -> float:

@@ -10,6 +10,13 @@ A cell takes one state vector, or a d x B matrix that advances B
 sequences at once, one column each.  ``unroll`` takes and returns the
 per-layer ``(h, c)`` state, so ``recurrent_decoder`` carries it forward one
 token at a time instead of re-reading the prefix.
+
+``recurrent_lm_vjp`` runs the model over a batch of equal-length sequences
+and returns its backward pass with the logits: backpropagation through
+time, layer by layer from the top.  It keeps every step's state, so each
+layer's input products and all weight gradients are one matrix product
+over every step, and only ``U h`` forward and ``U^T dz`` backward run per
+step.
 """
 
 from __future__ import annotations
@@ -17,9 +24,9 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .embeddings import embed, tied_logits
+from .embeddings import embed, embed_backward, tied_logits, tied_logits_backward
 from .errors import SequenceLengthError, ShapeError
-from .ffnn import activation_fn
+from .ffnn import activation_derivative, activation_fn
 from .kernels import sigmoid
 from .weights import LstmLayerWeights, RecurrentWeights, RnnLayerWeights
 
@@ -42,10 +49,16 @@ def rnn_cell(h_prev: np.ndarray, x_in: np.ndarray, w: RnnLayerWeights) -> np.nda
     return activation_fn(w.activation)(w.u @ h_prev + w.w @ x_in + b)
 
 
+def _gate_blocks(t: LstmLayerWeights) -> tuple:
+    """The layer's (U, W, b) of each gate, in the stacked order Q, P, R, S."""
+    return ((t.u_q, t.w_q, t.b_q), (t.u_p, t.w_p, t.b_p), (t.u_r, t.w_r, t.b_r),
+            (t.u_s, t.w_s, t.b_s))
+
+
 def stack_lstm_layer(t: LstmLayerWeights) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """A layer's stacked form (U, W, b), copied from its per-gate tensors."""
-    return (np.vstack((t.u_q, t.u_p, t.u_r, t.u_s)), np.vstack((t.w_q, t.w_p, t.w_r, t.w_s)),
-            np.concatenate((t.b_q, t.b_p, t.b_r, t.b_s)))
+    u, w, b = zip(*_gate_blocks(t))
+    return np.vstack(u), np.vstack(w), np.concatenate(b)
 
 
 def lstm_cell(h_prev: np.ndarray, c_prev: np.ndarray, x_in: np.ndarray,
@@ -141,3 +154,107 @@ def recurrent_decoder(w: RecurrentWeights, total: int):
         return tied_logits(h[:, -1], w.embedding)
 
     return next_logits
+
+
+def _rnn_layer_vjp(x: np.ndarray, layer: RnnLayerWeights):
+    """Elman layer over a d x T x B input from a zero state: the d x T x B
+    outputs, and the backward pass from their gradient to the input's,
+    which writes the layer's gradient into `g`."""
+    d, length, batch = x.shape
+    f = activation_fn(layer.activation)
+    wx = (layer.w @ x.reshape(d, -1)).reshape(x.shape) + layer.b[:, None, None]
+    h = np.empty(x.shape)
+    h_t = np.zeros((d, batch))
+    for t in range(length):
+        h_t = h[:, t] = f(layer.u @ h_t + wx[:, t])
+
+    def backward(d_h: np.ndarray, g: RnnLayerWeights) -> np.ndarray:
+        slope = activation_derivative(layer.activation)(h)
+        d_a = np.empty(h.shape)
+        carry = np.zeros((d, batch))
+        for t in range(length - 1, -1, -1):
+            d_a[:, t] = (d_h[:, t] + carry) * slope[:, t]
+            carry = layer.u.T @ d_a[:, t]
+        flat = d_a.reshape(d, -1)
+        g.w[...] = flat @ x.reshape(d, -1).T
+        g.u[...] = d_a[:, 1:].reshape(d, -1) @ h[:, :-1].reshape(d, -1).T
+        g.b[...] = flat.sum(axis=1)
+        return (layer.w.T @ flat).reshape(x.shape)
+
+    return h, backward
+
+
+def _lstm_layer_vjp(x: np.ndarray, layer: LstmLayerWeights):
+    """LSTM layer over a d x T x B input from a zero state, stepping through
+    its stacked (U, W, b) as ``lstm_cell`` does: the d x T x B outputs, and
+    the backward pass from their gradient to the input's, which splits the
+    stacked gradient into the per-gate tensors of `g`."""
+    d, length, batch = x.shape
+    u, w, b = stack_lstm_layer(layer)
+    wx = (w @ x.reshape(d, -1)).reshape(4 * d, length, batch) + b[:, None, None]
+    gates = np.empty((4 * d, length, batch))  # tanh(z) on the Q rows, sigmoid(z) below
+    c, tanh_c, h = np.empty(x.shape), np.empty(x.shape), np.empty(x.shape)
+    h_t = c_t = np.zeros((d, batch))
+    for t in range(length):
+        z = u @ h_t + wx[:, t]
+        gates[:d, t] = np.tanh(z[:d])
+        gates[d:, t] = sigmoid(z[d:])
+        q, p, r, s = gates[:, t].reshape(4, d, batch)
+        c_t = c[:, t] = q * r + c_t * p
+        tanh_c[:, t] = np.tanh(c_t)
+        h_t = h[:, t] = s * tanh_c[:, t]
+
+    def backward(d_h: np.ndarray, g: LstmLayerWeights) -> np.ndarray:
+        q, p, r, s = gates.reshape(4, d, length, batch)
+        slope = gates * (1.0 - gates)  # sigmoid'
+        slope[:d] = 1.0 - gates[:d] * gates[:d]  # tanh'
+        h_to_c = s * (1.0 - tanh_c * tanh_c)  # dh/dc at each step
+        c_prev = np.concatenate((np.zeros((d, 1, batch)), c[:, :-1]), axis=1)
+        d_z = np.empty(gates.shape)
+        d_h_t = d_c_t = np.zeros((d, batch))
+        for t in range(length - 1, -1, -1):
+            d_h_t = d_h[:, t] + d_h_t
+            d_c_t = d_h_t * h_to_c[:, t] + d_c_t
+            d_z[:, t] = np.concatenate((d_c_t * r[:, t], d_c_t * c_prev[:, t],
+                                        d_c_t * q[:, t], d_h_t * tanh_c[:, t])) * slope[:, t]
+            d_h_t = u.T @ d_z[:, t]
+            d_c_t = d_c_t * p[:, t]
+        flat = d_z.reshape(4 * d, -1)
+        grads = (d_z[:, 1:].reshape(4 * d, -1) @ h[:, :-1].reshape(d, -1).T,
+                 flat @ x.reshape(d, -1).T, flat.sum(axis=1))
+        for i, block in enumerate(_gate_blocks(g)):
+            for tensor, grad in zip(block, grads):
+                tensor[...] = grad[i * d:(i + 1) * d]
+        return (w.T @ flat).reshape(x.shape)
+
+    return h, backward
+
+
+def recurrent_lm_vjp(ids, w: RecurrentWeights):
+    """Next-token logits of B equal-length sequences, the columns of a
+    len x B id matrix, and the backward pass.
+
+    Logit column t * B + b follows ids[t, b], as in a d_e x len x B unroll
+    flattened to d_e x (len * B).  ``backward(d_z, g)`` takes the loss's
+    gradient in those |V| x (len * B) logits and writes its gradient in
+    every parameter into `g`, a zeroed record built like `w`.
+    """
+    ids = np.asarray(ids, dtype=np.intp)
+    if ids.ndim != 2 or ids.shape[0] < 1:
+        raise SequenceLengthError(f"expected a nonempty len x B id matrix, got shape {ids.shape}")
+    d = w.embedding.shape[0]
+    x = embed(ids.reshape(-1), w.embedding).reshape((d,) + ids.shape)
+    backwards = []
+    for layer in w.layers:
+        layer_vjp = _rnn_layer_vjp if isinstance(layer, RnnLayerWeights) else _lstm_layer_vjp
+        x, back = layer_vjp(x, layer)
+        backwards.append(back)
+    top = x.reshape(d, -1)
+
+    def backward(d_z: np.ndarray, g: RecurrentWeights) -> None:
+        d_x = tied_logits_backward(top, w.embedding, d_z, g.embedding).reshape(x.shape)
+        for back, g_layer in zip(backwards[::-1], g.layers[::-1]):
+            d_x = back(d_x, g_layer)
+        embed_backward(ids.reshape(-1), d_x.reshape(d, -1), g.embedding)
+
+    return tied_logits(top, w.embedding), backward

@@ -1,9 +1,13 @@
-"""Finite-difference gradients and a plain gradient-descent trainer.
+"""Gradients, a plain gradient-descent trainer, and its corpus loss.
 
-No autodiff: gradients come from central differences over every scalar
-parameter, which costs two loss evaluations per parameter and step.  That
-is deliberate; it works identically for every architecture and stays
-honest at the toy scales this kit targets (a few thousand parameters).
+The trainer takes its gradients from each architecture's reverse pass
+(``inference.CAUSAL``'s ``grad``): one forward pass that keeps its
+intermediates, the fused softmax cross-entropy gradient, and one backward
+pass give the loss and its gradient together.  An architecture with no
+reverse pass (gpt2, for now) is differentiated by central differences over
+every scalar parameter, two loss evaluations per parameter and step.
+``numerical_gradient`` is also the oracle the reverse passes are tested
+against.
 """
 
 from __future__ import annotations
@@ -18,8 +22,8 @@ from .config import ModelConfig
 from .errors import NonFiniteLossError, SequenceLengthError, ShapeError
 from .ffnn import ffnn_batch_forward
 from .inference import causal_model, make_forward
-from .losses import ar_loss, ce_loss
-from .weights import AnyWeights, named_tensor_view
+from .losses import ar_loss, ce_loss, ce_loss_grad
+from .weights import AnyWeights, named_tensor_view, zeros_weights
 
 FD_STEP = 1e-5
 
@@ -75,6 +79,28 @@ def gd_step(weights, gradient: dict[str, np.ndarray], mu_lr: float):
     return new_weights
 
 
+def _windows(cfg: ModelConfig, corpus_ids: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Every full window of the corpus but the last, which has no next
+    token, as a B x n matrix, and the token after each."""
+    n = cfg.max_len
+    if len(corpus_ids) < n + 1:
+        raise ShapeError(f"corpus of {len(corpus_ids)} tokens is too short for window {n}")
+    return (np.ascontiguousarray(sliding_window_view(np.asarray(corpus_ids), n)[:-1]),
+            np.asarray(corpus_ids[n:]))
+
+
+def _chunks(cfg: ModelConfig, corpus_ids: list[int]) -> list[list[int]]:
+    """Maximum-length chunks overlapping by one token, so every transition
+    falls in exactly one chunk; each starts before the last token, so it
+    holds at least one transition."""
+    if len(corpus_ids) < 2:
+        raise ShapeError("corpus must contain at least two tokens")
+    if cfg.max_len < 2:
+        raise SequenceLengthError(f"max_len {cfg.max_len} leaves no transition to train on")
+    return [corpus_ids[start:start + cfg.max_len]
+            for start in range(0, len(corpus_ids) - 1, cfg.max_len - 1)]
+
+
 def make_corpus_loss(cfg: ModelConfig, corpus_ids: list[int]):
     """Mean per-predicted-token training loss for one architecture.
 
@@ -86,24 +112,12 @@ def make_corpus_loss(cfg: ModelConfig, corpus_ids: list[int]):
     causal passes and is refused, as is a max_len of 1 (no transitions).
     """
     if causal_model(cfg).forward is None:
-        n = cfg.max_len
-        if len(corpus_ids) < n + 1:
-            raise ShapeError(
-                f"corpus of {len(corpus_ids)} tokens is too short for window {n}"
-            )
-        # every full window but the last, which has no next token: B x n, built once; building
-        # them per call via CAUSAL["ffnn"].windows takes a `train` loss from 60 to 94 us (2-vCPU Xeon)
-        windows = np.ascontiguousarray(sliding_window_view(np.asarray(corpus_ids), n)[:-1])
-        targets = np.asarray(corpus_ids[n:])
+        # built once: building them per call via CAUSAL["ffnn"].windows takes
+        # a `train` loss from 60 to 94 us (2-vCPU Xeon)
+        windows, targets = _windows(cfg, corpus_ids)
         return lambda w: ce_loss(targets, ffnn_batch_forward(windows, w)) / len(targets)
 
-    if len(corpus_ids) < 2:
-        raise ShapeError("corpus must contain at least two tokens")
-    if cfg.max_len < 2:
-        raise SequenceLengthError(f"max_len {cfg.max_len} leaves no transition to train on")
-    # every chunk starts before the last token, so it holds at least one transition
-    chunks = [corpus_ids[start:start + cfg.max_len]
-              for start in range(0, len(corpus_ids) - 1, cfg.max_len - 1)]
+    chunks = _chunks(cfg, corpus_ids)
     transitions = sum(len(c) - 1 for c in chunks)
 
     def loss(w):
@@ -113,19 +127,82 @@ def make_corpus_loss(cfg: ModelConfig, corpus_ids: list[int]):
     return loss
 
 
+def _batch(cfg: ModelConfig, corpus_ids: list[int]):
+    """The corpus as one reverse-pass batch: its input, the logit columns
+    that predict a token, and those tokens.
+
+    The feedforward LM's input is its windows.  A sequence model's is its
+    chunks as the columns of a len x B id matrix, the short last chunk
+    padded with id 0: column t * B + b of the logits follows ids[t, b] and
+    predicts ids[t + 1, b] while t + 1 is inside chunk b.  Padding sits
+    after every real token, so no scored logit depends on it.
+    """
+    if causal_model(cfg).forward is None:
+        windows, targets = _windows(cfg, corpus_ids)
+        return windows, np.arange(len(targets)), targets
+    chunks = _chunks(cfg, corpus_ids)
+    ids = np.zeros((len(chunks[0]), len(chunks)), dtype=np.intp)
+    scored = np.zeros(ids.shape, dtype=bool)
+    for b, chunk in enumerate(chunks):
+        ids[:len(chunk), b] = chunk
+        scored[:len(chunk) - 1, b] = True
+    columns = np.flatnonzero(scored)
+    return ids, columns, ids.reshape(-1)[columns + ids.shape[1]]
+
+
+def corpus_objective(cfg: ModelConfig, corpus_ids: list[int]):
+    """``(loss, loss_and_gradient)`` of ``make_corpus_loss``'s mean loss.
+
+    ``loss(w)`` is the mean loss, ``loss_and_gradient(w)`` the pair of it
+    and its gradient, keyed by the ``named_tensor_view`` names.  The corpus
+    windows or chunks are built once for both.  With a reverse pass both run
+    its forward pass over the whole corpus as one batch; without one they
+    are ``make_corpus_loss`` and its ``numerical_gradient``.
+    """
+    model = causal_model(cfg)
+    if model.grad is None:
+        loss = make_corpus_loss(cfg, corpus_ids)
+        return loss, lambda w: (loss(w), numerical_gradient(loss, w))
+    ids, columns, targets = _batch(cfg, corpus_ids)
+    count = len(targets)
+
+    def loss_and_gradient(w):
+        logits, backward = model.grad(ids, w)
+        total, d_scored = ce_loss_grad(targets, logits[:, columns])
+        d_logits = np.zeros(logits.shape)
+        d_logits[:, columns] = d_scored / count
+        g = zeros_weights(cfg)
+        backward(d_logits, g)
+        return total / count, g.named_tensors()
+
+    return (lambda w: ce_loss(targets, model.grad(ids, w)[0][:, columns]) / count,
+            loss_and_gradient)
+
+
 def train_toy(cfg: ModelConfig, weights: AnyWeights, corpus_ids: list[int],
               steps: int, mu_lr: float, log_fn=None) -> tuple[AnyWeights, float]:
     """Gradient-descent memorization loop; returns (weights, final loss).
 
     Emits one log line per step as "step<TAB>loss<TAB>mu_lr", where the
-    loss is evaluated after the update.
+    loss is that of the updated weights.  A step takes the loss and the
+    gradient of its weights from one pass (``corpus_objective``), so the
+    line of step k is written by step k + 1.  Only the loss after the last
+    step, which is returned, is evaluated on its own; with 0 steps it is
+    the one evaluation, and no gradient is taken.
     """
-    loss_fn = make_corpus_loss(cfg, corpus_ids)
+    loss_fn, loss_and_gradient = corpus_objective(cfg, corpus_ids)
     _check_rate(mu_lr)
-    loss = loss_fn(weights)
-    for step in range(1, steps + 1):
-        weights = gd_step(weights, numerical_gradient(loss_fn, weights), mu_lr)
-        loss = loss_fn(weights)
+
+    def log(step, loss):
         if log_fn is not None:
             log_fn(f"{step}\t{loss:.10f}\t{mu_lr}")
+
+    for step in range(steps):
+        loss, gradient = loss_and_gradient(weights)
+        if step:
+            log(step, loss)
+        weights = gd_step(weights, gradient, mu_lr)
+    loss = loss_fn(weights)
+    if steps:
+        log(steps, loss)
     return weights, float(loss)

@@ -33,6 +33,7 @@ class Vocabulary:
     specials: dict[str, int]
 
     def __post_init__(self):
+        self.specials = dict(self.specials)  # detected ids go into our copy, not the caller's dict
         if len(set(self.tokens)) != len(self.tokens):
             raise ConfigError("vocabulary tokens are not unique")
         self._ids = {t: i for i, t in enumerate(self.tokens)}

@@ -2,7 +2,7 @@
 
 Each architecture has a structured dataclass (used by the forward passes)
 plus a flat named-tensor view (used by serialization, parameter audits,
-and the finite-difference trainer).  The two share the same underlying
+and the trainer's gradients).  The two share the same underlying
 arrays: mutating ``weights.named_tensors()["blk1.WO"]`` is visible to the
 next forward call.  A record holds only what its builder gives it, so no
 field has a default; rnn and lstm share ``RecurrentWeights``.

@@ -21,6 +21,7 @@ from nlmkit.losses import (
     apply_mlm_mask,
     ar_loss,
     ce_loss,
+    ce_loss_grad,
     corpus_nll,
     mlm_corrupt,
     mlm_loss,
@@ -95,6 +96,47 @@ class TestCeLoss:
         for j, t in enumerate(targets):
             assert_matches_oracle(ce_loss(int(t), z[:, j]), want[j])
         assert_matches_oracle(ce_loss(targets, z), math.fsum(want))
+
+
+class TestCeLossGrad:
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), size=st.integers(1, 12), cols=st.integers(1, 5),
+           spread=st.floats(0.0, 50.0), rate=st.floats(0.0, 0.9))
+    def test_loss_bitwise_and_columns_sum_to_zero(self, seed, size, cols, spread, rate):
+        rng = np.random.default_rng(seed)
+        z = rng.uniform(-spread, spread, size=(size, cols))
+        z[rng.random((size, cols)) < rate] = -np.inf
+        targets = rng.integers(0, size, cols)
+        z[targets, np.arange(cols)] = rng.uniform(-spread, spread, cols)  # finite targets
+        loss, grad = ce_loss_grad(targets, z)
+        assert loss == ce_loss(targets, z)
+        assert np.abs(grad.sum(axis=0)).max() <= 1e-15
+        assert (grad[np.isneginf(z)] == 0.0).all()
+
+    def test_gradient_is_softmax_minus_one_hot(self, rng):
+        z = rng.normal(size=(6, 3))
+        targets = np.array([5, 0, 5])
+        want = softmax(z, axis=0)
+        want[targets, np.arange(3)] -= 1.0
+        npt.assert_allclose(ce_loss_grad(targets, z)[1], want, rtol=0, atol=1e-15)
+
+    def test_masked_non_target_gets_exact_zero(self):
+        z = np.array([[0.0, 1.0], [-np.inf, 2.0], [3.0, -np.inf]])
+        loss, grad = ce_loss_grad([0, 1], z)
+        assert loss == ce_loss([0, 1], z)
+        assert grad[1, 0] == 0.0 and grad[2, 1] == 0.0
+
+    def test_leaves_the_logits_alone(self, rng):
+        z = rng.normal(size=(4, 2))
+        before = z.copy()
+        ce_loss_grad([1, 3], z)
+        npt.assert_array_equal(z, before)
+
+    @pytest.mark.parametrize("targets,logits", [([0, 4], np.zeros((4, 2))),
+                                                ([0, 1, 2], np.zeros((4, 2)))])
+    def test_bad_targets_rejected(self, targets, logits):
+        with pytest.raises(ShapeError):
+            ce_loss_grad(targets, logits)
 
 
 class TestArLoss:

@@ -39,7 +39,6 @@ CALLERS = ([p for p in SOURCES if p.name != "__init__.py"]
 ENTRY_POINTS = {
     "nsp_head": "the paper's BERT next-sentence head, whose weights count-params --with-nsp counts",
     "tensor_layout": "the (name, shape) list an archive for a config must hold, in archive order",
-    "zeros_weights": "all-zero weights for a config, whose outputs are known in closed form",
 }
 
 

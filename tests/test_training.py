@@ -1,18 +1,28 @@
-"""Finite-difference gradients, descent updates, and toy memorization."""
+"""Reverse-mode and finite-difference gradients, descent updates, and toy
+memorization."""
 
 import math
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from nlmkit import training
 from nlmkit.config import ModelConfig
 from nlmkit.errors import ConfigError, NonFiniteLossError, SequenceLengthError, ShapeError
 from nlmkit.ffnn import ffnn_forward
 from nlmkit.kernels import softmax
 from nlmkit.losses import ce_loss
-from nlmkit.training import gd_step, make_corpus_loss, numerical_gradient, train_toy
-from nlmkit.weights import init_weights
+from nlmkit.training import (
+    corpus_objective,
+    gd_step,
+    make_corpus_loss,
+    numerical_gradient,
+    train_toy,
+)
+from nlmkit.weights import init_weights, named_tensor_view
 
 from conftest import tiny_gpt2_config
 
@@ -184,3 +194,151 @@ class TestTrainToy:
             assert int(step) == i
             float(loss)
             assert float(lr) == 0.3
+
+
+ACTIVATIONS = ("sigmoid", "tanh", "identity")
+
+
+@st.composite
+def tiny_models(draw, arch, activation):
+    """A tiny config of the given arch and activation (None for lstm), its
+    weights and a training corpus.
+
+    The vocabulary size is drawn equal to d_e or to max_len as often as
+    free, so square matrices of either kind occur; gradients are compared
+    by tensor name, never matched or transposed by shape.  A sequence
+    corpus ends in a 2-token chunk, and every corpus repeats an id.
+    """
+    d_e = draw(st.integers(1, 3))
+    max_len = draw(st.integers(1 if arch == "ffnn" else 2, 4))
+    vocab = draw(st.sampled_from((d_e, max_len, draw(st.integers(1, 5)))))
+    keys = dict(arch=arch, d_e=d_e, vocab_size=vocab, max_len=max_len)
+    if activation is not None:
+        keys.update(activation=activation)
+    if arch == "ffnn":
+        keys.update(hidden_dims=draw(st.lists(st.integers(1, 3), min_size=1, max_size=2)))
+        length = max_len + draw(st.integers(1, 4))
+    else:  # chunks start every max_len - 1 tokens; the last one holds 2
+        keys.update(L=draw(st.integers(1, 2)))
+        length = (max_len - 1) * draw(st.integers(1, 3)) + 2
+    cfg = ModelConfig(**keys)
+    corpus = draw(st.lists(st.integers(0, vocab - 1), min_size=length, max_size=length))
+    corpus[-1] = corpus[0]
+    weights = init_weights(cfg, draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from((1.0, 10.0, 30.0)))  # up to +-1.5: curved activations
+    for tensor in named_tensor_view(weights).values():
+        tensor *= scale
+    return cfg, weights, corpus
+
+
+MODEL_KINDS = [(arch, activation) for arch in ("ffnn", "rnn") for activation in ACTIVATIONS]
+MODEL_KINDS.append(("lstm", None))
+
+
+class TestReverseModeGradient:
+    @pytest.mark.parametrize("arch,activation", MODEL_KINDS)
+    def test_matches_finite_differences(self, arch, activation):
+        @settings(max_examples=6, deadline=None, derandomize=True, database=None)
+        @given(model=tiny_models(arch, activation))
+        def check(model):
+            cfg, w, corpus = model
+            loss_fn = make_corpus_loss(cfg, corpus)
+            loss, grad = corpus_objective(cfg, corpus)[1](w)
+            want = numerical_gradient(loss_fn, w)
+            assert list(grad) == list(want)
+            for name in want:
+                npt.assert_allclose(grad[name], want[name], rtol=1e-6, atol=1e-8, err_msg=name)
+            assert abs(loss - loss_fn(w)) <= 1e-12 * loss_fn(w)
+
+        check()
+
+    def test_loss_function_without_gradient_agrees(self):
+        cfg = ModelConfig(arch="lstm", d_e=2, vocab_size=4, max_len=3, L=2)
+        corpus = [0, 1, 2, 3, 1, 2]
+        w = init_weights(cfg, 5)
+        loss_fn, loss_and_gradient = corpus_objective(cfg, corpus)
+        want = make_corpus_loss(cfg, corpus)(w)
+        assert abs(loss_fn(w) - want) <= 1e-12 * want
+        assert loss_fn(w) == loss_and_gradient(w)[0]
+
+
+def tiny_gpt2():
+    return ModelConfig(arch="gpt2", d_e=2, d_k=1, d_v=1, d_f=2, M=1, L=1, vocab_size=5,
+                       max_len=3)
+
+
+REVERSE_MODE = {
+    "rnn": ModelConfig(arch="rnn", d_e=3, vocab_size=5, max_len=4, L=2),
+    "lstm": ModelConfig(arch="lstm", d_e=3, vocab_size=5, max_len=4, L=2),
+    "ffnn": ffnn_config(vocab=5, n=2, d0=3, hidden=(4,)),
+}
+CORPUS = [0, 1, 2, 3, 4, 2, 1, 0, 3, 1]
+
+
+def refuse(*args):
+    raise AssertionError("called")
+
+
+class TestTrainerGradients:
+    @pytest.mark.parametrize("arch", list(REVERSE_MODE))
+    def test_reverse_mode_archs_never_take_finite_differences(self, arch, monkeypatch):
+        monkeypatch.setattr(training, "numerical_gradient", refuse)
+        cfg = REVERSE_MODE[arch]
+        w0 = init_weights(cfg, 1)
+        w, loss = train_toy(cfg, w0, CORPUS, steps=2, mu_lr=0.5)
+        assert loss < make_corpus_loss(cfg, CORPUS)(w0)
+
+    def test_gpt2_takes_finite_differences_once_per_step(self, monkeypatch):
+        calls = []
+
+        def counted(loss_fn, w):
+            calls.append(loss_fn)
+            return {name: np.zeros_like(t) for name, t in named_tensor_view(w).items()}
+
+        monkeypatch.setattr(training, "numerical_gradient", counted)
+        cfg = tiny_gpt2()
+        train_toy(cfg, init_weights(cfg, 1), [0, 1, 2, 3, 2], steps=3, mu_lr=0.1)
+        assert len(calls) == 3
+
+    @pytest.mark.parametrize("cfg", [*REVERSE_MODE.values(), tiny_gpt2()],
+                             ids=[*REVERSE_MODE, "gpt2"])
+    def test_zero_steps_take_no_gradient(self, cfg, monkeypatch):
+        monkeypatch.setattr(training, "numerical_gradient", refuse)
+        monkeypatch.setattr(training, "ce_loss_grad", refuse)
+        w0 = init_weights(cfg, 1)
+        w, loss = train_toy(cfg, w0, CORPUS[:7], steps=0, mu_lr=0.1)
+        assert w is w0
+        want = make_corpus_loss(cfg, CORPUS[:7])(w0)
+        assert abs(loss - want) <= 1e-12 * want
+
+    @pytest.mark.parametrize("arch", list(REVERSE_MODE))
+    def test_logged_losses_are_the_corpus_loss_of_each_steps_weights(self, arch, monkeypatch):
+        cfg = REVERSE_MODE[arch]
+        w0 = init_weights(cfg, 2)
+        loss_fn = make_corpus_loss(cfg, CORPUS)
+        wanted = [loss_fn(train_toy(cfg, w0, CORPUS, steps=k, mu_lr=0.5)[0]) for k in (1, 2, 3)]
+
+        # every loss the trainer computes, in order: step 1's is that of w0
+        seen, objective = [], training.corpus_objective
+
+        def spied(*args):
+            loss_fn, loss_and_gradient = objective(*args)
+
+            def spied_loss(w):
+                seen.append(loss_fn(w))
+                return seen[-1]
+
+            def spied_loss_and_gradient(w):
+                loss, gradient = loss_and_gradient(w)
+                seen.append(loss)
+                return loss, gradient
+
+            return spied_loss, spied_loss_and_gradient
+
+        monkeypatch.setattr(training, "corpus_objective", spied)
+        lines = []
+        _, final = train_toy(cfg, w0, CORPUS, steps=3, mu_lr=0.5, log_fn=lines.append)
+        assert len(seen) == 4 and final == seen[-1]
+        for line, logged, want in zip(lines, seen[1:], wanted, strict=True):
+            assert abs(logged - want) <= 1e-12 * want
+            assert line.split("\t")[1] == f"{logged:.10f}"

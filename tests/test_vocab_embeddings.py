@@ -36,6 +36,15 @@ class TestVocabulary:
         v = Vocabulary(["[CLS]", "x", "[SEP]", "[MASK]"], {})
         assert v.cls_id == 0 and v.sep_id == 2 and v.mask_id == 3
 
+    def test_detected_specials_stay_out_of_the_callers_dict(self):
+        shared = {}
+        first = Vocabulary(["[CLS]", "a", "[SEP]"], shared)
+        second = Vocabulary(["b", "[SEP]", "[CLS]"], shared)
+        assert shared == {}
+        assert first.specials is not shared and second.specials is not shared
+        assert (first.cls_id, first.sep_id) == (0, 2)
+        assert (second.cls_id, second.sep_id) == (2, 1)
+
     def test_header_declares_specials(self):
         v = parse_vocab("#special UNK=1\nfoo\nbar\n")
         assert v.id_of("nonsense") == 1
