@@ -9,7 +9,9 @@ value-mixing matmuls see the sequences apart.  Incremental decoding passes
 a per-head ``HeadCache`` holding the keys and values of earlier positions.
 Then x is one sequence of new columns, a mask row each, whose keys and
 values are written after the cached ones; the mask's width is the number
-of keys once they are added.
+of keys once they are added.  A head's softmax takes the mask's allowed
+entries (``kernels.exp_allowed``), built once per pass beside the mask, or
+None to exponentiate every score.
 """
 
 from __future__ import annotations
@@ -27,18 +29,21 @@ AR_MODE = "AR"
 AE_MODE = "AE"
 
 
-def build_mask(length: int, mode: str) -> np.ndarray:
+def build_mask(length: int, mode: str, first: int = 0) -> np.ndarray:
     """Additive attention mask: 0 where allowed, -inf where forbidden.
 
     AR mode forbids every position to the right of the query (strict
-    upper triangle); AE mode allows everything.
+    upper triangle); AE mode allows everything.  Only the rows of queries
+    first..length-1 are built, each `length` keys wide.
     """
     if length < 1:
         raise SequenceLengthError(f"mask length must be >= 1, got {length}")
+    if not 0 <= first < length:
+        raise SequenceLengthError(f"a mask of {length} keys has no query row from row {first}")
     if mode == AE_MODE:
-        return np.zeros((length, length))
+        return np.zeros((length - first, length))
     if mode == AR_MODE:
-        return np.where(np.tri(length, dtype=bool), 0.0, -np.inf)
+        return np.where(np.tri(length - first, length, first, dtype=bool), 0.0, -np.inf)
     raise ValueError(f"unknown mask mode {mode!r}; expected 'AR' or 'AE'")
 
 
@@ -82,28 +87,32 @@ def attention_scores(x: np.ndarray, w: HeadWeights, mask: np.ndarray,
     q = query_columns(x, mask, cache).T @ w.w_q  # B*r x d_k, one query per row
     k = x.T @ w.w_k
     if w.b_q is not None:
-        q = q + w.b_q
+        q += w.b_q
     if w.b_k is not None:
-        k = k + w.b_k
+        k += w.b_k
     if cache is not None:
         k = _extend(cache.k, k, keys)
     if len(q) == rows:  # one sequence: 2-D matmuls spare small calls the reshapes' cost
-        return mask + (q @ k.T) / math.sqrt(d_k)
-    scores = q.reshape(-1, rows, d_k) @ k.reshape(-1, keys, d_k).transpose(0, 2, 1)
-    return (mask + scores / math.sqrt(d_k)).reshape(-1, keys)
+        scores = q @ k.T
+    else:
+        scores = q.reshape(-1, rows, d_k) @ k.reshape(-1, keys, d_k).transpose(0, 2, 1)
+    scores /= math.sqrt(d_k)
+    scores += mask  # broadcasts over the sequences of a B x rows x keys stack
+    return scores.reshape(-1, keys)
 
 
 def self_attention_head(x: np.ndarray, w: HeadWeights, mask: np.ndarray,
-                        cache: HeadCache | None) -> np.ndarray:
-    """One attention head: weighted value sums per query; returns (B*r) x d_v."""
+                        cache: HeadCache | None, allowed: np.ndarray | None) -> np.ndarray:
+    """One attention head: weighted value sums per query; returns (B*r) x d_v.
+    `allowed`: the mask's ``exp_allowed`` entries."""
     x = as_matrix(x)
     v = x.T @ w.w_v
     if w.b_v is not None:
-        v = v + w.b_v
+        v += w.b_v
     scores = attention_scores(x, w, mask, cache)
     if cache is not None:
         v = _extend(cache.v, v, scores.shape[1])
-    weights, keys = softmax(scores, axis=1), scores.shape[1]
+    weights, keys = softmax(scores, axis=1, allowed=allowed, overwrite=True), scores.shape[1]
     if len(weights) == len(mask):  # one sequence, as in attention_scores
         return weights @ v
     mixed = weights.reshape(-1, len(mask), keys) @ v.reshape(-1, keys, v.shape[1])
@@ -111,17 +120,20 @@ def self_attention_head(x: np.ndarray, w: HeadWeights, mask: np.ndarray,
 
 
 def multi_head_attention(x: np.ndarray, w: MultiHeadWeights, mask: np.ndarray,
-                         cache: list[HeadCache] | None) -> np.ndarray:
+                         cache: list[HeadCache] | None,
+                         allowed: np.ndarray | None) -> np.ndarray:
     """Concatenate head outputs (head m occupies columns [m*d_v, (m+1)*d_v))
     and project back to the embedding space; returns d_e x (B*r), the
-    query columns' outputs.  `cache`, if given, holds one HeadCache per head."""
+    query columns' outputs.  `cache`, if given, holds one HeadCache per head;
+    `allowed` is the mask's ``exp_allowed`` entries."""
     caches = [None] * len(w.heads) if cache is None else cache
-    concat = np.hstack([self_attention_head(x, head, mask, c) for head, c in zip(w.heads, caches)])
+    concat = np.hstack([self_attention_head(x, head, mask, c, allowed)
+                        for head, c in zip(w.heads, caches)])
     if concat.shape[1] != w.w_o.shape[0]:
         raise ShapeError(
             f"concatenated head width {concat.shape[1]} != output projection rows {w.w_o.shape[0]}"
         )
     out = concat @ w.w_o
     if w.b_o is not None:
-        out = out + w.b_o
+        out += w.b_o
     return out.T

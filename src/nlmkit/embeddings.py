@@ -21,10 +21,16 @@ def embed(ids: list[int], e: np.ndarray) -> np.ndarray:
     (d_e, len(ids)).
     """
     e = as_matrix(e)
-    for i in ids:
-        if not (0 <= i < e.shape[1]):
-            raise OutOfVocabularyError(f"id {i} out of range for embedding table of {e.shape[1]}")
-    return e[:, ids].copy()
+    try:
+        ids = np.asarray(ids, dtype=np.intp)
+    except OverflowError:
+        raise OutOfVocabularyError(f"an id is out of range for embedding table of {e.shape[1]}") \
+            from None
+    # one reduction checks both ends: a negative id reads as 2**63 or more unsigned
+    if ids.size and ids.view(np.uintp).max() >= e.shape[1]:
+        raise OutOfVocabularyError(f"ids from {ids.min()} to {ids.max()} are out of range for "
+                                   f"embedding table of {e.shape[1]}")
+    return e.take(ids, axis=1, mode="clip")  # clip, the cheaper mode, never acts on checked ids
 
 
 def embed_backward(ids, d_x: np.ndarray, grad_e: np.ndarray) -> None:

@@ -14,6 +14,20 @@ This module fixes the numerical conventions used everywhere else:
 * softmax and the loss share one validation and shift step (``shifted``):
   the largest finite entry of each slice is subtracted before
   exponentiation,
+* the package shifts and exponentiates in place only arrays it made itself:
+  the attention scores, and the logits that a loss gathers or that the
+  package's own forward passes just returned.  The public ``softmax``,
+  ``shifted`` and ``losses.ce_loss`` leave the caller's array unchanged
+  unless told ``overwrite=True``,
+* a causal softmax exponentiates only the entries its mask allows
+  (``exp_allowed``), since ``exp(-inf)`` costs about five times a finite
+  ``exp`` (5.0 against 1.1 ns per entry).  That pays from
+  ``MASKED_EXP_MIN_KEYS`` keys.  On fresh causal scores, masked against
+  plain, ``softmax`` took 13.3 against 11.1 us at 16 keys, 15.8 against
+  14.1 at 24, 18.5 against 18.9 at 32, 79.0 against 112.4 at 128, and
+  125.4 against 167.4 us for 4 stacked 64-key windows (``timeit`` minima
+  less the copy of the scores, one BLAS thread, 2-vCPU shared Xeon).
+  Every output is bitwise the plain path's,
 * layer normalization uses the population standard deviation and adds
   ``LAYER_NORM_EPS`` under the square root.
 """
@@ -26,6 +40,9 @@ from scipy.special import expit, ndtr
 from .errors import ShapeError, UndefinedDistributionError
 
 LAYER_NORM_EPS = 1e-5
+
+# Fewest keys at which a masked softmax exponentiates only its allowed entries.
+MASKED_EXP_MIN_KEYS = 32
 
 GELU_TANH_COEFF = 0.044715
 SQRT_2_OVER_PI = np.sqrt(2.0 / np.pi)
@@ -46,13 +63,15 @@ def as_vector(a) -> np.ndarray:
     return m
 
 
-def shifted(v, axis: int) -> np.ndarray:
-    """Scores minus the largest entry of each slice along `axis`, as a new array.
+def shifted(v, axis: int, overwrite: bool) -> np.ndarray:
+    """Scores minus the largest entry of each slice along `axis`.
 
     `v` is a vector or a matrix.  This is the step softmax and cross
     entropy share: it rejects NaN and +inf entries and a slice with no
     finite entry, which has no defined distribution, and leaves every
     finite entry <= 0 so no exponential can overflow; -inf stays -inf.
+    The result is a new array, or `v` itself, shifted in place, when
+    `overwrite` is set and `v` is already a float64 array.
     """
     v = np.asarray(v, dtype=np.float64)
     if v.ndim not in (1, 2):
@@ -71,36 +90,85 @@ def shifted(v, axis: int) -> np.ndarray:
         raise UndefinedDistributionError(
             "softmax input has no finite entry; all scores are masked"
         )
+    if overwrite:
+        v -= peak
+        return v
     return v - peak
 
 
-def softmax(v, axis: int = -1) -> np.ndarray:
+def exp_allowed(mask: np.ndarray) -> np.ndarray | None:
+    """The entries of scores under an additive `mask` that softmax must
+    exponentiate, those above -inf, as a boolean array of the mask's shape;
+    or None where exponentiating every entry costs less: when the mask
+    forbids nothing or has fewer than ``MASKED_EXP_MIN_KEYS`` columns."""
+    if mask.shape[1] < MASKED_EXP_MIN_KEYS:
+        return None
+    allowed = mask != -np.inf
+    return None if allowed.all() else allowed
+
+
+def softmax(v, axis: int = -1, allowed: np.ndarray | None = None,
+            overwrite: bool = False) -> np.ndarray:
     """Probability distributions from scores, one per slice along `axis`.
 
     `v` is a vector or a matrix.  Entries equal to -inf get probability
-    exactly 0; inputs are validated and shifted by ``shifted``.
+    exactly 0; inputs are validated and shifted by ``shifted``, in place in
+    `v` when `overwrite` is set.  `allowed`, from ``exp_allowed``, marks the
+    entries above -inf: v is one or more copies of its shape stacked along
+    axis 0, and only those entries are exponentiated, the others set to 0.
     """
-    e = shifted(v, axis)
-    np.exp(e, out=e)  # exp(-inf) == 0.0 exactly
+    e = shifted(v, axis, overwrite)
+    if allowed is None:
+        np.exp(e, out=e)  # exp(-inf) == 0.0 exactly
+    else:
+        stacked = (-1,) + allowed.shape
+        if e.shape[-1] != allowed.shape[-1] or e.size % allowed.size:
+            raise ShapeError(f"allowed entries {allowed.shape} do not tile scores {e.shape}")
+        p = np.zeros(e.shape)
+        np.exp(e.reshape(stacked), out=p.reshape(stacked), where=allowed)
+        e = p
     e /= e.sum(axis=axis, keepdims=True)
     return e
 
 
 def sigmoid(x):
-    """Numerically stable logistic function, elementwise."""
+    """Numerically stable logistic function, elementwise.
+
+    The LSTM takes its gates from one tanh instead (``recurrent``), but
+    this stays scipy's ``expit``: on the one-element and 8 x 21 calls of the
+    feedforward LM, (1 + tanh(x/2)) / 2 in numpy took 5.2 and 5.8 us
+    against 0.6 and 3.1 us.
+    """
     return expit(np.asarray(x, dtype=np.float64))
 
 
 def gelu_tanh(x):
-    """GELU via the tanh approximation used by the transformer models."""
+    """GELU via the tanh approximation used by the transformer models,
+    0.5 x (1 + tanh(sqrt(2/pi) (x + 0.044715 x^3))), in one temporary.
+
+    The final product runs as (x (1 + tanh(...))) 0.5, which is bitwise
+    (0.5 x) (1 + tanh(...)) for every finite x: halving is exact in the
+    normal range, and where x is subnormal the tanh factor is exactly 1.
+    """
     x = np.asarray(x, dtype=np.float64)
-    return 0.5 * x * (1.0 + np.tanh(SQRT_2_OVER_PI * (x + GELU_TANH_COEFF * (x * x * x))))
+    t = np.multiply(x, x, out=np.empty_like(x))
+    t *= x
+    t *= GELU_TANH_COEFF
+    t += x
+    t *= SQRT_2_OVER_PI
+    np.tanh(t, out=t)
+    t += 1.0
+    t *= x
+    t *= 0.5
+    return t
 
 
 def gelu_exact(x):
     """GELU as x * Phi(x) with Phi the standard normal CDF."""
     x = np.asarray(x, dtype=np.float64)
-    return x * ndtr(x)
+    phi = ndtr(x)
+    phi *= x
+    return phi
 
 
 def gelu(x, mode: str):

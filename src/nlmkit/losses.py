@@ -4,7 +4,10 @@ Models emit logits, and every loss reduces them through ``ce_loss``: the
 summed ``-log softmax(z)[t]`` of the correct classes, computed in log space
 so it stays finite wherever the true loss is finite.  A target whose logit
 is -inf gives an infinite loss rather than an exception, so a diverged
-model still reports.
+model still reports.  The losses here shift the logits they gather or that
+a forward pass has just returned in place (``ce_loss``'s ``overwrite``), so
+``ar_loss``'s `forward` and a ``Predictor``'s passes must return arrays
+they do not keep.
 """
 
 from __future__ import annotations
@@ -25,12 +28,13 @@ from .weights import philox
 WINDOW_BATCH = 64
 
 
-def _exp_shifted(targets, logits):
+def _exp_shifted(targets, logits, overwrite: bool = False):
     """The exponentials of the logits shifted by their column maxima, computed
-    in place in the one shifted copy, the shifted target entries read before
-    that, and the index of those entries."""
+    in place in the one shifted copy (in `logits` itself with `overwrite`),
+    the shifted target entries read before that, and the index of those
+    entries."""
     targets = np.asarray(targets, dtype=np.intp)
-    s = shifted(logits, axis=0)
+    s = shifted(logits, 0, overwrite)
     if s.shape[1:] != targets.shape:
         raise ShapeError(f"targets of shape {targets.shape} do not match logits of shape {s.shape}")
     if targets.size and not (0 <= targets.min() and targets.max() < s.shape[0]):
@@ -42,15 +46,16 @@ def _exp_shifted(targets, logits):
     return s, picked, index
 
 
-def ce_loss(targets, logits) -> float:
+def ce_loss(targets, logits, overwrite: bool = False) -> float:
     """Summed cross entropy -log softmax(z)[t] against one-hot truths.
 
     Either one class id and a |V| logit vector, or k class ids and a
     |V| x k matrix with one column per target.  The columns are shifted
     by their maxima, the target entries read, and only then exponentiated
-    (in place), so the one |V| x k temporary is the shifted copy.
+    (in place), so the one |V| x k temporary is the shifted copy; with
+    `overwrite` there is none, and `logits` is left holding exponentials.
     """
-    e, picked, _ = _exp_shifted(targets, logits)
+    e, picked, _ = _exp_shifted(targets, logits, overwrite)
     return float((np.log(e.sum(axis=0)) - picked).sum())
 
 
@@ -75,7 +80,7 @@ def ar_loss(ids: list[int], forward) -> float:
     ``forward`` maps the ground-truth sequence to per-position logits
     (|V| x len); position i is scored against token i+1.  The model is
     called exactly once, on the ground-truth tokens, never on its own
-    predictions.
+    predictions; its logits are consumed in place.
     """
     if len(ids) < 2:
         raise SequenceLengthError(f"ar_loss needs a sequence of length >= 2, got {len(ids)}")
@@ -84,7 +89,7 @@ def ar_loss(ids: list[int], forward) -> float:
         raise ShapeError(
             f"forward returned shape {logits.shape}, expected (|V|, {len(ids)})"
         )
-    return ce_loss(ids[1:], logits[:, :-1])
+    return ce_loss(ids[1:], logits[:, :-1], overwrite=True)
 
 
 @dataclass
@@ -141,7 +146,8 @@ def mlm_loss(target: MlmTarget, logits: np.ndarray) -> float:
             f"logits shape {logits.shape} does not cover {len(target.mask)} positions"
         )
     masked = target.masked_positions()
-    return ce_loss([target.original_ids[i] for i in masked], logits[:, masked])
+    # the gather is a fresh copy, so the loss may shift it in place
+    return ce_loss([target.original_ids[i] for i in masked], logits[:, masked], overwrite=True)
 
 
 @dataclass
@@ -154,6 +160,7 @@ class Predictor:
     pass.  ``windows(ids, n)`` gives the |V| x (len(ids) - n + 1) logits
     after every n-token window ids[s:s+n].  Calling it on a context gives
     the next-token distribution: the softmax of the context's one window.
+    Both passes return new arrays, which ``corpus_nll`` shifts in place.
     """
 
     prefix: Callable | None
@@ -192,13 +199,15 @@ def corpus_nll(corpus_ids: list[int], predict_next: Predictor, window: int,
                 f"pass min_context={window}"
             )
         logits = predict_next.prefix(corpus_ids[:short[-1]])
-        total += ce_loss(corpus_ids[short.start:short.stop], logits[:, short.start - 1:])
+        total += ce_loss(corpus_ids[short.start:short.stop], logits[:, short.start - 1:],
+                         overwrite=True)
     scored = len(short)
     if window >= min_context:
         for lo in range(window, n, WINDOW_BATCH):
             hi = min(lo + WINDOW_BATCH, n)
             total += ce_loss(corpus_ids[lo:hi],
-                             predict_next.windows(corpus_ids[lo - window:hi - 1], window))
+                             predict_next.windows(corpus_ids[lo - window:hi - 1], window),
+                             overwrite=True)
             scored += hi - lo
     if scored == 0:
         raise SequenceLengthError(

@@ -113,7 +113,9 @@ def make_corpus_loss(cfg: ModelConfig, corpus_ids: list[int]):
     """
     if causal_model(cfg).forward is None:
         # built once: building them per call via CAUSAL["ffnn"].windows takes
-        # a `train` loss from 60 to 94 us (2-vCPU Xeon)
+        # a `train` loss from 60 to 94 us (2-vCPU Xeon).  Only tests run this
+        # branch, as the finite-difference oracle of ffnn_vjp, so it keeps the
+        # plain ce_loss, which copies its few dozen logits
         windows, targets = _windows(cfg, corpus_ids)
         return lambda w: ce_loss(targets, ffnn_batch_forward(windows, w)) / len(targets)
 
@@ -175,7 +177,8 @@ def corpus_objective(cfg: ModelConfig, corpus_ids: list[int]):
         backward(d_logits, g)
         return total / count, g.named_tensors()
 
-    return (lambda w: ce_loss(targets, model.grad(ids, w)[0][:, columns]) / count,
+    return (lambda w: ce_loss(targets, model.grad(ids, w)[0][:, columns],
+                              overwrite=True) / count,
             loss_and_gradient)
 
 

@@ -20,9 +20,11 @@ with ``last_only`` the final block queries each sequence's last column, all
 ``KVCache``: every head keeps the keys and values of the positions already
 seen, so a call with a cache computes only its new columns, whose keys and
 values it adds.  The new queries attend over all cached positions through
-the matching rows of the causal mask, one row per new column.  A full
-forward pass is the empty-cache case and needs no cache at all;
-``gpt2_decoder`` keeps one cache for a whole generation.
+the matching rows of the causal mask, one row per new column, and only
+those rows are built.  A full forward pass is the empty-cache case and
+needs no cache at all; ``gpt2_decoder`` keeps one cache for a whole
+generation.  ``transformer_stack`` builds the mask's allowed entries
+(``kernels.exp_allowed``) once per pass for every head's softmax.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .attention import AE_MODE, AR_MODE, HeadCache, build_mask, multi_head_attention, query_columns
 from .embeddings import add_positions, embed, tied_logits
 from .errors import SequenceFormatError, SequenceLengthError
-from .kernels import gelu, layer_norm
+from .kernels import exp_allowed, gelu, layer_norm
 from .vocab import SEGMENT_A, TokenSequence, Vocabulary
 from .weights import BertWeights, BlockWeights, Gpt2Weights
 
@@ -43,21 +45,27 @@ WINDOW_COLUMNS = 256
 
 def position_ffn(c: np.ndarray, w: BlockWeights, gelu_mode: str) -> np.ndarray:
     """Two-layer feedforward applied to every column in parallel."""
-    hidden = gelu(w.ffn_w1 @ c + w.ffn_b1[:, None], gelu_mode)
-    return w.ffn_w2 @ hidden + w.ffn_b2[:, None]
+    hidden = w.ffn_w1 @ c
+    hidden += w.ffn_b1[:, None]
+    out = w.ffn_w2 @ gelu(hidden, gelu_mode)
+    out += w.ffn_b2[:, None]
+    return out
 
 
 def transformer_block(h_in: np.ndarray, w: BlockWeights, mask: np.ndarray, variant: str,
-                      gelu_mode: str, cache: list[HeadCache] | None) -> np.ndarray:
-    """One block over h_in's sequences; returns their query columns. `cache`: its heads' caches."""
+                      gelu_mode: str, cache: list[HeadCache] | None,
+                      allowed: np.ndarray | None) -> np.ndarray:
+    """One block over h_in's sequences; returns their query columns. `cache`: its heads'
+    caches; `allowed`: the mask's ``exp_allowed`` entries."""
     first = None if cache is None else cache[0]  # every head's cache has one capacity
     if variant == "post":
-        a = multi_head_attention(h_in, w.mha, mask, cache)
+        a = multi_head_attention(h_in, w.mha, mask, cache, allowed)
         c = layer_norm(query_columns(h_in, mask, first) + a, w.ln1_gain, w.ln1_bias)
         d = position_ffn(c, w, gelu_mode)
         return layer_norm(c + d, w.ln2_gain, w.ln2_bias)
     if variant == "pre":
-        a = multi_head_attention(layer_norm(h_in, w.ln1_gain, w.ln1_bias), w.mha, mask, cache)
+        a = multi_head_attention(layer_norm(h_in, w.ln1_gain, w.ln1_bias), w.mha, mask, cache,
+                                 allowed)
         c = query_columns(h_in, mask, first) + a
         d = position_ffn(layer_norm(c, w.ln2_gain, w.ln2_bias), w, gelu_mode)
         return c + d
@@ -80,11 +88,13 @@ def transformer_stack(h0: np.ndarray, w: Gpt2Weights | BertWeights, mask: np.nda
                       cache: KVCache | None = None, last_only: bool = False) -> np.ndarray:
     if last_only and not w.blocks:  # no final block to pick each sequence's last column
         return query_columns(h0, mask[-1:], None)
-    h = h0
+    h, allowed = h0, exp_allowed(mask)
     for l, block in enumerate(w.blocks):
-        final = last_only and l == len(w.blocks) - 1  # query each sequence's last column
-        h = transformer_block(h, block, mask[-1:] if final else mask, w.norm_variant,
-                              w.gelu_mode, None if cache is None else cache.blocks[l])
+        if last_only and l == len(w.blocks) - 1:  # query each sequence's last column
+            mask = mask[-1:]
+            allowed = exp_allowed(mask)
+        h = transformer_block(h, block, mask, w.norm_variant, w.gelu_mode,
+                              None if cache is None else cache.blocks[l], allowed)
     return h
 
 
@@ -113,7 +123,7 @@ def gpt2_hidden(ids: list[int], w: Gpt2Weights,
     if end > n_max:
         raise SequenceLengthError(f"sequence length {end} exceeds maximum {n_max}")
     h = add_positions(embed(ids, w.embedding), w.positions[:, start:])
-    h = gpt2_blocks(h, w, build_mask(end, AR_MODE)[start:], cache)
+    h = gpt2_blocks(h, w, build_mask(end, AR_MODE, start), cache)
     if cache is not None:
         cache.length = end
     return h
@@ -176,8 +186,9 @@ def bert_forward(seq: TokenSequence, w: BertWeights, vocab: Vocabulary) -> np.nd
 
 def mlm_head(h: np.ndarray, w: BertWeights) -> np.ndarray:
     """Masked-token logits for every position (|V| x len)."""
-    transformed = gelu(w.mlm_w @ h + w.mlm_b[:, None], w.gelu_mode)
-    normed = layer_norm(transformed, w.mlm_norm_gain, w.mlm_norm_bias)
+    transformed = w.mlm_w @ h
+    transformed += w.mlm_b[:, None]
+    normed = layer_norm(gelu(transformed, w.gelu_mode), w.mlm_norm_gain, w.mlm_norm_bias)
     return tied_logits(normed, w.embedding, w.out_bias)
 
 

@@ -47,12 +47,24 @@ class TestBuildMask:
         with pytest.raises(SequenceLengthError):
             build_mask(0, "AR")
 
+    @pytest.mark.parametrize("mode", ["AR", "AE"])
+    def test_rows_from_first_equal_the_sliced_mask(self, mode):
+        for end in range(1, 70):
+            full = build_mask(end, mode)
+            for start in range(end):
+                npt.assert_array_equal(build_mask(end, mode, start), full[start:])
+
+    @pytest.mark.parametrize("first", [-1, 3])
+    def test_first_row_outside_the_mask_refused(self, first):
+        with pytest.raises(SequenceLengthError):
+            build_mask(3, "AR", first)
+
 
 class TestSelfAttentionHead:
     def test_singleton_sequence_passes_value_through(self, rng):
         head = random_head(rng, d_e=5, d_k=3, d_v=2)
         x = rng.normal(size=(5, 1))
-        out = self_attention_head(x, head, build_mask(1, "AR"), None)
+        out = self_attention_head(x, head, build_mask(1, "AR"), None, None)
         npt.assert_allclose(out, (x.T @ head.w_v), rtol=1e-12)
 
     def test_first_row_attends_only_to_itself_under_ar(self, rng):
@@ -65,7 +77,7 @@ class TestSelfAttentionHead:
     def test_matches_per_query_loop_oracle(self, rng, biases):
         head = random_head(rng, d_e=6, d_k=4, d_v=3, biases=biases)
         x = rng.normal(size=(6, 4))
-        out = self_attention_head(x, head, build_mask(4, "AR"), None)
+        out = self_attention_head(x, head, build_mask(4, "AR"), None, None)
         expected = oracles.head_attention(
             oracles.cols(x),
             oracles.rows(head.w_q), oracles.rows(head.w_k), oracles.rows(head.w_v),
@@ -87,18 +99,18 @@ class TestSelfAttentionHead:
     def test_ar_causality_rows_fixed_under_future_changes(self, rng):
         head = random_head(rng, d_e=5, d_k=3, d_v=4)
         x = rng.normal(size=(5, 5))
-        base = self_attention_head(x, head, build_mask(5, "AR"), None)
+        base = self_attention_head(x, head, build_mask(5, "AR"), None, None)
         x2 = x.copy()
         x2[:, 3:] = rng.normal(size=(5, 2))
-        changed = self_attention_head(x2, head, build_mask(5, "AR"), None)
+        changed = self_attention_head(x2, head, build_mask(5, "AR"), None, None)
         npt.assert_array_equal(changed[:3], base[:3])
 
     def test_ae_permutation_equivariance(self, rng):
         head = random_head(rng, d_e=5, d_k=3, d_v=4)
         x = rng.normal(size=(5, 6))
         perm = rng.permutation(6)
-        base = self_attention_head(x, head, build_mask(6, "AE"), None)
-        permuted = self_attention_head(x[:, perm], head, build_mask(6, "AE"), None)
+        base = self_attention_head(x, head, build_mask(6, "AE"), None, None)
+        permuted = self_attention_head(x[:, perm], head, build_mask(6, "AE"), None, None)
         npt.assert_allclose(permuted, base[perm], atol=1e-12)
 
     def test_score_scaling_follows_sqrt_dk(self, rng):
@@ -127,10 +139,10 @@ class TestQueryRule:
         head = random_head(rng, d_e=5, d_k=3, d_v=2, biases=biases)
         seqs = [rng.normal(size=(5, 4)) for _ in range(3)]
         mask = build_mask(4, "AR")[4 - rows:]
-        out = self_attention_head(np.hstack(seqs), head, mask, None)
+        out = self_attention_head(np.hstack(seqs), head, mask, None, None)
         assert out.shape == (3 * rows, 2)
         for b, x in enumerate(seqs):
-            want = self_attention_head(x, head, build_mask(4, "AR"), None)[4 - rows:]
+            want = self_attention_head(x, head, build_mask(4, "AR"), None, None)[4 - rows:]
             npt.assert_allclose(out[b * rows:(b + 1) * rows], want, rtol=1e-13, atol=1e-15)
 
     def test_mask_with_no_rows_refused(self, rng):
@@ -159,12 +171,13 @@ class TestHeadCache:
     def test_chunks_through_cache_match_one_pass(self, rng, biases, split):
         head = random_head(rng, d_e=6, d_k=4, d_v=3, biases=biases)
         x = rng.normal(size=(6, 5))
-        full = self_attention_head(x, head, build_mask(5, "AR"), None)
+        full = self_attention_head(x, head, build_mask(5, "AR"), None, None)
         cache = self._cache(head, 7)
         start = 0
         for n in split:
             end = start + n
-            out = self_attention_head(x[:, start:end], head, build_mask(end, "AR")[start:], cache)
+            out = self_attention_head(x[:, start:end], head, build_mask(end, "AR")[start:], cache,
+                                      None)
             npt.assert_allclose(out, full[start:end], rtol=1e-13, atol=1e-15)
             start = end
 
@@ -185,8 +198,8 @@ class TestMultiHeadAttention:
         head = random_head(rng, d_e=3, d_k=2, d_v=3)
         x = rng.normal(size=(3, 4))
         mha = MultiHeadWeights(heads=[head], w_o=np.eye(3), b_o=None)
-        out = multi_head_attention(x, mha, build_mask(4, "AE"), None)
-        npt.assert_allclose(out, self_attention_head(x, head, build_mask(4, "AE"), None).T,
+        out = multi_head_attention(x, mha, build_mask(4, "AE"), None, None)
+        npt.assert_allclose(out, self_attention_head(x, head, build_mask(4, "AE"), None, None).T,
                             rtol=1e-12)
 
     def test_zeroed_value_weights_zero_one_block(self, rng):
@@ -194,7 +207,7 @@ class TestMultiHeadAttention:
         heads[1].w_v = np.zeros((4, 2))
         x = rng.normal(size=(4, 5))
         mask = build_mask(5, "AE")
-        concat = np.hstack([self_attention_head(x, h, mask, None) for h in heads])
+        concat = np.hstack([self_attention_head(x, h, mask, None, None) for h in heads])
         npt.assert_array_equal(concat[:, 2:4], 0.0)
 
     @pytest.mark.parametrize("biases", [False, True])
@@ -205,16 +218,16 @@ class TestMultiHeadAttention:
         mha = MultiHeadWeights(heads=heads, w_o=w_o, b_o=b_o)
         x = rng.normal(size=(4, 5))
         mask = build_mask(5, "AR")
-        concat = np.hstack([self_attention_head(x, h, mask, None) for h in heads])
+        concat = np.hstack([self_attention_head(x, h, mask, None, None) for h in heads])
         expected = (concat @ w_o + (b_o if biases else 0.0)).T
-        npt.assert_allclose(multi_head_attention(x, mha, mask, None), expected, rtol=1e-12)
+        npt.assert_allclose(multi_head_attention(x, mha, mask, None, None), expected, rtol=1e-12)
 
     def test_matches_loop_oracle(self, rng):
         heads = [random_head(rng, 4, 3, 2, biases=True) for _ in range(2)]
         mha = MultiHeadWeights(heads=heads, w_o=rng.normal(size=(4, 4)),
                                b_o=rng.normal(size=4))
         x = rng.normal(size=(4, 3))
-        out = multi_head_attention(x, mha, build_mask(3, "AE"), None)
+        out = multi_head_attention(x, mha, build_mask(3, "AE"), None, None)
         expected_rows = oracles.multi_head(
             oracles.cols(x),
             [oracles._head_tuple(h) for h in heads],

@@ -7,9 +7,15 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtr
 
 from nlmkit.errors import ShapeError, UndefinedDistributionError
+from nlmkit.attention import build_mask
 from nlmkit.kernels import (
+    GELU_TANH_COEFF,
+    MASKED_EXP_MIN_KEYS,
+    SQRT_2_OVER_PI,
+    exp_allowed,
     gelu,
     gelu_exact,
     gelu_tanh,
@@ -120,6 +126,65 @@ class TestSoftmax:
             npt.assert_allclose(got, softmax(scores), rtol=0, atol=1e-15)
 
 
+def causal_scores(rng, rows, keys, stacked=1):
+    """`stacked` sequences' scores under rows keys-rows..keys-1 of a causal
+    mask, side by side as in attention, and the mask."""
+    mask = build_mask(keys, "AR", keys - rows)
+    return (rng.normal(scale=3.0, size=(stacked, rows, keys)) + mask).reshape(-1, keys), mask
+
+
+class TestMaskedSoftmax:
+    @pytest.mark.parametrize("n", [8, 31, 32, 128])
+    def test_bitwise_equal_to_plain_either_side_of_the_threshold(self, rng, n):
+        scores, mask = causal_scores(rng, n, n)
+        assert (exp_allowed(mask) is None) == (n < MASKED_EXP_MIN_KEYS)
+        npt.assert_array_equal(softmax(scores, 1, mask != -np.inf), softmax(scores, axis=1))
+
+    def test_bitwise_equal_to_plain_for_stacked_windows(self, rng):
+        scores, mask = causal_scores(rng, 64, 64, stacked=4)
+        allowed = exp_allowed(mask)
+        assert allowed.shape == (64, 64)
+        npt.assert_array_equal(softmax(scores, 1, allowed), softmax(scores, axis=1))
+
+    @pytest.mark.parametrize("rows", [1, 8])
+    def test_cache_step_rows(self, rng, rows):
+        scores, mask = causal_scores(rng, rows, 70)
+        allowed = exp_allowed(mask)
+        assert (allowed is None) == (rows == 1)  # the newest query sees every key
+        npt.assert_array_equal(softmax(scores, 1, mask != -np.inf), softmax(scores, axis=1))
+
+    @pytest.mark.parametrize("n", [1, 32, 128])
+    def test_ae_mask_never_takes_the_masked_path(self, n):
+        assert exp_allowed(build_mask(n, "AE")) is None
+
+    def test_allowed_must_tile_the_scores(self, rng):
+        scores, _ = causal_scores(rng, 4, 40)
+        with pytest.raises(ShapeError):
+            softmax(scores, 1, np.tri(3, 40, dtype=bool))
+
+
+class TestOwnership:
+    @pytest.mark.parametrize("shape,axis", [((9,), -1), ((5, 40), 1), ((40, 5), 0)])
+    def test_softmax_leaves_the_callers_array_unchanged(self, rng, shape, axis):
+        v = masked_matrix(rng, shape) if len(shape) == 2 else rng.normal(size=shape)
+        kept = v.copy()
+        softmax(v, axis)
+        npt.assert_array_equal(v, kept)
+
+    def test_masked_softmax_leaves_the_callers_array_unchanged(self, rng):
+        scores, mask = causal_scores(rng, 40, 40)
+        kept = scores.copy()
+        softmax(scores, 1, exp_allowed(mask))
+        npt.assert_array_equal(scores, kept)
+
+    def test_overwrite_returns_the_same_distribution(self, rng):
+        v = masked_matrix(rng, (6, 7))
+        want = softmax(v, axis=1)
+        got = softmax(v, 1, None, overwrite=True)
+        assert got is v
+        npt.assert_array_equal(got, want)
+
+
 class TestGelu:
     def test_zero(self):
         assert gelu(0.0, "tanh") == 0.0
@@ -145,6 +210,20 @@ class TestGelu:
         assert out.shape == x.shape
         for (i, j), xi in np.ndenumerate(x):
             assert abs(out[i, j] - gelu_tanh_scalar(xi)) <= 1e-12 * max(1.0, abs(xi))
+
+    def test_tanh_form_is_bitwise_the_textbook_expression(self, rng):
+        x = rng.uniform(-30.0, 30.0, size=(64, 48))
+        x[0, :8] = [-30.0, -5.0, -1e-8, 0.0, 1e-8, 30.0, 5e-324, -1e-310]
+        textbook = 0.5 * x * (1.0 + np.tanh(SQRT_2_OVER_PI * (x + GELU_TANH_COEFF * (x * x * x))))
+        npt.assert_array_equal(gelu_tanh(x), textbook)
+        npt.assert_array_equal(gelu_exact(x), x * ndtr(x))
+
+    def test_input_is_left_unchanged(self, rng):
+        x = rng.normal(size=(5, 4))
+        kept = x.copy()
+        gelu_tanh(x)
+        gelu_exact(x)
+        npt.assert_array_equal(x, kept)
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):

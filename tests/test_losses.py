@@ -82,6 +82,17 @@ class TestCeLoss:
         with pytest.raises(ShapeError):
             ce_loss(targets, logits)
 
+    @pytest.mark.parametrize("view", [lambda z: z, lambda z: z[:, :-1], lambda z: z[:, [3, 0, 3]],
+                                      lambda z: z[:, 2]])
+    def test_leaves_the_callers_logits_alone_and_overwrite_agrees(self, rng, view):
+        z = rng.normal(scale=4.0, size=(7, 5))
+        z[0, 1] = -np.inf
+        targets = rng.integers(0, 7, view(z).shape[1:])
+        kept = z.copy()
+        loss = ce_loss(targets, view(z))
+        npt.assert_array_equal(z, kept)
+        assert ce_loss(targets, view(z.copy()), overwrite=True) == loss
+
     @settings(max_examples=200, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), size=st.integers(1, 40), cols=st.integers(1, 4),
            spread=st.floats(0.0, 1e4), rate=st.floats(0.0, 0.9))
@@ -185,6 +196,13 @@ class TestArLoss:
             scores = np.array([e[:, j] @ h[:, i] for j in range(cfg.vocab_size)])
             direct -= (e[:, ids[i + 1]] @ h[:, i]) - math.log(np.exp(scores).sum())
         assert abs(via_softmax - direct) < 1e-9
+
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_in_place_loss_is_bitwise_the_copying_one(self, n):
+        w = init_weights(tiny_gpt2_config(), 31)
+        ids = [3, 1, 4, 1, 5, 7][:n]
+        want = ce_loss(ids[1:], gpt2_forward(ids, w)[:, :-1])
+        assert ar_loss(ids, lambda s: gpt2_forward(s, w)) == want
 
     def test_finite_past_probability_underflow(self):
         # a scaled embedding and final norm gain put a target logit more

@@ -1,6 +1,7 @@
 """Elman and LSTM cells, time unrolling, and the recurrent language model."""
 
 import copy
+import math
 
 import numpy as np
 import numpy.testing as npt
@@ -147,6 +148,63 @@ class TestLstmCell:
             lstm_cell(np.zeros((3, 2)), np.zeros((3, 2)), np.zeros((3, 1)), layer)
         with pytest.raises(ShapeError):
             lstm_cell(np.zeros((3, 2)), np.zeros(3), np.zeros((3, 2)), layer)
+
+
+def gate_probe(z, gate, batched):
+    """What `gate` of a one-unit stacked LSTM layer holds for each
+    pre-activation in `z`, read off the cell's outputs: U = 0 and W x
+    feeds z to that gate's row only, while the other biases saturate
+    their gates to exactly 0 or 1 (tanh(40) == 1.0 in float64).  The cell
+    runs once on a 1 x len(z) batch, or once per entry on vectors."""
+    w, b = np.zeros((4, 1)), np.zeros(4)
+    row = "qprs".index(gate)
+    w[row] = 1.0
+    c_prev = 0.0
+    if gate == "p":  # q = 0, so c = c_prev * p
+        c_prev = 1.0
+    else:  # q = r = 1 (or the probed one of them), so c = q * r
+        b[[0, 2]] = 40.0
+    if gate == "s":  # p = 1 and c >= 39 make tanh(c) exactly 1, so h = s
+        b[1], c_prev = 40.0, 40.0
+    b[row] = 0.0
+    layer = (np.zeros((4, 1)), w, b)
+    pick = 0 if gate == "s" else 1
+    if batched:
+        z = np.asarray(z)[None, :]
+        return lstm_cell(np.zeros(z.shape), np.full(z.shape, c_prev), z, layer)[pick][0]
+    return np.array([lstm_cell(np.zeros(1), np.full(1, c_prev), np.array([x]), layer)[pick][0]
+                     for x in z])
+
+
+class TestLstmGates:
+    Z = np.concatenate([np.linspace(-40.0, 40.0, 8001), [-37.5, -36.5, 36.5, 37.5]])
+
+    @pytest.mark.parametrize("batched", [True, False])
+    @pytest.mark.parametrize("gate", ["p", "r", "s"])
+    def test_sigmoid_gates_match_the_logistic_oracle(self, gate, batched):
+        z = self.Z if batched else self.Z[::10]
+        got = gate_probe(z, gate, batched)
+        want = np.array([oracles.sigmoid_scalar(x) for x in z])
+        assert np.abs(got - want).max() <= 2.3e-16
+        assert ((0.0 <= got) & (got <= 1.0)).all()
+        assert got[0] == 0.0 and got[800 if not batched else 8000] == 1.0  # saturated at -40 and 40
+
+    @pytest.mark.parametrize("batched", [True, False])
+    def test_candidate_matches_tanh(self, batched):
+        z = self.Z if batched else self.Z[::10]
+        got = gate_probe(z, "q", batched)
+        want = np.array([math.tanh(x) for x in z])
+        assert np.abs(got - want).max() <= 2.3e-16
+
+    @pytest.mark.parametrize("layers", [1, 2])
+    @pytest.mark.parametrize("batch", [1, 64])
+    def test_unroll_and_reverse_pass_share_bitwise_states(self, layers, batch):
+        w = init_weights(ModelConfig(arch="lstm", d_e=16, vocab_size=50, max_len=12, L=layers), 4)
+        ids = np.random.default_rng(batch).integers(0, 50, (12, batch))
+        logits, _ = recurrent.recurrent_lm_vjp(ids, w)
+        x = embed(ids.reshape(-1), w.embedding).reshape(16, 12, batch)
+        hidden, _ = unroll(x, w.layers)
+        npt.assert_array_equal(recurrent.tied_logits(hidden.reshape(16, -1), w.embedding), logits)
 
 
 class TestStackedLstm:

@@ -6,14 +6,18 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from nlmkit import attention, kernels
 from nlmkit.attention import build_mask
+from nlmkit.config import ModelConfig
 from nlmkit.errors import SequenceFormatError, SequenceLengthError
 from nlmkit.inference import generate_tokens
 from nlmkit.kernels import layer_norm, softmax
 from nlmkit.transformer import (
     bert_forward,
+    gpt2_decoder,
     gpt2_forward,
     gpt2_hidden,
+    gpt2_windows,
     KVCache,
     mlm_head,
     nsp_head,
@@ -36,14 +40,14 @@ class TestTransformerBlock:
     def test_preserves_shape(self, rng, variant):
         w = init_weights(tiny_gpt2_config(variant=variant), 1).blocks[0]
         h = rng.normal(size=(8, 5))
-        out = transformer_block(h, w, build_mask(5, "AR"), variant, "tanh", None)
+        out = transformer_block(h, w, build_mask(5, "AR"), variant, "tanh", None, None)
         assert out.shape == (8, 5)
 
     def test_zero_weights_post_norm_against_oracle(self):
         cfg = tiny_gpt2_config(variant="post")
         w = zeros_weights(cfg).blocks[0]
         h = np.arange(40.0).reshape(8, 5)
-        out = transformer_block(h, w, build_mask(5, "AR"), "post", "tanh", None)
+        out = transformer_block(h, w, build_mask(5, "AR"), "post", "tanh", None, None)
         expected = oracles.block_forward(oracles.cols(h), w, oracles.ar_mask(5),
                                          "post", "tanh")
         npt.assert_allclose(out, np.array(expected).T, atol=1e-12)
@@ -53,7 +57,7 @@ class TestTransformerBlock:
         cfg = tiny_gpt2_config(variant=variant)
         w = init_weights(cfg, 7).blocks[1]
         h = rng.normal(size=(8, 4))
-        out = transformer_block(h, w, build_mask(4, "AR"), variant, "tanh", None)
+        out = transformer_block(h, w, build_mask(4, "AR"), variant, "tanh", None, None)
         expected = oracles.block_forward(oracles.cols(h), w, oracles.ar_mask(4),
                                          variant, "tanh")
         npt.assert_allclose(out, np.array(expected).T, atol=1e-10)
@@ -62,10 +66,10 @@ class TestTransformerBlock:
         cfg = tiny_gpt2_config()
         w = init_weights(cfg, 3).blocks[0]
         h = rng.normal(size=(8, 5))
-        base = transformer_block(h, w, build_mask(5, "AR"), "pre", "tanh", None)
+        base = transformer_block(h, w, build_mask(5, "AR"), "pre", "tanh", None, None)
         h2 = h.copy()
         h2[:, 4] += 1.0
-        out = transformer_block(h2, w, build_mask(5, "AR"), "pre", "tanh", None)
+        out = transformer_block(h2, w, build_mask(5, "AR"), "pre", "tanh", None, None)
         npt.assert_array_equal(out[:, :4], base[:, :4])
 
     @pytest.mark.parametrize("variant,gelu_mode", [("post", "tanh"), ("pre", "exact")])
@@ -73,8 +77,8 @@ class TestTransformerBlock:
         w = init_weights(tiny_gpt2_config(variant=variant), 5).blocks[1]
         h = rng.normal(size=(8, 5))
         mask = build_mask(5, "AR")
-        full = transformer_block(h, w, mask, variant, gelu_mode, None)
-        last = transformer_block(h, w, mask[-1:], variant, gelu_mode, None)
+        full = transformer_block(h, w, mask, variant, gelu_mode, None, None)
+        last = transformer_block(h, w, mask[-1:], variant, gelu_mode, None, None)
         assert last.shape == (8, 1)
         npt.assert_allclose(last, full[:, -1:], rtol=1e-12, atol=1e-14)
 
@@ -84,10 +88,11 @@ class TestTransformerBlock:
         seqs = [rng.normal(size=(8, 4)) for _ in range(3)]
         mask = build_mask(4, "AR")
         for rows in (1, 4):
-            out = transformer_block(np.hstack(seqs), w, mask[4 - rows:], variant, "tanh", None)
+            out = transformer_block(np.hstack(seqs), w, mask[4 - rows:], variant, "tanh", None,
+                                    None)
             for b, h in enumerate(seqs):
-                npt.assert_allclose(out[:, b * rows:(b + 1) * rows],
-                                    transformer_block(h, w, mask, variant, "tanh", None)[:, 4 - rows:],
+                whole = transformer_block(h, w, mask, variant, "tanh", None, None)
+                npt.assert_allclose(out[:, b * rows:(b + 1) * rows], whole[:, 4 - rows:],
                                     rtol=1e-12, atol=1e-14)
 
 
@@ -100,7 +105,7 @@ class TestTransformerStack:
         mask = build_mask(3, "AR")
         npt.assert_array_equal(
             transformer_stack(h, replace(w, blocks=blocks, norm_variant="pre"), mask),
-            transformer_block(h, blocks[0], mask, "pre", "tanh", None))
+            transformer_block(h, blocks[0], mask, "pre", "tanh", None, None))
 
     def test_two_blocks_compose(self, rng):
         cfg = tiny_gpt2_config()
@@ -108,8 +113,8 @@ class TestTransformerStack:
         blocks = w.blocks
         h = rng.normal(size=(8, 3))
         mask = build_mask(3, "AR")
-        manual = transformer_block(transformer_block(h, blocks[0], mask, "pre", "tanh", None),
-                                   blocks[1], mask, "pre", "tanh", None)
+        manual = transformer_block(transformer_block(h, blocks[0], mask, "pre", "tanh", None, None),
+                                   blocks[1], mask, "pre", "tanh", None, None)
         npt.assert_array_equal(
             transformer_stack(h, replace(w, blocks=blocks, norm_variant="pre"), mask), manual)
 
@@ -120,7 +125,7 @@ class TestTransformerStack:
         mask = build_mask(4, "AE")
         expected = h
         for b in blocks:
-            expected = transformer_block(expected, b, mask, "post", "tanh", None)
+            expected = transformer_block(expected, b, mask, "post", "tanh", None, None)
         npt.assert_array_equal(
             transformer_stack(h, replace(init_weights(cfg, 1), blocks=blocks, norm_variant="post"),
                               mask), expected)
@@ -317,3 +322,33 @@ class TestGreedyDecode:
         # all-zero weights make every distribution uniform
         cfg = tiny_gpt2_config()
         assert generate_tokens(cfg, zeros_weights(cfg), [1], 1)[-1] == 0
+
+
+class TestMaskedExponential:
+    @pytest.mark.parametrize("variant,gelu_mode", [("pre", "tanh"), ("post", "exact")])
+    def test_outputs_bitwise_equal_on_either_softmax_path(self, monkeypatch, variant, gelu_mode):
+        cfg = ModelConfig(arch="gpt2", d_e=8, M=2, L=2, vocab_size=20, max_len=40, d_k=4, d_v=4,
+                          d_f=16, norm_variant=variant, gelu_mode=gelu_mode)
+        w = init_weights(cfg, 3)
+        ids = np.random.default_rng(0).integers(0, 20, 40).tolist()
+        masked_calls = []
+
+        def spy(v, axis, allowed, overwrite):
+            masked_calls.append(allowed is not None)
+            return softmax(v, axis, allowed, overwrite)
+
+        def run():
+            decode = gpt2_decoder(w, 40)  # a prompt, one step, then 34 columns at once
+            return [gpt2_forward(ids, w), gpt2_windows(ids, 33, w)] + [
+                decode(ids[:k]) for k in (5, 6, 40)]
+
+        monkeypatch.setattr(attention, "softmax", spy)
+        monkeypatch.setattr(kernels, "MASKED_EXP_MIN_KEYS", 1)
+        masked = run()
+        assert sum(masked_calls) > 0
+        masked_calls.clear()
+        monkeypatch.setattr(kernels, "MASKED_EXP_MIN_KEYS", 10**9)
+        plain = run()
+        assert not any(masked_calls)
+        for got, want in zip(masked, plain):
+            npt.assert_array_equal(got, want)

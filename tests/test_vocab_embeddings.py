@@ -141,6 +141,24 @@ class TestEmbed:
         with pytest.raises(OutOfVocabularyError):
             embed([9], rng.normal(size=(4, 9)))
 
+    @pytest.mark.parametrize("bad", [-1, -2**63])
+    def test_negative_id(self, rng, bad):
+        with pytest.raises(OutOfVocabularyError):
+            embed([0, bad, 1], rng.normal(size=(4, 9)))
+
+    @pytest.mark.parametrize("bad", [2**63, 2**64, 2**70, -2**63 - 1])
+    def test_id_beyond_intp(self, rng, bad):
+        with pytest.raises(OutOfVocabularyError):
+            embed([0, bad], rng.normal(size=(4, 9)))
+
+    @pytest.mark.parametrize("ids", [[4, 0, 8], np.array([4, 0, 8]), []])
+    def test_returns_a_new_row_major_matrix(self, rng, ids):
+        e = rng.normal(size=(4, 9))
+        x = embed(ids, e)
+        assert x.shape == (4, len(ids)) and x.flags.c_contiguous
+        assert not np.shares_memory(x, e)
+        npt.assert_array_equal(x, e[:, list(ids)])
+
 
 class TestAddPositions:
     def test_zero_positions_leave_input(self, rng):
