@@ -2,7 +2,9 @@
 
 Forward passes, losses, and closed-form parameter counts for feedforward,
 Elman RNN, LSTM, decoder-transformer (GPT2-style) and encoder-transformer
-(BERT-style) language models, plus binary weight archives and a CLI.
+(BERT-style) language models, a toy gradient-descent trainer with
+reverse-mode gradients (finite differences where a model has no reverse
+pass yet), plus binary weight archives and a CLI.
 """
 
 from .archive import load_weights, save_weights
@@ -14,7 +16,7 @@ from .ffnn import ffnn_batch_forward, ffnn_forward
 from .inference import generate_tokens
 from .kernels import gelu, layer_norm, sigmoid, softmax
 from .losses import ar_loss, ce_loss, corpus_nll, mlm_corrupt, mlm_loss
-from .recurrent import lstm_cell, recurrent_lm_forward, rnn_cell, stack_lstm_layer, unroll
+from .recurrent import lstm_cell, recurrent_lm_forward, rnn_cell, unroll
 from .training import gd_step, numerical_gradient, train_toy
 from .transformer import (
     bert_forward,

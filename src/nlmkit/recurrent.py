@@ -1,9 +1,9 @@
 """Elman RNN and LSTM cells, time unrolling, and the recurrent LM.
 
-States start at zero.  An LSTM layer steps through its stacked form
-(U, W, b): its gate blocks Q, P, R, S, in update order, as a 4d x d U and W
-and a 4d b, which ``stack_lstm_layer`` copies from the per-gate tensors (the
-only storage).  All layers share the embedding width, and the output head
+States start at zero.  An LSTM layer is stored stacked, the form every pass
+runs: its gate blocks Q, P, R, S, in update order, as a 4d x d U and W and a
+4d b (archive tensors ``lstm.l{l}.U``, ``.W`` and ``.b``), gate k in rows
+[k d, (k + 1) d).  All layers share the embedding width, and the output head
 reuses the transposed embedding matrix (weight tying).
 
 A cell takes one state vector, or a d x B matrix that advances B
@@ -55,18 +55,6 @@ def rnn_cell(h_prev: np.ndarray, x_in: np.ndarray, w: RnnLayerWeights) -> np.nda
     return activation_fn(w.activation)(w.u @ h_prev + w.w @ x_in + b)
 
 
-def _gate_blocks(t: LstmLayerWeights) -> tuple:
-    """The layer's (U, W, b) of each gate, in the stacked order Q, P, R, S."""
-    return ((t.u_q, t.w_q, t.b_q), (t.u_p, t.w_p, t.b_p), (t.u_r, t.w_r, t.b_r),
-            (t.u_s, t.w_s, t.b_s))
-
-
-def stack_lstm_layer(t: LstmLayerWeights) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A layer's stacked form (U, W, b), copied from its per-gate tensors."""
-    u, w, b = zip(*_gate_blocks(t))
-    return np.vstack(u), np.vstack(w), np.concatenate(b)
-
-
 @functools.lru_cache(maxsize=None)
 def _gate_affine(rows: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only scale and offset of a vector of 4d stacked gate rows around
@@ -80,8 +68,9 @@ def _gate_affine(rows: int) -> tuple[np.ndarray, np.ndarray]:
     return scale, offset
 
 
-def _lstm_step(h_prev: np.ndarray, c_prev: np.ndarray, x_in: np.ndarray, layer: tuple):
-    """One LSTM step through a stacked layer (U, W, b): the 4d gate rows,
+def _lstm_step(h_prev: np.ndarray, c_prev: np.ndarray, x_in: np.ndarray,
+               layer: LstmLayerWeights):
+    """One LSTM step through a layer's stacked U, W and b: the 4d gate rows,
     the new context c, tanh(c) and the new hidden state.
 
     One ``U h + W x + b`` feeds all four gates, and one ``np.tanh`` over it,
@@ -89,11 +78,10 @@ def _lstm_step(h_prev: np.ndarray, c_prev: np.ndarray, x_in: np.ndarray, layer: 
     0.5 tanh(0.5 z) + 0.5 = (1 + tanh(z/2)) / 2 on its P, R and S rows
     (halving is exact, so both forms give the same values).
     """
-    u, w, b = layer
     d = h_prev.shape[0]
-    z = u @ h_prev
-    z += w @ x_in
-    z += b if h_prev.ndim == 1 else b[:, None]  # column biases, as in rnn_cell
+    z = layer.u @ h_prev
+    z += layer.w @ x_in
+    z += layer.b if h_prev.ndim == 1 else layer.b[:, None]  # column biases, as in rnn_cell
     if z.ndim == 1:  # per-call cost rules: whole-vector operands beat a slice and scalars
         scale, offset = _gate_affine(len(z))
         z *= scale
@@ -114,13 +102,13 @@ def _lstm_step(h_prev: np.ndarray, c_prev: np.ndarray, x_in: np.ndarray, layer: 
 
 
 def lstm_cell(h_prev: np.ndarray, c_prev: np.ndarray, x_in: np.ndarray,
-              layer: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """One LSTM step through a stacked layer (U, W, b) for state vectors or
-    d x B state matrices; returns (hidden, context).  Every gate value lies
+              layer: LstmLayerWeights) -> tuple[np.ndarray, np.ndarray]:
+    """One LSTM step through a layer's stacked U, W and b for state vectors
+    or d x B state matrices; returns (hidden, context).  Every gate value lies
     in [0, 1] for finite inputs: a sigmoid gate is exactly 0 below about
     z = -38, where the logistic function is under 1e-16, and exactly 1 above
     about z = 37."""
-    u, w, b = layer
+    u, w, b = layer.u, layer.w, layer.b
     d = h_prev.shape[0]
     if (u.shape != (4 * d, d) or w.shape != (4 * d, x_in.shape[0]) or b.shape != (4 * d,)
             or h_prev.shape != c_prev.shape or h_prev.ndim != x_in.ndim
@@ -133,28 +121,23 @@ def lstm_cell(h_prev: np.ndarray, c_prev: np.ndarray, x_in: np.ndarray,
     return h, c
 
 
-def _stacked(layers: list) -> list:
-    """Each ``LstmLayerWeights`` in its stacked form, any other layer as it is."""
-    return [stack_lstm_layer(l) if isinstance(l, LstmLayerWeights) else l for l in layers]
-
-
 def unroll(seq_embeddings: np.ndarray, layers: list,
            state: list | None = None) -> tuple[np.ndarray, list]:
-    """Run stacked recurrent layers over time; returns the top layer's
-    outputs as a d_e x len matrix and the final per-layer ``(h, c)`` state.
+    """Run the recurrent layers, bottom first, over time; returns the top
+    layer's outputs as a d_e x len matrix and the final per-layer ``(h, c)``
+    state.
 
-    An ``RnnLayerWeights`` layer runs the Elman cell, any other the LSTM
-    cell: ``LstmLayerWeights`` are stacked once per call, stacked layers
-    pass through.  A d_e x len x B input unrolls B sequences at once;
-    outputs are then d_e x len x B and states d_e x B.  Column i depends only on
-    input columns <= i, by construction.  The initial state is `state`, as
+    An ``RnnLayerWeights`` layer runs the Elman cell, an
+    ``LstmLayerWeights`` layer the LSTM cell, each reading its weights as
+    stored.  A d_e x len x B input unrolls B sequences at once; outputs are
+    then d_e x len x B and states d_e x B.  Column i depends only on input
+    columns <= i, by construction.  The initial state is `state`, as
     returned by an earlier call, or zero (the Elman cell ignores c).
     """
     if seq_embeddings.ndim not in (2, 3) or seq_embeddings.shape[1] < 1:
         raise SequenceLengthError("unroll requires a nonempty d_e x len (x B) input")
     if not layers:
         raise SequenceLengthError("unroll requires at least one layer")
-    layers = _stacked(layers)
     if state is None:
         # cells never write into their inputs, so one zero array serves all
         h_state = [np.zeros(seq_embeddings.shape[:1] + seq_embeddings.shape[2:])] * len(layers)
@@ -193,12 +176,13 @@ def recurrent_lm_forward(ids: list[int], w: RecurrentWeights) -> np.ndarray:
 
 def recurrent_decoder(w: RecurrentWeights, total: int):
     """Next-token logits after the ids so far, one call per token; each call
-    unrolls only the new ids, through layers stacked once.  `total` needs no bound."""
-    state, seen, layers = None, 0, _stacked(w.layers)
+    unrolls only the new ids from the state the last one left.  `total`
+    needs no bound."""
+    state, seen = None, 0
 
     def next_logits(ids):
         nonlocal state, seen
-        h, state = unroll(embed(ids[seen:], w.embedding), layers, state)
+        h, state = unroll(embed(ids[seen:], w.embedding), w.layers, state)
         seen = len(ids)
         return tied_logits(h[:, -1], w.embedding)
 
@@ -234,18 +218,16 @@ def _rnn_layer_vjp(x: np.ndarray, layer: RnnLayerWeights):
 
 
 def _lstm_layer_vjp(x: np.ndarray, layer: LstmLayerWeights):
-    """LSTM layer over a d x T x B input from a zero state, stepping through
-    its stacked (U, W, b) with ``lstm_cell``'s step: the d x T x B outputs,
-    and the backward pass from their gradient to the input's, which splits
-    the stacked gradient into the per-gate tensors of `g`."""
+    """LSTM layer over a d x T x B input from a zero state, stepping with
+    ``lstm_cell``'s step: the d x T x B outputs, and the backward pass from
+    their gradient to the input's, which writes the layer's gradient into
+    `g`."""
     d, length, batch = x.shape
-    stacked = stack_lstm_layer(layer)
-    u, w, _ = stacked
     gates = np.empty((4 * d, length, batch))  # tanh(z) on the Q rows, sigmoid(z) below
     c, tanh_c, h = np.empty(x.shape), np.empty(x.shape), np.empty(x.shape)
     h_t = c_t = np.zeros((d, batch))
     for t in range(length):
-        z, c_t, tanh_c[:, t], h_t = _lstm_step(h_t, c_t, x[:, t], stacked)
+        z, c_t, tanh_c[:, t], h_t = _lstm_step(h_t, c_t, x[:, t], layer)
         gates[:, t], c[:, t], h[:, t] = z, c_t, h_t
 
     def backward(d_h: np.ndarray, g: LstmLayerWeights) -> np.ndarray:
@@ -261,15 +243,13 @@ def _lstm_layer_vjp(x: np.ndarray, layer: LstmLayerWeights):
             d_c_t = d_h_t * h_to_c[:, t] + d_c_t
             d_z[:, t] = np.concatenate((d_c_t * r[:, t], d_c_t * c_prev[:, t],
                                         d_c_t * q[:, t], d_h_t * tanh_c[:, t])) * slope[:, t]
-            d_h_t = u.T @ d_z[:, t]
+            d_h_t = layer.u.T @ d_z[:, t]
             d_c_t = d_c_t * p[:, t]
         flat = d_z.reshape(4 * d, -1)
-        grads = (d_z[:, 1:].reshape(4 * d, -1) @ h[:, :-1].reshape(d, -1).T,
-                 flat @ x.reshape(d, -1).T, flat.sum(axis=1))
-        for i, block in enumerate(_gate_blocks(g)):
-            for tensor, grad in zip(block, grads):
-                tensor[...] = grad[i * d:(i + 1) * d]
-        return (w.T @ flat).reshape(x.shape)
+        g.w[...] = flat @ x.reshape(d, -1).T
+        g.u[...] = d_z[:, 1:].reshape(4 * d, -1) @ h[:, :-1].reshape(d, -1).T
+        g.b[...] = flat.sum(axis=1)
+        return (layer.w.T @ flat).reshape(x.shape)
 
     return h, backward
 

@@ -65,7 +65,13 @@ def gd_step(weights, gradient: dict[str, np.ndarray], mu_lr: float):
     """One gradient-descent update; pure, returns fresh weights."""
     _check_rate(mu_lr)
     new_weights = copy.deepcopy(weights)
-    tensors = named_tensor_view(new_weights)
+    _descend(new_weights, gradient, mu_lr)
+    return new_weights
+
+
+def _descend(weights, gradient: dict[str, np.ndarray], mu_lr: float) -> None:
+    """``gd_step``'s update, written into `weights`."""
+    tensors = named_tensor_view(weights)
     if gradient.keys() != tensors.keys():
         raise ShapeError(
             f"gradient names {sorted(gradient.keys())} do not match "
@@ -76,7 +82,6 @@ def gd_step(weights, gradient: dict[str, np.ndarray], mu_lr: float):
         if g.shape != tensor.shape:
             raise ShapeError(f"gradient {name} has shape {g.shape}, expected {tensor.shape}")
         tensor -= mu_lr * g
-    return new_weights
 
 
 def _windows(cfg: ModelConfig, corpus_ids: list[int]) -> tuple[np.ndarray, np.ndarray]:
@@ -191,21 +196,29 @@ def train_toy(cfg: ModelConfig, weights: AnyWeights, corpus_ids: list[int],
     gradient of its weights from one pass (``corpus_objective``), so the
     line of step k is written by step k + 1.  Only the loss after the last
     step, which is returned, is evaluated on its own; with 0 steps it is
-    the one evaluation, and no gradient is taken.
+    the one evaluation, no gradient is taken, and the caller's weights
+    are returned.  Otherwise the first step's ``gd_step`` makes the run's
+    one copy of them, and later steps update that copy in place.  A loss
+    that is not finite, after any step or before the first, raises
+    ``NonFiniteLossError`` naming the step.
     """
     loss_fn, loss_and_gradient = corpus_objective(cfg, corpus_ids)
     _check_rate(mu_lr)
 
-    def log(step, loss):
-        if log_fn is not None:
+    def report(step, loss):
+        if not math.isfinite(loss):
+            raise NonFiniteLossError(f"training diverged: the loss after step {step} "
+                                     f"of {steps} is {loss}")
+        if step and log_fn is not None:
             log_fn(f"{step}\t{loss:.10f}\t{mu_lr}")
 
     for step in range(steps):
         loss, gradient = loss_and_gradient(weights)
+        report(step, loss)
         if step:
-            log(step, loss)
-        weights = gd_step(weights, gradient, mu_lr)
+            _descend(weights, gradient, mu_lr)
+        else:  # the run's one copy, which later steps update in place
+            weights = gd_step(weights, gradient, mu_lr)
     loss = loss_fn(weights)
-    if steps:
-        log(steps, loss)
+    report(steps, loss)
     return weights, float(loss)

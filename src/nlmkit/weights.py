@@ -8,10 +8,13 @@ next forward call.  A record holds only what its builder gives it, so no
 field has a default; rnn and lstm share ``RecurrentWeights``.
 
 Tensor names are dotted paths such as ``blk2.h1.WQ`` (block 2, head 1,
-query projection); layer and head indices are 1-based.  Each architecture
-has one builder in ``BUILDERS``.  It names every tensor once, asking
-``t(name, *shape)`` for its array in canonical order (Python evaluates call
-arguments left to right), and returns the structured weights.
+query projection); layer and head indices are 1-based.  An LSTM layer is
+three tensors, ``lstm.l1.U``, ``.W`` and ``.b``, its four gates stacked in
+the rows of each (see ``LstmLayerWeights``), the one form its passes run.
+Each architecture has one builder in ``BUILDERS``.  It names every tensor
+once, asking ``t(name, *shape)`` for its array in canonical order (Python
+evaluates call arguments left to right), and returns the structured
+weights.
 ``tensor_layout``, ``assemble_weights``, ``init_weights`` and
 ``zeros_weights`` differ only in where ``t`` gets the arrays from.  Adding
 an architecture means adding its builder to ``BUILDERS``.
@@ -116,20 +119,12 @@ class RnnLayerWeights:
 
 @dataclass
 class LstmLayerWeights:
-    """Four gate blocks; order matches the update sequence Q, P, R, S."""
+    """Four gate blocks stacked in update order Q, P, R, S: gate k holds rows
+    [k d, (k + 1) d) of U and W (4d x d) and of b (4d)."""
 
-    u_q: np.ndarray
-    w_q: np.ndarray
-    b_q: np.ndarray
-    u_p: np.ndarray
-    w_p: np.ndarray
-    b_p: np.ndarray
-    u_r: np.ndarray
-    w_r: np.ndarray
-    b_r: np.ndarray
-    u_s: np.ndarray
-    w_s: np.ndarray
-    b_s: np.ndarray
+    u: np.ndarray
+    w: np.ndarray
+    b: np.ndarray
 
 
 @dataclass
@@ -239,8 +234,8 @@ def _rnn(cfg: ModelConfig, t) -> RecurrentWeights:
 def _lstm(cfg: ModelConfig, t) -> RecurrentWeights:
     d = cfg.d_e
     return RecurrentWeights(embedding=_embedding(cfg, t), layers=[
-        LstmLayerWeights(*(t(f"lstm.l{l}.{kind}{gate}", *((d,) if kind == "b" else (d, d)))
-                           for gate in "QPRS" for kind in "UWb"))
+        LstmLayerWeights(t(f"lstm.l{l}.U", 4 * d, d), t(f"lstm.l{l}.W", 4 * d, d),
+                         t(f"lstm.l{l}.b", 4 * d))
         for l in range(1, cfg.L + 1)])
 
 

@@ -20,6 +20,19 @@ def tiny_bert_config(zeta=1, vocab_size=11, max_len=6):
                        vocab_size=vocab_size, max_len=max_len, zeta=zeta)
 
 
+def per_gate_lstm_tensors(cfg):
+    """Zero tensors of an lstm config in the per-gate layout the package once
+    stored (``lstm.l{l}.UQ``, ``.WQ``, ``.bQ``, ... ``.bS``) and now refuses."""
+    d = cfg.d_e
+    tensors = {"emb.E": np.zeros((d, cfg.vocab_size))}
+    for l in range(1, cfg.L + 1):
+        for gate in "QPRS":
+            tensors.update({f"lstm.l{l}.U{gate}": np.zeros((d, d)),
+                            f"lstm.l{l}.W{gate}": np.zeros((d, d)),
+                            f"lstm.l{l}.b{gate}": np.zeros(d)})
+    return tensors
+
+
 def random_distribution(rng, size):
     p = rng.uniform(0.05, 1.0, size=size)
     return p / p.sum()

@@ -262,15 +262,23 @@ def rnn_cell(h_prev, x_in, w, u, b, activation="tanh"):
     return pre
 
 
+def lstm_gate(lw, gate):
+    """The (U, W, b) of one gate, "q", "p", "r" or "s": its block of rows in
+    the layer's stacked arrays, which hold the gates in that order."""
+    d, k = lw.u.shape[1], "qprs".index(gate)
+    block = slice(k * d, (k + 1) * d)
+    return lw.u[block], lw.w[block], lw.b[block]
+
+
 def lstm_cell(h_prev, c_prev, x_in, lw):
     def branch(u, w, b):
         return vec_add(vec_add(mat_vec(rows(u), h_prev), mat_vec(rows(w), x_in)), vec(b))
 
-    q = tanh_vec(branch(lw.u_q, lw.w_q, lw.b_q))
-    p = sigmoid_vec(branch(lw.u_p, lw.w_p, lw.b_p))
-    r = sigmoid_vec(branch(lw.u_r, lw.w_r, lw.b_r))
+    q = tanh_vec(branch(*lstm_gate(lw, "q")))
+    p = sigmoid_vec(branch(*lstm_gate(lw, "p")))
+    r = sigmoid_vec(branch(*lstm_gate(lw, "r")))
     c = vec_add(vec_mul(q, r), vec_mul(c_prev, p))
-    s = sigmoid_vec(branch(lw.u_s, lw.w_s, lw.b_s))
+    s = sigmoid_vec(branch(*lstm_gate(lw, "s")))
     h = vec_mul(s, tanh_vec(c))
     return h, c
 

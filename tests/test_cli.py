@@ -19,6 +19,7 @@ from nlmkit.transformer import gpt2_forward
 from nlmkit.weights import init_weights
 
 import oracles
+from conftest import per_gate_lstm_tensors
 
 GPT2_CONFIG = "arch=gpt2\nd_e=8\nd_k=4\nd_v=4\nd_f=16\nM=2\nL=1\nvocab_size=11\nmax_len=6\n"
 
@@ -68,6 +69,18 @@ def test_audit_of_hostile_archive_exits_with_data_error(tmp_path, capsys, body):
     assert code == EXIT_DATA
     assert "archive ends inside" in err
     assert "Traceback" not in err
+
+
+def test_audit_of_per_gate_lstm_archive_exits_with_data_error(tmp_path, capsys):
+    # an archive from before the gates were stored stacked in lstm.l{l}.U, .W and .b
+    config = tmp_path / "model.cfg"
+    config.write_text("arch=lstm\nd_e=5\nL=2\nvocab_size=11\nmax_len=6\n")
+    weights = tmp_path / "w.anlm"
+    save_weights(per_gate_lstm_tensors(load_config(config)), weights)
+    code, err = run(["audit", "--config", str(config), "--weights", str(weights)], capsys)
+    assert code == EXIT_DATA
+    assert err.startswith("nlmkit: error: weights are missing tensors: ['lstm.l1.U', ")
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 WORDS = [f"w{i}" for i in range(11)]
@@ -299,6 +312,18 @@ def test_unwritable_out_fails_before_training(tmp_path, capsys, out):
     code, stdout, err = run(train_toy_argv(paths), capsys, out=True)
     assert code == EXIT_USAGE and stdout == ""
     assert "cannot write file" in err and "Traceback" not in err
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_train_toy_stops_at_a_non_finite_loss_and_writes_nothing(tmp_path, capsys):
+    paths = train_toy_files(tmp_path, vocab="a\nb\nc\nd\ne\nf\n", corpus="a b c d e f a b c d e f")
+    paths["cfg"].write_text(FFNN_CONFIG.replace("vocab_size=4", "vocab_size=6"))
+    argv = train_toy_argv(paths, lr="1e308")
+    argv[argv.index("--steps") + 1] = "3"
+    code, stdout, err = run(argv, capsys, out=True)
+    assert code == EXIT_DATA and not paths["out"].exists()
+    assert err.startswith("nlmkit: error: training diverged: the loss after step 2 of 3 is inf")
+    assert err.count("\n") == 1 and stdout.count("\n") == 1
 
 
 @pytest.mark.parametrize("config", [

@@ -18,7 +18,6 @@ from nlmkit.recurrent import (
     recurrent_lm_forward,
     recurrent_windows,
     rnn_cell,
-    stack_lstm_layer,
     unroll,
 )
 from nlmkit.weights import (
@@ -46,9 +45,8 @@ def random_rnn_layer(rng, d_e, activation="tanh"):
 
 
 def random_lstm_layer(rng, d_e):
-    t = {f"{kind}_{g}": rng.normal(size=(d_e, d_e)) if kind != "b" else rng.normal(size=d_e)
-         for g in "qprs" for kind in ("u", "w", "b")}
-    return LstmLayerWeights(**t)
+    return LstmLayerWeights(u=rng.normal(size=(4 * d_e, d_e)), w=rng.normal(size=(4 * d_e, d_e)),
+                            b=rng.normal(size=4 * d_e))
 
 
 class TestRnnCell:
@@ -98,26 +96,27 @@ class TestRnnCell:
 
 class TestLstmCell:
     def test_zero_weights_fixed_point(self):
-        layer = LstmLayerWeights(*(np.zeros((3, 3)) if i % 3 != 2 else np.zeros(3)
-                                   for i in range(12)))
-        h, c = lstm_cell(np.zeros(3), np.zeros(3), np.zeros(3), stack_lstm_layer(layer))
+        layer = LstmLayerWeights(np.zeros((12, 3)), np.zeros((12, 3)), np.zeros(12))
+        h, c = lstm_cell(np.zeros(3), np.zeros(3), np.zeros(3), layer)
         npt.assert_array_equal(h, np.zeros(3))
         npt.assert_array_equal(c, np.zeros(3))
 
     def test_saturated_forget_gate_passes_context(self, rng):
         # +50 bias saturates sigmoid to within 1e-20 of 1
         layer = random_lstm_layer(rng, 3)
-        layer.b_p[:] = 50.0
+        (u_q, w_q, b_q), (_, _, b_p), (u_r, w_r, b_r), _ = (
+            oracles.lstm_gate(layer, g) for g in "qprs")
+        b_p[:] = 50.0
         h_prev = rng.normal(size=3) * 0.1
         c_prev = rng.normal(size=3)
         x = rng.normal(size=3) * 0.1
-        _, c = lstm_cell(h_prev, c_prev, x, stack_lstm_layer(layer))
-        q = np.tanh(layer.u_q @ h_prev + layer.w_q @ x + layer.b_q)
-        r = 1 / (1 + np.exp(-(layer.u_r @ h_prev + layer.w_r @ x + layer.b_r)))
+        _, c = lstm_cell(h_prev, c_prev, x, layer)
+        q = np.tanh(u_q @ h_prev + w_q @ x + b_q)
+        r = 1 / (1 + np.exp(-(u_r @ h_prev + w_r @ x + b_r)))
         npt.assert_allclose(c, q * r + c_prev, rtol=1e-12)
 
     def test_gates_stay_inside_unit_interval(self, rng):
-        layer = stack_lstm_layer(random_lstm_layer(rng, 3))
+        layer = random_lstm_layer(rng, 3)
         for _ in range(20):
             h, c = lstm_cell(rng.normal(size=3), rng.normal(size=3), rng.normal(size=3), layer)
             assert np.all(np.abs(h) < 1.0)  # |s|<1 and |tanh(c)|<1
@@ -125,7 +124,7 @@ class TestLstmCell:
     def test_matches_loop_oracle(self, rng):
         layer = random_lstm_layer(rng, 3)
         h_prev, c_prev, x = (rng.normal(size=3) for _ in range(3))
-        h, c = lstm_cell(h_prev, c_prev, x, stack_lstm_layer(layer))
+        h, c = lstm_cell(h_prev, c_prev, x, layer)
         eh, ec = oracles.lstm_cell(list(h_prev), list(c_prev), list(x), layer)
         npt.assert_allclose(h, eh, atol=1e-13)
         npt.assert_allclose(c, ec, atol=1e-13)
@@ -133,7 +132,7 @@ class TestLstmCell:
 
     def test_batched_columns_equal_single_vector_calls(self, rng):
         for batch in (1, 2, 3):
-            layer = stack_lstm_layer(random_lstm_layer(rng, 3))
+            layer = random_lstm_layer(rng, 3)
             h, c, x = (rng.normal(size=(3, batch)) for _ in range(3))
             out_h, out_c = lstm_cell(h, c, x, layer)
             assert out_h.shape == out_c.shape == (3, batch)
@@ -143,7 +142,7 @@ class TestLstmCell:
                 npt.assert_allclose(out_c[:, b], ec, rtol=1e-14, atol=1e-15)
 
     def test_batch_width_mismatch(self, rng):
-        layer = stack_lstm_layer(random_lstm_layer(rng, 3))
+        layer = random_lstm_layer(rng, 3)
         with pytest.raises(ShapeError):
             lstm_cell(np.zeros((3, 2)), np.zeros((3, 2)), np.zeros((3, 1)), layer)
         with pytest.raises(ShapeError):
@@ -167,7 +166,7 @@ def gate_probe(z, gate, batched):
     if gate == "s":  # p = 1 and c >= 39 make tanh(c) exactly 1, so h = s
         b[1], c_prev = 40.0, 40.0
     b[row] = 0.0
-    layer = (np.zeros((4, 1)), w, b)
+    layer = LstmLayerWeights(np.zeros((4, 1)), w, b)
     pick = 0 if gate == "s" else 1
     if batched:
         z = np.asarray(z)[None, :]
@@ -208,43 +207,13 @@ class TestLstmGates:
 
 
 class TestStackedLstm:
-    def test_blocks_are_copied_in_update_order(self, rng):
-        layer = random_lstm_layer(rng, 3)
-        u, w, b = stack_lstm_layer(layer)
-        assert u.shape == w.shape == (12, 3) and b.shape == (12,)
-        for i, g in enumerate("qprs"):
-            npt.assert_array_equal(u[3 * i:3 * i + 3], getattr(layer, f"u_{g}"))
-            npt.assert_array_equal(w[3 * i:3 * i + 3], getattr(layer, f"w_{g}"))
-            npt.assert_array_equal(b[3 * i:3 * i + 3], getattr(layer, f"b_{g}"))
-            assert not np.shares_memory(u, getattr(layer, f"u_{g}"))
-
     def test_cell_rejects_unstacked_widths(self, rng):
-        u, w, b = stack_lstm_layer(random_lstm_layer(rng, 3))
-        for layer in ((u[:9], w, b), (u, w[:9], b), (u, w, b[:9])):
+        layer = random_lstm_layer(rng, 3)
+        u, w, b = layer.u, layer.w, layer.b
+        for bad in (LstmLayerWeights(u[:9], w, b), LstmLayerWeights(u, w[:9], b),
+                    LstmLayerWeights(u, w, b[:9])):
             with pytest.raises(ShapeError):
-                lstm_cell(np.zeros(3), np.zeros(3), np.zeros(3), layer)
-
-    @pytest.fixture
-    def stack_calls(self, monkeypatch):
-        calls = []
-        stack = recurrent.stack_lstm_layer
-        monkeypatch.setattr(recurrent, "stack_lstm_layer", lambda t: calls.append(t) or stack(t))
-        return calls
-
-    def test_generation_stacks_each_layer_once(self, stack_calls):
-        cfg = lstm_config(layers=2)
-        w = init_weights(cfg, 3)
-        assert len(generate_tokens(cfg, w, [1, 2], 20)) == 22
-        assert [id(t) for t in stack_calls] == [id(t) for t in w.layers]
-
-    def test_unroll_stacks_each_layer_once_per_call(self, rng, stack_calls):
-        layers = [random_lstm_layer(rng, 3) for _ in range(2)]
-        for calls in (1, 2):
-            unroll(rng.normal(size=(3, 5)), layers)
-            assert len(stack_calls) == 2 * calls
-        stacked = [recurrent.stack_lstm_layer(l) for l in layers]
-        unroll(rng.normal(size=(3, 5)), stacked)
-        assert len(stack_calls) == 6  # stacked layers pass through unroll
+                lstm_cell(np.zeros(3), np.zeros(3), np.zeros(3), bad)
 
     def test_forward_sees_in_place_writes(self):
         # numerical_gradient probes each scalar in place: a cached stacked

@@ -312,6 +312,29 @@ class TestTrainerGradients:
         assert abs(loss - want) <= 1e-12 * want
 
     @pytest.mark.parametrize("arch", list(REVERSE_MODE))
+    def test_one_weight_copy_per_run_and_the_callers_weights_untouched(self, arch, monkeypatch):
+        cfg = REVERSE_MODE[arch]
+        w0 = init_weights(cfg, 1)
+        before = {name: t.copy() for name, t in named_tensor_view(w0).items()}
+        copies, deepcopy = [], training.copy.deepcopy
+        monkeypatch.setattr(training.copy, "deepcopy", lambda w: copies.append(w) or deepcopy(w))
+        w, _ = train_toy(cfg, w0, CORPUS, steps=3, mu_lr=0.5)
+        assert len(copies) == 1 and copies[0] is w0 and w is not w0
+        for name, tensor in named_tensor_view(w0).items():
+            npt.assert_array_equal(tensor, before[name])
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("steps", [2, 3])  # step 2's loss is the final one, or a step's
+    @pytest.mark.parametrize("arch", list(REVERSE_MODE))
+    def test_non_finite_loss_stops_training_naming_its_step(self, arch, steps):
+        cfg = REVERSE_MODE[arch]
+        lines = []
+        with pytest.raises(NonFiniteLossError, match=f"loss after step 2 of {steps} is inf"):
+            train_toy(cfg, init_weights(cfg, 1), CORPUS, steps=steps, mu_lr=1e308,
+                      log_fn=lines.append)
+        assert [line.split("\t")[0] for line in lines] == ["1"]
+
+    @pytest.mark.parametrize("arch", list(REVERSE_MODE))
     def test_logged_losses_are_the_corpus_loss_of_each_steps_weights(self, arch, monkeypatch):
         cfg = REVERSE_MODE[arch]
         w0 = init_weights(cfg, 2)

@@ -3,6 +3,7 @@ checks of assemble_weights, and records that take every field from their builder
 
 import dataclasses
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from nlmkit.errors import ConfigError, NlmError, ShapeError
 from nlmkit.training import named_tensor_view
 from nlmkit.weights import BUILDERS, assemble_weights, init_weights, tensor_layout, zeros_weights
 
-from conftest import tiny_gpt2_config
+from conftest import per_gate_lstm_tensors, tiny_gpt2_config
 
 
 class TestInitWeightsSeed:
@@ -62,7 +63,7 @@ GOLDEN = {
     "bert-zeta0": "64f2737e3f7973ff920440b4f05c4ff5d1af4d77bfdd384e7fe9da20cd90a957",
     "bert-zeta1": "822cecabb5a417031df538b5a21e094c02411bb61c0ee84f793cf8c566358df3",
     "rnn": "e9f5b335d8287c844b794fad20bc351c0f64d9d5c9e8ccc2c523a5c8f13ac5c0",
-    "lstm": "4494fb0f0499c8280b1803980007b2097e8b587de25c7746a6fd1ca80fc7f400",
+    "lstm": "79806ac7622ecd8cb71d883cabeaa53d2b39257517fc88f93d4c03a7cdc37baf",
     "ffnn-1": "a5240211dd129014e5436d4f0066f219a3e2d32405d8050bb5d44d15e27df37c",
     "ffnn-3": "75d3a50edce33c91b0714cad79a982a450790e98c0e4f63646dc045aa6f29d6d",
 }
@@ -138,3 +139,13 @@ class TestAssembleRefuses:
         w = assemble_weights(VARIANTS["gpt2-zeta1"], tensors)
         assert w.blocks[1].mha.heads[2].w_q is tensors["blk2.h3.WQ"]
         assert w.named_tensors()["emb.E"] is w.embedding
+        tensors = dict(init_weights(VARIANTS["lstm"], 2).named_tensors())
+        w = assemble_weights(VARIANTS["lstm"], tensors)  # the passes read no gate copy
+        assert w.layers[0].u is tensors["lstm.l1.U"]
+        assert w.layers[1].b is tensors["lstm.l2.b"]
+
+    def test_lstm_archive_in_the_per_gate_layout(self):
+        tensors = per_gate_lstm_tensors(VARIANTS["lstm"])
+        stacked = [f"lstm.l{l}.{kind}" for l in (1, 2) for kind in "UWb"]
+        with pytest.raises(ConfigError, match=re.escape(f"missing tensors: {sorted(stacked)}")):
+            assemble_weights(VARIANTS["lstm"], tensors)
