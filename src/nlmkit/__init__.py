@@ -8,7 +8,7 @@ pass yet), plus binary weight archives and a CLI.
 """
 
 from .archive import load_weights, save_weights
-from .attention import build_mask, multi_head_attention, self_attention_head
+from .attention import build_mask, multi_head_attention
 from .audit import CountReport, audit_config, count_for_config, enumerate_weights
 from .config import ModelConfig, load_config, parse_config
 from .embeddings import add_positions, embed, tied_logits

@@ -1,17 +1,21 @@
-"""Attention masks, single heads, and multi-head attention.
+"""Attention masks and multi-head attention.
 
 Sequences are matrices with one column per position (d_e x n), or several
-such side by side.  A head maps the query columns (``query_columns``: the
-last mask.shape[0] of each sequence) to one *row* each of a d_v-wide
-matrix; multi-head attention concatenates the head outputs side by side
+such side by side.  A layer's M heads are stacked along a leading axis
+(``weights.MultiHeadWeights``), and every step runs once for all of them:
+each projection is one matmul, the scores and the value mixing are one
+batched matmul over heads and sequences, and one softmax takes every
+head's scores.  Head m maps the query columns (``query_columns``: the last
+mask.shape[0] of each sequence) to one *row* each of a d_v-wide matrix;
+multi-head attention places head m's rows in columns [m d_v, (m + 1) d_v)
 and projects back, transposing to d_e rows again.  Only the score and
 value-mixing matmuls see the sequences apart.  Incremental decoding passes
-a per-head ``HeadCache`` holding the keys and values of earlier positions.
-Then x is one sequence of new columns, a mask row each, whose keys and
-values are written after the cached ones; the mask's width is the number
-of keys once they are added.  A head's softmax takes the mask's allowed
-entries (``kernels.exp_allowed``), built once per pass beside the mask, or
-None to exponentiate every score.
+an ``AttentionCache`` holding every head's keys and values of earlier
+positions.  Then x is one sequence of new columns, a mask row each, whose
+keys and values are written after the cached ones; the mask's width is
+the number of keys once they are added.  The softmax takes the mask's
+allowed entries (``kernels.exp_allowed``), built once per pass beside the
+mask, or None to exponentiate every score.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import numpy as np
 
 from .errors import SequenceLengthError, ShapeError
 from .kernels import as_matrix, softmax
-from .weights import HeadWeights, MultiHeadWeights
+from .weights import MultiHeadWeights
 
 AR_MODE = "AR"
 AE_MODE = "AE"
@@ -48,92 +52,74 @@ def build_mask(length: int, mode: str, first: int = 0) -> np.ndarray:
 
 
 @dataclass
-class HeadCache:
-    """Keys (max_len x d_k) and values (max_len x d_v) of one head, one row
-    per position, preallocated to the model's maximum length."""
+class AttentionCache:
+    """Keys (M x max_len x d_k) and values (M x max_len x d_v) of one layer's
+    heads, one row per position, preallocated to the model's maximum length."""
 
     k: np.ndarray
     v: np.ndarray
 
 
 def _extend(store: np.ndarray, rows: np.ndarray, total: int) -> np.ndarray:
-    """Write `rows` as rows [total - len(rows), total) of `store`; return its first `total` rows."""
-    store[total - rows.shape[0]:total] = rows
-    return store[:total]
+    """Write every head's `rows` as its rows [total - len, total) of `store`;
+    return each head's first `total` rows."""
+    store[:, total - rows.shape[1]:total] = rows
+    return store[:, :total]
 
 
-def query_columns(x: np.ndarray, mask: np.ndarray, cache: HeadCache | None) -> np.ndarray:
+def query_columns(x: np.ndarray, mask: np.ndarray, cache: AttentionCache | None) -> np.ndarray:
     """The columns of x that the rows of `mask` query: the last mask.shape[0]
     of each sequence, mask.shape[1] wide without a cache; with one, x is a
     single sequence of new columns and the mask has a row for each."""
     rows, keys = mask.shape
     n = keys if cache is None else x.shape[1]  # columns per sequence
     if not (1 <= rows <= n <= keys and x.shape[1] and x.shape[1] % n == 0) or (
-            cache is not None and (rows != n or keys > cache.k.shape[0])):
+            cache is not None and (rows != n or keys > cache.k.shape[1])):
         raise ShapeError(f"mask shape {mask.shape} does not fit {x.shape[1]} columns or the cache")
     return x if rows == n else x.reshape(len(x), -1, n)[:, :, n - rows:].reshape(len(x), -1)
 
 
-def attention_scores(x: np.ndarray, w: HeadWeights, mask: np.ndarray,
-                     cache: HeadCache | None) -> np.ndarray:
-    """Masked, scaled query-key scores, (B*r) x keys for B sequences and an r x
-    keys mask: one row per query, against its own sequence's keys or, with a
-    cache, all `keys` cached rows, the keys of x stored as the last of them."""
-    x = as_matrix(x)
-    mask = as_matrix(mask)
-    if x.shape[0] != w.w_q.shape[0]:
-        raise ShapeError(f"sequence rows {x.shape[0]} != projection rows {w.w_q.shape[0]}")
-    (rows, keys), d_k = mask.shape, w.w_q.shape[1]
-    q = query_columns(x, mask, cache).T @ w.w_q  # B*r x d_k, one query per row
-    k = x.T @ w.w_k
-    if w.b_q is not None:
-        q += w.b_q
-    if w.b_k is not None:
-        k += w.b_k
-    if cache is not None:
-        k = _extend(cache.k, k, keys)
-    if len(q) == rows:  # one sequence: 2-D matmuls spare small calls the reshapes' cost
-        scores = q @ k.T
-    else:
-        scores = q.reshape(-1, rows, d_k) @ k.reshape(-1, keys, d_k).transpose(0, 2, 1)
-    scores /= math.sqrt(d_k)
-    scores += mask  # broadcasts over the sequences of a B x rows x keys stack
-    return scores.reshape(-1, keys)
-
-
-def self_attention_head(x: np.ndarray, w: HeadWeights, mask: np.ndarray,
-                        cache: HeadCache | None, allowed: np.ndarray | None) -> np.ndarray:
-    """One attention head: weighted value sums per query; returns (B*r) x d_v.
-    `allowed`: the mask's ``exp_allowed`` entries."""
-    x = as_matrix(x)
-    v = x.T @ w.w_v
-    if w.b_v is not None:
-        v += w.b_v
-    scores = attention_scores(x, w, mask, cache)
-    if cache is not None:
-        v = _extend(cache.v, v, scores.shape[1])
-    weights, keys = softmax(scores, axis=1, allowed=allowed, overwrite=True), scores.shape[1]
-    if len(weights) == len(mask):  # one sequence, as in attention_scores
-        return weights @ v
-    mixed = weights.reshape(-1, len(mask), keys) @ v.reshape(-1, keys, v.shape[1])
-    return mixed.reshape(-1, v.shape[1])
+def _project(x: np.ndarray, w: np.ndarray, b: np.ndarray | None) -> np.ndarray:
+    """x's columns through every head's projection: M x columns x width."""
+    out = x.T @ w
+    if b is not None:
+        out += b[:, None]
+    return out
 
 
 def multi_head_attention(x: np.ndarray, w: MultiHeadWeights, mask: np.ndarray,
-                         cache: list[HeadCache] | None,
+                         cache: AttentionCache | None,
                          allowed: np.ndarray | None) -> np.ndarray:
-    """Concatenate head outputs (head m occupies columns [m*d_v, (m+1)*d_v))
-    and project back to the embedding space; returns d_e x (B*r), the
-    query columns' outputs.  `cache`, if given, holds one HeadCache per head;
+    """Every head's weighted value sums per query (head m in columns
+    [m*d_v, (m+1)*d_v)), projected back to the embedding space; returns
+    d_e x (B*r), the query columns' outputs for B sequences and an r x keys
+    mask.  Each query scores its own sequence's keys or, with a cache, all
+    `keys` cached rows, the keys of x stored as the last of them.
     `allowed` is the mask's ``exp_allowed`` entries."""
-    caches = [None] * len(w.heads) if cache is None else cache
-    concat = np.hstack([self_attention_head(x, head, mask, c, allowed)
-                        for head, c in zip(w.heads, caches)])
-    if concat.shape[1] != w.w_o.shape[0]:
+    x = as_matrix(x)
+    mask = as_matrix(mask)
+    heads, d_e, d_k = w.w_q.shape
+    d_v = w.w_v.shape[2]
+    if x.shape[0] != d_e:
+        raise ShapeError(f"sequence rows {x.shape[0]} != projection rows {d_e}")
+    if heads * d_v != w.w_o.shape[0]:
         raise ShapeError(
-            f"concatenated head width {concat.shape[1]} != output projection rows {w.w_o.shape[0]}"
+            f"concatenated head width {heads * d_v} != output projection rows {w.w_o.shape[0]}"
         )
-    out = concat @ w.w_o
+    rows, keys = mask.shape
+    q = _project(query_columns(x, mask, cache), w.w_q, w.b_q)  # M x B*r x d_k
+    k = _project(x, w.w_k, w.b_k)
+    v = _project(x, w.w_v, w.b_v)
+    if cache is not None:
+        k = _extend(cache.k, k, keys)
+        v = _extend(cache.v, v, keys)
+    # M x B x r x keys: head m of sequence b scores its queries against its keys
+    scores = q.reshape(heads, -1, rows, d_k) @ k.reshape(heads, -1, keys, d_k).swapaxes(2, 3)
+    scores /= math.sqrt(d_k)
+    scores += mask
+    weights = softmax(scores.reshape(-1, keys), axis=1, allowed=allowed, overwrite=True)
+    mixed = weights.reshape(scores.shape) @ v.reshape(heads, -1, keys, d_v)  # M x B x r x d_v
+    out = mixed.transpose(1, 2, 0, 3).reshape(-1, heads * d_v) @ w.w_o
     if w.b_o is not None:
         out += w.b_o
     return out.T

@@ -12,6 +12,8 @@ import math
 import os
 import sys
 
+import numpy as np
+
 from .archive import load_weights, save_weights
 from .audit import audit_config, count_for_config
 from .config import ModelConfig, load_config, parse_int, read_text
@@ -127,8 +129,11 @@ def cmd_train_toy(args) -> int:
     _check_vocab(cfg, vocab)
     corpus_ids = tokenize(read_text(args.corpus), vocab).ids
     weights = init_weights(cfg, args.seed)
-    weights, final_loss = train_toy(cfg, weights, corpus_ids, args.steps, args.lr,
-                                    log_fn=print)
+    # a diverging run overflows on its way to the non-finite loss that
+    # train_toy reports as one error
+    with np.errstate(over="ignore", invalid="ignore"):
+        weights, final_loss = train_toy(cfg, weights, corpus_ids, args.steps, args.lr,
+                                        log_fn=print)
     save_weights(weights, args.out)
     print(f"{final_loss:.10f}")
     return EXIT_OK

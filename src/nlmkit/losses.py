@@ -77,19 +77,20 @@ def ce_loss_grad(targets, logits) -> tuple[float, np.ndarray]:
 def ar_loss(ids: list[int], forward) -> float:
     """Summed next-token cross entropy under teacher forcing.
 
-    ``forward`` maps the ground-truth sequence to per-position logits
-    (|V| x len); position i is scored against token i+1.  The model is
-    called exactly once, on the ground-truth tokens, never on its own
-    predictions; its logits are consumed in place.
+    ``forward`` maps a sequence to per-position logits (|V| x len); it is
+    called exactly once, on the ground-truth tokens but the last, never on
+    the model's own predictions, and position i is scored against token
+    i+1.  No position predicts past the last token, so none is computed,
+    and the logits are consumed in place.
     """
     if len(ids) < 2:
         raise SequenceLengthError(f"ar_loss needs a sequence of length >= 2, got {len(ids)}")
-    logits = np.asarray(forward(ids), dtype=np.float64)
-    if logits.ndim != 2 or logits.shape[1] != len(ids):
+    logits = np.asarray(forward(ids[:-1]), dtype=np.float64)
+    if logits.ndim != 2 or logits.shape[1] != len(ids) - 1:
         raise ShapeError(
-            f"forward returned shape {logits.shape}, expected (|V|, {len(ids)})"
+            f"forward returned shape {logits.shape}, expected (|V|, {len(ids) - 1})"
         )
-    return ce_loss(ids[1:], logits[:, :-1], overwrite=True)
+    return ce_loss(ids[1:], logits, overwrite=True)
 
 
 @dataclass

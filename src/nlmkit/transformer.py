@@ -17,14 +17,15 @@ A block returns only the columns its mask queries
 (``attention.query_columns``), and its residual and FFN run on those alone;
 with ``last_only`` the final block queries each sequence's last column, all
 ``gpt2_windows`` reads.  The decoder decodes incrementally through a
-``KVCache``: every head keeps the keys and values of the positions already
-seen, so a call with a cache computes only its new columns, whose keys and
-values it adds.  The new queries attend over all cached positions through
-the matching rows of the causal mask, one row per new column, and only
-those rows are built.  A full forward pass is the empty-cache case and
-needs no cache at all; ``gpt2_decoder`` keeps one cache for a whole
-generation.  ``transformer_stack`` builds the mask's allowed entries
-(``kernels.exp_allowed``) once per pass for every head's softmax.
+``KVCache``: every block keeps its heads' keys and values of the positions
+already seen, in one stacked key array and one value array, so a call with
+a cache computes only its new columns, whose keys and values it adds.  The
+new queries attend over all cached positions through the matching rows of
+the causal mask, one row per new column, and only those rows are built.
+A full forward pass is the empty-cache case and needs no cache at all;
+``gpt2_decoder`` keeps one cache for a whole generation.
+``transformer_stack`` builds the mask's allowed entries
+(``kernels.exp_allowed``) once per pass for every block's softmax.
 """
 
 from __future__ import annotations
@@ -32,7 +33,8 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .attention import AE_MODE, AR_MODE, HeadCache, build_mask, multi_head_attention, query_columns
+from .attention import AE_MODE, AR_MODE, AttentionCache, build_mask, multi_head_attention
+from .attention import query_columns
 from .embeddings import add_positions, embed, tied_logits
 from .errors import SequenceFormatError, SequenceLengthError
 from .kernels import exp_allowed, gelu, layer_norm
@@ -53,35 +55,35 @@ def position_ffn(c: np.ndarray, w: BlockWeights, gelu_mode: str) -> np.ndarray:
 
 
 def transformer_block(h_in: np.ndarray, w: BlockWeights, mask: np.ndarray, variant: str,
-                      gelu_mode: str, cache: list[HeadCache] | None,
+                      gelu_mode: str, cache: AttentionCache | None,
                       allowed: np.ndarray | None) -> np.ndarray:
-    """One block over h_in's sequences; returns their query columns. `cache`: its heads'
-    caches; `allowed`: the mask's ``exp_allowed`` entries."""
-    first = None if cache is None else cache[0]  # every head's cache has one capacity
+    """One block over h_in's sequences; returns their query columns. `cache`: its
+    attention's keys and values; `allowed`: the mask's ``exp_allowed`` entries."""
     if variant == "post":
         a = multi_head_attention(h_in, w.mha, mask, cache, allowed)
-        c = layer_norm(query_columns(h_in, mask, first) + a, w.ln1_gain, w.ln1_bias)
+        c = layer_norm(query_columns(h_in, mask, cache) + a, w.ln1_gain, w.ln1_bias)
         d = position_ffn(c, w, gelu_mode)
         return layer_norm(c + d, w.ln2_gain, w.ln2_bias)
     if variant == "pre":
         a = multi_head_attention(layer_norm(h_in, w.ln1_gain, w.ln1_bias), w.mha, mask, cache,
                                  allowed)
-        c = query_columns(h_in, mask, first) + a
+        c = query_columns(h_in, mask, cache) + a
         d = position_ffn(layer_norm(c, w.ln2_gain, w.ln2_bias), w, gelu_mode)
         return c + d
     raise ValueError(f"unknown block variant {variant!r}; expected 'post' or 'pre'")
 
 
 class KVCache:
-    """Keys and values of every block and head for the positions a decoder
-    has seen: ``length`` rows of each preallocated max_len-row HeadCache."""
+    """Keys and values of every block's heads for the positions a decoder
+    has seen: ``length`` rows of each head in a block's preallocated
+    M x max_len x d_k key and M x max_len x d_v value arrays."""
 
     def __init__(self, w: Gpt2Weights):
         n_max = w.positions.shape[1]
         self.length = 0
-        self.blocks = [[HeadCache(np.empty((n_max, head.w_k.shape[1])),
-                                  np.empty((n_max, head.w_v.shape[1])))
-                        for head in block.mha.heads] for block in w.blocks]
+        self.blocks = [AttentionCache(np.empty((len(b.mha.w_k), n_max, b.mha.w_k.shape[2])),
+                                      np.empty((len(b.mha.w_v), n_max, b.mha.w_v.shape[2])))
+                       for b in w.blocks]
 
 
 def transformer_stack(h0: np.ndarray, w: Gpt2Weights | BertWeights, mask: np.ndarray,

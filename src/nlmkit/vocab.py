@@ -34,9 +34,9 @@ class Vocabulary:
 
     def __post_init__(self):
         self.specials = dict(self.specials)  # detected ids go into our copy, not the caller's dict
-        if len(set(self.tokens)) != len(self.tokens):
+        self._ids = dict(zip(self.tokens, range(len(self.tokens))))
+        if len(self._ids) != len(self.tokens):
             raise ConfigError("vocabulary tokens are not unique")
-        self._ids = {t: i for i, t in enumerate(self.tokens)}
         for tok in (CLS_TOKEN, SEP_TOKEN, MASK_TOKEN, UNK_TOKEN):
             if tok in self._ids and tok not in self.specials:
                 self.specials[tok] = self._ids[tok]
@@ -102,20 +102,19 @@ class TokenSequence:
 
 
 def parse_vocab(text: str) -> Vocabulary:
-    tokens: list[str] = []
+    lines = text.splitlines()
     specials: dict[str, int] = {}
-    for raw in text.splitlines():
-        if raw.startswith("#special"):
-            name, _, value = raw.removeprefix("#special").partition("=")
-            name = name.strip().upper()
-            index = parse_int(value)
-            if name not in _SPECIAL_NAMES or index is None or index < 0:
-                raise ConfigError(f"bad special-token header: {raw!r}")
-            specials[_SPECIAL_NAMES[name]] = index
-            continue
-        if raw.strip() == "":
-            continue
-        tokens.append(raw.strip())
+    if "#special" in text:  # only then look for header lines among the tokens
+        for raw in lines:
+            if raw.startswith("#special"):
+                name, _, value = raw.removeprefix("#special").partition("=")
+                name = name.strip().upper()
+                index = parse_int(value)
+                if name not in _SPECIAL_NAMES or index is None or index < 0:
+                    raise ConfigError(f"bad special-token header: {raw!r}")
+                specials[_SPECIAL_NAMES[name]] = index
+        lines = [raw for raw in lines if not raw.startswith("#special")]
+    tokens = [token for token in map(str.strip, lines) if token]
     if not tokens:
         raise ConfigError("vocabulary file contains no tokens")
     return Vocabulary(tokens, specials)

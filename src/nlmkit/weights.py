@@ -7,17 +7,22 @@ arrays: mutating ``weights.named_tensors()["blk1.WO"]`` is visible to the
 next forward call.  A record holds only what its builder gives it, so no
 field has a default; rnn and lstm share ``RecurrentWeights``.
 
-Tensor names are dotted paths such as ``blk2.h1.WQ`` (block 2, head 1,
-query projection); layer and head indices are 1-based.  An LSTM layer is
-three tensors, ``lstm.l1.U``, ``.W`` and ``.b``, its four gates stacked in
-the rows of each (see ``LstmLayerWeights``), the one form its passes run.
+Tensor names are dotted paths such as ``blk2.WQ`` (block 2, query
+projections); layer indices are 1-based.  Each layer is stored in the one
+form its passes run: an attention layer's M heads stacked along the first
+axis of ``blk1.WQ``, ``.WK``, ``.WV`` and the ``b`` forms (see
+``MultiHeadWeights``), and an LSTM layer as three tensors, ``lstm.l1.U``,
+``.W`` and ``.b``, its four gates stacked in the rows of each (see
+``LstmLayerWeights``).
 Each architecture has one builder in ``BUILDERS``.  It names every tensor
 once, asking ``t(name, *shape)`` for its array in canonical order (Python
 evaluates call arguments left to right), and returns the structured
 weights.
 ``tensor_layout``, ``assemble_weights``, ``init_weights`` and
 ``zeros_weights`` differ only in where ``t`` gets the arrays from.  Adding
-an architecture means adding its builder to ``BUILDERS``.
+an architecture means adding its builder to ``BUILDERS``.  A deep copy of a
+record (``training.gd_step`` makes one) holds its tensors in one
+``pooled_block``, as ``archive.load_weights`` does.
 
 Weight initialization draws from a Philox counter-based generator
 (identifier "philox-4x64-10"), uniform on (-0.05, 0.05), one tensor at a
@@ -28,6 +33,9 @@ result.
 from __future__ import annotations
 
 import math
+import sys
+import threading
+from copy import deepcopy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,11 +46,57 @@ from .errors import ConfigError, ShapeError
 INIT_GENERATOR = "philox-4x64-10"
 INIT_LOW, INIT_HIGH = -0.05, 0.05
 MAX_ELEMENTS = np.iinfo(np.intp).max // 8  # float64s one numpy array can address
+ALIGN = 8  # float64s: a tensor in a pooled block starts on a 64-byte boundary
+
+# (block, first 64-byte aligned entry) of the blocks pooled_block keeps; a
+# block that no array views is idle.  At most MAX_POOLED are kept, which
+# bounds the scan when a caller keeps many weight sets alive.
+_BLOCKS: list[tuple[np.ndarray, int]] = []
+_BLOCKS_LOCK = threading.Lock()  # two callers must not take one idle block
+MAX_POOLED = 16
+# Float64s (64 KiB) from which a deep copy takes a pooled block.  A smaller
+# weight set has few pages to fault in, and the pool's bookkeeping cost
+# perfbench's `train` requests on tiny models about 35 us each.
+POOL_MIN = 8192
+
+
+def aligned(size: int) -> int:
+    """`size` float64s rounded up to whole 64-byte lines."""
+    return -(-size // ALIGN) * ALIGN
+
+
+def pooled_block(size: int) -> np.ndarray:
+    """A float64 array of `size` entries on a 64-byte boundary, for the
+    tensors of one weight set to take views of.
+
+    An idle block of up to twice the size is reused, so a process that loads
+    or copies the weights of one model again and again refills memory it has
+    already touched.  Fresh memory costs a page fault per 4 KiB, and the C
+    allocator gives the freed top of its heap back to the system: each of
+    perfbench's `incremental` set-ups, which drop their models, faulted about
+    1,400 pages in again.  Idle blocks that cannot serve a request are
+    dropped, so the pool keeps no more than was last in use.
+    """
+    with _BLOCKS_LOCK:  # a block's only references are its entry and getrefcount's argument
+        fits = [entry for entry in _BLOCKS if sys.getrefcount(entry[0]) == 2
+                and size + ALIGN <= len(entry[0]) <= 2 * (size + ALIGN)]
+        if fits:
+            block, start = min(fits, key=lambda entry: len(entry[0]))
+        else:
+            _BLOCKS[:] = [entry for entry in _BLOCKS if sys.getrefcount(entry[0]) > 2]
+            block = np.empty(size + ALIGN)
+            start = -block.__array_interface__["data"][0] % (8 * ALIGN) // 8
+            if len(_BLOCKS) < MAX_POOLED:
+                _BLOCKS.append((block, start))
+        return block[start:start + size]
 
 
 @dataclass
-class HeadWeights:
-    """Projections of one attention head; biases present only when zeta=1."""
+class MultiHeadWeights:
+    """M heads stacked along axis 0: head m projects with w_q[m], w_k[m]
+    (d_e x d_k) and w_v[m] (d_e x d_v) and adds b_q[m], b_k[m] and b_v[m];
+    w_o ((M d_v) x d_e) reads its output from rows [m d_v, (m + 1) d_v).
+    Biases are present only when zeta=1."""
 
     w_q: np.ndarray
     w_k: np.ndarray
@@ -50,11 +104,6 @@ class HeadWeights:
     b_q: np.ndarray | None
     b_k: np.ndarray | None
     b_v: np.ndarray | None
-
-
-@dataclass
-class MultiHeadWeights:
-    heads: list[HeadWeights]
     w_o: np.ndarray
     b_o: np.ndarray | None
 
@@ -81,6 +130,21 @@ class _TensorBacked:
     def named_tensors(self) -> dict[str, np.ndarray]:
         """Flat ordered view sharing storage with the structured fields."""
         return self._tensors
+
+    def __deepcopy__(self, memo):
+        """A copy whose tensors are views of one ``pooled_block``, from
+        ``POOL_MIN`` float64s on."""
+        tensors = self._tensors.values()
+        size = sum(aligned(t.size) for t in tensors)
+        if size >= POOL_MIN:
+            block, at = pooled_block(size), 0
+            for t in tensors:
+                memo[id(t)] = view = block[at:at + t.size].reshape(t.shape)
+                view[...] = t
+                at += aligned(t.size)
+        clone = memo[id(self)] = object.__new__(type(self))
+        clone.__dict__.update((name, deepcopy(value, memo)) for name, value in vars(self).items())
+        return clone
 
 
 def named_tensor_view(weights) -> dict[str, np.ndarray]:
@@ -181,15 +245,15 @@ AnyWeights = FfnnWeights | RecurrentWeights | Gpt2Weights | BertWeights
 
 
 def _block(cfg: ModelConfig, t, p: str) -> BlockWeights:
-    d_e, d_k, d_v = cfg.d_e, cfg.d_k, cfg.d_v
+    d_e, d_k, d_v, m = cfg.d_e, cfg.d_k, cfg.d_v, cfg.M
 
-    def bias(name, width):  # attention biases exist only when zeta=1
-        return t(name, width) if cfg.zeta else None
+    def bias(name, *shape):  # attention biases exist only when zeta=1
+        return t(name, *shape) if cfg.zeta else None
 
-    heads = [HeadWeights(t(f"{h}WQ", d_e, d_k), t(f"{h}WK", d_e, d_k), t(f"{h}WV", d_e, d_v),
-                         bias(f"{h}bQ", d_k), bias(f"{h}bK", d_k), bias(f"{h}bV", d_v))
-             for h in (f"{p}.h{m}." for m in range(1, cfg.M + 1))]
-    mha = MultiHeadWeights(heads, t(f"{p}.WO", cfg.M * d_v, d_e), bias(f"{p}.bO", d_e))
+    mha = MultiHeadWeights(t(f"{p}.WQ", m, d_e, d_k), t(f"{p}.WK", m, d_e, d_k),
+                           t(f"{p}.WV", m, d_e, d_v), bias(f"{p}.bQ", m, d_k),
+                           bias(f"{p}.bK", m, d_k), bias(f"{p}.bV", m, d_v),
+                           t(f"{p}.WO", m * d_v, d_e), bias(f"{p}.bO", d_e))
     return BlockWeights(mha, ln1_gain=t(f"{p}.ln1G", d_e), ln1_bias=t(f"{p}.ln1B", d_e),
                         ffn_w1=t(f"{p}.ffn.W1", cfg.d_f, d_e), ffn_b1=t(f"{p}.ffn.b1", cfg.d_f),
                         ffn_w2=t(f"{p}.ffn.W2", d_e, cfg.d_f), ffn_b2=t(f"{p}.ffn.b2", d_e),

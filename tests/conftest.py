@@ -33,6 +33,20 @@ def per_gate_lstm_tensors(cfg):
     return tensors
 
 
+def per_head_attention_tensors(tensors):
+    """A gpt2 or bert weight set's tensors in the per-head layout the package
+    once stored (``blk{l}.h{m}.WQ``, ... ``.bV``) and now refuses: each
+    stacked attention tensor split into its heads."""
+    split = {}
+    for name, tensor in tensors.items():
+        block, _, kind = name.partition(".")
+        if kind in ("WQ", "WK", "WV", "bQ", "bK", "bV"):
+            split.update({f"{block}.h{m}.{kind}": tensor[m - 1] for m in range(1, len(tensor) + 1)})
+        else:
+            split[name] = tensor
+    return split
+
+
 def random_distribution(rng, size):
     p = rng.uniform(0.05, 1.0, size=size)
     return p / p.sum()

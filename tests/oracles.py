@@ -155,15 +155,16 @@ def ffn_col(c, w1, b1, w2, b2, gelu_mode):
     return vec_add(mat_vec(w2, hidden), b2)
 
 
-def _head_tuple(head):
-    return (rows(head.w_q), rows(head.w_k), rows(head.w_v),
-            None if head.b_q is None else vec(head.b_q),
-            None if head.b_k is None else vec(head.b_k),
-            None if head.b_v is None else vec(head.b_v))
+def attention_head(mha, m):
+    """Head m's (w_q, w_k, w_v, b_q, b_k, b_v) as lists, read from the stacked layer."""
+    return (rows(mha.w_q[m]), rows(mha.w_k[m]), rows(mha.w_v[m]),
+            None if mha.b_q is None else vec(mha.b_q[m]),
+            None if mha.b_k is None else vec(mha.b_k[m]),
+            None if mha.b_v is None else vec(mha.b_v[m]))
 
 
 def block_forward(h_cols, block, mask, variant, gelu_mode):
-    heads = [_head_tuple(h) for h in block.mha.heads]
+    heads = [attention_head(block.mha, m) for m in range(len(block.mha.w_q))]
     w_o = rows(block.mha.w_o)
     b_o = None if block.mha.b_o is None else vec(block.mha.b_o)
     ln1g, ln1b = vec(block.ln1_gain), vec(block.ln1_bias)

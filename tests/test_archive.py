@@ -63,6 +63,17 @@ class TestRoundTrip:
             assert loaded[name].shape == b.shape
             npt.assert_array_equal(loaded[name].view(np.uint64), b)
 
+    def test_payloads_are_aligned_views_of_one_block_per_load(self, tmp_path, rng):
+        path = tmp_path / "w.anlm"
+        save_weights({"a": rng.normal(size=(3, 5)), "bb": rng.normal(size=7), "c": 1.5}, path)
+        first, second = load_weights(path), load_weights(path)
+        for loaded in (first, second):
+            assert len({id(t.base) for t in loaded.values()}) == 1
+            assert all(t.__array_interface__["data"][0] % 64 == 0 for t in loaded.values())
+        assert first["a"].base is not second["a"].base
+        first["a"][...] = 0.0
+        assert (second["a"] != 0.0).all()
+
     def test_zero_size_tensor(self, tmp_path):
         path = write(tmp_path, header() + entry(b"z", (0, 7)))
         assert load_weights(path)["z"].shape == (0, 7)

@@ -19,9 +19,17 @@ from nlmkit.transformer import gpt2_forward
 from nlmkit.weights import init_weights
 
 import oracles
-from conftest import per_gate_lstm_tensors
+from conftest import per_gate_lstm_tensors, per_head_attention_tensors
 
 GPT2_CONFIG = "arch=gpt2\nd_e=8\nd_k=4\nd_v=4\nd_f=16\nM=2\nL=1\nvocab_size=11\nmax_len=6\n"
+
+
+def run_child(argv):
+    """The CLI in a child process, with its exit code and its whole stderr."""
+    path = [str(Path(__file__).parent.parent / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    return subprocess.run([sys.executable, "-m", "nlmkit.cli", *argv],
+                          capture_output=True, text=True, timeout=60, env=env)
 
 
 def run(argv, capsys, out=False):
@@ -83,6 +91,19 @@ def test_audit_of_per_gate_lstm_archive_exits_with_data_error(tmp_path, capsys):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+def test_audit_of_per_head_gpt2_archive_exits_with_data_error(tmp_path, capsys):
+    # an archive from before the heads were stored stacked in blk{l}.WQ, ... .bV
+    config = tmp_path / "model.cfg"
+    config.write_text(GPT2_CONFIG)
+    weights = tmp_path / "w.anlm"
+    save_weights(per_head_attention_tensors(init_weights(load_config(config), 5).named_tensors()),
+                 weights)
+    code, err = run(["audit", "--config", str(config), "--weights", str(weights)], capsys)
+    assert code == EXIT_DATA
+    assert err.startswith("nlmkit: error: weights are missing tensors: ['blk1.WK', ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 WORDS = [f"w{i}" for i in range(11)]
 TINY_MODELS = {
     "gpt2": GPT2_CONFIG,
@@ -121,11 +142,7 @@ def test_generate_refuses_more_steps_than_the_token_bound(tmp_path, arch, text):
     # a child process, so that a count the bound misses times out instead
     # of growing the test process until it is killed
     args, _ = write_model(tmp_path, arch, text)
-    path = [str(Path(__file__).parent.parent / "src"), os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
-    argv = ["generate", *args, "--prompt", "w3 w1", "--steps", str(2**64 - 1)]
-    done = subprocess.run([sys.executable, "-m", "nlmkit.cli", *argv],
-                          capture_output=True, text=True, timeout=60, env=env)
+    done = run_child(["generate", *args, "--prompt", "w3 w1", "--steps", str(2**64 - 1)])
     assert done.returncode == EXIT_DATA
     want = f"nlmkit: error: prompt plus steps is {2**64 + 1} tokens, over {MAX_TOKENS}\n"
     assert done.stderr == want
@@ -314,7 +331,6 @@ def test_unwritable_out_fails_before_training(tmp_path, capsys, out):
     assert "cannot write file" in err and "Traceback" not in err
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_train_toy_stops_at_a_non_finite_loss_and_writes_nothing(tmp_path, capsys):
     paths = train_toy_files(tmp_path, vocab="a\nb\nc\nd\ne\nf\n", corpus="a b c d e f a b c d e f")
     paths["cfg"].write_text(FFNN_CONFIG.replace("vocab_size=4", "vocab_size=6"))
@@ -324,6 +340,23 @@ def test_train_toy_stops_at_a_non_finite_loss_and_writes_nothing(tmp_path, capsy
     assert code == EXIT_DATA and not paths["out"].exists()
     assert err.startswith("nlmkit: error: training diverged: the loss after step 2 of 3 is inf")
     assert err.count("\n") == 1 and stdout.count("\n") == 1
+
+
+@pytest.mark.parametrize("config", [
+    "arch=rnn\nd_e=2\nL=1\nvocab_size=6\nmax_len=4\n",
+    "arch=lstm\nd_e=3\nL=1\nvocab_size=6\nmax_len=6\n",
+    FFNN_CONFIG.replace("vocab_size=4", "vocab_size=6"),
+], ids=["rnn", "lstm", "ffnn"])
+def test_diverging_run_writes_one_line_to_stderr(tmp_path, config):
+    # a child process, so that stderr holds whatever numpy would print too
+    paths = train_toy_files(tmp_path, vocab="a\nb\nc\nd\ne\nf\n", corpus="a b c d e f a b c d e f")
+    paths["cfg"].write_text(config)
+    argv = train_toy_argv(paths, lr="1e308")
+    argv[argv.index("--steps") + 1] = "3"
+    done = run_child(argv)
+    assert done.returncode == EXIT_DATA and not paths["out"].exists()
+    assert done.stderr.startswith("nlmkit: error: training diverged: the loss after step 2 of 3")
+    assert done.stderr.count("\n") == 1
 
 
 @pytest.mark.parametrize("config", [

@@ -160,9 +160,8 @@ class TestArLoss:
 
         def forward(seq):
             out = np.full((5, len(seq)), -np.inf)
-            for i in range(len(seq) - 1):
-                out[seq[i + 1], i] = 0.0
-            out[0, len(seq) - 1] = 0.0
+            for i in range(len(seq)):
+                out[ids[i + 1], i] = 0.0
             return out
 
         assert ar_loss(ids, forward) == 0.0
@@ -176,7 +175,11 @@ class TestArLoss:
 
         ids = [5, 4, 3, 2]
         ar_loss(ids, forward)
-        assert calls == [ids]  # one call, on the ground-truth tokens
+        assert calls == [ids[:-1]]  # one call, on the ground-truth tokens that predict one
+
+    def test_forward_must_return_a_column_per_predicting_token(self):
+        with pytest.raises(ShapeError, match=r"expected \(\|V\|, 3\)"):
+            ar_loss([1, 2, 3, 4], lambda ids: np.zeros((4, 4)))
 
     def test_requires_two_tokens(self):
         with pytest.raises(SequenceLengthError):

@@ -193,6 +193,17 @@ class TestKvCache:
             start += n
             assert cache.length == start
 
+    def test_one_key_and_one_value_array_per_block(self):
+        cfg = ModelConfig(arch="gpt2", d_e=6, d_k=3, d_v=2, d_f=5, M=4, L=3, vocab_size=7,
+                          max_len=5)
+        w = init_weights(cfg, 0)
+        cache = KVCache(w)
+        assert cache.length == 0 and len(cache.blocks) == 3
+        for block in cache.blocks:
+            assert block.k.shape == (4, 5, 3) and block.v.shape == (4, 5, 2)
+        gpt2_hidden([1, 2], w, cache)
+        assert cache.blocks[0].k is not cache.blocks[1].k
+
     def test_cache_capacity_is_max_len(self):
         w = init_weights(tiny_gpt2_config(max_len=4), 0)
         cache = KVCache(w)

@@ -1,9 +1,14 @@
 """Seeded initialization: determinism, the seed's range, archive bytes, the
-checks of assemble_weights, and records that take every field from their builder."""
+checks of assemble_weights, records that take every field from their builder,
+and the pooled blocks of deep copies."""
 
+import copy
 import dataclasses
 import hashlib
 import re
+import sys
+import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -12,9 +17,10 @@ from nlmkit.archive import save_weights
 from nlmkit.config import ModelConfig
 from nlmkit.errors import ConfigError, NlmError, ShapeError
 from nlmkit.training import named_tensor_view
+from nlmkit import weights
 from nlmkit.weights import BUILDERS, assemble_weights, init_weights, tensor_layout, zeros_weights
 
-from conftest import per_gate_lstm_tensors, tiny_gpt2_config
+from conftest import per_gate_lstm_tensors, per_head_attention_tensors, tiny_gpt2_config
 
 
 class TestInitWeightsSeed:
@@ -57,11 +63,11 @@ VARIANTS = {
 # sha256 of save_weights(init_weights(cfg, 7)): the names, their order and
 # every bit of the seeded values
 GOLDEN = {
-    "gpt2-zeta0": "3e6faaa111651aeb1fc045194f8f3b1eca3d80d9615b750ecfac000abf6a43d3",
-    "gpt2-zeta1": "ec766375ff7ce7bf88cbfb88a0060fff4cfad0a4846b6e4b33cc72689adf03f4",
-    "gpt2-zeta1-pre": "ec766375ff7ce7bf88cbfb88a0060fff4cfad0a4846b6e4b33cc72689adf03f4",
-    "bert-zeta0": "64f2737e3f7973ff920440b4f05c4ff5d1af4d77bfdd384e7fe9da20cd90a957",
-    "bert-zeta1": "822cecabb5a417031df538b5a21e094c02411bb61c0ee84f793cf8c566358df3",
+    "gpt2-zeta0": "f43659aea1f19daaff4f3fba96bcb3ea6deb5077763c72355e5e85e27fe69ca8",
+    "gpt2-zeta1": "e1624bb18a72e4d4af1a834fab962b2536d59ba896fea897e388d97f7799fb64",
+    "gpt2-zeta1-pre": "e1624bb18a72e4d4af1a834fab962b2536d59ba896fea897e388d97f7799fb64",
+    "bert-zeta0": "161fb05786a2d2d9b2c6067134bd1c76befcc04dbad89e68191d2f878fac39c2",
+    "bert-zeta1": "18f1b4b648e16b387f237d400f9973755c3f313e1c33709e4983103f438b295d",
     "rnn": "e9f5b335d8287c844b794fad20bc351c0f64d9d5c9e8ccc2c523a5c8f13ac5c0",
     "lstm": "79806ac7622ecd8cb71d883cabeaa53d2b39257517fc88f93d4c03a7cdc37baf",
     "ffnn-1": "a5240211dd129014e5436d4f0066f219a3e2d32405d8050bb5d44d15e27df37c",
@@ -113,8 +119,8 @@ class TestAssembleRefuses:
 
     def test_missing_tensor(self):
         tensors = self.tensors()
-        del tensors["blk2.h3.bV"]
-        with pytest.raises(ConfigError, match=r"missing tensors: \['blk2.h3.bV'\]"):
+        del tensors["blk2.bV"]
+        with pytest.raises(ConfigError, match=r"missing tensors: \['blk2.bV'\]"):
             assemble_weights(VARIANTS["gpt2-zeta1"], tensors)
 
     def test_extra_tensor(self):
@@ -127,25 +133,100 @@ class TestAssembleRefuses:
         with pytest.raises(ConfigError, match="unexpected tensors"):
             assemble_weights(VARIANTS["gpt2-zeta0"], self.tensors())
 
-    @pytest.mark.parametrize("shape", [(6, 2), (3, 6), (6, 3, 1), (18,)])
+    @pytest.mark.parametrize("shape", [(6, 3), (3, 3, 6), (3, 6, 3, 1), (54,)])
     def test_mis_shaped_tensor(self, shape):
         tensors = self.tensors()
-        tensors["blk1.h2.WK"] = np.zeros(shape)
-        with pytest.raises(ShapeError, match=r"blk1.h2.WK has shape .*, expected \(6, 3\)"):
+        tensors["blk1.WK"] = np.zeros(shape)
+        with pytest.raises(ShapeError, match=r"blk1.WK has shape .*, expected \(3, 6, 3\)"):
             assemble_weights(VARIANTS["gpt2-zeta1"], tensors)
 
     def test_adopts_arrays_by_reference(self):
         tensors = self.tensors()
         w = assemble_weights(VARIANTS["gpt2-zeta1"], tensors)
-        assert w.blocks[1].mha.heads[2].w_q is tensors["blk2.h3.WQ"]
+        assert w.blocks[1].mha.w_q is tensors["blk2.WQ"]
         assert w.named_tensors()["emb.E"] is w.embedding
         tensors = dict(init_weights(VARIANTS["lstm"], 2).named_tensors())
         w = assemble_weights(VARIANTS["lstm"], tensors)  # the passes read no gate copy
         assert w.layers[0].u is tensors["lstm.l1.U"]
         assert w.layers[1].b is tensors["lstm.l2.b"]
 
+    @pytest.mark.parametrize("name", ["gpt2-zeta1", "bert-zeta0"])
+    def test_attention_archive_in_the_per_head_layout(self, name):
+        tensors = per_head_attention_tensors(init_weights(VARIANTS[name], 2).named_tensors())
+        assert "blk1.h1.WQ" in tensors
+        kinds = "WQ WK WV bQ bK bV".split()[:6 if VARIANTS[name].zeta else 3]
+        stacked = [f"blk{l}.{kind}" for l in (1, 2) for kind in kinds]
+        with pytest.raises(ConfigError, match=re.escape(f"missing tensors: {sorted(stacked)}")):
+            assemble_weights(VARIANTS[name], tensors)
+
     def test_lstm_archive_in_the_per_gate_layout(self):
         tensors = per_gate_lstm_tensors(VARIANTS["lstm"])
         stacked = [f"lstm.l{l}.{kind}" for l in (1, 2) for kind in "UWb"]
         with pytest.raises(ConfigError, match=re.escape(f"missing tensors: {sorted(stacked)}")):
             assemble_weights(VARIANTS["lstm"], tensors)
+
+
+# weight sets of at least weights.POOL_MIN float64s, whose deep copies are pooled
+POOLED = {arch: ModelConfig(arch=arch, d_e=16, d_k=4, d_v=4, d_f=8, M=2, L=1, vocab_size=600,
+                            max_len=5) for arch in ("gpt2", "lstm", "rnn")}
+
+
+class TestPooledBlocks:
+    def test_deep_copy_is_equal_independent_and_one_aligned_block(self):
+        w = init_weights(POOLED["gpt2"], 3)
+        c = copy.deepcopy(w)
+        original, copied = w.named_tensors(), c.named_tensors()
+        assert all(np.array_equal(copied[k], original[k]) for k in original)
+        assert len({id(t.base) for t in copied.values()}) == 1
+        assert all(t.__array_interface__["data"][0] % 64 == 0 for t in copied.values())
+        assert c.blocks[0].mha.w_v is copied["blk1.WV"] and c.embedding is copied["emb.E"]
+        copied["blk1.WQ"][...] = 7.0
+        assert not (original["blk1.WQ"] == 7.0).any() and (copied["blk1.WK"] != 7.0).all()
+
+    def test_a_dropped_copy_serves_the_next_and_a_live_one_never(self):
+        w = init_weights(POOLED["lstm"], 3)
+        first = copy.deepcopy(w)
+        block = id(first.embedding.base)
+        second = copy.deepcopy(w)
+        assert id(second.embedding.base) != block
+        del first
+        assert id(copy.deepcopy(w).embedding.base) == block
+
+    def test_a_small_weight_set_copies_tensor_by_tensor(self):
+        copied = copy.deepcopy(init_weights(VARIANTS["lstm"], 3)).named_tensors()
+        assert all(t.base is None for t in copied.values())  # each owns its data
+
+    def test_idle_blocks_that_cannot_serve_a_request_are_dropped(self):
+        kept = weights.pooled_block(10)
+        dropped = weakref.ref(weights.pooled_block(20).base)
+        weights.pooled_block(1000)
+        assert dropped() is None and any(block is kept.base for block, _ in weights._BLOCKS)
+
+    def test_the_pool_keeps_at_most_max_pooled_blocks(self):
+        live = [weights.pooled_block(8) for _ in range(weights.MAX_POOLED + 4)]
+        assert len(weights._BLOCKS) == weights.MAX_POOLED
+        assert len({id(block.base) for block in live}) == len(live)
+
+    def test_threads_never_share_a_block(self):
+        # a block two live copies shared would let one thread's writes show in the other's
+        w = init_weights(POOLED["rnn"], 3)
+        clashes, interval = [], sys.getswitchinterval()
+
+        def worker(value):
+            for _ in range(400):
+                tensors = copy.deepcopy(w).named_tensors()
+                for t in tensors.values():
+                    t[...] = value
+                if any((t != value).any() for t in tensors.values()):
+                    clashes.append(value)
+
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(float(v),)) for v in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and clashes == []
