@@ -14,22 +14,29 @@ from .errors import OutOfVocabularyError, SequenceLengthError, ShapeError
 from .kernels import as_matrix, as_vector
 
 
+def checked_ids(ids, size: int, error: type = OutOfVocabularyError,
+                what: str | None = None) -> np.ndarray:
+    """The ids as an intp array, each in [0, size), or `error` naming `what`
+    (an embedding table of `size`); an id no intp holds is out of range too."""
+    what = what or f"embedding table of {size}"
+    try:
+        ids = np.asarray(ids, dtype=np.intp)
+    except OverflowError:
+        raise error(f"an id is out of range for {what}") from None
+    # one reduction checks both ends: a negative id reads as 2**63 or more unsigned
+    if ids.size and ids.view(np.uintp).max() >= size:
+        raise error(f"ids from {ids.min()} to {ids.max()} are out of range for {what}")
+    return ids
+
+
 def embed(ids: list[int], e: np.ndarray) -> np.ndarray:
     """Select one embedding column per token id.
 
     Repeated ids produce identical columns; the result has shape
-    (d_e, len(ids)).
+    (d_e,) + the shape of the ids, (d_e, len(ids)) for a list.
     """
     e = as_matrix(e)
-    try:
-        ids = np.asarray(ids, dtype=np.intp)
-    except OverflowError:
-        raise OutOfVocabularyError(f"an id is out of range for embedding table of {e.shape[1]}") \
-            from None
-    # one reduction checks both ends: a negative id reads as 2**63 or more unsigned
-    if ids.size and ids.view(np.uintp).max() >= e.shape[1]:
-        raise OutOfVocabularyError(f"ids from {ids.min()} to {ids.max()} are out of range for "
-                                   f"embedding table of {e.shape[1]}")
+    ids = checked_ids(ids, e.shape[1])
     return e.take(ids, axis=1, mode="clip")  # clip, the cheaper mode, never acts on checked ids
 
 
@@ -70,20 +77,23 @@ def tied_logits(h: np.ndarray, e: np.ndarray, out_bias: np.ndarray | None = None
     position; the result is a |V| vector or a |V| x len matrix.  Component
     j of a column is the dot product of embedding column j with the hidden
     column, plus the optional output bias.
+
+    Both are scored as (h.T @ e).T, whose columns are contiguous (see
+    ``kernels``); for a decode step's vector that is the gemv of ``e.T @ h``.
     """
     h = np.asarray(h, dtype=np.float64)
     e = as_matrix(e)
     if h.ndim not in (1, 2) or h.shape[0] != e.shape[0]:
         raise ShapeError(f"hidden shape {h.shape} does not match embedding dim {e.shape[0]}")
-    z = e.T @ h
+    z = h.T @ e
     if out_bias is not None:
         out_bias = as_vector(out_bias)
         if out_bias.shape[0] != e.shape[1]:
             raise ShapeError(
                 f"output bias dim {out_bias.shape[0]} != vocabulary size {e.shape[1]}"
             )
-        z += out_bias if h.ndim == 1 else out_bias[:, None]
-    return z
+        z += out_bias
+    return z.T
 
 
 def tied_logits_backward(h: np.ndarray, e: np.ndarray, d_z: np.ndarray,

@@ -10,6 +10,10 @@ This module fixes the numerical conventions used everywhere else:
   along axis 1 (across each row, one row per query),
 * models emit logits; a distribution is ``softmax`` of them and a loss is
   taken from them directly (``losses.ce_loss``), never from probabilities,
+* a logit matrix is |V| x n with each position's column contiguous, the
+  transposed view of the tied head's n x |V| product h.T @ E: at d_e 128,
+  |V| 5000 and n 127 that product took 3.2 against 5.2 ms for E.T @ h, and
+  ``ce_loss`` down the columns 1.5 against 2.2 ms (one BLAS thread, Xeon),
 * attention masks may carry ``-inf`` sentinels; softmax maps them to exact 0,
 * softmax and the loss share one validation and shift step (``shifted``):
   the largest finite entry of each slice is subtracted before

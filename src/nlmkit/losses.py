@@ -18,6 +18,7 @@ from typing import Callable
 
 import numpy as np
 
+from .embeddings import checked_ids
 from .errors import SequenceFormatError, SequenceLengthError, ShapeError
 from .kernels import shifted, softmax
 from .vocab import MASK_TOKEN, TokenSequence, Vocabulary
@@ -33,13 +34,10 @@ def _exp_shifted(targets, logits, overwrite: bool = False):
     in place in the one shifted copy (in `logits` itself with `overwrite`),
     the shifted target entries read before that, and the index of those
     entries."""
-    targets = np.asarray(targets, dtype=np.intp)
     s = shifted(logits, 0, overwrite)
+    targets = checked_ids(targets, s.shape[0], ShapeError, f"{s.shape[0]} classes")
     if s.shape[1:] != targets.shape:
         raise ShapeError(f"targets of shape {targets.shape} do not match logits of shape {s.shape}")
-    if targets.size and not (0 <= targets.min() and targets.max() < s.shape[0]):
-        raise ShapeError(f"class ids from {targets.min()} to {targets.max()} are out of "
-                         f"range for {s.shape[0]} classes")
     index = (targets, np.arange(s.shape[1])) if s.ndim == 2 else targets
     picked = s[index]
     np.exp(s, out=s)  # exp(-inf) == 0.0 exactly; a target at -inf gives inf

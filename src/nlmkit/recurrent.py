@@ -33,7 +33,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .embeddings import embed, embed_backward, tied_logits, tied_logits_backward
 from .errors import SequenceLengthError, ShapeError
-from .ffnn import activation_derivative, activation_fn
+from .ffnn import ACTIVATIONS
 from .weights import LstmLayerWeights, RecurrentWeights, RnnLayerWeights
 
 
@@ -52,7 +52,7 @@ def rnn_cell(h_prev: np.ndarray, x_in: np.ndarray, w: RnnLayerWeights) -> np.nda
         )
     # a (d,) bias would add along the rows of a d x B matrix, so give it a column axis
     b = w.b if h_prev.ndim == 1 else w.b[:, None]
-    return activation_fn(w.activation)(w.u @ h_prev + w.w @ x_in + b)
+    return ACTIVATIONS[w.activation][0](w.u @ h_prev + w.w @ x_in + b)
 
 
 @functools.lru_cache(maxsize=None)
@@ -194,7 +194,7 @@ def _rnn_layer_vjp(x: np.ndarray, layer: RnnLayerWeights):
     outputs, and the backward pass from their gradient to the input's,
     which writes the layer's gradient into `g`."""
     d, length, batch = x.shape
-    f = activation_fn(layer.activation)
+    f, slope_of = ACTIVATIONS[layer.activation]
     wx = (layer.w @ x.reshape(d, -1)).reshape(x.shape) + layer.b[:, None, None]
     h = np.empty(x.shape)
     h_t = np.zeros((d, batch))
@@ -202,7 +202,7 @@ def _rnn_layer_vjp(x: np.ndarray, layer: RnnLayerWeights):
         h_t = h[:, t] = f(layer.u @ h_t + wx[:, t])
 
     def backward(d_h: np.ndarray, g: RnnLayerWeights) -> np.ndarray:
-        slope = activation_derivative(layer.activation)(h)
+        slope = slope_of(h)
         d_a = np.empty(h.shape)
         carry = np.zeros((d, batch))
         for t in range(length - 1, -1, -1):
@@ -263,11 +263,11 @@ def recurrent_lm_vjp(ids, w: RecurrentWeights):
     gradient in those |V| x (len * B) logits and writes its gradient in
     every parameter into `g`, a zeroed record built like `w`.
     """
-    ids = np.asarray(ids, dtype=np.intp)
+    ids = np.asarray(ids)
     if ids.ndim != 2 or ids.shape[0] < 1:
         raise SequenceLengthError(f"expected a nonempty len x B id matrix, got shape {ids.shape}")
     d = w.embedding.shape[0]
-    x = embed(ids.reshape(-1), w.embedding).reshape((d,) + ids.shape)
+    x = embed(ids, w.embedding)
     backwards = []
     for layer in w.layers:
         layer_vjp = _rnn_layer_vjp if isinstance(layer, RnnLayerWeights) else _lstm_layer_vjp

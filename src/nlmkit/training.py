@@ -19,6 +19,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .config import ModelConfig
+from .embeddings import checked_ids
 from .errors import NonFiniteLossError, SequenceLengthError, ShapeError
 from .ffnn import ffnn_batch_forward
 from .inference import causal_model, make_forward
@@ -164,9 +165,11 @@ def corpus_objective(cfg: ModelConfig, corpus_ids: list[int]):
     and its gradient, keyed by the ``named_tensor_view`` names.  The corpus
     windows or chunks are built once for both.  With a reverse pass both run
     its forward pass over the whole corpus as one batch; without one they
-    are ``make_corpus_loss`` and its ``numerical_gradient``.
+    are ``make_corpus_loss`` and its ``numerical_gradient``.  Either way an
+    id outside the vocabulary raises ``OutOfVocabularyError``.
     """
     model = causal_model(cfg)
+    corpus_ids = checked_ids(corpus_ids, cfg.vocab_size)
     if model.grad is None:
         loss = make_corpus_loss(cfg, corpus_ids)
         return loss, lambda w: (loss(w), numerical_gradient(loss, w))

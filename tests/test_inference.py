@@ -10,7 +10,13 @@ import pytest
 
 from nlmkit import ffnn, recurrent, transformer
 from nlmkit.config import ModelConfig
-from nlmkit.errors import ConfigError, SequenceLengthError
+from nlmkit.errors import (
+    ConfigError,
+    NlmError,
+    OutOfVocabularyError,
+    SequenceLengthError,
+    ShapeError,
+)
 from nlmkit.ffnn import ffnn_forward
 from nlmkit.inference import (
     MAX_TOKENS,
@@ -20,8 +26,9 @@ from nlmkit.inference import (
     min_context,
 )
 from nlmkit.kernels import softmax
-from nlmkit.losses import WINDOW_BATCH, corpus_nll
+from nlmkit.losses import WINDOW_BATCH, ce_loss, corpus_nll
 from nlmkit.recurrent import recurrent_lm_forward
+from nlmkit.training import train_toy
 from nlmkit.transformer import WINDOW_COLUMNS, gpt2_forward
 from nlmkit.weights import init_weights
 
@@ -337,3 +344,57 @@ class TestCorpusNll:
 
         want = oracles.corpus_nll(ids, predict, MAX_LEN)
         assert abs(corpus_nll(ids, make_predict_next(cfg, w), MAX_LEN, 1) - want) <= 1e-10 * want
+
+
+BEYOND_INTP = 2**70  # no intp holds it: numpy refuses the conversion with OverflowError
+
+
+def _nll(name, ids):
+    cfg, w = model(name)
+    return corpus_nll(ids, make_predict_next(cfg, w), MAX_LEN, min_context(cfg))
+
+
+def _train(name, ids):
+    cfg, w = model(name)
+    return train_toy(cfg, w, ids, steps=1, mu_lr=0.1)
+
+
+def _generate(name, ids):
+    cfg, w = model(name)
+    return generate_tokens(cfg, w, ids, steps=1)
+
+
+def _ce_loss(name, ids):
+    return ce_loss(ids, np.zeros((3, len(ids))))
+
+
+PROMPT = [1, 2, 3, 4, 5, BEYOND_INTP]  # a full window, ending in the id
+BEYOND_INTP_IDS = {
+    "input": [1, 2, 3, 4, 5, 6, BEYOND_INTP, 7, 8],  # read as an input by every window
+    "target": [1, 2, 3, 4, 5, 6, 7, BEYOND_INTP],  # read only as the last target
+    "prompt": PROMPT,
+    "short-prompt": PROMPT[1:],  # leaves gpt2 room for the step
+    "class": [BEYOND_INTP],
+}
+
+
+def _case(run, name, where, error):
+    return pytest.param(run, name, BEYOND_INTP_IDS[where], error,
+                        id=f"{run.__name__[1:]}-{name}-{where}")
+
+
+@pytest.mark.parametrize("run,name,ids,error", [
+    *[_case(_train, name, "input", OutOfVocabularyError)
+      for name in ("rnn", "lstm", "ffnn", "gpt2-pre")],
+    *[_case(_train, name, "target", OutOfVocabularyError) for name in ("rnn", "ffnn", "gpt2-pre")],
+    *[_case(_nll, name, "input", OutOfVocabularyError) for name in AUTOREGRESSIVE],
+    # corpus_nll does not know the vocabulary, so a target-only id first
+    # reaches ce_loss, which reports it as a class id (ShapeError) for now
+    *[_case(_nll, name, "target", NlmError) for name in ("rnn", "ffnn", "gpt2-pre")],
+    *[_case(_generate, name, "prompt", OutOfVocabularyError) for name in ("rnn", "ffnn")],
+    _case(_generate, "gpt2-pre", "short-prompt", OutOfVocabularyError),
+    _case(_ce_loss, "targets", "class", ShapeError),
+])
+def test_an_id_beyond_intp_raises_an_nlm_error(run, name, ids, error):
+    with pytest.raises(error):
+        run(name, ids)

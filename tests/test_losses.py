@@ -150,6 +150,58 @@ class TestCeLossGrad:
             ce_loss_grad(targets, logits)
 
 
+def layouts(z):
+    """C-ordered and F-ordered copies of the same logits."""
+    return np.ascontiguousarray(z), np.asfortranarray(z)
+
+
+class TestLogitLayout:
+    """Every loss reads a |V| x n logit matrix in either memory order; the
+    tied head returns one whose columns, one per position, are contiguous."""
+
+    def _logits(self, rng, rows=13, cols=6):
+        z = rng.normal(scale=3.0, size=(rows, cols))
+        z[0, 1] = -np.inf
+        return z
+
+    def test_ce_loss_and_its_gradient(self, rng):
+        z = self._logits(rng)
+        targets = rng.integers(1, 13, 6)
+        c, f = layouts(z)
+        assert c.flags.c_contiguous and f.flags.f_contiguous and not f.flags.c_contiguous
+        assert ce_loss(targets, f) == pytest.approx(ce_loss(targets, c), rel=1e-12)
+        (loss_c, grad_c), (loss_f, grad_f) = ce_loss_grad(targets, c), ce_loss_grad(targets, f)
+        assert loss_f == pytest.approx(loss_c, rel=1e-12)
+        npt.assert_allclose(grad_f, grad_c, rtol=1e-12, atol=0)
+
+    def test_mlm_loss(self, rng):
+        target = apply_mlm_mask(TokenSequence([0, 1, 2, 3, 4, 5]), [1, 2, 5], umbrella_vocab())
+        c, f = layouts(self._logits(rng))
+        assert mlm_loss(target, f) == pytest.approx(mlm_loss(target, c), rel=1e-12)
+
+    def test_corpus_nll(self, rng):
+        z = self._logits(rng, cols=40)
+        corpus = rng.integers(0, 13, 30).tolist()
+
+        def passes(order):
+            # fresh arrays per call, as a model's passes return
+            return Predictor(lambda ids: np.array(z[:, :len(ids)], order=order),
+                             lambda ids, n: np.array(z[:, :len(ids) - n + 1], order=order))
+
+        want = corpus_nll(corpus, passes("C"), window=4, min_context=1)
+        assert corpus_nll(corpus, passes("F"), window=4, min_context=1) \
+            == pytest.approx(want, rel=1e-12)
+
+    def test_overwrite_shifts_a_column_contiguous_view_in_place(self, rng):
+        rows = rng.normal(scale=3.0, size=(6, 13))  # position-major, as the tied head computes
+        z = rows.T
+        before = z.copy()
+        targets = rng.integers(0, 13, 6)
+        loss = ce_loss(targets, z, overwrite=True)
+        npt.assert_array_equal(rows.T, np.exp(before - before.max(axis=0)))
+        assert loss == pytest.approx(ce_loss(targets, before), rel=1e-12)
+
+
 class TestArLoss:
     def test_uniform_model(self):
         forward = lambda ids: np.log(np.full((8, len(ids)), 1 / 8))

@@ -1,6 +1,7 @@
 """Reverse-mode and finite-difference gradients, descent updates, and toy
 memorization."""
 
+import copy
 import math
 
 import numpy as np
@@ -260,6 +261,67 @@ class TestReverseModeGradient:
         want = make_corpus_loss(cfg, corpus)(w)
         assert abs(loss_fn(w) - want) <= 1e-12 * want
         assert loss_fn(w) == loss_and_gradient(w)[0]
+
+
+# Perfbench's small configs (V = 1000) and the weight scale each is checked
+# at.  Scaled x10, the d64 rnn's loss is chaotic: its difference quotient
+# only converges below h = 1e-7, so the rnn is checked at x1 and x3.
+BENCHMARK_SIZED = {
+    "lstm-x10": (ModelConfig(arch="lstm", d_e=64, L=2, vocab_size=1000, max_len=64), 10.0),
+    "rnn-x1": (ModelConfig(arch="rnn", d_e=64, L=2, vocab_size=1000, max_len=64), 1.0),
+    "rnn-x3": (ModelConfig(arch="rnn", d_e=64, L=2, vocab_size=1000, max_len=64), 3.0),
+    "ffnn-x10": (ModelConfig(arch="ffnn", d_e=64, max_len=64, hidden_dims=[64],
+                             vocab_size=1000), 10.0),
+}
+DIRECTIONS = 3
+DIRECTION_NORM = 30.0  # a step of h moves the weights by 3e-4 in norm
+DD_STEP = 1e-5
+DD_RTOL = 1e-6
+
+
+def moved(w, v, step):
+    """A copy of the weights moved by step * v, v keyed by tensor name."""
+    out = copy.deepcopy(w)
+    for name, tensor in named_tensor_view(out).items():
+        tensor += step * v[name]
+    return out
+
+
+class TestDirectionalDerivative:
+    """The reverse pass at benchmark sizes, which the per-entry check on tiny
+    configs never reaches: 64-step unrolls, the 1000-class head and its
+    backward, BLAS on full-sized matrices, a 200-token corpus in 4 chunks.
+
+    For each of 3 seeded Gaussian directions v of norm 30, the gradient's
+    g.v must match the central difference (L(w + hv) - L(w - hv)) / 2h at
+    h = 1e-5 to within 1e-6 of the largest |g.v| of the three.  It is
+    relative to the largest because one direction drawn near orthogonal to
+    g gives a g.v that the quotient's rounding error (about 1e-10) swamps.
+    In a sweep of 30 seeded triples the worst error read 4.4e-8 (rnn x1),
+    and at most 1.6e-8 on the others.
+    """
+
+    @pytest.mark.parametrize("name", list(BENCHMARK_SIZED))
+    def test_matches_central_differences(self, name):
+        cfg, scale = BENCHMARK_SIZED[name]
+        rng = np.random.default_rng(2024)
+        corpus = rng.integers(0, cfg.vocab_size, 200).tolist()
+        w = init_weights(cfg, 3)
+        tensors = named_tensor_view(w)
+        for tensor in tensors.values():
+            tensor *= scale
+        loss, loss_and_gradient = corpus_objective(cfg, corpus)
+        grad = loss_and_gradient(w)[1]
+        derivatives, errors = [], []
+        for _ in range(DIRECTIONS):
+            v = {key: rng.standard_normal(t.shape) for key, t in tensors.items()}
+            norm = math.sqrt(sum(float((d * d).sum()) for d in v.values()))
+            v = {key: d * (DIRECTION_NORM / norm) for key, d in v.items()}
+            derivative = sum(float((grad[key] * d).sum()) for key, d in v.items())
+            quotient = (loss(moved(w, v, DD_STEP)) - loss(moved(w, v, -DD_STEP))) / (2 * DD_STEP)
+            derivatives.append(derivative)
+            errors.append(abs(derivative - quotient))
+        assert max(errors) <= DD_RTOL * max(map(abs, derivatives)), (errors, derivatives)
 
 
 def tiny_gpt2():

@@ -1,5 +1,7 @@
 """Vocabulary, tokenizer, embedding lookup, positions, tied logits."""
 
+import math
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -211,6 +213,24 @@ class TestTiedLogits:
         assert z.shape == (7, 4)
         for j in range(4):
             npt.assert_allclose(z[:, j], tied_logits(h[:, j], e, b), rtol=1e-12, atol=1e-14)
+
+    @pytest.mark.parametrize("bias", [False, True])
+    def test_matrix_columns_are_contiguous_per_position(self, rng, bias):
+        # the loss reduces each position's column; the fast layout keeps it contiguous
+        e = rng.normal(size=(5, 9))
+        h = rng.normal(size=(5, 4))
+        z = tied_logits(h, e, rng.normal(size=9) if bias else None)
+        assert z.shape == (9, 4)
+        assert z.flags.f_contiguous and all(z[:, j].flags.c_contiguous for j in range(4))
+
+    @pytest.mark.parametrize("bias", [False, True])
+    def test_matrix_matches_per_column_dot_products(self, rng, bias):
+        e = rng.normal(size=(6, 11))
+        h = rng.normal(size=(6, 5))
+        b = rng.normal(size=11) if bias else np.zeros(11)
+        z = tied_logits(h, e, b if bias else None)
+        want = [[math.fsum(e[:, i] * h[:, j]) + b[i] for j in range(5)] for i in range(11)]
+        npt.assert_allclose(z, want, rtol=1e-12, atol=1e-14)
 
     def test_dimension_mismatch(self, rng):
         with pytest.raises(ShapeError):
