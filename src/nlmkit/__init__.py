@@ -16,7 +16,7 @@ from .ffnn import ffnn_batch_forward, ffnn_forward
 from .inference import generate_tokens
 from .kernels import gelu, layer_norm, sigmoid, softmax
 from .losses import ar_loss, ce_loss, corpus_nll, mlm_corrupt, mlm_loss
-from .recurrent import lstm_cell, recurrent_lm_forward, rnn_cell, unroll
+from .recurrent import recurrent_lm_forward, unroll
 from .training import gd_step, numerical_gradient, train_toy
 from .transformer import (
     bert_forward,

@@ -138,15 +138,17 @@ def mlm_corrupt(seq: TokenSequence, mask_rate: float, seed: int, vocab: Vocabula
 
 
 def mlm_loss(target: MlmTarget, logits: np.ndarray) -> float:
-    """Summed cross entropy of the original token, over masked positions only."""
+    """Summed cross entropy of the original token, over masked positions only;
+    an original id outside the logits' |V| rows raises ``OutOfVocabularyError``."""
     logits = np.asarray(logits, dtype=np.float64)
     if logits.ndim != 2 or logits.shape[1] != len(target.mask):
         raise ShapeError(
             f"logits shape {logits.shape} does not cover {len(target.mask)} positions"
         )
     masked = target.masked_positions()
+    targets = checked_ids([target.original_ids[i] for i in masked], logits.shape[0])
     # the gather is a fresh copy, so the loss may shift it in place
-    return ce_loss([target.original_ids[i] for i in masked], logits[:, masked], overwrite=True)
+    return ce_loss(targets, logits[:, masked], overwrite=True)
 
 
 @dataclass
@@ -182,7 +184,8 @@ def corpus_nll(corpus_ids: list[int], predict_next: Predictor, window: int,
     i < window, so the predictor's prefix pass scores them all in one
     causal pass over corpus[:window-1].  The full windows
     corpus[i-window:i] go to its window scorer, WINDOW_BATCH at a time.
-    Each pass is reduced by one ``ce_loss`` call.
+    Each pass is reduced by one ``ce_loss`` call.  An id outside the
+    vocabulary raises ``OutOfVocabularyError``, also where it is only a target.
     """
     if len(corpus_ids) < 2:
         raise SequenceLengthError("corpus must contain at least two tokens")
@@ -190,7 +193,7 @@ def corpus_nll(corpus_ids: list[int], predict_next: Predictor, window: int,
         raise ValueError(f"window must be >= 1, got {window}")
     n = len(corpus_ids)
     short = range(max(1, min_context), min(window, n))
-    total = 0.0
+    total, targets = 0.0, None  # targets are checked once, against the first pass's |V|
     if short:
         if predict_next.prefix is None:
             raise SequenceLengthError(
@@ -198,15 +201,17 @@ def corpus_nll(corpus_ids: list[int], predict_next: Predictor, window: int,
                 f"pass min_context={window}"
             )
         logits = predict_next.prefix(corpus_ids[:short[-1]])
-        total += ce_loss(corpus_ids[short.start:short.stop], logits[:, short.start - 1:],
+        targets = checked_ids(corpus_ids, logits.shape[0])
+        total += ce_loss(targets[short.start:short.stop], logits[:, short.start - 1:],
                          overwrite=True)
     scored = len(short)
     if window >= min_context:
         for lo in range(window, n, WINDOW_BATCH):
             hi = min(lo + WINDOW_BATCH, n)
-            total += ce_loss(corpus_ids[lo:hi],
-                             predict_next.windows(corpus_ids[lo - window:hi - 1], window),
-                             overwrite=True)
+            logits = predict_next.windows(corpus_ids[lo - window:hi - 1], window)
+            if targets is None:
+                targets = checked_ids(corpus_ids, logits.shape[0])
+            total += ce_loss(targets[lo:hi], logits, overwrite=True)
             scored += hi - lo
     if scored == 0:
         raise SequenceLengthError(

@@ -6,22 +6,28 @@ runs: its gate blocks Q, P, R, S, in update order, as a 4d x d U and W and a
 [k d, (k + 1) d).  All layers share the embedding width, and the output head
 reuses the transposed embedding matrix (weight tying).
 
-A cell takes one state vector, or a d x B matrix that advances B
-sequences at once, one column each.  The LSTM takes its four gates from one
-``np.tanh`` over the stacked pre-activation, each sigmoid gate as
-sigmoid(z) = (1 + tanh(z/2)) / 2, which agrees with the logistic function
-within 2.3e-16 and costs a third of ``kernels.sigmoid`` per entry; the cell
-and the reverse pass's forward step share that step (``_lstm_step``), so
-they give bitwise the same states.  ``unroll`` takes and returns the
-per-layer ``(h, c)`` state, so ``recurrent_decoder`` carries it forward one
-token at a time instead of re-reading the prefix.
+``unroll`` checks its input, state and weights once per call, then steps
+through the unchecked cells; a checked single step is
+``unroll(x[:, None], [layer], [(h, c)])``.  A cell takes one state vector,
+or a d x B matrix that advances B sequences at once, one column each.  The
+LSTM takes its four gates from one ``np.tanh`` over the stacked
+pre-activation, each sigmoid gate as sigmoid(z) = (1 + tanh(z/2)) / 2,
+which agrees with the logistic function within 2.3e-16 and costs a third of
+``kernels.sigmoid`` per entry.  ``unroll`` takes and returns the per-layer
+``(h, c)`` state, so ``recurrent_decoder`` carries it forward one token at
+a time instead of re-reading the prefix.
 
 ``recurrent_lm_vjp`` runs the model over a batch of equal-length sequences
 and returns its backward pass with the logits: backpropagation through
 time, layer by layer from the top.  It keeps every step's state, so each
 layer's input products and all weight gradients are one matrix product
 over every step, and only ``U h`` forward and ``U^T dz`` backward run per
-step.
+step.  Its LSTM steps through ``lstm_cell``, so its states are bitwise
+``unroll``'s; its Elman layer adds W x + b for all steps at once.  Its
+layer-major loops stay (2-vCPU Xeon, one BLAS thread): through ``unroll``
+the tiny-rnn training step took 22% longer, and with the Elman layer
+through ``rnn_cell`` perfbench's `train` request_p50_ms rose 1.5%; a
+layer-major ``unroll`` made lstm ``corpus_nll`` 7% slower.
 """
 
 from __future__ import annotations
@@ -37,19 +43,8 @@ from .ffnn import ACTIVATIONS
 from .weights import LstmLayerWeights, RecurrentWeights, RnnLayerWeights
 
 
-def _same_batch(h: np.ndarray, x: np.ndarray) -> bool:
-    """Both are d x B matrices with the same B."""
-    return h.ndim == 2 and h.shape[1] == x.shape[1]
-
-
 def rnn_cell(h_prev: np.ndarray, x_in: np.ndarray, w: RnnLayerWeights) -> np.ndarray:
-    """One Elman step for a state vector or a d x B matrix of states."""
-    if (w.u.shape[1] != h_prev.shape[0] or w.w.shape[1] != x_in.shape[0]
-            or h_prev.ndim != x_in.ndim or h_prev.ndim != 1 and not _same_batch(h_prev, x_in)):
-        raise ShapeError(
-            f"rnn cell dims disagree: U {w.u.shape} vs h {h_prev.shape}, "
-            f"W {w.w.shape} vs x {x_in.shape}"
-        )
+    """One unchecked Elman step for a state vector or a d x B matrix of states."""
     # a (d,) bias would add along the rows of a d x B matrix, so give it a column axis
     b = w.b if h_prev.ndim == 1 else w.b[:, None]
     return ACTIVATIONS[w.activation][0](w.u @ h_prev + w.w @ x_in + b)
@@ -68,15 +63,18 @@ def _gate_affine(rows: int) -> tuple[np.ndarray, np.ndarray]:
     return scale, offset
 
 
-def _lstm_step(h_prev: np.ndarray, c_prev: np.ndarray, x_in: np.ndarray,
-               layer: LstmLayerWeights):
-    """One LSTM step through a layer's stacked U, W and b: the 4d gate rows,
-    the new context c, tanh(c) and the new hidden state.
+def lstm_cell(h_prev: np.ndarray, c_prev: np.ndarray, x_in: np.ndarray,
+              layer: LstmLayerWeights):
+    """One unchecked LSTM step through a layer's stacked U, W and b, for
+    state vectors or d x B state matrices: the 4d gate rows, the new context
+    c, tanh(c) and the new hidden state.
 
     One ``U h + W x + b`` feeds all four gates, and one ``np.tanh`` over it,
     in place, makes them: tanh on its Q rows, and the sigmoid
-    0.5 tanh(0.5 z) + 0.5 = (1 + tanh(z/2)) / 2 on its P, R and S rows
-    (halving is exact, so both forms give the same values).
+    0.5 tanh(0.5 z) + 0.5 on its P, R and S rows (halving is exact).  Every
+    gate lies in [0, 1] for finite inputs: a sigmoid gate is exactly 0 below
+    about z = -38, where the logistic function is under 1e-16, and exactly 1
+    above about z = 37.
     """
     d = h_prev.shape[0]
     z = layer.u @ h_prev
@@ -101,26 +99,6 @@ def _lstm_step(h_prev: np.ndarray, c_prev: np.ndarray, x_in: np.ndarray,
     return z, c, tanh_c, s * tanh_c
 
 
-def lstm_cell(h_prev: np.ndarray, c_prev: np.ndarray, x_in: np.ndarray,
-              layer: LstmLayerWeights) -> tuple[np.ndarray, np.ndarray]:
-    """One LSTM step through a layer's stacked U, W and b for state vectors
-    or d x B state matrices; returns (hidden, context).  Every gate value lies
-    in [0, 1] for finite inputs: a sigmoid gate is exactly 0 below about
-    z = -38, where the logistic function is under 1e-16, and exactly 1 above
-    about z = 37."""
-    u, w, b = layer.u, layer.w, layer.b
-    d = h_prev.shape[0]
-    if (u.shape != (4 * d, d) or w.shape != (4 * d, x_in.shape[0]) or b.shape != (4 * d,)
-            or h_prev.shape != c_prev.shape or h_prev.ndim != x_in.ndim
-            or h_prev.ndim != 1 and not _same_batch(h_prev, x_in)):
-        raise ShapeError(
-            f"lstm cell dims disagree: U {u.shape} vs h {h_prev.shape}, "
-            f"c {c_prev.shape}, W {w.shape} vs x {x_in.shape}, b {b.shape}"
-        )
-    _, c, _, h = _lstm_step(h_prev, c_prev, x_in, layer)
-    return h, c
-
-
 def unroll(seq_embeddings: np.ndarray, layers: list,
            state: list | None = None) -> tuple[np.ndarray, list]:
     """Run the recurrent layers, bottom first, over time; returns the top
@@ -132,31 +110,39 @@ def unroll(seq_embeddings: np.ndarray, layers: list,
     stored.  A d_e x len x B input unrolls B sequences at once; outputs are
     then d_e x len x B and states d_e x B.  Column i depends only on input
     columns <= i, by construction.  The initial state is `state`, as
-    returned by an earlier call, or zero (the Elman cell ignores c).
+    returned by an earlier call, or zero (the Elman cell ignores c).  All
+    shapes are checked once, before the first step.
     """
     if seq_embeddings.ndim not in (2, 3) or seq_embeddings.shape[1] < 1:
         raise SequenceLengthError("unroll requires a nonempty d_e x len (x B) input")
     if not layers:
         raise SequenceLengthError("unroll requires at least one layer")
+    d = seq_embeddings.shape[0]
+    shape = seq_embeddings.shape[:1] + seq_embeddings.shape[2:]  # one layer's h or c
     if state is None:
-        # cells never write into their inputs, so one zero array serves all
-        h_state = [np.zeros(seq_embeddings.shape[:1] + seq_embeddings.shape[2:])] * len(layers)
-        c_state = list(h_state)
+        zero = np.zeros(shape)  # cells never write into their inputs, so one serves all
+        state = [(zero, zero)] * len(layers)
     elif len(state) != len(layers):
         raise ShapeError(f"state has {len(state)} layers, the model {len(layers)}")
-    else:
-        h_state = [h for h, _ in state]
-        c_state = [c for _, c in state]
-    length = seq_embeddings.shape[1]
+    h_state = [h for h, _ in state]
+    c_state = [c for _, c in state]
+    lstm = [isinstance(layer, LstmLayerWeights) for layer in layers]
+    for l, layer in enumerate(layers):
+        rows = 4 * d if lstm[l] else d
+        if (layer.u.shape != (rows, d) or layer.w.shape != (rows, d) or layer.b.shape != (rows,)
+                or h_state[l].shape != shape or lstm[l] and c_state[l].shape != shape):
+            raise ShapeError(f"layer {l + 1} does not fit a {seq_embeddings.shape} input: "
+                             f"U {layer.u.shape}, W {layer.w.shape}, b {layer.b.shape}, "
+                             f"h {h_state[l].shape}, c {np.shape(c_state[l])}")
     out = np.empty(seq_embeddings.shape)
-    for i in range(length):
+    for i in range(seq_embeddings.shape[1]):
         x = seq_embeddings[:, i]
         for l, layer in enumerate(layers):
-            if isinstance(layer, RnnLayerWeights):
-                h_state[l] = rnn_cell(h_state[l], x, layer)
+            if lstm[l]:
+                _, c_state[l], _, x = lstm_cell(h_state[l], c_state[l], x, layer)
             else:
-                h_state[l], c_state[l] = lstm_cell(h_state[l], c_state[l], x, layer)
-            x = h_state[l]
+                x = rnn_cell(h_state[l], x, layer)
+            h_state[l] = x
         out[:, i] = x
     return out, list(zip(h_state, c_state))
 
@@ -219,7 +205,7 @@ def _rnn_layer_vjp(x: np.ndarray, layer: RnnLayerWeights):
 
 def _lstm_layer_vjp(x: np.ndarray, layer: LstmLayerWeights):
     """LSTM layer over a d x T x B input from a zero state, stepping with
-    ``lstm_cell``'s step: the d x T x B outputs, and the backward pass from
+    ``lstm_cell``: the d x T x B outputs, and the backward pass from
     their gradient to the input's, which writes the layer's gradient into
     `g`."""
     d, length, batch = x.shape
@@ -227,7 +213,7 @@ def _lstm_layer_vjp(x: np.ndarray, layer: LstmLayerWeights):
     c, tanh_c, h = np.empty(x.shape), np.empty(x.shape), np.empty(x.shape)
     h_t = c_t = np.zeros((d, batch))
     for t in range(length):
-        z, c_t, tanh_c[:, t], h_t = _lstm_step(h_t, c_t, x[:, t], layer)
+        z, c_t, tanh_c[:, t], h_t = lstm_cell(h_t, c_t, x[:, t], layer)
         gates[:, t], c[:, t], h[:, t] = z, c_t, h_t
 
     def backward(d_h: np.ndarray, g: LstmLayerWeights) -> np.ndarray:

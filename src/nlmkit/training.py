@@ -20,7 +20,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .config import ModelConfig
 from .embeddings import checked_ids
-from .errors import NonFiniteLossError, SequenceLengthError, ShapeError
+from .errors import NonFiniteLossError, SequenceLengthError, ShapeError, UndefinedDistributionError
 from .ffnn import ffnn_batch_forward
 from .inference import causal_model, make_forward
 from .losses import ar_loss, ce_loss, ce_loss_grad
@@ -203,10 +203,18 @@ def train_toy(cfg: ModelConfig, weights: AnyWeights, corpus_ids: list[int],
     are returned.  Otherwise the first step's ``gd_step`` makes the run's
     one copy of them, and later steps update that copy in place.  A loss
     that is not finite, after any step or before the first, raises
-    ``NonFiniteLossError`` naming the step.
+    ``NonFiniteLossError`` naming the step, as does a softmax left with no
+    finite entry while that loss is evaluated.
     """
     loss_fn, loss_and_gradient = corpus_objective(cfg, corpus_ids)
     _check_rate(mu_lr)
+
+    def evaluate(step, objective, w):
+        try:
+            return objective(w)
+        except UndefinedDistributionError as err:  # a softmax over the diverged weights
+            raise NonFiniteLossError(f"training diverged: the loss after step {step} "
+                                     f"of {steps} is not finite") from err
 
     def report(step, loss):
         if not math.isfinite(loss):
@@ -216,12 +224,12 @@ def train_toy(cfg: ModelConfig, weights: AnyWeights, corpus_ids: list[int],
             log_fn(f"{step}\t{loss:.10f}\t{mu_lr}")
 
     for step in range(steps):
-        loss, gradient = loss_and_gradient(weights)
+        loss, gradient = evaluate(step, loss_and_gradient, weights)
         report(step, loss)
         if step:
             _descend(weights, gradient, mu_lr)
         else:  # the run's one copy, which later steps update in place
             weights = gd_step(weights, gradient, mu_lr)
-    loss = loss_fn(weights)
+    loss = evaluate(steps, loss_fn, weights)
     report(steps, loss)
     return weights, float(loss)

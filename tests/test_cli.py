@@ -342,12 +342,13 @@ def test_train_toy_stops_at_a_non_finite_loss_and_writes_nothing(tmp_path, capsy
     assert err.count("\n") == 1 and stdout.count("\n") == 1
 
 
-@pytest.mark.parametrize("config", [
-    "arch=rnn\nd_e=2\nL=1\nvocab_size=6\nmax_len=4\n",
-    "arch=lstm\nd_e=3\nL=1\nvocab_size=6\nmax_len=6\n",
-    FFNN_CONFIG.replace("vocab_size=4", "vocab_size=6"),
-], ids=["rnn", "lstm", "ffnn"])
-def test_diverging_run_writes_one_line_to_stderr(tmp_path, config):
+@pytest.mark.parametrize("config,step", [
+    ("arch=rnn\nd_e=2\nL=1\nvocab_size=6\nmax_len=4\n", 2),
+    ("arch=lstm\nd_e=3\nL=1\nvocab_size=6\nmax_len=6\n", 2),
+    (FFNN_CONFIG.replace("vocab_size=4", "vocab_size=6"), 2),
+    ("arch=gpt2\nd_e=2\nd_k=1\nd_v=1\nd_f=2\nM=1\nL=1\nvocab_size=6\nmax_len=3\n", 1),
+], ids=["rnn", "lstm", "ffnn", "gpt2"])
+def test_diverging_run_writes_one_line_to_stderr(tmp_path, config, step):
     # a child process, so that stderr holds whatever numpy would print too
     paths = train_toy_files(tmp_path, vocab="a\nb\nc\nd\ne\nf\n", corpus="a b c d e f a b c d e f")
     paths["cfg"].write_text(config)
@@ -355,7 +356,8 @@ def test_diverging_run_writes_one_line_to_stderr(tmp_path, config):
     argv[argv.index("--steps") + 1] = "3"
     done = run_child(argv)
     assert done.returncode == EXIT_DATA and not paths["out"].exists()
-    assert done.stderr.startswith("nlmkit: error: training diverged: the loss after step 2 of 3")
+    assert done.stderr.startswith(
+        f"nlmkit: error: training diverged: the loss after step {step} of 3")
     assert done.stderr.count("\n") == 1
 
 

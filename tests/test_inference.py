@@ -12,7 +12,6 @@ from nlmkit import ffnn, recurrent, transformer
 from nlmkit.config import ModelConfig
 from nlmkit.errors import (
     ConfigError,
-    NlmError,
     OutOfVocabularyError,
     SequenceLengthError,
     ShapeError,
@@ -26,10 +25,11 @@ from nlmkit.inference import (
     min_context,
 )
 from nlmkit.kernels import softmax
-from nlmkit.losses import WINDOW_BATCH, ce_loss, corpus_nll
+from nlmkit.losses import WINDOW_BATCH, MlmTarget, ce_loss, corpus_nll, mlm_loss
 from nlmkit.recurrent import recurrent_lm_forward
 from nlmkit.training import train_toy
 from nlmkit.transformer import WINDOW_COLUMNS, gpt2_forward
+from nlmkit.vocab import TokenSequence
 from nlmkit.weights import init_weights
 
 import oracles
@@ -368,6 +368,11 @@ def _ce_loss(name, ids):
     return ce_loss(ids, np.zeros((3, len(ids))))
 
 
+def _mlm_loss(name, ids):
+    masked = MlmTarget(TokenSequence([0] * len(ids)), [True] * len(ids), ids)  # all masked
+    return mlm_loss(masked, np.zeros((VOCAB, len(ids))))
+
+
 PROMPT = [1, 2, 3, 4, 5, BEYOND_INTP]  # a full window, ending in the id
 BEYOND_INTP_IDS = {
     "input": [1, 2, 3, 4, 5, 6, BEYOND_INTP, 7, 8],  # read as an input by every window
@@ -388,9 +393,8 @@ def _case(run, name, where, error):
       for name in ("rnn", "lstm", "ffnn", "gpt2-pre")],
     *[_case(_train, name, "target", OutOfVocabularyError) for name in ("rnn", "ffnn", "gpt2-pre")],
     *[_case(_nll, name, "input", OutOfVocabularyError) for name in AUTOREGRESSIVE],
-    # corpus_nll does not know the vocabulary, so a target-only id first
-    # reaches ce_loss, which reports it as a class id (ShapeError) for now
-    *[_case(_nll, name, "target", NlmError) for name in ("rnn", "ffnn", "gpt2-pre")],
+    *[_case(_nll, name, "target", OutOfVocabularyError) for name in ("rnn", "ffnn", "gpt2-pre")],
+    _case(_mlm_loss, "masked", "target", OutOfVocabularyError),
     *[_case(_generate, name, "prompt", OutOfVocabularyError) for name in ("rnn", "ffnn")],
     _case(_generate, "gpt2-pre", "short-prompt", OutOfVocabularyError),
     _case(_ce_loss, "targets", "class", ShapeError),

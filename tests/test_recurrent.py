@@ -13,13 +13,7 @@ from nlmkit.embeddings import embed
 from nlmkit.errors import SequenceLengthError, ShapeError
 from nlmkit.inference import generate_tokens
 from nlmkit.kernels import softmax
-from nlmkit.recurrent import (
-    lstm_cell,
-    recurrent_lm_forward,
-    recurrent_windows,
-    rnn_cell,
-    unroll,
-)
+from nlmkit.recurrent import recurrent_lm_forward, recurrent_windows, unroll
 from nlmkit.weights import (
     LstmLayerWeights,
     RnnLayerWeights,
@@ -49,15 +43,31 @@ def random_lstm_layer(rng, d_e):
                             b=rng.normal(size=4 * d_e))
 
 
+def rnn_step(h_prev, x_in, layer):
+    """One checked Elman step: a one-step ``unroll`` from the state h_prev;
+    returns the new hidden state."""
+    return unroll(x_in[:, None], [layer], [(h_prev, None)])[1][0][0]
+
+
+def lstm_step(h_prev, c_prev, x_in, layer):
+    """One checked LSTM step: a one-step ``unroll`` from the state (h_prev,
+    c_prev); returns (hidden, context)."""
+    return unroll(x_in[:, None], [layer], [(h_prev, c_prev)])[1][0]
+
+
+def refuse(*args):
+    raise AssertionError("a cell ran")
+
+
 class TestRnnCell:
     def test_zero_everything_is_zero(self):
         layer = RnnLayerWeights(np.zeros((3, 3)), np.zeros((3, 3)), np.zeros(3), "tanh")
-        npt.assert_array_equal(rnn_cell(np.zeros(3), np.zeros(3), layer), np.zeros(3))
+        npt.assert_array_equal(rnn_step(np.zeros(3), np.zeros(3), layer), np.zeros(3))
 
     def test_identity_input_path(self):
         layer = RnnLayerWeights(np.eye(3), np.zeros((3, 3)), np.zeros(3), "tanh")
         x = np.array([0.1, -0.2, 0.05])
-        npt.assert_allclose(rnn_cell(np.zeros(3), x, layer), np.tanh(x), rtol=1e-15)
+        npt.assert_allclose(rnn_step(np.zeros(3), x, layer), np.tanh(x), rtol=1e-15)
 
     def test_matches_loop_oracle(self, rng):
         layer = random_rnn_layer(rng, 4)
@@ -65,12 +75,12 @@ class TestRnnCell:
         x = rng.normal(size=4)
         expected = oracles.rnn_cell(list(h_prev), list(x), oracles.rows(layer.w),
                                     oracles.rows(layer.u), list(layer.b))
-        npt.assert_allclose(rnn_cell(h_prev, x, layer), expected, atol=1e-13)
+        npt.assert_allclose(rnn_step(h_prev, x, layer), expected, atol=1e-13)
 
     def test_dimension_mismatch(self, rng):
         layer = random_rnn_layer(rng, 3)
         with pytest.raises(ShapeError):
-            rnn_cell(np.zeros(4), np.zeros(3), layer)
+            rnn_step(np.zeros(4), np.zeros(3), layer)
 
 
     @pytest.mark.parametrize("activation", ["tanh", "sigmoid", "identity"])
@@ -80,24 +90,24 @@ class TestRnnCell:
         for batch in (1, 3, 4):
             layer = random_rnn_layer(rng, 4, activation)
             h, x = rng.normal(size=(4, batch)), rng.normal(size=(4, batch))
-            out = rnn_cell(h, x, layer)
+            out = rnn_step(h, x, layer)
             assert out.shape == (4, batch)
             for b in range(batch):
-                npt.assert_allclose(out[:, b], rnn_cell(h[:, b], x[:, b], layer),
+                npt.assert_allclose(out[:, b], rnn_step(h[:, b], x[:, b], layer),
                                     rtol=1e-14, atol=1e-15)
 
     def test_batch_width_mismatch(self, rng):
         layer = random_rnn_layer(rng, 3)
         with pytest.raises(ShapeError):
-            rnn_cell(np.zeros((3, 2)), np.zeros((3, 4)), layer)
+            rnn_step(np.zeros((3, 2)), np.zeros((3, 4)), layer)
         with pytest.raises(ShapeError):
-            rnn_cell(np.zeros(3), np.zeros((3, 1)), layer)
+            rnn_step(np.zeros(3), np.zeros((3, 1)), layer)
 
 
 class TestLstmCell:
     def test_zero_weights_fixed_point(self):
         layer = LstmLayerWeights(np.zeros((12, 3)), np.zeros((12, 3)), np.zeros(12))
-        h, c = lstm_cell(np.zeros(3), np.zeros(3), np.zeros(3), layer)
+        h, c = lstm_step(np.zeros(3), np.zeros(3), np.zeros(3), layer)
         npt.assert_array_equal(h, np.zeros(3))
         npt.assert_array_equal(c, np.zeros(3))
 
@@ -110,7 +120,7 @@ class TestLstmCell:
         h_prev = rng.normal(size=3) * 0.1
         c_prev = rng.normal(size=3)
         x = rng.normal(size=3) * 0.1
-        _, c = lstm_cell(h_prev, c_prev, x, layer)
+        _, c = lstm_step(h_prev, c_prev, x, layer)
         q = np.tanh(u_q @ h_prev + w_q @ x + b_q)
         r = 1 / (1 + np.exp(-(u_r @ h_prev + w_r @ x + b_r)))
         npt.assert_allclose(c, q * r + c_prev, rtol=1e-12)
@@ -118,13 +128,13 @@ class TestLstmCell:
     def test_gates_stay_inside_unit_interval(self, rng):
         layer = random_lstm_layer(rng, 3)
         for _ in range(20):
-            h, c = lstm_cell(rng.normal(size=3), rng.normal(size=3), rng.normal(size=3), layer)
+            h, c = lstm_step(rng.normal(size=3), rng.normal(size=3), rng.normal(size=3), layer)
             assert np.all(np.abs(h) < 1.0)  # |s|<1 and |tanh(c)|<1
 
     def test_matches_loop_oracle(self, rng):
         layer = random_lstm_layer(rng, 3)
         h_prev, c_prev, x = (rng.normal(size=3) for _ in range(3))
-        h, c = lstm_cell(h_prev, c_prev, x, layer)
+        h, c = lstm_step(h_prev, c_prev, x, layer)
         eh, ec = oracles.lstm_cell(list(h_prev), list(c_prev), list(x), layer)
         npt.assert_allclose(h, eh, atol=1e-13)
         npt.assert_allclose(c, ec, atol=1e-13)
@@ -134,19 +144,19 @@ class TestLstmCell:
         for batch in (1, 2, 3):
             layer = random_lstm_layer(rng, 3)
             h, c, x = (rng.normal(size=(3, batch)) for _ in range(3))
-            out_h, out_c = lstm_cell(h, c, x, layer)
+            out_h, out_c = lstm_step(h, c, x, layer)
             assert out_h.shape == out_c.shape == (3, batch)
             for b in range(batch):
-                eh, ec = lstm_cell(h[:, b], c[:, b], x[:, b], layer)
+                eh, ec = lstm_step(h[:, b], c[:, b], x[:, b], layer)
                 npt.assert_allclose(out_h[:, b], eh, rtol=1e-14, atol=1e-15)
                 npt.assert_allclose(out_c[:, b], ec, rtol=1e-14, atol=1e-15)
 
     def test_batch_width_mismatch(self, rng):
         layer = random_lstm_layer(rng, 3)
         with pytest.raises(ShapeError):
-            lstm_cell(np.zeros((3, 2)), np.zeros((3, 2)), np.zeros((3, 1)), layer)
+            lstm_step(np.zeros((3, 2)), np.zeros((3, 2)), np.zeros((3, 1)), layer)
         with pytest.raises(ShapeError):
-            lstm_cell(np.zeros((3, 2)), np.zeros(3), np.zeros((3, 2)), layer)
+            lstm_step(np.zeros((3, 2)), np.zeros(3), np.zeros((3, 2)), layer)
 
 
 def gate_probe(z, gate, batched):
@@ -170,8 +180,8 @@ def gate_probe(z, gate, batched):
     pick = 0 if gate == "s" else 1
     if batched:
         z = np.asarray(z)[None, :]
-        return lstm_cell(np.zeros(z.shape), np.full(z.shape, c_prev), z, layer)[pick][0]
-    return np.array([lstm_cell(np.zeros(1), np.full(1, c_prev), np.array([x]), layer)[pick][0]
+        return lstm_step(np.zeros(z.shape), np.full(z.shape, c_prev), z, layer)[pick][0]
+    return np.array([lstm_step(np.zeros(1), np.full(1, c_prev), np.array([x]), layer)[pick][0]
                      for x in z])
 
 
@@ -213,7 +223,7 @@ class TestStackedLstm:
         for bad in (LstmLayerWeights(u[:9], w, b), LstmLayerWeights(u, w[:9], b),
                     LstmLayerWeights(u, w, b[:9])):
             with pytest.raises(ShapeError):
-                lstm_cell(np.zeros(3), np.zeros(3), np.zeros(3), bad)
+                lstm_step(np.zeros(3), np.zeros(3), np.zeros(3), bad)
 
     def test_forward_sees_in_place_writes(self):
         # numerical_gradient probes each scalar in place: a cached stacked
@@ -238,7 +248,7 @@ class TestUnroll:
         layer = random_rnn_layer(rng, 3)
         x = rng.normal(size=(3, 1))
         out = unroll(x, [layer])[0]
-        npt.assert_array_equal(out[:, 0], rnn_cell(np.zeros(3), x[:, 0], layer))
+        npt.assert_array_equal(out[:, 0], recurrent.rnn_cell(np.zeros(3), x[:, 0], layer))
 
     def test_prefix_truncation_reproduces_columns(self, rng):
         layers = [random_rnn_layer(rng, 3) for _ in range(2)]
@@ -315,6 +325,27 @@ class TestUnroll:
         wide = [(np.zeros(4), np.zeros(4))] * 2
         with pytest.raises(ShapeError):  # states of width 4 against width 3
             unroll(rng.normal(size=(3, 1)), layers, wide)
+
+    def test_bad_layer_below_the_top_is_refused_before_any_cell_runs(self, rng, monkeypatch):
+        layers = [random_lstm_layer(rng, 3) for _ in range(3)]
+        layers[1] = LstmLayerWeights(rng.normal(size=(3, 3)), layers[1].w, layers[1].b)  # rnn's U
+        monkeypatch.setattr(recurrent, "rnn_cell", refuse)
+        monkeypatch.setattr(recurrent, "lstm_cell", refuse)
+        with pytest.raises(ShapeError, match="layer 2"):
+            unroll(rng.normal(size=(3, 4)), layers)
+
+    @pytest.mark.parametrize("kind,make", [("rnn", random_rnn_layer), ("lstm", random_lstm_layer)])
+    def test_state_of_another_batch_is_refused_before_any_cell_runs(self, rng, monkeypatch,
+                                                                    kind, make):
+        layers = [make(rng, 3) for _ in range(3)]
+        _, state = unroll(rng.normal(size=(3, 2, 4)), layers)  # states 3 x 4
+        monkeypatch.setattr(recurrent, "rnn_cell", refuse)
+        monkeypatch.setattr(recurrent, "lstm_cell", refuse)
+        with pytest.raises(ShapeError):  # batch of 5 against states of 4
+            unroll(rng.normal(size=(3, 1, 5)), layers, state)
+        narrow = [*state[:1], (np.zeros((3, 5)), np.zeros((3, 5))), *state[2:]]
+        with pytest.raises(ShapeError, match="layer 2"):  # layer 2 of 5 against 4
+            unroll(rng.normal(size=(3, 1, 4)), layers, narrow)
 
     def test_empty_inputs_rejected(self, rng):
         with pytest.raises(SequenceLengthError):

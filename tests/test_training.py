@@ -12,7 +12,13 @@ from hypothesis import strategies as st
 
 from nlmkit import training
 from nlmkit.config import ModelConfig
-from nlmkit.errors import ConfigError, NonFiniteLossError, SequenceLengthError, ShapeError
+from nlmkit.errors import (
+    ConfigError,
+    NonFiniteLossError,
+    SequenceLengthError,
+    ShapeError,
+    UndefinedDistributionError,
+)
 from nlmkit.ffnn import ffnn_forward
 from nlmkit.kernels import softmax
 from nlmkit.losses import ce_loss
@@ -386,15 +392,19 @@ class TestTrainerGradients:
             npt.assert_array_equal(tensor, before[name])
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    @pytest.mark.parametrize("steps", [2, 3])  # step 2's loss is the final one, or a step's
-    @pytest.mark.parametrize("arch", list(REVERSE_MODE))
+    @pytest.mark.parametrize("steps", [2, 3])  # the diverged loss is the final one, or a step's
+    @pytest.mark.parametrize("arch", [*REVERSE_MODE, "gpt2"])
     def test_non_finite_loss_stops_training_naming_its_step(self, arch, steps):
-        cfg = REVERSE_MODE[arch]
+        # gpt2's loss after step 1 is already a softmax with no finite entry
+        cfg, step, loss = ((tiny_gpt2(), 1, "not finite") if arch == "gpt2"
+                           else (REVERSE_MODE[arch], 2, "inf"))
         lines = []
-        with pytest.raises(NonFiniteLossError, match=f"loss after step 2 of {steps} is inf"):
+        with pytest.raises(NonFiniteLossError,
+                           match=f"loss after step {step} of {steps} is {loss}") as caught:
             train_toy(cfg, init_weights(cfg, 1), CORPUS, steps=steps, mu_lr=1e308,
                       log_fn=lines.append)
-        assert [line.split("\t")[0] for line in lines] == ["1"]
+        assert [line.split("\t")[0] for line in lines] == [str(k) for k in range(1, step)]
+        assert (arch == "gpt2") == isinstance(caught.value.__cause__, UndefinedDistributionError)
 
     @pytest.mark.parametrize("arch", list(REVERSE_MODE))
     def test_logged_losses_are_the_corpus_loss_of_each_steps_weights(self, arch, monkeypatch):
