@@ -46,9 +46,8 @@ def embed_backward(ids, d_x: np.ndarray, grad_e: np.ndarray) -> None:
     np.add.at(grad_e, (slice(None), ids), d_x)
 
 
-def add_positions(x: np.ndarray, positions: np.ndarray,
-                  segments: np.ndarray | None = None) -> np.ndarray:
-    """Columnwise sum of embeddings with the positional (and segment) prefix.
+def add_positions(x: np.ndarray, positions: np.ndarray, segments: np.ndarray) -> np.ndarray:
+    """Columnwise sum of embeddings with the positional prefix and segments.
 
     The positional table covers the model maximum length; only its first
     len(x) columns are used, so shorter sequences get a truncated prefix.
@@ -61,13 +60,10 @@ def add_positions(x: np.ndarray, positions: np.ndarray,
         raise SequenceLengthError(
             f"sequence length {x.shape[1]} exceeds maximum {positions.shape[1]}"
         )
-    out = x + positions[:, : x.shape[1]]
-    if segments is not None:
-        segments = as_matrix(segments)
-        if segments.shape != out.shape:
-            raise ShapeError(f"segment matrix {segments.shape} != sequence shape {out.shape}")
-        out = out + segments
-    return out
+    segments = as_matrix(segments)
+    if segments.shape != x.shape:
+        raise ShapeError(f"segment matrix {segments.shape} != sequence shape {x.shape}")
+    return x + positions[:, : x.shape[1]] + segments
 
 
 def tied_logits(h: np.ndarray, e: np.ndarray, out_bias: np.ndarray | None = None) -> np.ndarray:

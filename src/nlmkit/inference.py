@@ -21,9 +21,11 @@ one means adding its entry there.  The encoder (bert) has none.  Each
 entry holds a forward pass per position (or None), a window scorer, a
 decoder and a reverse pass, ``grad``: the logits of a training batch with a
 backward pass that turns their gradient into the parameters' gradient.
-The feedforward LM's batch is a matrix of windows, the recurrent models'
-the chunks of a corpus as the columns of an id matrix.  gpt2 has no reverse
-pass yet (None), so the trainer takes finite differences of its loss.
+The feedforward LM's batch is a matrix of windows, a sequence model's the
+chunks of a corpus as the columns of a len x B id matrix.  gpt2 has no
+reverse pass yet (None): its forward pass takes that matrix too and runs
+every chunk in one padded pass, which is how the trainer's corpus loss
+scores it, and the trainer takes finite differences of that loss.
 """
 
 from __future__ import annotations

@@ -44,7 +44,7 @@ def _exp_shifted(targets, logits, overwrite: bool = False):
     return s, picked, index
 
 
-def ce_loss(targets, logits, overwrite: bool = False) -> float:
+def ce_loss(targets, logits, overwrite: bool) -> float:
     """Summed cross entropy -log softmax(z)[t] against one-hot truths.
 
     Either one class id and a |V| logit vector, or k class ids and a
@@ -79,7 +79,9 @@ def ar_loss(ids: list[int], forward) -> float:
     called exactly once, on the ground-truth tokens but the last, never on
     the model's own predictions, and position i is scored against token
     i+1.  No position predicts past the last token, so none is computed,
-    and the logits are consumed in place.
+    and the logits are consumed in place.  A target outside the logits'
+    |V| rows raises ``OutOfVocabularyError``, also the last, which no
+    forward pass reads.
     """
     if len(ids) < 2:
         raise SequenceLengthError(f"ar_loss needs a sequence of length >= 2, got {len(ids)}")
@@ -88,7 +90,7 @@ def ar_loss(ids: list[int], forward) -> float:
         raise ShapeError(
             f"forward returned shape {logits.shape}, expected (|V|, {len(ids) - 1})"
         )
-    return ce_loss(ids[1:], logits, overwrite=True)
+    return ce_loss(checked_ids(ids[1:], logits.shape[0]), logits, overwrite=True)
 
 
 @dataclass

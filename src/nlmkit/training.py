@@ -1,11 +1,16 @@
 """Gradients, a plain gradient-descent trainer, and its corpus loss.
 
-The trainer takes its gradients from each architecture's reverse pass
-(``inference.CAUSAL``'s ``grad``): one forward pass that keeps its
-intermediates, the fused softmax cross-entropy gradient, and one backward
-pass give the loss and its gradient together.  An architecture with no
-reverse pass (gpt2, for now) is differentiated by central differences over
-every scalar parameter, two loss evaluations per parameter and step.
+The corpus loss (``make_corpus_loss``) runs the whole corpus through one
+forward pass per evaluation: the feedforward LM's windows as one batch, a
+sequence model's chunks as the columns of one padded len x B id matrix.
+The causal mask and the recurrences make each position depend only on the
+tokens up to it, so padding after a chunk's last token changes no scored
+logit.  The trainer takes its gradients from each architecture's reverse
+pass (``inference.CAUSAL``'s ``grad``): that pass over the same batch, the
+fused softmax cross-entropy gradient, and one backward pass give the loss
+and its gradient together.  An architecture with no reverse pass (gpt2,
+for now) is differentiated by central differences of the corpus loss over
+every scalar parameter, two evaluations per parameter and step.
 ``numerical_gradient`` is also the oracle the reverse passes are tested
 against.
 """
@@ -16,14 +21,12 @@ import copy
 import math
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .config import ModelConfig
 from .embeddings import checked_ids
 from .errors import NonFiniteLossError, SequenceLengthError, ShapeError, UndefinedDistributionError
-from .ffnn import ffnn_batch_forward
-from .inference import causal_model, make_forward
-from .losses import ar_loss, ce_loss, ce_loss_grad
+from .inference import causal_model
+from .losses import ce_loss, ce_loss_grad
 from .weights import AnyWeights, named_tensor_view, zeros_weights
 
 FD_STEP = 1e-5
@@ -85,99 +88,81 @@ def _descend(weights, gradient: dict[str, np.ndarray], mu_lr: float) -> None:
         tensor -= mu_lr * g
 
 
-def _windows(cfg: ModelConfig, corpus_ids: list[int]) -> tuple[np.ndarray, np.ndarray]:
-    """Every full window of the corpus but the last, which has no next
-    token, as a B x n matrix, and the token after each."""
-    n = cfg.max_len
-    if len(corpus_ids) < n + 1:
-        raise ShapeError(f"corpus of {len(corpus_ids)} tokens is too short for window {n}")
-    return (np.ascontiguousarray(sliding_window_view(np.asarray(corpus_ids), n)[:-1]),
-            np.asarray(corpus_ids[n:]))
-
-
-def _chunks(cfg: ModelConfig, corpus_ids: list[int]) -> list[list[int]]:
-    """Maximum-length chunks overlapping by one token, so every transition
-    falls in exactly one chunk; each starts before the last token, so it
-    holds at least one transition."""
-    if len(corpus_ids) < 2:
-        raise ShapeError("corpus must contain at least two tokens")
-    if cfg.max_len < 2:
-        raise SequenceLengthError(f"max_len {cfg.max_len} leaves no transition to train on")
-    return [corpus_ids[start:start + cfg.max_len]
-            for start in range(0, len(corpus_ids) - 1, cfg.max_len - 1)]
-
-
 def make_corpus_loss(cfg: ModelConfig, corpus_ids: list[int]):
-    """Mean per-predicted-token training loss for one architecture.
+    """Mean per-predicted-token training loss of a causal architecture.
 
-    A model with no per-position forward pass (the feedforward LM) needs
-    a full window: its windows over the corpus are built once and scored as
-    one batch per call.  Sequence models split the corpus into
-    maximum-length chunks overlapping by one token so every transition is
-    scored exactly once, under teacher forcing.  The encoder (bert) has no
-    causal passes and is refused, as is a max_len of 1 (no transitions).
+    The corpus becomes one batch when the loss is made (``_batch``), and
+    each call runs that whole batch through one pass, every window or chunk
+    at once, and reduces the logit columns that predict a token with one
+    ``ce_loss``.  The pass is the forward half of the architecture's
+    reverse pass (``inference.CAUSAL``'s ``grad``), or its forward pass
+    where it has none.  Every transition is scored exactly once, under
+    teacher forcing.  An id outside the vocabulary raises
+    ``OutOfVocabularyError``, also where it is only a target.  The encoder
+    (bert) has no causal passes and is refused, as is a sequence model's
+    max_len of 1 (no transitions).
     """
-    if causal_model(cfg).forward is None:
-        # built once: building them per call via CAUSAL["ffnn"].windows takes
-        # a `train` loss from 60 to 94 us (2-vCPU Xeon).  Only tests run this
-        # branch, as the finite-difference oracle of ffnn_vjp, so it keeps the
-        # plain ce_loss, which copies its few dozen logits
-        windows, targets = _windows(cfg, corpus_ids)
-        return lambda w: ce_loss(targets, ffnn_batch_forward(windows, w)) / len(targets)
-
-    chunks = _chunks(cfg, corpus_ids)
-    transitions = sum(len(c) - 1 for c in chunks)
-
-    def loss(w):
-        forward = make_forward(cfg, w)
-        return sum(ar_loss(chunk, forward) for chunk in chunks) / transitions
-
-    return loss
+    model = causal_model(cfg)
+    batch, columns, targets = _batch(cfg, corpus_ids)
+    # a reverse pass runs each layer over every step at once, which is faster
+    # at training sizes: 54 us against 65 us through unroll for one loss of
+    # perfbench's `train` rnn (2-vCPU Xeon)
+    run = model.forward if model.grad is None else (lambda ids, w: model.grad(ids, w)[0])
+    # the gather is a fresh copy, so the loss may shift it in place
+    return lambda w: ce_loss(targets, run(batch, w)[:, columns], overwrite=True) / len(targets)
 
 
 def _batch(cfg: ModelConfig, corpus_ids: list[int]):
-    """The corpus as one reverse-pass batch: its input, the logit columns
-    that predict a token, and those tokens.
+    """The corpus as one batch: its input, the logit columns that predict a
+    token, and those tokens.
 
-    The feedforward LM's input is its windows.  A sequence model's is its
-    chunks as the columns of a len x B id matrix, the short last chunk
-    padded with id 0: column t * B + b of the logits follows ids[t, b] and
-    predicts ids[t + 1, b] while t + 1 is inside chunk b.  Padding sits
+    The feedforward LM's input is every full window but the last, which
+    has no next token, as a B x n id matrix.  A sequence model's is its
+    maximum-length chunks, overlapping by one token so every transition
+    falls in exactly one chunk, as the columns of a len x B id matrix:
+    column t * B + b of the logits follows ids[t, b] and predicts the
+    chunk's next token while there is one.  A chunk's last token is never
+    an input, so the matrix has one row fewer than the longest chunk.  The
+    short last chunk is padded with the corpus's last token; padding sits
     after every real token, so no scored logit depends on it.
     """
-    if causal_model(cfg).forward is None:
-        windows, targets = _windows(cfg, corpus_ids)
-        return windows, np.arange(len(targets)), targets
-    chunks = _chunks(cfg, corpus_ids)
-    ids = np.zeros((len(chunks[0]), len(chunks)), dtype=np.intp)
-    scored = np.zeros(ids.shape, dtype=bool)
-    for b, chunk in enumerate(chunks):
-        ids[:len(chunk), b] = chunk
-        scored[:len(chunk) - 1, b] = True
-    columns = np.flatnonzero(scored)
-    return ids, columns, ids.reshape(-1)[columns + ids.shape[1]]
+    windowed = causal_model(cfg).forward is None
+    corpus = checked_ids(corpus_ids, cfg.vocab_size)
+    n = cfg.max_len
+    if windowed:
+        if len(corpus) < n + 1:
+            raise ShapeError(f"corpus of {len(corpus)} tokens is too short for window {n}")
+        windows = corpus[np.arange(len(corpus) - n)[:, None] + np.arange(n)]
+        return windows, np.arange(len(windows)), corpus[n:]
+    if len(corpus) < 2:
+        raise ShapeError("corpus must contain at least two tokens")
+    if n < 2:
+        raise SequenceLengthError(f"max_len {n} leaves no transition to train on")
+    # the corpus position of input row t of chunk b, which starts at b (n - 1)
+    at = np.arange(min(n, len(corpus)) - 1)[:, None] + np.arange(0, len(corpus) - 1, n - 1)
+    columns = np.flatnonzero(at < len(corpus) - 1)
+    return corpus.take(at, mode="clip"), columns, corpus[at.reshape(-1)[columns] + 1]
 
 
 def corpus_objective(cfg: ModelConfig, corpus_ids: list[int]):
-    """``(loss, loss_and_gradient)`` of ``make_corpus_loss``'s mean loss.
+    """``(loss, loss_and_gradient)``: ``make_corpus_loss``'s mean loss, and
+    the pair of it and its gradient, keyed by the ``named_tensor_view``
+    names.
 
-    ``loss(w)`` is the mean loss, ``loss_and_gradient(w)`` the pair of it
-    and its gradient, keyed by the ``named_tensor_view`` names.  The corpus
-    windows or chunks are built once for both.  With a reverse pass both run
-    its forward pass over the whole corpus as one batch; without one they
-    are ``make_corpus_loss`` and its ``numerical_gradient``.  Either way an
-    id outside the vocabulary raises ``OutOfVocabularyError``.
+    With a reverse pass the pair comes from that pass over the same batch
+    as the loss's; without one (gpt2, for now) it is the loss and its
+    ``numerical_gradient``.  Either way an id outside the vocabulary raises
+    ``OutOfVocabularyError``.
     """
-    model = causal_model(cfg)
-    corpus_ids = checked_ids(corpus_ids, cfg.vocab_size)
-    if model.grad is None:
-        loss = make_corpus_loss(cfg, corpus_ids)
+    loss = make_corpus_loss(cfg, corpus_ids)
+    grad = causal_model(cfg).grad
+    if grad is None:
         return loss, lambda w: (loss(w), numerical_gradient(loss, w))
-    ids, columns, targets = _batch(cfg, corpus_ids)
+    batch, columns, targets = _batch(cfg, corpus_ids)
     count = len(targets)
 
     def loss_and_gradient(w):
-        logits, backward = model.grad(ids, w)
+        logits, backward = grad(batch, w)
         total, d_scored = ce_loss_grad(targets, logits[:, columns])
         d_logits = np.zeros(logits.shape)
         d_logits[:, columns] = d_scored / count
@@ -185,9 +170,7 @@ def corpus_objective(cfg: ModelConfig, corpus_ids: list[int]):
         backward(d_logits, g)
         return total / count, g.named_tensors()
 
-    return (lambda w: ce_loss(targets, model.grad(ids, w)[0][:, columns],
-                              overwrite=True) / count,
-            loss_and_gradient)
+    return loss, loss_and_gradient
 
 
 def train_toy(cfg: ModelConfig, weights: AnyWeights, corpus_ids: list[int],

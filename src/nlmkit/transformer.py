@@ -23,7 +23,11 @@ a cache computes only its new columns, whose keys and values it adds.  The
 new queries attend over all cached positions through the matching rows of
 the causal mask, one row per new column, and only those rows are built.
 A full forward pass is the empty-cache case and needs no cache at all;
-``gpt2_decoder`` keeps one cache for a whole generation.
+``gpt2_decoder`` keeps one cache for a whole generation.  Without a cache
+``gpt2_forward`` also takes a len x B id matrix, B sequences side by side
+in one ``gpt2_blocks`` pass.  The trainer's corpus loss scores all chunks
+of a corpus that way, and the causal mask keeps the padding after a
+chunk's last token out of its real columns.
 ``transformer_stack`` builds the mask's allowed entries
 (``kernels.exp_allowed``) once per pass for every block's softmax.
 """
@@ -111,24 +115,31 @@ def gpt2_blocks(h: np.ndarray, w: Gpt2Weights, mask: np.ndarray,
     return h
 
 
-def gpt2_hidden(ids: list[int], w: Gpt2Weights,
-                cache: KVCache | None = None) -> np.ndarray:
+def gpt2_hidden(ids, w: Gpt2Weights, cache: KVCache | None = None) -> np.ndarray:
     """Contextualized representations (d_e x len) before the output head.
 
-    With a cache, `ids` continues the ``cache.length`` positions already in
-    it: only its columns are computed, at the positions that follow, and
-    their keys and values are added to the cache.
+    A len x B id matrix holds B sequences, one per column, which run side
+    by side through one ``gpt2_blocks`` pass; column t * B + b of the
+    d_e x (len * B) result follows ids[t, b].  With a cache, `ids`
+    continues the ``cache.length`` positions already in it: only its
+    columns are computed, at the positions that follow, and their keys and
+    values are added to the cache.
     """
     n_max = w.positions.shape[1]
     start = 0 if cache is None else cache.length
     end = start + len(ids)
     if end > n_max:
         raise SequenceLengthError(f"sequence length {end} exceeds maximum {n_max}")
-    h = add_positions(embed(ids, w.embedding), w.positions[:, start:])
-    h = gpt2_blocks(h, w, build_mask(end, AR_MODE, start), cache)
+    mask = build_mask(end, AR_MODE, start)
+    x = embed(ids, w.embedding)
+    d = len(x)
+    x = x.reshape(d, end - start, -1) + w.positions[:, start:end, None]  # d_e x len x B
+    # the blocks take each sequence's columns side by side; for one sequence
+    # both reshapes are views
+    h = gpt2_blocks(x.transpose(0, 2, 1).reshape(d, -1), w, mask, cache)
     if cache is not None:
         cache.length = end
-    return h
+    return h.reshape(d, -1, end - start).transpose(0, 2, 1).reshape(d, -1)
 
 
 def gpt2_decoder(w: Gpt2Weights, total: int):
@@ -154,11 +165,14 @@ def gpt2_windows(ids: list[int], n: int, w: Gpt2Weights) -> np.ndarray:
     return tied_logits(last, w.embedding)
 
 
-def gpt2_forward(ids: list[int], w: Gpt2Weights) -> np.ndarray:
+def gpt2_forward(ids, w: Gpt2Weights) -> np.ndarray:
     """Next-token logits, one column per position (|V| x len).
 
     Column i conditions only on tokens 1..i (causal mask); the head is the
-    tied embedding transpose.
+    tied embedding transpose.  A len x B id matrix gives |V| x (len * B)
+    logits from one pass, column t * B + b following ids[t, b], the layout
+    of ``recurrent_lm_vjp``: a sequence's padding after its last real token
+    changes none of its real columns.
     """
     return tied_logits(gpt2_hidden(ids, w), w.embedding)
 

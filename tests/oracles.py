@@ -334,3 +334,14 @@ def corpus_nll(corpus, predict_next, window, min_context=1):
         p = float(predict_next(context)[corpus[i]])
         total += math.inf if p == 0.0 else -math.log(p)
     return total
+
+
+def chunk_loss(corpus, max_len, sequence_loss):
+    """Mean next-token loss of a corpus scored one chunk at a time: chunks
+    of at most max_len tokens start every max_len - 1 tokens, so each
+    shares its first token with the last of the one before and every
+    transition falls in exactly one.  `sequence_loss(chunk)` gives a
+    chunk's summed loss.  This is the specification of the trainer's
+    batched corpus loss."""
+    chunks = [corpus[s:s + max_len] for s in range(0, len(corpus) - 1, max_len - 1)]
+    return sum(sequence_loss(chunk) for chunk in chunks) / sum(len(c) - 1 for c in chunks)

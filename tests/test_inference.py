@@ -365,7 +365,7 @@ def _generate(name, ids):
 
 
 def _ce_loss(name, ids):
-    return ce_loss(ids, np.zeros((3, len(ids))))
+    return ce_loss(ids, np.zeros((3, len(ids))), overwrite=False)
 
 
 def _mlm_loss(name, ids):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from nlmkit.errors import (
     ConfigError,
+    OutOfVocabularyError,
     SequenceFormatError,
     SequenceLengthError,
     ShapeError,
@@ -53,26 +54,26 @@ def predictor(dist):
 
 class TestCeLoss:
     def test_uniform_is_log_vocab(self):
-        assert abs(ce_loss(3, np.log(np.full(8, 1 / 8))) - math.log(8)) < 1e-12
+        assert abs(ce_loss(3, np.log(np.full(8, 1 / 8)), overwrite=False) - math.log(8)) < 1e-12
 
     def test_one_hot_truth_is_zero(self):
         y = np.full(5, -np.inf)
         y[2] = 0.0
-        assert ce_loss(2, y) == 0.0
+        assert ce_loss(2, y, overwrite=False) == 0.0
 
     def test_zero_probability_reports_infinity(self):
         y = np.full(4, -np.inf)
         y[0] = 0.0
-        assert ce_loss(3, y) == math.inf
+        assert ce_loss(3, y, overwrite=False) == math.inf
 
     def test_finite_past_probability_underflow(self):
         # softmax([0, 800])[0] underflows to 0; the loss itself is 800
-        assert ce_loss(0, np.array([0.0, 800.0])) == 800.0
+        assert ce_loss(0, np.array([0.0, 800.0]), overwrite=False) == 800.0
 
     @pytest.mark.parametrize("logits", [[0.0, np.nan], [0.0, np.inf], [-np.inf, -np.inf], []])
     def test_undefined_distribution_rejected(self, logits):
         with pytest.raises(UndefinedDistributionError):
-            ce_loss(0, np.array(logits))
+            ce_loss(0, np.array(logits), overwrite=False)
 
     @pytest.mark.parametrize("targets,logits", [(4, np.zeros(4)), (-1, np.zeros(4)),
                                                 ([0, 4], np.zeros((4, 2))),
@@ -80,7 +81,7 @@ class TestCeLoss:
                                                 (0, np.zeros((4, 1)))])
     def test_bad_targets_rejected(self, targets, logits):
         with pytest.raises(ShapeError):
-            ce_loss(targets, logits)
+            ce_loss(targets, logits, overwrite=False)
 
     @pytest.mark.parametrize("view", [lambda z: z, lambda z: z[:, :-1], lambda z: z[:, [3, 0, 3]],
                                       lambda z: z[:, 2]])
@@ -89,7 +90,7 @@ class TestCeLoss:
         z[0, 1] = -np.inf
         targets = rng.integers(0, 7, view(z).shape[1:])
         kept = z.copy()
-        loss = ce_loss(targets, view(z))
+        loss = ce_loss(targets, view(z), overwrite=False)
         npt.assert_array_equal(z, kept)
         assert ce_loss(targets, view(z.copy()), overwrite=True) == loss
 
@@ -105,8 +106,8 @@ class TestCeLoss:
         targets = rng.integers(0, size, cols)
         want = [oracles.ce_loss(list(z[:, j]), int(t)) for j, t in enumerate(targets)]
         for j, t in enumerate(targets):
-            assert_matches_oracle(ce_loss(int(t), z[:, j]), want[j])
-        assert_matches_oracle(ce_loss(targets, z), math.fsum(want))
+            assert_matches_oracle(ce_loss(int(t), z[:, j], overwrite=False), want[j])
+        assert_matches_oracle(ce_loss(targets, z, overwrite=False), math.fsum(want))
 
 
 class TestCeLossGrad:
@@ -120,7 +121,7 @@ class TestCeLossGrad:
         targets = rng.integers(0, size, cols)
         z[targets, np.arange(cols)] = rng.uniform(-spread, spread, cols)  # finite targets
         loss, grad = ce_loss_grad(targets, z)
-        assert loss == ce_loss(targets, z)
+        assert loss == ce_loss(targets, z, overwrite=False)
         assert np.abs(grad.sum(axis=0)).max() <= 1e-15
         assert (grad[np.isneginf(z)] == 0.0).all()
 
@@ -134,7 +135,7 @@ class TestCeLossGrad:
     def test_masked_non_target_gets_exact_zero(self):
         z = np.array([[0.0, 1.0], [-np.inf, 2.0], [3.0, -np.inf]])
         loss, grad = ce_loss_grad([0, 1], z)
-        assert loss == ce_loss([0, 1], z)
+        assert loss == ce_loss([0, 1], z, overwrite=False)
         assert grad[1, 0] == 0.0 and grad[2, 1] == 0.0
 
     def test_leaves_the_logits_alone(self, rng):
@@ -169,7 +170,8 @@ class TestLogitLayout:
         targets = rng.integers(1, 13, 6)
         c, f = layouts(z)
         assert c.flags.c_contiguous and f.flags.f_contiguous and not f.flags.c_contiguous
-        assert ce_loss(targets, f) == pytest.approx(ce_loss(targets, c), rel=1e-12)
+        assert ce_loss(targets, f, overwrite=False) == pytest.approx(
+            ce_loss(targets, c, overwrite=False), rel=1e-12)
         (loss_c, grad_c), (loss_f, grad_f) = ce_loss_grad(targets, c), ce_loss_grad(targets, f)
         assert loss_f == pytest.approx(loss_c, rel=1e-12)
         npt.assert_allclose(grad_f, grad_c, rtol=1e-12, atol=0)
@@ -199,7 +201,7 @@ class TestLogitLayout:
         targets = rng.integers(0, 13, 6)
         loss = ce_loss(targets, z, overwrite=True)
         npt.assert_array_equal(rows.T, np.exp(before - before.max(axis=0)))
-        assert loss == pytest.approx(ce_loss(targets, before), rel=1e-12)
+        assert loss == pytest.approx(ce_loss(targets, before, overwrite=False), rel=1e-12)
 
 
 class TestArLoss:
@@ -237,6 +239,13 @@ class TestArLoss:
         with pytest.raises(SequenceLengthError):
             ar_loss([1], lambda ids: np.log(np.full((4, 1), 0.25)))
 
+    @pytest.mark.parametrize("bad", [8, 9, -1, 2**70])
+    def test_an_id_only_a_target_is_out_of_vocabulary(self, bad):
+        # the forward pass never reads the last token, so only the loss can refuse it
+        forward = lambda ids: np.log(np.full((8, len(ids)), 1 / 8))
+        with pytest.raises(OutOfVocabularyError, match="out of range"):
+            ar_loss([1, 2, 3, bad], forward)
+
     def test_dot_product_formulation_agrees(self):
         # the tied-logit loss can be written directly with embedding dot
         # products against the hidden states; both routes must agree
@@ -256,7 +265,7 @@ class TestArLoss:
     def test_in_place_loss_is_bitwise_the_copying_one(self, n):
         w = init_weights(tiny_gpt2_config(), 31)
         ids = [3, 1, 4, 1, 5, 7][:n]
-        want = ce_loss(ids[1:], gpt2_forward(ids, w)[:, :-1])
+        want = ce_loss(ids[1:], gpt2_forward(ids, w)[:, :-1], overwrite=False)
         assert ar_loss(ids, lambda s: gpt2_forward(s, w)) == want
 
     def test_finite_past_probability_underflow(self):
@@ -354,7 +363,8 @@ class TestMlmLoss:
         positions = [1, 4, 7]
         target = self._target(vocab, [int(i) for i in ids], positions)
         logits = np.log(np.column_stack([random_distribution(rng, 13) for _ in range(9)]))
-        expected = sum(ce_loss(target.original_ids[p], logits[:, p]) for p in positions)
+        expected = sum(ce_loss(target.original_ids[p], logits[:, p], overwrite=False)
+                       for p in positions)
         assert mlm_loss(target, logits) == expected
 
     def test_invariant_to_unmasked_predictions(self, rng):
@@ -378,7 +388,7 @@ class TestCorpusNll:
     def test_two_token_corpus_is_single_ce_term(self, rng):
         dist = random_distribution(rng, 5)
         assert corpus_nll([3, 2], predictor(lambda ctx: dist), window=3, min_context=1) \
-            == ce_loss(2, np.log(dist))
+            == ce_loss(2, np.log(dist), overwrite=False)
 
     def test_window_clipping_passes_short_prefixes(self):
         seen = []

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nlmkit import training
+from nlmkit import training, transformer
 from nlmkit.config import ModelConfig
 from nlmkit.errors import (
     ConfigError,
@@ -20,8 +20,9 @@ from nlmkit.errors import (
     UndefinedDistributionError,
 )
 from nlmkit.ffnn import ffnn_forward
+from nlmkit.inference import make_forward
 from nlmkit.kernels import softmax
-from nlmkit.losses import ce_loss
+from nlmkit.losses import ar_loss, ce_loss
 from nlmkit.training import (
     corpus_objective,
     gd_step,
@@ -31,12 +32,25 @@ from nlmkit.training import (
 )
 from nlmkit.weights import init_weights, named_tensor_view
 
+import oracles
 from conftest import tiny_gpt2_config
 
 
 def ffnn_config(vocab=6, n=2, d0=3, hidden=(4,)):
     return ModelConfig(arch="ffnn", d_e=d0, vocab_size=vocab, max_len=n,
                        hidden_dims=list(hidden))
+
+
+def reference_loss(cfg, corpus):
+    """The corpus loss without the trainer's batch: a sequence model's one
+    chunk at a time through ``ar_loss`` and its per-position forward pass
+    (``oracles.chunk_loss``), the feedforward LM's one window at a time."""
+    if cfg.arch == "ffnn":
+        n = cfg.max_len
+        return lambda w: np.mean([ce_loss(corpus[s + n], ffnn_forward(corpus[s:s + n], w),
+                                          overwrite=False) for s in range(len(corpus) - n)])
+    return lambda w: oracles.chunk_loss(corpus, cfg.max_len,
+                                        lambda chunk: ar_loss(chunk, make_forward(cfg, w)))
 
 
 class TestNumericalGradient:
@@ -50,7 +64,7 @@ class TestNumericalGradient:
         for _ in range(50):
             z = {"z": rng.uniform(-2, 2, size=8)}
             c = int(rng.integers(0, 8))
-            grad = numerical_gradient(lambda w: ce_loss(c, w["z"]), z)
+            grad = numerical_gradient(lambda w: ce_loss(c, w["z"], overwrite=False), z)
             analytic = softmax(z["z"])
             analytic[c] -= 1.0
             rel = np.linalg.norm(grad["z"] - analytic) / np.linalg.norm(analytic)
@@ -114,17 +128,79 @@ class TestGdStep:
         assert loss(w) < 1e-6
 
 
+def gpt2_variant(variant, zeta, gelu_mode, max_len):
+    return ModelConfig(arch="gpt2", d_e=4, d_k=2, d_v=2, d_f=4, M=2, L=2, vocab_size=6,
+                       max_len=max_len, zeta=zeta, norm_variant=variant, gelu_mode=gelu_mode)
+
+
+GPT2_VARIANTS = {f"gpt2-{variant}-zeta{zeta}-{gelu}": (variant, zeta, gelu)
+                 for variant in ("pre", "post") for zeta in (0, 1) for gelu in ("tanh", "exact")}
+
+
+def sequence_model(name, max_len):
+    if name in GPT2_VARIANTS:
+        return gpt2_variant(*GPT2_VARIANTS[name], max_len)
+    return ModelConfig(arch=name, d_e=3, vocab_size=6, max_len=max_len, L=2)
+
+
+def scaled_weights(cfg, seed, scale=3.0):
+    """Seeded weights scaled up, so every nonlinearity is off its linear part."""
+    w = init_weights(cfg, seed)
+    for tensor in named_tensor_view(w).values():
+        tensor *= scale
+    return w
+
+
 class TestCorpusLoss:
     def test_ffnn_batched_equals_per_window_mean(self, rng):
         cfg = ffnn_config(vocab=6, n=3, d0=2, hidden=(5,))
         w = init_weights(cfg, 11)
         corpus = [int(i) for i in rng.integers(0, 6, size=20)]
-        batched = make_corpus_loss(cfg, corpus)(w)
-        per_window = np.mean([
-            ce_loss(corpus[s + 3], ffnn_forward(corpus[s:s + 3], w))
-            for s in range(len(corpus) - 3)
-        ])
-        assert abs(batched - per_window) < 1e-12
+        assert abs(make_corpus_loss(cfg, corpus)(w) - reference_loss(cfg, corpus)(w)) < 1e-12
+
+    # (max_len, corpus length): the last chunk holds 2 tokens, or max_len;
+    # one chunk shorter than max_len; two tokens; and 2-token chunks
+    @pytest.mark.parametrize("max_len,length", [(4, 11), (4, 10), (4, 3), (4, 2), (2, 6)])
+    @pytest.mark.parametrize("name", [*GPT2_VARIANTS, "rnn", "lstm"])
+    def test_equals_the_per_chunk_oracle(self, name, max_len, length):
+        cfg = sequence_model(name, max_len)
+        corpus = np.random.default_rng(length).integers(0, cfg.vocab_size, length).tolist()
+        w = scaled_weights(cfg, length)
+        want = reference_loss(cfg, corpus)(w)
+        assert abs(make_corpus_loss(cfg, corpus)(w) - want) <= 1e-12 * want
+
+    @pytest.mark.parametrize("name", ["gpt2-pre-zeta1-tanh", "gpt2-post-zeta0-exact", "rnn",
+                                      "lstm"])
+    def test_padding_id_changes_no_bit(self, name, monkeypatch):
+        cfg = sequence_model(name, 5)
+        corpus = [0, 1, 2, 3, 4, 5, 4, 3, 2, 1, 0, 1, 2, 3]  # chunks at 0, 4, 8 and 12
+        w = scaled_weights(cfg, 7)
+        want = make_corpus_loss(cfg, corpus)(w)
+        batch, padded = training._batch, []
+
+        def repadded(*args):
+            ids, columns, targets = batch(*args)
+            ids = ids.copy()
+            ids[2:, -1] = (ids[2:, -1] + 1) % cfg.vocab_size  # after the 2-token last chunk
+            padded.append(ids[2:, -1].size)
+            return ids, columns, targets
+
+        monkeypatch.setattr(training, "_batch", repadded)
+        assert make_corpus_loss(cfg, corpus)(w) == want
+        assert padded == [2]
+
+    @pytest.mark.parametrize("name", list(GPT2_VARIANTS))
+    def test_gpt2_gradient_equals_that_of_the_per_chunk_loss(self, name):
+        variant, zeta, gelu = GPT2_VARIANTS[name]
+        cfg = ModelConfig(arch="gpt2", d_e=2, d_k=1, d_v=1, d_f=2, M=1, L=1, vocab_size=5,
+                          max_len=3, zeta=zeta, norm_variant=variant, gelu_mode=gelu)
+        corpus = [0, 1, 2, 3, 4, 2, 1, 3]  # the last chunk holds 2 tokens
+        w = scaled_weights(cfg, 4)
+        got = numerical_gradient(make_corpus_loss(cfg, corpus), w)
+        want = numerical_gradient(reference_loss(cfg, corpus), w)
+        assert list(got) == list(want)
+        for key in want:
+            npt.assert_allclose(got[key], want[key], rtol=1e-6, atol=1e-8, err_msg=key)
 
     def test_sequence_chunks_cover_every_transition_once(self):
         cfg = ModelConfig(arch="rnn", d_e=2, vocab_size=4, max_len=4, L=1)
@@ -249,7 +325,7 @@ class TestReverseModeGradient:
         @given(model=tiny_models(arch, activation))
         def check(model):
             cfg, w, corpus = model
-            loss_fn = make_corpus_loss(cfg, corpus)
+            loss_fn = reference_loss(cfg, corpus)
             loss, grad = corpus_objective(cfg, corpus)[1](w)
             want = numerical_gradient(loss_fn, w)
             assert list(grad) == list(want)
@@ -264,7 +340,7 @@ class TestReverseModeGradient:
         corpus = [0, 1, 2, 3, 1, 2]
         w = init_weights(cfg, 5)
         loss_fn, loss_and_gradient = corpus_objective(cfg, corpus)
-        want = make_corpus_loss(cfg, corpus)(w)
+        want = reference_loss(cfg, corpus)(w)
         assert abs(loss_fn(w) - want) <= 1e-12 * want
         assert loss_fn(w) == loss_and_gradient(w)[0]
 
@@ -347,6 +423,14 @@ def refuse(*args):
     raise AssertionError("called")
 
 
+def spy_on_blocks(monkeypatch):
+    """The list that every later ``transformer_stack`` call appends to."""
+    calls, stack = [], transformer.transformer_stack
+    monkeypatch.setattr(transformer, "transformer_stack",
+                        lambda *args: calls.append(args) or stack(*args))
+    return calls
+
+
 class TestTrainerGradients:
     @pytest.mark.parametrize("arch", list(REVERSE_MODE))
     def test_reverse_mode_archs_never_take_finite_differences(self, arch, monkeypatch):
@@ -368,6 +452,28 @@ class TestTrainerGradients:
         train_toy(cfg, init_weights(cfg, 1), [0, 1, 2, 3, 2], steps=3, mu_lr=0.1)
         assert len(calls) == 3
 
+    def test_one_gpt2_loss_evaluation_runs_the_blocks_once(self, monkeypatch):
+        stacks = spy_on_blocks(monkeypatch)
+        cfg = tiny_gpt2()
+        make_corpus_loss(cfg, CORPUS)(init_weights(cfg, 1))  # 5 chunks
+        assert len(stacks) == 1
+
+    def test_a_gpt2_step_makes_two_loss_evaluations_per_parameter_and_one_more(self,
+                                                                             monkeypatch):
+        stacks, evaluations, factory = spy_on_blocks(monkeypatch), [], training.make_corpus_loss
+
+        def counted(*args):
+            loss = factory(*args)
+            return lambda w: evaluations.append(w) or loss(w)
+
+        monkeypatch.setattr(training, "make_corpus_loss", counted)
+        cfg = tiny_gpt2()
+        w0 = init_weights(cfg, 1)
+        parameters = sum(t.size for t in named_tensor_view(w0).values())
+        train_toy(cfg, w0, CORPUS, steps=2, mu_lr=0.1)
+        assert len(evaluations) == 2 * (2 * parameters + 1) + 1  # and the final loss
+        assert len(stacks) == len(evaluations)
+
     @pytest.mark.parametrize("cfg", [*REVERSE_MODE.values(), tiny_gpt2()],
                              ids=[*REVERSE_MODE, "gpt2"])
     def test_zero_steps_take_no_gradient(self, cfg, monkeypatch):
@@ -376,7 +482,7 @@ class TestTrainerGradients:
         w0 = init_weights(cfg, 1)
         w, loss = train_toy(cfg, w0, CORPUS[:7], steps=0, mu_lr=0.1)
         assert w is w0
-        want = make_corpus_loss(cfg, CORPUS[:7])(w0)
+        want = reference_loss(cfg, CORPUS[:7])(w0)
         assert abs(loss - want) <= 1e-12 * want
 
     @pytest.mark.parametrize("arch", list(REVERSE_MODE))

@@ -158,6 +158,18 @@ class TestGpt2Forward:
         w = init_weights(tiny_gpt2_config(max_len=4), 0)
         with pytest.raises(SequenceLengthError):
             gpt2_forward([0, 1, 2, 3, 4], w)
+        with pytest.raises(SequenceLengthError):
+            gpt2_forward(np.zeros((5, 2), dtype=int), w)
+
+    @pytest.mark.parametrize("variant,zeta", [("pre", 1), ("post", 0)])
+    def test_id_matrix_columns_are_sequences_in_position_major_order(self, variant, zeta):
+        w = init_weights(tiny_gpt2_config(zeta=zeta, variant=variant), 21)
+        ids = np.array([[3, 1, 4], [1, 5, 9], [2, 6, 5], [3, 5, 8]])  # 4 positions x 3 sequences
+        out = gpt2_forward(ids, w)
+        assert out.shape == (11, 12)
+        for b in range(3):  # logit column t * 3 + b follows ids[t, b]
+            npt.assert_allclose(out[:, b::3], gpt2_forward(ids[:, b].tolist(), w),
+                                rtol=1e-12, atol=1e-14)
 
     def test_pre_and_post_agree_in_degenerate_case(self, rng):
         # zero attention/ffn weights, unit gains, zero biases: both variants

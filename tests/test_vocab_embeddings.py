@@ -165,11 +165,11 @@ class TestEmbed:
 class TestAddPositions:
     def test_zero_positions_leave_input(self, rng):
         x = rng.normal(size=(4, 3))
-        npt.assert_array_equal(add_positions(x, np.zeros((4, 6))), x)
+        npt.assert_array_equal(add_positions(x, np.zeros((4, 6)), np.zeros((4, 3))), x)
 
     def test_zero_input_yields_position_prefix(self, rng):
         pos = rng.normal(size=(4, 6))
-        npt.assert_array_equal(add_positions(np.zeros((4, 3)), pos), pos[:, :3])
+        npt.assert_array_equal(add_positions(np.zeros((4, 3)), pos, np.zeros((4, 3))), pos[:, :3])
 
     def test_three_way_sum(self, rng):
         x = rng.normal(size=(4, 5))
@@ -184,7 +184,7 @@ class TestAddPositions:
 
     def test_over_length_rejected(self, rng):
         with pytest.raises(SequenceLengthError):
-            add_positions(rng.normal(size=(4, 7)), rng.normal(size=(4, 6)))
+            add_positions(rng.normal(size=(4, 7)), rng.normal(size=(4, 6)), np.zeros((4, 7)))
 
 
 class TestTiedLogits:
