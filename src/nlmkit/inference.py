@@ -8,9 +8,11 @@ Next-token scoring returns a ``losses.Predictor`` of two logit passes.  For
 the causal sequence models the prefix pass is the model's per-position
 forward pass, which scores every prefix of a sequence at once.  The window
 scorer gives ``corpus_nll``'s full windows and refuses one wider than the
-ids: rnn and lstm unroll all windows as one batch, ``gpt2_windows`` runs
-``WINDOW_COLUMNS`` columns of windows per pass and its final block on their
-last columns only, and the feedforward LM runs its batched forward once.
+ids: rnn and lstm advance all windows as one batch and project each
+position through the bottom layer once, however many windows hold it,
+``gpt2_windows`` runs ``WINDOW_COLUMNS`` columns of windows per pass and
+its final block on their last columns only, and the feedforward LM runs
+its batched forward once.
 The feedforward LM needs a full window, so it has no prefix pass.
 ``generate_tokens`` holds the one greedy loop and its length contract; each
 model's decoder keeps its state between calls: a KV cache for gpt2, the

@@ -199,9 +199,11 @@ def layer_norm(x, gain, bias) -> np.ndarray:
             f"layer_norm dims disagree: x {x.shape}, gain {gain.shape}, bias {bias.shape}"
         )
     column = (-1,) + (1,) * (x.ndim - 1)
-    out = x - x.mean(axis=0)
-    var = (out * out).mean(axis=0)
-    out /= np.sqrt(var + LAYER_NORM_EPS)
+    # bitwise ndarray.mean without its Python wrapper; keepdims keeps var an array
+    out = x - np.add.reduce(x, axis=0, keepdims=True) / x.shape[0]
+    var = np.add.reduce(out * out, axis=0, keepdims=True) / x.shape[0]
+    var += LAYER_NORM_EPS
+    out /= np.sqrt(var, out=var)
     out *= gain.reshape(column)
     out += bias.reshape(column)
     return out

@@ -25,7 +25,7 @@ from .vocab import MASK_TOKEN, TokenSequence, Vocabulary
 from .weights import philox
 
 # full windows corpus_nll hands to a window scorer at once; bounds the
-# scorer's working set (a batched unroll holds d_e x window x WINDOW_BATCH)
+# scorer's working set (|V| x WINDOW_BATCH logits, and states per window)
 WINDOW_BATCH = 64
 
 

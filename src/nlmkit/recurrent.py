@@ -6,28 +6,34 @@ runs: its gate blocks Q, P, R, S, in update order, as a 4d x d U and W and a
 [k d, (k + 1) d).  All layers share the embedding width, and the output head
 reuses the transposed embedding matrix (weight tying).
 
-``unroll`` checks its input, state and weights once per call, then steps
-through the unchecked cells; a checked single step is
-``unroll(x[:, None], [layer], [(h, c)])``.  A cell takes one state vector,
-or a d x B matrix that advances B sequences at once, one column each.  The
-LSTM takes its four gates from one ``np.tanh`` over the stacked
+A cell takes its layer's input term W x + b and adds U h, for one state
+vector or a d x B matrix that advances B sequences at once, one column
+each.  The LSTM takes its four gates from one ``np.tanh`` over the stacked
 pre-activation, each sigmoid gate as sigmoid(z) = (1 + tanh(z/2)) / 2,
 which agrees with the logistic function within 2.3e-16 and costs a third of
-``kernels.sigmoid`` per entry.  ``unroll`` takes and returns the per-layer
-``(h, c)`` state, so ``recurrent_decoder`` carries it forward one token at
-a time instead of re-reading the prefix.
+``kernels.sigmoid`` per entry.
+
+Each forward pass feeds the bottom layer's input terms to one unchecked
+step-major loop; the layers above compute theirs step by step, as
+layer-major loops made lstm ``corpus_nll`` 7 to 25% slower (2-vCPU Xeon).
+``unroll`` checks its input, state and weights once per call and computes
+each step's bottom term from that step's columns alone, so a step's result
+does not depend on how many steps a call covers (OpenBLAS rounds a column
+of W @ X differently for other widths of X).  ``recurrent_decoder`` checks
+once when built and carries the ``(h, c)`` state from token to token.
+``recurrent_windows`` projects each position once, in one product over the
+ids that every window's steps read, not once per window holding it: at
+perfbench's `incremental` lstm, 7 MFLOP of bottom-layer input work instead
+of 200, and a 13% lower request_tail_ms.
 
 ``recurrent_lm_vjp`` runs the model over a batch of equal-length sequences
 and returns its backward pass with the logits: backpropagation through
-time, layer by layer from the top.  It keeps every step's state, so each
-layer's input products and all weight gradients are one matrix product
-over every step, and only ``U h`` forward and ``U^T dz`` backward run per
-step.  Its LSTM steps through ``lstm_cell``, so its states are bitwise
-``unroll``'s; its Elman layer adds W x + b for all steps at once.  Its
-layer-major loops stay (2-vCPU Xeon, one BLAS thread): through ``unroll``
-the tiny-rnn training step took 22% longer, and with the Elman layer
-through ``rnn_cell`` perfbench's `train` request_p50_ms rose 1.5%; a
-layer-major ``unroll`` made lstm ``corpus_nll`` 7% slower.
+time, layer by layer from the top (step by step, the tiny-rnn training
+step took 22% longer).  It keeps every step's state, so all weight
+gradients are one matrix product over every step, and only ``U h`` forward
+and ``U^T dz`` backward run per step.  Its LSTM steps through
+``lstm_cell`` with ``unroll``'s input terms, so its states are bitwise
+``unroll``'s; its Elman layer adds W x + b for all steps at once.
 """
 
 from __future__ import annotations
@@ -35,7 +41,6 @@ from __future__ import annotations
 import functools
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .embeddings import embed, embed_backward, tied_logits, tied_logits_backward
 from .errors import SequenceLengthError, ShapeError
@@ -43,11 +48,10 @@ from .ffnn import ACTIVATIONS
 from .weights import LstmLayerWeights, RecurrentWeights, RnnLayerWeights
 
 
-def rnn_cell(h_prev: np.ndarray, x_in: np.ndarray, w: RnnLayerWeights) -> np.ndarray:
-    """One unchecked Elman step for a state vector or a d x B matrix of states."""
-    # a (d,) bias would add along the rows of a d x B matrix, so give it a column axis
-    b = w.b if h_prev.ndim == 1 else w.b[:, None]
-    return ACTIVATIONS[w.activation][0](w.u @ h_prev + w.w @ x_in + b)
+def rnn_cell(h_prev: np.ndarray, wx: np.ndarray, w: RnnLayerWeights) -> np.ndarray:
+    """One unchecked Elman step from the layer's input term wx = W x + b,
+    for a state vector or a d x B matrix of states."""
+    return ACTIVATIONS[w.activation][0](w.u @ h_prev + wx)
 
 
 @functools.lru_cache(maxsize=None)
@@ -63,13 +67,13 @@ def _gate_affine(rows: int) -> tuple[np.ndarray, np.ndarray]:
     return scale, offset
 
 
-def lstm_cell(h_prev: np.ndarray, c_prev: np.ndarray, x_in: np.ndarray,
+def lstm_cell(h_prev: np.ndarray, c_prev: np.ndarray, wx: np.ndarray,
               layer: LstmLayerWeights):
-    """One unchecked LSTM step through a layer's stacked U, W and b, for
-    state vectors or d x B state matrices: the 4d gate rows, the new context
-    c, tanh(c) and the new hidden state.
+    """One unchecked LSTM step from the layer's stacked input term
+    wx = W x + b, for state vectors or d x B state matrices: the 4d gate
+    rows, the new context c, tanh(c) and the new hidden state.
 
-    One ``U h + W x + b`` feeds all four gates, and one ``np.tanh`` over it,
+    One ``U h + wx`` feeds all four gates, and one ``np.tanh`` over it,
     in place, makes them: tanh on its Q rows, and the sigmoid
     0.5 tanh(0.5 z) + 0.5 on its P, R and S rows (halving is exact).  Every
     gate lies in [0, 1] for finite inputs: a sigmoid gate is exactly 0 below
@@ -78,8 +82,7 @@ def lstm_cell(h_prev: np.ndarray, c_prev: np.ndarray, x_in: np.ndarray,
     """
     d = h_prev.shape[0]
     z = layer.u @ h_prev
-    z += layer.w @ x_in
-    z += layer.b if h_prev.ndim == 1 else layer.b[:, None]  # column biases, as in rnn_cell
+    z += wx
     if z.ndim == 1:  # per-call cost rules: whole-vector operands beat a slice and scalars
         scale, offset = _gate_affine(len(z))
         z *= scale
@@ -99,6 +102,53 @@ def lstm_cell(h_prev: np.ndarray, c_prev: np.ndarray, x_in: np.ndarray,
     return z, c, tanh_c, s * tanh_c
 
 
+def _product(layer, x: np.ndarray) -> np.ndarray:
+    """A layer's input term W x + b for a d-vector or d x B matrix x."""
+    wx = layer.w @ x
+    # a (d,) bias would add along the rows of a d x B matrix, so give it a column axis
+    wx += layer.b if x.ndim == 1 else layer.b[:, None]
+    return wx
+
+
+def _checked_state(shape: tuple, layers: list, state: list | None) -> tuple[list, list]:
+    """The per-layer h and c lists of `state`, or zero states of `shape`
+    (d or d x B), once every layer and state is checked against it."""
+    if not layers:
+        raise SequenceLengthError("a recurrent pass requires at least one layer")
+    d = shape[0]
+    if state is None:
+        zero = np.zeros(shape)  # cells never write into their inputs, so one serves all
+        state = [(zero, zero)] * len(layers)
+    elif len(state) != len(layers):
+        raise ShapeError(f"state has {len(state)} layers, the model {len(layers)}")
+    for l, (layer, (h, c)) in enumerate(zip(layers, state)):
+        lstm = isinstance(layer, LstmLayerWeights)
+        rows = 4 * d if lstm else d
+        if (layer.u.shape != (rows, d) or layer.w.shape != (rows, d) or layer.b.shape != (rows,)
+                or h.shape != shape or lstm and c.shape != shape):
+            raise ShapeError(f"layer {l + 1} does not fit states of shape {shape}: "
+                             f"U {layer.u.shape}, W {layer.w.shape}, b {layer.b.shape}, "
+                             f"h {h.shape}, c {np.shape(c)}")
+    return [h for h, _ in state], [c for _, c in state]
+
+
+def _steps(bottom, layers: list, h_state: list, c_state: list, out=None) -> None:
+    """Advance the per-layer states in place, one step per bottom-layer
+    input term that `bottom` yields, writing step i's top output to out[:, i]."""
+    lstm = [isinstance(layer, LstmLayerWeights) for layer in layers]
+    for i, wx in enumerate(bottom):
+        for l, layer in enumerate(layers):
+            if l:
+                wx = _product(layer, x)
+            if lstm[l]:
+                _, c_state[l], _, x = lstm_cell(h_state[l], c_state[l], wx, layer)
+            else:
+                x = rnn_cell(h_state[l], wx, layer)
+            h_state[l] = x
+        if out is not None:
+            out[:, i] = x
+
+
 def unroll(seq_embeddings: np.ndarray, layers: list,
            state: list | None = None) -> tuple[np.ndarray, list]:
     """Run the recurrent layers, bottom first, over time; returns the top
@@ -115,44 +165,24 @@ def unroll(seq_embeddings: np.ndarray, layers: list,
     """
     if seq_embeddings.ndim not in (2, 3) or seq_embeddings.shape[1] < 1:
         raise SequenceLengthError("unroll requires a nonempty d_e x len (x B) input")
-    if not layers:
-        raise SequenceLengthError("unroll requires at least one layer")
-    d = seq_embeddings.shape[0]
     shape = seq_embeddings.shape[:1] + seq_embeddings.shape[2:]  # one layer's h or c
-    if state is None:
-        zero = np.zeros(shape)  # cells never write into their inputs, so one serves all
-        state = [(zero, zero)] * len(layers)
-    elif len(state) != len(layers):
-        raise ShapeError(f"state has {len(state)} layers, the model {len(layers)}")
-    h_state = [h for h, _ in state]
-    c_state = [c for _, c in state]
-    lstm = [isinstance(layer, LstmLayerWeights) for layer in layers]
-    for l, layer in enumerate(layers):
-        rows = 4 * d if lstm[l] else d
-        if (layer.u.shape != (rows, d) or layer.w.shape != (rows, d) or layer.b.shape != (rows,)
-                or h_state[l].shape != shape or lstm[l] and c_state[l].shape != shape):
-            raise ShapeError(f"layer {l + 1} does not fit a {seq_embeddings.shape} input: "
-                             f"U {layer.u.shape}, W {layer.w.shape}, b {layer.b.shape}, "
-                             f"h {h_state[l].shape}, c {np.shape(c_state[l])}")
+    h_state, c_state = _checked_state(shape, layers, state)
     out = np.empty(seq_embeddings.shape)
-    for i in range(seq_embeddings.shape[1]):
-        x = seq_embeddings[:, i]
-        for l, layer in enumerate(layers):
-            if lstm[l]:
-                _, c_state[l], _, x = lstm_cell(h_state[l], c_state[l], x, layer)
-            else:
-                x = rnn_cell(h_state[l], x, layer)
-            h_state[l] = x
-        out[:, i] = x
+    bottom = (_product(layers[0], x) for x in seq_embeddings.swapaxes(0, 1))  # x[:, i]
+    _steps(bottom, layers, h_state, c_state, out)
     return out, list(zip(h_state, c_state))
 
 
 def recurrent_windows(ids: list[int], n: int, w: RecurrentWeights) -> np.ndarray:
     """Top-layer hidden state after every n-token window ids[s:s+n], one
-    column per window (d_e x (len(ids) - n + 1)), from one batched unroll."""
-    windows = sliding_window_view(embed(ids, w.embedding), n, axis=1)  # d_e x B x n view
-    _, state = unroll(windows.transpose(0, 2, 1), w.layers)
-    return state[-1][0]
+    column per window (d_e x (len(ids) - n + 1)).  The windows advance side
+    by side, and step i of each reads column i of its window in one
+    bottom-layer product over all the ids."""
+    count = len(ids) - n + 1
+    h_state, c_state = _checked_state((w.embedding.shape[0], count), w.layers, None)
+    wx = _product(w.layers[0], embed(ids, w.embedding))
+    _steps((wx[:, i:i + count] for i in range(n)), w.layers, h_state, c_state)
+    return h_state[-1]
 
 
 def recurrent_lm_forward(ids: list[int], w: RecurrentWeights) -> np.ndarray:
@@ -162,15 +192,16 @@ def recurrent_lm_forward(ids: list[int], w: RecurrentWeights) -> np.ndarray:
 
 def recurrent_decoder(w: RecurrentWeights, total: int):
     """Next-token logits after the ids so far, one call per token; each call
-    unrolls only the new ids from the state the last one left.  `total`
-    needs no bound."""
-    state, seen = None, 0
+    steps only the new ids on from the state the last one left.  The
+    weights are checked once, here; `total` needs no bound."""
+    h_state, c_state = _checked_state(w.embedding.shape[:1], w.layers, None)
+    seen = 0
 
     def next_logits(ids):
-        nonlocal state, seen
-        h, state = unroll(embed(ids[seen:], w.embedding), w.layers, state)
-        seen = len(ids)
-        return tied_logits(h[:, -1], w.embedding)
+        nonlocal seen
+        x, seen = embed(ids[seen:], w.embedding), len(ids)
+        _steps((_product(w.layers[0], x_t) for x_t in x.T), w.layers, h_state, c_state)
+        return tied_logits(h_state[-1], w.embedding)
 
     return next_logits
 
@@ -213,7 +244,7 @@ def _lstm_layer_vjp(x: np.ndarray, layer: LstmLayerWeights):
     c, tanh_c, h = np.empty(x.shape), np.empty(x.shape), np.empty(x.shape)
     h_t = c_t = np.zeros((d, batch))
     for t in range(length):
-        z, c_t, tanh_c[:, t], h_t = lstm_cell(h_t, c_t, x[:, t], layer)
+        z, c_t, tanh_c[:, t], h_t = lstm_cell(h_t, c_t, _product(layer, x[:, t]), layer)
         gates[:, t], c[:, t], h[:, t] = z, c_t, h_t
 
     def backward(d_h: np.ndarray, g: LstmLayerWeights) -> np.ndarray:

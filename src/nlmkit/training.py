@@ -102,8 +102,11 @@ def make_corpus_loss(cfg: ModelConfig, corpus_ids: list[int]):
     (bert) has no causal passes and is refused, as is a sequence model's
     max_len of 1 (no transitions).
     """
-    model = causal_model(cfg)
-    batch, columns, targets = _batch(cfg, corpus_ids)
+    return _corpus_loss(causal_model(cfg), *_batch(cfg, corpus_ids))
+
+
+def _corpus_loss(model, batch, columns, targets):
+    """``make_corpus_loss``'s loss over a batch ``_batch`` built."""
     # a reverse pass runs each layer over every step at once, which is faster
     # at training sizes: 54 us against 65 us through unroll for one loss of
     # perfbench's `train` rnn (2-vCPU Xeon)
@@ -149,20 +152,20 @@ def corpus_objective(cfg: ModelConfig, corpus_ids: list[int]):
     the pair of it and its gradient, keyed by the ``named_tensor_view``
     names.
 
-    With a reverse pass the pair comes from that pass over the same batch
-    as the loss's; without one (gpt2, for now) it is the loss and its
-    ``numerical_gradient``.  Either way an id outside the vocabulary raises
-    ``OutOfVocabularyError``.
+    With a reverse pass the loss and the pair share one ``_batch``, and
+    the pair comes from that pass over it; without one (gpt2, for now) it
+    is the loss and its ``numerical_gradient``.  Either way an id outside
+    the vocabulary raises ``OutOfVocabularyError``.
     """
-    loss = make_corpus_loss(cfg, corpus_ids)
-    grad = causal_model(cfg).grad
-    if grad is None:
+    model = causal_model(cfg)
+    if model.grad is None:
+        loss = make_corpus_loss(cfg, corpus_ids)
         return loss, lambda w: (loss(w), numerical_gradient(loss, w))
     batch, columns, targets = _batch(cfg, corpus_ids)
     count = len(targets)
 
     def loss_and_gradient(w):
-        logits, backward = grad(batch, w)
+        logits, backward = model.grad(batch, w)
         total, d_scored = ce_loss_grad(targets, logits[:, columns])
         d_logits = np.zeros(logits.shape)
         d_logits[:, columns] = d_scored / count
@@ -170,7 +173,7 @@ def corpus_objective(cfg: ModelConfig, corpus_ids: list[int]):
         backward(d_logits, g)
         return total / count, g.named_tensors()
 
-    return loss, loss_and_gradient
+    return _corpus_loss(model, batch, columns, targets), loss_and_gradient
 
 
 def train_toy(cfg: ModelConfig, weights: AnyWeights, corpus_ids: list[int],

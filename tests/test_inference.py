@@ -56,8 +56,8 @@ def make_cfg(name):
 CAUSAL = ["gpt2-pre", "gpt2-post", "rnn", "lstm"]
 AUTOREGRESSIVE = CAUSAL + ["ffnn"]
 # the pass each decoder looks up in its own module, once per generated token
-DECODER_PASS = {"gpt2": (transformer, "gpt2_hidden"), "rnn": (recurrent, "unroll"),
-                "lstm": (recurrent, "unroll"), "ffnn": (ffnn, "ffnn_forward")}
+DECODER_PASS = {"gpt2": (transformer, "gpt2_hidden"), "rnn": (recurrent, "_steps"),
+                "lstm": (recurrent, "_steps"), "ffnn": (ffnn, "ffnn_forward")}
 
 
 def model(name, seed=7):
@@ -211,6 +211,68 @@ class TestGpt2WindowScorer:
         assert peak(WINDOW_BATCH) <= 2 * peak(per_pass)
 
 
+class ProjectedColumns(np.ndarray):
+    """A weight matrix that records how many input columns each product
+    ``self @ x`` projects, in ``columns``."""
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul and inputs[0] is self:
+            x = inputs[1]
+            self.columns.append(x.size // x.shape[0])
+        inputs = [np.asarray(x) for x in inputs]
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+
+class TestRecurrentWindowScorer:
+    """Windows advanced side by side from one bottom-layer product over the
+    ids, against one recurrent_lm_forward pass per window."""
+
+    @pytest.mark.parametrize("L", [1, 2])
+    @pytest.mark.parametrize("name", ["rnn", "lstm"])
+    @pytest.mark.parametrize("n", [1, 3, MAX_LEN])
+    def test_every_window_matches_its_forward_pass(self, name, L, n):
+        cfg = replace(make_cfg(name), L=L)
+        w = init_weights(cfg, 23)
+        windows = make_predict_next(cfg, w).windows
+        for count in (1, WINDOW_BATCH - 1, WINDOW_BATCH + 1):
+            ids = corpus(count + n - 1, seed=count)
+            got = windows(ids, n)
+            assert got.shape == (VOCAB, count)
+            for s in range(count):
+                npt.assert_allclose(got[:, s], recurrent_lm_forward(ids[s:s + n], w)[:, -1],
+                                    rtol=RTOL, atol=0)
+
+    @pytest.mark.parametrize("name", ["rnn", "lstm"])
+    def test_each_position_is_projected_once(self, name):
+        cfg, w = model(name)
+        bottom = w.layers[0]
+        recorder = bottom.w.view(ProjectedColumns)
+        recorder.columns = []
+        w.layers[0] = replace(bottom, w=recorder)
+        ids = corpus(WINDOW_BATCH + MAX_LEN - 1)
+        make_predict_next(cfg, w).windows(ids, MAX_LEN)
+        assert sum(recorder.columns) == len(ids)  # not MAX_LEN per window
+
+    @pytest.mark.parametrize("name", ["rnn", "lstm"])
+    def test_peak_memory_follows_the_ids_not_the_windows(self, name):
+        # a long window: WINDOW_BATCH windows hold per-window states beside
+        # the product over the ids, never a d_e x n block per window
+        cfg = ModelConfig(arch=name, d_e=8, vocab_size=VOCAB, max_len=256, L=2)
+        windows = make_predict_next(cfg, init_weights(cfg, 5)).windows
+        n = cfg.max_len
+
+        def peak(count):
+            ids = corpus(count + n - 1)
+            tracemalloc.start()
+            try:
+                windows(ids, n)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(WINDOW_BATCH) <= 2 * peak(1)
+
+
 class TestMinContext:
     @pytest.mark.parametrize("name,want", [("gpt2-pre", 1), ("rnn", 1), ("lstm", 1),
                                            ("ffnn", MAX_LEN)])
@@ -250,7 +312,7 @@ class TestGenerateTokens:
         assert generate_tokens(cfg, w, prompt, 4) == want
 
     @pytest.mark.parametrize("name,target", [("gpt2-pre", (transformer, "gpt2_hidden")),
-                                             ("lstm", (recurrent, "unroll"))])
+                                             ("lstm", (recurrent, "_steps"))])
     def test_zero_steps_run_no_forward_pass(self, name, target, monkeypatch):
         cfg, w = model(name)
         calls = []

@@ -13,6 +13,7 @@ from nlmkit.errors import ShapeError, UndefinedDistributionError
 from nlmkit.attention import build_mask
 from nlmkit.kernels import (
     GELU_TANH_COEFF,
+    LAYER_NORM_EPS,
     MASKED_EXP_MIN_KEYS,
     SQRT_2_OVER_PI,
     exp_allowed,
@@ -278,6 +279,18 @@ class TestLayerNorm:
         for j in range(7):
             npt.assert_allclose(out[:, j], layer_norm_vec(list(m[:, j]), list(gain), list(bias)),
                                 rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("shape", [(64,), (64, 1), (4, 28), (128, 80), (64, 256),
+                                       (64, 6208)])
+    def test_bitwise_equals_the_mean_based_formula(self, rng, shape):
+        x = rng.normal(loc=3.0, scale=4.0, size=shape)
+        gain, bias = rng.normal(size=shape[0]), rng.normal(size=shape[0])
+        column = (-1,) + (1,) * (x.ndim - 1)
+        want = x - x.mean(axis=0)
+        want /= np.sqrt((want * want).mean(axis=0) + LAYER_NORM_EPS)
+        want *= gain.reshape(column)
+        want += bias.reshape(column)
+        npt.assert_array_equal(layer_norm(x, gain, bias), want)
 
     def test_dim_mismatch(self):
         with pytest.raises(ShapeError):

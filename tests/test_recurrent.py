@@ -248,7 +248,8 @@ class TestUnroll:
         layer = random_rnn_layer(rng, 3)
         x = rng.normal(size=(3, 1))
         out = unroll(x, [layer])[0]
-        npt.assert_array_equal(out[:, 0], recurrent.rnn_cell(np.zeros(3), x[:, 0], layer))
+        wx = layer.w @ x[:, 0] + layer.b  # the cell takes the input term W x + b
+        npt.assert_array_equal(out[:, 0], recurrent.rnn_cell(np.zeros(3), wx, layer))
 
     def test_prefix_truncation_reproduces_columns(self, rng):
         layers = [random_rnn_layer(rng, 3) for _ in range(2)]
@@ -381,6 +382,23 @@ class TestRecurrentLm:
             for s in range(len(ids) - n + 1):
                 hidden, _ = unroll(embed(ids[s:s + n], w.embedding), w.layers)
                 npt.assert_allclose(got[:, s], hidden[:, -1], rtol=1e-13, atol=1e-15)
+
+    def test_decoder_checks_the_weights_once(self, monkeypatch):
+        cfg = lstm_config(vocab=6)
+        w = init_weights(cfg, 2)
+        checks, check = [], recurrent._checked_state
+        monkeypatch.setattr(recurrent, "_checked_state",
+                            lambda *args: checks.append(1) or check(*args))
+        generate_tokens(cfg, w, [1, 2], 5)
+        assert checks == [1]
+
+    def test_decoder_refuses_a_bad_layer_when_built(self, monkeypatch):
+        w = init_weights(lstm_config(), 2)
+        top = w.layers[1]
+        w.layers[1] = LstmLayerWeights(top.u[:3], top.w, top.b)  # an Elman layer's U
+        monkeypatch.setattr(recurrent, "lstm_cell", refuse)
+        with pytest.raises(ShapeError, match="layer 2"):
+            recurrent.recurrent_decoder(w, 5)
 
     def test_generate_appends_greedy_tokens(self):
         cfg = lstm_config(vocab=6)

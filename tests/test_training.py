@@ -476,6 +476,14 @@ class TestTrainerGradients:
 
     @pytest.mark.parametrize("cfg", [*REVERSE_MODE.values(), tiny_gpt2()],
                              ids=[*REVERSE_MODE, "gpt2"])
+    def test_a_run_builds_the_corpus_batch_once(self, cfg, monkeypatch):
+        built, batch = [], training._batch
+        monkeypatch.setattr(training, "_batch", lambda *args: built.append(1) or batch(*args))
+        train_toy(cfg, init_weights(cfg, 1), CORPUS, steps=2, mu_lr=0.1)
+        assert built == [1]
+
+    @pytest.mark.parametrize("cfg", [*REVERSE_MODE.values(), tiny_gpt2()],
+                             ids=[*REVERSE_MODE, "gpt2"])
     def test_zero_steps_take_no_gradient(self, cfg, monkeypatch):
         monkeypatch.setattr(training, "numerical_gradient", refuse)
         monkeypatch.setattr(training, "ce_loss_grad", refuse)
