@@ -33,13 +33,16 @@ This module fixes the numerical conventions used everywhere else:
   less the copy of the scores, one BLAS thread, 2-vCPU shared Xeon).
   Every output is bitwise the plain path's,
 * layer normalization uses the population standard deviation and adds
-  ``LAYER_NORM_EPS`` under the square root.
+  ``LAYER_NORM_EPS`` under the square root,
+* numpy is the only numeric dependency: the sigmoid and the exact GELU are
+  closed forms over ``np.tanh`` and ``math.erfc``.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from scipy.special import expit, ndtr
 
 from .errors import ShapeError, UndefinedDistributionError
 
@@ -136,14 +139,16 @@ def softmax(v, axis: int = -1, allowed: np.ndarray | None = None,
 
 
 def sigmoid(x):
-    """Numerically stable logistic function, elementwise.
-
-    The LSTM takes its gates from one tanh instead (``recurrent``), but
-    this stays scipy's ``expit``: on the one-element and 8 x 21 calls of the
-    feedforward LM, (1 + tanh(x/2)) / 2 in numpy took 5.2 and 5.8 us
-    against 0.6 and 3.1 us.
+    """Logistic function, elementwise, as 0.5 tanh(0.5 x) + 0.5: the form
+    the LSTM gates use (``recurrent``), within 2.3e-16 of 1 / (1 + e^-x)
+    and never overflowing.  It saturates to exactly 0 and 1 beyond |x| ~ 37.
+    Four numpy calls: 2.2 us on 64 x 1 and 16 us on 64 x 96, against 0.9
+    and 36 us for scipy's ``expit`` (one thread, 2-vCPU shared Xeon).
     """
-    return expit(np.asarray(x, dtype=np.float64))
+    t = np.tanh(np.multiply(x, 0.5, dtype=np.float64))
+    t *= 0.5
+    t += 0.5
+    return t
 
 
 def gelu_tanh(x):
@@ -168,11 +173,15 @@ def gelu_tanh(x):
 
 
 def gelu_exact(x):
-    """GELU as x * Phi(x) with Phi the standard normal CDF."""
+    """GELU as x Phi(x), Phi(x) = erfc(-x / sqrt 2) / 2 by ``math.erfc`` per
+    entry: bitwise x * 0.5 * math.erfc(-x / math.sqrt(2.0)).  On 512 x 100
+    that took 6 to 8 ms against about 1 ms with scipy's ``ndtr``; only
+    ``gelu_mode=exact`` configs run it, and no perfbench workload does.
+    """
     x = np.asarray(x, dtype=np.float64)
-    phi = ndtr(x)
-    phi *= x
-    return phi
+    out = x * 0.5
+    out *= np.asarray(np.frompyfunc(math.erfc, 1, 1)(-x / math.sqrt(2.0)), dtype=np.float64)
+    return out
 
 
 def gelu(x, mode: str):
@@ -194,10 +203,9 @@ def layer_norm(x, gain, bias) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     gain = as_vector(gain)
     bias = as_vector(bias)
-    if x.ndim not in (1, 2) or not (x.shape[0] == gain.shape[0] == bias.shape[0]):
-        raise ShapeError(
-            f"layer_norm dims disagree: x {x.shape}, gain {gain.shape}, bias {bias.shape}"
-        )
+    if x.ndim not in (1, 2) or not (0 < x.shape[0] == gain.shape[0] == bias.shape[0]):
+        raise ShapeError(f"layer_norm needs x with nonempty axis 0 matching gain and bias: "
+                         f"x {x.shape}, gain {gain.shape}, bias {bias.shape}")
     column = (-1,) + (1,) * (x.ndim - 1)
     # bitwise ndarray.mean without its Python wrapper; keepdims keeps var an array
     out = x - np.add.reduce(x, axis=0, keepdims=True) / x.shape[0]

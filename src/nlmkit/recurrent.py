@@ -9,9 +9,8 @@ reuses the transposed embedding matrix (weight tying).
 A cell takes its layer's input term W x + b and adds U h, for one state
 vector or a d x B matrix that advances B sequences at once, one column
 each.  The LSTM takes its four gates from one ``np.tanh`` over the stacked
-pre-activation, each sigmoid gate as sigmoid(z) = (1 + tanh(z/2)) / 2,
-which agrees with the logistic function within 2.3e-16 and costs a third of
-``kernels.sigmoid`` per entry.
+pre-activation, each sigmoid gate in ``kernels.sigmoid``'s form
+0.5 tanh(0.5 z) + 0.5, within 2.3e-16 of the logistic function.
 
 Each forward pass feeds the bottom layer's input terms to one unchecked
 step-major loop; the layers above compute theirs step by step, as

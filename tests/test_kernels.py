@@ -7,7 +7,6 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import ndtr
 
 from nlmkit.errors import ShapeError, UndefinedDistributionError
 from nlmkit.attention import build_mask
@@ -25,7 +24,13 @@ from nlmkit.kernels import (
     softmax,
 )
 
-from oracles import gelu_tanh_scalar, layer_norm_vec, naive_softmax, normal_cdf_series
+from oracles import (
+    gelu_tanh_scalar,
+    layer_norm_vec,
+    naive_softmax,
+    normal_cdf_series,
+    sigmoid_scalar,
+)
 
 
 def masked_matrix(rng, shape, rate=0.3):
@@ -217,7 +222,8 @@ class TestGelu:
         x[0, :8] = [-30.0, -5.0, -1e-8, 0.0, 1e-8, 30.0, 5e-324, -1e-310]
         textbook = 0.5 * x * (1.0 + np.tanh(SQRT_2_OVER_PI * (x + GELU_TANH_COEFF * (x * x * x))))
         npt.assert_array_equal(gelu_tanh(x), textbook)
-        npt.assert_array_equal(gelu_exact(x), x * ndtr(x))
+        exact = [xi * 0.5 * math.erfc(-xi / math.sqrt(2.0)) for xi in x.ravel().tolist()]
+        npt.assert_array_equal(gelu_exact(x), np.reshape(exact, x.shape))
 
     def test_input_is_left_unchanged(self, rng):
         x = rng.normal(size=(5, 4))
@@ -229,6 +235,17 @@ class TestGelu:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
             gelu(1.0, mode="relu")
+
+    def test_exact_keeps_zero_dim_and_empty_types(self):
+        assert type(gelu_exact(1.5)) is np.float64
+        assert type(gelu_exact(np.float64(-2.0))) is np.float64
+        for shape in ((0,), (0, 3), (4, 0)):
+            out = gelu_exact(np.zeros(shape))
+            assert type(out) is np.ndarray and out.shape == shape and out.dtype == np.float64
+
+    def test_exact_limits(self):
+        assert gelu_exact(np.inf) == np.inf
+        assert gelu_exact(-40.0) == -0.0
 
 
 class TestLayerNorm:
@@ -292,6 +309,15 @@ class TestLayerNorm:
         want += bias.reshape(column)
         npt.assert_array_equal(layer_norm(x, gain, bias), want)
 
+    @pytest.mark.parametrize("shape", [(0,), (0, 3)])
+    def test_zero_rows_rejected_before_any_arithmetic(self, shape):
+        with pytest.raises(ShapeError, match="nonempty axis 0"):
+            layer_norm(np.zeros(shape), np.zeros(0), np.zeros(0))
+
+    def test_zero_columns_give_an_empty_matrix(self):
+        out = layer_norm(np.zeros((3, 0)), np.ones(3), np.zeros(3))
+        assert out.shape == (3, 0)
+
     def test_dim_mismatch(self):
         with pytest.raises(ShapeError):
             layer_norm(np.zeros(3), np.zeros(4), np.zeros(3))
@@ -318,3 +344,29 @@ class TestSigmoidTanh:
         assert np.all(s > 0) and np.all(s < 1)
         t = np.tanh(rng.uniform(-18, 18, size=1000))
         assert np.all(t > -1) and np.all(t < 1)
+
+    def test_is_bitwise_the_lstm_gate_form(self, rng):
+        x = rng.uniform(-45.0, 45.0, size=(64, 96))
+        x[0, :6] = [-40.0, -36.0, -1e-300, 0.0, 5e-324, 40.0]
+        npt.assert_array_equal(sigmoid(x), 0.5 * np.tanh(0.5 * x) + 0.5)
+
+    def test_within_2_3e_16_of_the_logistic_oracle(self):
+        x = np.linspace(-40.0, 40.0, 80_001)
+        want = np.array([sigmoid_scalar(xi) for xi in x.tolist()])
+        assert np.max(np.abs(sigmoid(x) - want)) <= 2.3e-16
+
+    def test_zero_dim_and_empty_inputs_keep_their_types(self):
+        assert type(sigmoid(0.5)) is np.float64 and type(sigmoid(np.float64(-3.0))) is np.float64
+        for shape in ((0,), (0, 3), (4, 0)):
+            out = sigmoid(np.zeros(shape))
+            assert type(out) is np.ndarray and out.shape == shape and out.dtype == np.float64
+
+    def test_saturates_exactly_at_infinity(self):
+        assert sigmoid(np.inf) == 1.0 and sigmoid(-np.inf) == 0.0
+        npt.assert_array_equal(sigmoid(np.array([-np.inf, np.inf])), [0.0, 1.0])
+
+    def test_leaves_the_callers_array_unchanged(self, rng):
+        x = rng.normal(size=(6, 5))
+        kept = x.copy()
+        sigmoid(x)
+        npt.assert_array_equal(x, kept)
