@@ -14,12 +14,12 @@ binary64 little-endian, row-major):
         payload  prod(dims) float64 values
 
 Round trips are bitwise: load(save(w)) reproduces every byte of every
-tensor.  A load reads every payload into one ``weights.pooled_block``,
-each on a 64-byte boundary.  Malformed files raise a distinct error per
-failure mode (magic, version, truncation, duplicate names).  Every declared
-length is checked against the bytes left in the file before anything is
-read or allocated, so a hostile header cannot make a load allocate more
-than a few times the file's size.
+tensor.  A load reads each payload into its own array.  Malformed files
+raise a distinct error per failure mode (magic, version, truncation,
+duplicate names).  Every declared length is checked against the bytes left
+in the file before anything is read or allocated, so whatever its header
+declares, a load allocates about the file's size for weights and at most
+about ten times it for a file of zero-size tensors.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .errors import (
     ArchiveTruncatedError,
     ArchiveVersionError,
 )
-from .weights import ALIGN, aligned, named_tensor_view, pooled_block
+from .weights import named_tensor_view
 
 MAGIC = b"ANLM"
 FORMAT_VERSION = 1
@@ -66,13 +66,6 @@ class _Reader:
     def __init__(self, fh):
         self._fh = fh
         self._left = os.fstat(fh.fileno()).st_size
-        self._block, self._used = None, 0
-
-    def reserve(self, count: int) -> None:
-        """One block for the payloads of `count` tensors: together they are
-        smaller than the bytes left, and each entry takes at least 24 bytes,
-        which bounds the alignment padding."""
-        self._block = pooled_block(aligned(self._left // 8) + ALIGN * min(count, self._left // 24))
 
     def _claim(self, count: int, what: str) -> None:
         if count > self._left:
@@ -92,23 +85,19 @@ class _Reader:
         return struct.unpack("<Q", self.exact(8, what))[0]
 
     def tensor(self, dims: tuple[int, ...], what: str) -> np.ndarray:
-        """Read a float64 payload straight into the block's next aligned view
-        of shape `dims`."""
-        size = math.prod(dims)
-        self._claim(8 * size, what)
+        """Read a float64 payload straight into a new array of shape `dims`."""
+        self._claim(8 * math.prod(dims), what)
         try:
-            tensor = self._block[self._used:self._used + size].reshape(dims)
+            tensor = np.empty(dims, dtype="<f8")
         except ValueError as exc:  # a zero-size tensor with a dim numpy cannot index
             raise ArchiveError(f"{what} has unsupported dims {dims}: {exc}") from None
-        self._used += aligned(size)
         if self._fh.readinto(tensor.data) != tensor.nbytes:
             raise ArchiveTruncatedError(f"archive ends inside {what}")
         return tensor
 
 
 def load_weights(path) -> dict[str, np.ndarray]:
-    """Read an archive back into an ordered name -> float64 array dict; the
-    arrays are views of one block, which lives as long as any of them."""
+    """Read an archive back into an ordered name -> float64 array dict."""
     with open(path, "rb") as fh:
         reader = _Reader(fh)
         magic = reader.exact(4, "magic")
@@ -120,7 +109,6 @@ def load_weights(path) -> dict[str, np.ndarray]:
                 f"unsupported format version {version}; expected {FORMAT_VERSION}"
             )
         count = reader.u64("tensor count")
-        reader.reserve(count)
         tensors: dict[str, np.ndarray] = {}
         for _ in range(count):
             name_len = reader.u64("name length")

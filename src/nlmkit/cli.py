@@ -50,7 +50,7 @@ _rate = _checked(float, lambda v: math.isfinite(v) and v > 0, "a finite positive
 
 
 class _Parser(argparse.ArgumentParser):
-    # argparse exits 2 on usage problems; this CLI reserves 2 for data errors
+    # argparse exits 2 on usage problems; this CLI keeps 2 for data errors
     def error(self, message):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)

@@ -17,15 +17,22 @@ from .kernels import as_matrix, as_vector
 def checked_ids(ids, size: int, error: type = OutOfVocabularyError,
                 what: str | None = None) -> np.ndarray:
     """The ids as an intp array, each in [0, size), or `error` naming `what`
-    (an embedding table of `size`); an id no intp holds is out of range too."""
+    (an embedding table of `size`); an id no intp holds is out of range too,
+    and float, bool or string ids are refused by their dtype."""
     what = what or f"embedding table of {size}"
-    try:
-        ids = np.asarray(ids, dtype=np.intp)
-    except OverflowError:
-        raise error(f"an id is out of range for {what}") from None
+    given = np.asarray(ids)
+    if given.dtype.kind not in "iu" and given.size:
+        try:  # Python ints no int64 holds arrive as object, or as float64 beside a negative one
+            np.asarray(ids, dtype=np.intp)
+        except OverflowError:
+            raise error(f"an id is out of range for {what}") from None
+        except (TypeError, ValueError):
+            pass
+        raise error(f"ids for {what} must be integers, got dtype {given.dtype}")
+    ids = given.astype(np.intp, copy=False)  # a uint64 id from 2**63 up wraps below 0
     # one reduction checks both ends: a negative id reads as 2**63 or more unsigned
     if ids.size and ids.view(np.uintp).max() >= size:
-        raise error(f"ids from {ids.min()} to {ids.max()} are out of range for {what}")
+        raise error(f"ids from {given.min()} to {given.max()} are out of range for {what}")
     return ids
 
 

@@ -21,8 +21,8 @@ weights.
 ``tensor_layout``, ``assemble_weights``, ``init_weights`` and
 ``zeros_weights`` differ only in where ``t`` gets the arrays from.  Adding
 an architecture means adding its builder to ``BUILDERS``.  A deep copy of a
-record (``training.gd_step`` makes one) holds its tensors in one
-``pooled_block``, as ``archive.load_weights`` does.
+record (``training.gd_step`` makes one) is Python's default: its memo keeps
+every structured field the same array as its ``named_tensors()`` entry.
 
 Weight initialization draws from a Philox counter-based generator
 (identifier "philox-4x64-10"), uniform on (-0.05, 0.05), one tensor at a
@@ -33,9 +33,6 @@ result.
 from __future__ import annotations
 
 import math
-import sys
-import threading
-from copy import deepcopy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,49 +43,6 @@ from .errors import ConfigError, ShapeError
 INIT_GENERATOR = "philox-4x64-10"
 INIT_LOW, INIT_HIGH = -0.05, 0.05
 MAX_ELEMENTS = np.iinfo(np.intp).max // 8  # float64s one numpy array can address
-ALIGN = 8  # float64s: a tensor in a pooled block starts on a 64-byte boundary
-
-# (block, first 64-byte aligned entry) of the blocks pooled_block keeps; a
-# block that no array views is idle.  At most MAX_POOLED are kept, which
-# bounds the scan when a caller keeps many weight sets alive.
-_BLOCKS: list[tuple[np.ndarray, int]] = []
-_BLOCKS_LOCK = threading.Lock()  # two callers must not take one idle block
-MAX_POOLED = 16
-# Float64s (64 KiB) from which a deep copy takes a pooled block.  A smaller
-# weight set has few pages to fault in, and the pool's bookkeeping cost
-# perfbench's `train` requests on tiny models about 35 us each.
-POOL_MIN = 8192
-
-
-def aligned(size: int) -> int:
-    """`size` float64s rounded up to whole 64-byte lines."""
-    return -(-size // ALIGN) * ALIGN
-
-
-def pooled_block(size: int) -> np.ndarray:
-    """A float64 array of `size` entries on a 64-byte boundary, for the
-    tensors of one weight set to take views of.
-
-    An idle block of up to twice the size is reused, so a process that loads
-    or copies the weights of one model again and again refills memory it has
-    already touched.  Fresh memory costs a page fault per 4 KiB, and the C
-    allocator gives the freed top of its heap back to the system: each of
-    perfbench's `incremental` set-ups, which drop their models, faulted about
-    1,400 pages in again.  Idle blocks that cannot serve a request are
-    dropped, so the pool keeps no more than was last in use.
-    """
-    with _BLOCKS_LOCK:  # a block's only references are its entry and getrefcount's argument
-        fits = [entry for entry in _BLOCKS if sys.getrefcount(entry[0]) == 2
-                and size + ALIGN <= len(entry[0]) <= 2 * (size + ALIGN)]
-        if fits:
-            block, start = min(fits, key=lambda entry: len(entry[0]))
-        else:
-            _BLOCKS[:] = [entry for entry in _BLOCKS if sys.getrefcount(entry[0]) > 2]
-            block = np.empty(size + ALIGN)
-            start = -block.__array_interface__["data"][0] % (8 * ALIGN) // 8
-            if len(_BLOCKS) < MAX_POOLED:
-                _BLOCKS.append((block, start))
-        return block[start:start + size]
 
 
 @dataclass
@@ -130,21 +84,6 @@ class _TensorBacked:
     def named_tensors(self) -> dict[str, np.ndarray]:
         """Flat ordered view sharing storage with the structured fields."""
         return self._tensors
-
-    def __deepcopy__(self, memo):
-        """A copy whose tensors are views of one ``pooled_block``, from
-        ``POOL_MIN`` float64s on."""
-        tensors = self._tensors.values()
-        size = sum(aligned(t.size) for t in tensors)
-        if size >= POOL_MIN:
-            block, at = pooled_block(size), 0
-            for t in tensors:
-                memo[id(t)] = view = block[at:at + t.size].reshape(t.shape)
-                view[...] = t
-                at += aligned(t.size)
-        clone = memo[id(self)] = object.__new__(type(self))
-        clone.__dict__.update((name, deepcopy(value, memo)) for name, value in vars(self).items())
-        return clone
 
 
 def named_tensor_view(weights) -> dict[str, np.ndarray]:

@@ -464,3 +464,24 @@ def _case(run, name, where, error):
 def test_an_id_beyond_intp_raises_an_nlm_error(run, name, ids, error):
     with pytest.raises(error):
         run(name, ids)
+
+
+# one id of the corpus or prompt replaced, or every id recast, so numpy reads a non-integer dtype
+NON_INTEGER = {"float": (lambda ids: ids[:2] + [1.5] + ids[3:], "float64"),
+               "string": (lambda ids: ids[:2] + ["3"] + ids[3:], "<U21"),
+               "bool": (lambda ids: np.asarray(ids) % 2 == 1, "bool")}
+
+
+@pytest.mark.parametrize("kind", sorted(NON_INTEGER))
+@pytest.mark.parametrize("run,name", [
+    *[(_nll, name) for name in AUTOREGRESSIVE],
+    *[(_train, name) for name in ("rnn", "lstm", "ffnn", "gpt2-pre")],
+    *[(_generate, name) for name in AUTOREGRESSIVE],
+])
+def test_a_non_integer_id_is_refused_naming_its_dtype(run, name, kind):
+    recast, dtype = NON_INTEGER[kind]
+    ids = corpus(3 * MAX_LEN)
+    if run is _generate:  # a prompt that leaves room for the step
+        ids = ids[:MAX_LEN if name == "ffnn" else MAX_LEN - 1]
+    with pytest.raises(OutOfVocabularyError, match=f"must be integers, got dtype {dtype}$"):
+        run(name, recast(ids))

@@ -6,7 +6,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from nlmkit.embeddings import add_positions, embed, tied_logits
+from nlmkit.embeddings import add_positions, checked_ids, embed, tied_logits
 from nlmkit.errors import (
     ConfigError,
     OutOfVocabularyError,
@@ -152,6 +152,29 @@ class TestEmbed:
     def test_id_beyond_intp(self, rng, bad):
         with pytest.raises(OutOfVocabularyError):
             embed([0, bad], rng.normal(size=(4, 9)))
+
+    @pytest.mark.parametrize("ids", [[2**63, -1], [0, 2**70], [5, 2**63]])
+    def test_ids_beyond_intp_are_reported_out_of_range(self, rng, ids):
+        # numpy reads such lists as float64 or object, but they hold integers
+        with pytest.raises(OutOfVocabularyError, match="out of range for embedding table of 9"):
+            embed(ids, rng.normal(size=(4, 9)))
+
+    @pytest.mark.parametrize("ids,dtype", [([1.5], "float64"), ([2.0, 3.0], "float64"),
+                                           ([1, 2.5], "float64"), ([True], "bool"),
+                                           (np.array([0, 1]) == 1, "bool"), (["3"], "<U1"),
+                                           ([1, "2"], "<U21"), ([None], "object")])
+    def test_non_integer_ids_are_refused_naming_their_dtype(self, rng, ids, dtype):
+        with pytest.raises(OutOfVocabularyError, match=f"must be integers, got dtype {dtype}$"):
+            embed(ids, rng.normal(size=(4, 9)))
+
+    def test_the_caller_chooses_the_error_class(self):
+        with pytest.raises(ShapeError, match="ids for 3 classes must be integers"):
+            checked_ids([1.5], 3, ShapeError, "3 classes")
+
+    @pytest.mark.parametrize("ids", [[], np.array([]), np.array([], dtype=str), [[]]])
+    def test_empty_ids_of_any_dtype_are_an_empty_intp_array(self, ids):
+        checked = checked_ids(ids, 9)
+        assert checked.dtype == np.intp and checked.size == 0
 
     @pytest.mark.parametrize("ids", [[4, 0, 8], np.array([4, 0, 8]), []])
     def test_returns_a_new_row_major_matrix(self, rng, ids):

@@ -1,23 +1,19 @@
 """Seeded initialization: determinism, the seed's range, archive bytes, the
 checks of assemble_weights, records that take every field from their builder,
-and the pooled blocks of deep copies."""
+and deep copies."""
 
 import copy
 import dataclasses
 import hashlib
 import re
-import sys
-import threading
-import weakref
 
 import numpy as np
 import pytest
 
-from nlmkit.archive import save_weights
+from nlmkit.archive import load_weights, save_weights
 from nlmkit.config import ModelConfig
 from nlmkit.errors import ConfigError, NlmError, ShapeError
 from nlmkit.training import named_tensor_view
-from nlmkit import weights
 from nlmkit.weights import BUILDERS, assemble_weights, init_weights, tensor_layout, zeros_weights
 
 from conftest import per_gate_lstm_tensors, per_head_attention_tensors, tiny_gpt2_config
@@ -89,6 +85,17 @@ def test_every_constructor_gives_the_canonical_layout(name):
     for w in (init_weights(cfg, 1), zeros_weights(cfg),
               assemble_weights(cfg, {n: np.ones(s) for n, s in reversed(layout)})):
         assert [(n, t.shape) for n, t in w.named_tensors().items()] == layout
+
+
+@pytest.mark.parametrize("arch", sorted(BUILDERS))
+def test_a_loaded_archive_is_assembled_without_a_copy(tmp_path, arch):
+    # a set-up reads each tensor once, into the array its model then runs on
+    cfg = next(cfg for cfg in VARIANTS.values() if cfg.arch == arch)
+    path = tmp_path / "w.anlm"
+    save_weights(init_weights(cfg, 5), path)
+    loaded = load_weights(path)
+    adopted = assemble_weights(cfg, loaded).named_tensors()
+    assert list(adopted) == list(loaded) and all(adopted[k] is t for k, t in loaded.items())
 
 
 def records(value):
@@ -166,67 +173,31 @@ class TestAssembleRefuses:
             assemble_weights(VARIANTS["lstm"], tensors)
 
 
-# weight sets of at least weights.POOL_MIN float64s, whose deep copies are pooled
-POOLED = {arch: ModelConfig(arch=arch, d_e=16, d_k=4, d_v=4, d_f=8, M=2, L=1, vocab_size=600,
-                            max_len=5) for arch in ("gpt2", "lstm", "rnn")}
+def large(arch):  # over 8192 float64s, the size from which copies once took a pooled block
+    return ModelConfig(arch=arch, d_e=16, d_k=4, d_v=4, d_f=8, M=2, L=1, vocab_size=600,
+                       max_len=5, hidden_dims=[8] if arch == "ffnn" else [])
 
 
-class TestPooledBlocks:
-    def test_deep_copy_is_equal_independent_and_one_aligned_block(self):
-        w = init_weights(POOLED["gpt2"], 3)
-        c = copy.deepcopy(w)
-        original, copied = w.named_tensors(), c.named_tensors()
-        assert all(np.array_equal(copied[k], original[k]) for k in original)
-        assert len({id(t.base) for t in copied.values()}) == 1
-        assert all(t.__array_interface__["data"][0] % 64 == 0 for t in copied.values())
-        assert c.blocks[0].mha.w_v is copied["blk1.WV"] and c.embedding is copied["emb.E"]
-        copied["blk1.WQ"][...] = 7.0
-        assert not (original["blk1.WQ"] == 7.0).any() and (copied["blk1.WK"] != 7.0).all()
+DEEP_COPIED = {**{name: VARIANTS[name] for name in ("ffnn-3", "rnn", "lstm", "gpt2-zeta1",
+                                                   "bert-zeta1")},
+               **{f"{arch}-large": large(arch) for arch in sorted(BUILDERS)}}
 
-    def test_a_dropped_copy_serves_the_next_and_a_live_one_never(self):
-        w = init_weights(POOLED["lstm"], 3)
-        first = copy.deepcopy(w)
-        block = id(first.embedding.base)
-        second = copy.deepcopy(w)
-        assert id(second.embedding.base) != block
-        del first
-        assert id(copy.deepcopy(w).embedding.base) == block
 
-    def test_a_small_weight_set_copies_tensor_by_tensor(self):
-        copied = copy.deepcopy(init_weights(VARIANTS["lstm"], 3)).named_tensors()
-        assert all(t.base is None for t in copied.values())  # each owns its data
-
-    def test_idle_blocks_that_cannot_serve_a_request_are_dropped(self):
-        kept = weights.pooled_block(10)
-        dropped = weakref.ref(weights.pooled_block(20).base)
-        weights.pooled_block(1000)
-        assert dropped() is None and any(block is kept.base for block, _ in weights._BLOCKS)
-
-    def test_the_pool_keeps_at_most_max_pooled_blocks(self):
-        live = [weights.pooled_block(8) for _ in range(weights.MAX_POOLED + 4)]
-        assert len(weights._BLOCKS) == weights.MAX_POOLED
-        assert len({id(block.base) for block in live}) == len(live)
-
-    def test_threads_never_share_a_block(self):
-        # a block two live copies shared would let one thread's writes show in the other's
-        w = init_weights(POOLED["rnn"], 3)
-        clashes, interval = [], sys.getswitchinterval()
-
-        def worker(value):
-            for _ in range(400):
-                tensors = copy.deepcopy(w).named_tensors()
-                for t in tensors.values():
-                    t[...] = value
-                if any((t != value).any() for t in tensors.values()):
-                    clashes.append(value)
-
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=worker, args=(float(v),)) for v in range(6)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads) and clashes == []
+@pytest.mark.parametrize("name", sorted(DEEP_COPIED))
+def test_deep_copy_is_equal_independent_and_wired_like_the_original(name):
+    w = init_weights(DEEP_COPIED[name], 3)
+    c = copy.deepcopy(w)
+    original, copied = w.named_tensors(), c.named_tensors()
+    assert list(copied) == list(original)
+    for k, t in original.items():
+        assert copied[k].shape == t.shape and copied[k].tobytes() == t.tobytes()
+        assert not np.shares_memory(copied[k], t)
+    # each field is its named entry, so gd_step's in-place update reaches the passes
+    name_of, reached = {id(t): k for k, t in original.items()}, set()
+    for record, twin in zip(records(w), records(c), strict=True):
+        for f in dataclasses.fields(record):
+            t = getattr(record, f.name)
+            if isinstance(t, np.ndarray):
+                reached.add(name_of[id(t)])
+                assert getattr(twin, f.name) is copied[name_of[id(t)]]
+    assert reached == original.keys()
