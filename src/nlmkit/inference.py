@@ -32,13 +32,14 @@ scores it, and the trainer takes finite differences of that loss.
 
 from __future__ import annotations
 
+import operator
 from typing import Callable, NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .config import ModelConfig
-from .embeddings import tied_logits
+from .embeddings import checked_ids, tied_logits
 from .errors import ConfigError, SequenceLengthError
 from .ffnn import ffnn_batch_forward, ffnn_decoder, ffnn_vjp
 from .losses import Predictor
@@ -104,11 +105,25 @@ def make_predict_next(cfg: ModelConfig, weights) -> Predictor:
     return Predictor(prefix, windows)
 
 
+def checked_steps(steps, error: type) -> int:
+    """`steps` as an int, or `error` if it is not a nonnegative integer."""
+    try:
+        count = operator.index(steps)
+    except TypeError:
+        count = -1
+    if count < 0:
+        raise error(f"steps must be a nonnegative integer, got {steps!r}")
+    return count
+
+
 def generate_tokens(cfg: ModelConfig, weights, prompt_ids: list[int], steps: int) -> list[int]:
     """Greedy continuation of the prompt for any autoregressive arch; ties
-    break toward the lowest id.  Before any pass: the prompt holds
+    break toward the lowest id.  Before any pass: steps is a nonnegative
+    integer, the prompt's ids are in the vocabulary, the prompt holds
     ``min_context(cfg)`` tokens, prompt plus steps at most ``MAX_TOKENS``,
     and the decoder refuses a total its model cannot hold."""
+    steps = checked_steps(steps, SequenceLengthError)
+    checked_ids(prompt_ids, cfg.vocab_size)
     need, total = min_context(cfg), len(prompt_ids) + steps
     if len(prompt_ids) < need:
         raise SequenceLengthError(f"prompt has {len(prompt_ids)} tokens, fewer than {need}")

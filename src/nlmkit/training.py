@@ -24,8 +24,14 @@ import numpy as np
 
 from .config import ModelConfig
 from .embeddings import checked_ids
-from .errors import NonFiniteLossError, SequenceLengthError, ShapeError, UndefinedDistributionError
-from .inference import causal_model
+from .errors import (
+    ConfigError,
+    NonFiniteLossError,
+    SequenceLengthError,
+    ShapeError,
+    UndefinedDistributionError,
+)
+from .inference import causal_model, checked_steps
 from .losses import ce_loss, ce_loss_grad
 from .weights import AnyWeights, named_tensor_view, zeros_weights
 
@@ -62,7 +68,7 @@ def numerical_gradient(loss_fn, weights) -> dict[str, np.ndarray]:
 
 def _check_rate(mu_lr: float) -> None:
     if not (math.isfinite(mu_lr) and mu_lr > 0):
-        raise ValueError(f"learning rate must be finite and positive, got {mu_lr}")
+        raise ConfigError(f"learning rate must be finite and positive, got {mu_lr}")
 
 
 def gd_step(weights, gradient: dict[str, np.ndarray], mu_lr: float):
@@ -190,10 +196,13 @@ def train_toy(cfg: ModelConfig, weights: AnyWeights, corpus_ids: list[int],
     one copy of them, and later steps update that copy in place.  A loss
     that is not finite, after any step or before the first, raises
     ``NonFiniteLossError`` naming the step, as does a softmax left with no
-    finite entry while that loss is evaluated.
+    finite entry while that loss is evaluated.  Steps that are not a
+    nonnegative integer, and a learning rate that is not finite and
+    positive, raise ``ConfigError`` before the corpus is read.
     """
-    loss_fn, loss_and_gradient = corpus_objective(cfg, corpus_ids)
+    steps = checked_steps(steps, ConfigError)
     _check_rate(mu_lr)
+    loss_fn, loss_and_gradient = corpus_objective(cfg, corpus_ids)
 
     def evaluate(step, objective, w):
         try:

@@ -1,7 +1,28 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from nlmkit.config import ModelConfig
+
+# Every property test draws the same examples on every run, from its own
+# source, and keeps no example database; only max_examples is set per test.
+settings.register_profile("nlmkit", derandomize=True, database=None, deadline=None)
+settings.load_profile("nlmkit")
+
+
+# The fixed configs of the tests that pin exact values (archive hashes,
+# hand-counted parameters), by name; tests/strategies.py draws the rest.
+FIXED = {
+    **{f"{arch}-zeta{zeta}-{variant}": ModelConfig(
+        arch=arch, d_e=6, d_k=3, d_v=2, d_f=7, M=3, L=2, vocab_size=13, max_len=5, zeta=zeta,
+        norm_variant=variant)
+       for arch in ("gpt2", "bert") for zeta in (0, 1) for variant in ("pre", "post")},
+    **{f"{arch}-L{depth}": ModelConfig(arch=arch, d_e=4, vocab_size=9, max_len=5, L=depth)
+       for arch in ("rnn", "lstm") for depth in (1, 2, 3)},
+    **{f"ffnn-{len(dims)}": ModelConfig(arch="ffnn", d_e=3, vocab_size=7, max_len=4,
+                                        hidden_dims=dims)
+       for dims in ([5], [5, 2], [6, 4, 3])},
+}
 
 
 @pytest.fixture

@@ -79,17 +79,17 @@ def gelu_tanh_scalar(x):
     return 0.5 * x * (1.0 + math.tanh(math.sqrt(2.0 / math.pi) * (x + 0.044715 * x ** 3)))
 
 
-def normal_cdf_series(x, terms=60):
+def normal_cdf_series(x):
     """Standard normal CDF via the Maclaurin-type series
-    Phi(x) = 1/2 + pdf(x) * sum_k x^(2k+1) / (1*3*...*(2k+1))."""
+    Phi(x) = 1/2 + pdf(x) * sum_k x^(2k+1) / (1*3*...*(2k+1)), summed until
+    a term no longer changes the total: about x^2 terms for a large |x|,
+    where the terms grow until k nears x^2 / 2."""
     pdf = math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-    total = 0.0
-    term = x
-    odd = 1.0
-    for k in range(terms):
-        total += term / odd
-        term *= x * x
-        odd *= 2 * k + 3
+    total, term, k = 0.0, x, 0
+    while total + term != total:
+        total += term
+        k += 1
+        term *= x * x / (2 * k + 1)
     return 0.5 + pdf * total
 
 
@@ -301,6 +301,29 @@ def unroll(x_cols, layers, kind):
             value = h_state[l]
         outputs.append(value)
     return outputs
+
+
+def recurrent_logits(ids, w, kind):
+    """Tied logits of the Elman ("rnn") or LSTM LM at every position."""
+    e_cols = cols(w.embedding)
+    return [[dot(e, h) for e in e_cols] for h in unroll([e_cols[t] for t in ids], w.layers, kind)]
+
+
+# ---------------------------------------------------------------------------
+# feedforward LM
+# ---------------------------------------------------------------------------
+
+ACTIVATIONS = {"sigmoid": sigmoid_vec, "tanh": tanh_vec, "identity": list}
+
+
+def ffnn_logits(window, w):
+    """Logits after one window: its embedding columns concatenated in token
+    order, each dense layer's activation, then the untied output matrix."""
+    e_cols = cols(w.embedding)
+    x = [value for t in window for value in e_cols[t]]
+    for layer in w.layers:
+        x = ACTIVATIONS[layer.activation](vec_add(mat_vec(rows(layer.w), x), vec(layer.b)))
+    return mat_vec(rows(w.output), x)
 
 
 # ---------------------------------------------------------------------------

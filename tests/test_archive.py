@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from nlmkit.archive import MAGIC, load_weights, save_weights
-from nlmkit.config import ModelConfig
+from nlmkit.config import ARCHITECTURES, ModelConfig
 from nlmkit.errors import (
     ArchiveDuplicateNameError,
     ArchiveError,
@@ -19,7 +19,9 @@ from nlmkit.errors import (
     ArchiveTruncatedError,
     ArchiveVersionError,
 )
-from nlmkit.weights import init_weights
+from nlmkit.weights import assemble_weights, init_weights
+
+from strategies import models
 
 
 def header(count=1, version=1) -> bytes:
@@ -39,18 +41,22 @@ def write(tmp_path, data: bytes):
 
 
 class TestRoundTrip:
-    def test_bitwise_round_trip(self, tmp_path, rng):
-        tensors = {"a": rng.normal(size=(3, 4)), "b": rng.normal(size=5),
-                   "c": np.array([[-0.0, np.inf], [np.nan, 5e-324]])}
-        path = tmp_path / "w.anlm"
-        save_weights(tensors, path)
-        loaded = load_weights(path)
-        assert list(loaded) == list(tensors)
-        for name, t in tensors.items():
-            assert loaded[name].tobytes() == t.tobytes()
-            assert loaded[name].shape == t.shape
+    @pytest.mark.parametrize("arch", ARCHITECTURES)
+    @settings(max_examples=6)
+    @given(data=st.data())
+    def test_model_weights_round_trip_bitwise_and_assemble_by_reference(self, tmp_path_factory,
+                                                                         arch, data):
+        cfg, w, _ = data.draw(models((arch,)))
+        path = tmp_path_factory.mktemp("archive") / "w.anlm"
+        save_weights(w, path)
+        loaded, original = load_weights(path), w.named_tensors()
+        assert list(loaded) == list(original)
+        for name, t in original.items():
+            assert loaded[name].shape == t.shape and loaded[name].tobytes() == t.tobytes()
+        adopted = assemble_weights(cfg, loaded).named_tensors()
+        assert all(adopted[name] is t for name, t in loaded.items())
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     @given(bits=st.dictionaries(
         st.text(max_size=8),  # any Unicode but lone surrogates, which UTF-8 cannot encode
         array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4).flatmap(

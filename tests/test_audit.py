@@ -1,26 +1,16 @@
 """Closed-form parameter counts against a literal count of the tensors."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nlmkit.audit import audit_config, count_for_config, enumerate_weights
-from nlmkit.config import ModelConfig
+from nlmkit.config import ARCHITECTURES
 from nlmkit.errors import AuditMismatchError
 from nlmkit.weights import init_weights, zeros_weights
 
-
-def transformer(arch, zeta, variant):
-    return ModelConfig(arch=arch, d_e=6, d_k=3, d_v=2, d_f=7, M=3, L=2, vocab_size=13,
-                       max_len=5, zeta=zeta, norm_variant=variant)
-
-
-CONFIGS = {
-    **{f"{arch}-zeta{zeta}-{variant}": transformer(arch, zeta, variant)
-       for arch in ("gpt2", "bert") for zeta in (0, 1) for variant in ("pre", "post")},
-    **{f"{arch}-L{depth}": ModelConfig(arch=arch, d_e=4, vocab_size=9, max_len=5, L=depth)
-       for arch in ("rnn", "lstm") for depth in (1, 3)},
-    **{f"ffnn-{len(dims)}": ModelConfig(arch="ffnn", d_e=3, vocab_size=7, max_len=4, hidden_dims=dims)
-       for dims in ([5], [5, 2], [6, 4, 3])},
-}
+from conftest import FIXED
+from strategies import models
 
 COMPONENTS = {
     "gpt2": ["embedding", "positional_encoding", "embedding_layer_norm", "attention",
@@ -33,18 +23,35 @@ COMPONENTS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(CONFIGS))
+@pytest.mark.parametrize("arch", ARCHITECTURES)
+@settings(max_examples=8)
+@given(data=st.data())
+def test_closed_form_count_over_the_family(arch, data):
+    """The closed form against the enumerated count, its components, and a
+    weight set one tensor short."""
+    cfg, w, _ = data.draw(models((arch,)))
+    report = audit_config(cfg, w)
+    assert report.arch == cfg.arch
+    assert report.total == enumerate_weights(w) == enumerate_weights(zeros_weights(cfg))
+    assert [c for c, _ in count_for_config(cfg, False, False).components] == COMPONENTS[cfg.arch]
+    tensors = dict(w.named_tensors())
+    tensors.pop(list(tensors)[-1])
+    with pytest.raises(AuditMismatchError, match=f"for arch '{cfg.arch}'"):
+        audit_config(cfg, tensors)
+
+
+@pytest.mark.parametrize("name", sorted(FIXED))
 def test_formula_count_equals_enumerated_count(name):
-    cfg = CONFIGS[name]
+    cfg = FIXED[name]
     w = init_weights(cfg, 3)
     report = audit_config(cfg, w)
     assert report.total == enumerate_weights(w) == enumerate_weights(zeros_weights(cfg))
     assert report.arch == cfg.arch
 
 
-@pytest.mark.parametrize("name", sorted(CONFIGS))
+@pytest.mark.parametrize("name", sorted(FIXED))
 def test_component_names(name):
-    cfg = CONFIGS[name]
+    cfg = FIXED[name]
     assert [c for c, _ in count_for_config(cfg, False, False).components] == COMPONENTS[cfg.arch]
 
 
@@ -54,7 +61,7 @@ def tensor_total(w, prefixes):
 
 @pytest.mark.parametrize("zeta", [0, 1])
 def test_bert_heads_are_counted_only_when_asked(zeta):
-    cfg = transformer("bert", zeta, "post")
+    cfg = FIXED[f"bert-zeta{zeta}-post"]
     w = zeros_weights(cfg)
     base = count_for_config(cfg, False, False)
     mlm = count_for_config(cfg, True, False)
@@ -73,31 +80,30 @@ def test_bert_heads_are_counted_only_when_asked(zeta):
 
 @pytest.mark.parametrize("arch", ["gpt2", "rnn", "lstm", "ffnn"])
 def test_head_flags_do_not_change_other_archs(arch):
-    cfg = next(c for c in CONFIGS.values() if c.arch == arch)
+    cfg = next(c for c in FIXED.values() if c.arch == arch)
     assert (count_for_config(cfg, True, True).components
             == count_for_config(cfg, False, False).components)
 
 
 def test_subtotals_by_hand():
-    cfg = transformer("gpt2", 1, "pre")
+    cfg = FIXED["gpt2-zeta1-pre"]
     attention = 2 * 3 * 6 * (3 + 2) + 3 * (2 * 3 + 2) + 6
     assert dict(count_for_config(cfg, False, False).components) == {
         "embedding": 6 * 13, "positional_encoding": 6 * 5, "embedding_layer_norm": 12,
         "attention": 2 * attention, "feedforward": 2 * (2 * 6 * 7 + 6 + 7),
         "block_layer_norms": 2 * 24, "output_projection_tied": 0,
     }
-    rnn = ModelConfig(arch="rnn", d_e=4, vocab_size=9, max_len=5, L=3)
+    rnn, lstm = FIXED["rnn-L3"], FIXED["lstm-L3"]
     assert dict(count_for_config(rnn, False, False).components)["recurrent_layers"] == 3 * (2 * 16 + 4)
-    lstm = ModelConfig(arch="lstm", d_e=4, vocab_size=9, max_len=5, L=3)
     assert dict(count_for_config(lstm, False, False).components)["recurrent_layers"] == 3 * 4 * 4 * 9
-    ffnn = CONFIGS["ffnn-2"]
+    ffnn = FIXED["ffnn-2"]
     assert dict(count_for_config(ffnn, False, False).components) == {
         "embedding": 21, "hidden_layers": 5 * 13 + 2 * 6, "output_projection": 14}
 
 
 @pytest.mark.parametrize("name", ["gpt2-zeta1-pre", "bert-zeta0-post", "lstm-L3", "ffnn-3"])
 def test_missing_tensor_is_an_audit_mismatch(name):
-    cfg = CONFIGS[name]
+    cfg = FIXED[name]
     tensors = dict(init_weights(cfg, 3).named_tensors())
     tensors.pop(list(tensors)[-1])
     with pytest.raises(AuditMismatchError, match=f"for arch '{cfg.arch}'"):
@@ -105,7 +111,7 @@ def test_missing_tensor_is_an_audit_mismatch(name):
 
 
 def test_report_formats():
-    report = count_for_config(CONFIGS["rnn-L1"], False, False)
+    report = count_for_config(FIXED["rnn-L1"], False, False)
     assert report.as_key_values().splitlines() == [
         "arch=rnn", "embedding=36", "recurrent_layers=36", "output_projection_tied=0", "total=72"]
     table = report.as_table().splitlines()

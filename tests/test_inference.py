@@ -7,8 +7,10 @@ from dataclasses import replace
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nlmkit import ffnn, recurrent, transformer
+from nlmkit import ffnn, inference, recurrent, transformer
 from nlmkit.config import ModelConfig
 from nlmkit.errors import (
     ConfigError,
@@ -34,6 +36,7 @@ from nlmkit.weights import init_weights
 
 import oracles
 from conftest import tiny_bert_config, tiny_gpt2_config
+from strategies import models
 
 MAX_LEN = 6
 VOCAB = 11
@@ -72,12 +75,19 @@ def full_forward(cfg, w):
     return lambda ids: recurrent_lm_forward(ids, w)
 
 
+def full_recompute(cfg, w):
+    """Next-token logits after a context from one full forward pass over it
+    (the feedforward LM's over its last window)."""
+    if cfg.arch == "ffnn":
+        return lambda ctx: ffnn_forward(ctx[-cfg.max_len:], w)
+    forward = full_forward(cfg, w)
+    return lambda ctx: forward(ctx)[:, -1]
+
+
 def full_recompute_predict(cfg, w):
     """Next-token distribution from one full forward pass per context."""
-    if cfg.arch == "ffnn":
-        return lambda ctx: softmax(ffnn_forward(ctx, w))
-    forward = full_forward(cfg, w)
-    return lambda ctx: softmax(forward(ctx)[:, -1])
+    logits = full_recompute(cfg, w)
+    return lambda ctx: softmax(logits(ctx))
 
 
 def corpus(length, seed=3):
@@ -90,6 +100,30 @@ def no_pass(*args, **kwargs):
 
 def assert_rel(got, want):
     assert abs(got - want) <= RTOL * abs(want), (got, want)
+
+
+@pytest.mark.parametrize("arch", list(inference.CAUSAL))
+@settings(max_examples=20)
+@given(data=st.data())
+def test_windows_and_decoding_match_the_forward_pass(arch, data):
+    """Every window the scorer takes, and a greedy continuation with its
+    decoder's logits at each step, against one full forward pass per context."""
+    cfg, w, ids = data.draw(models((arch,)))
+    logits, need = full_recompute(cfg, w), min_context(cfg)
+    windows = make_predict_next(cfg, w).windows
+    for n in range(need, min(cfg.max_len, len(ids)) + 1):
+        got = softmax(windows(ids, n), axis=0)
+        assert got.shape == (cfg.vocab_size, len(ids) - n + 1)
+        for s in range(len(ids) - n + 1):
+            npt.assert_allclose(got[:, s], softmax(logits(ids[s:s + n])), rtol=RTOL, atol=0)
+    prompt = ids[:data.draw(st.integers(need, min(cfg.max_len, len(ids))))]
+    steps = cfg.max_len - len(prompt) if cfg.arch == "gpt2" else 3  # only gpt2 has a length bound
+    out = generate_tokens(cfg, w, prompt, steps)
+    assert out == oracles.greedy_decode(prompt, lambda ctx: [logits(ctx)], steps)
+    # a decoder's logits, not only their argmax, after the prompt and every later token
+    decode = inference.causal_model(cfg).decoder(w, len(out))
+    for k in range(len(prompt), len(out) + 1):
+        npt.assert_allclose(softmax(decode(out[:k])), softmax(logits(out[:k])), rtol=RTOL, atol=0)
 
 
 class TestMakeForward:
@@ -358,6 +392,23 @@ class TestGenerateTokens:
             with pytest.raises(SequenceLengthError):
                 generate_tokens(cfg, w, longer, steps)
 
+    @pytest.mark.parametrize("steps", [0, 1])
+    @pytest.mark.parametrize("name", ["gpt2-pre", "rnn", "lstm", "ffnn"])
+    def test_prompt_ids_are_checked_before_any_pass(self, name, steps, monkeypatch):
+        cfg, w = model(name)
+        monkeypatch.setattr(*DECODER_PASS[cfg.arch], no_pass)
+        for prompt in ([1.5, 99], [1, 99], [-1, 2]):
+            with pytest.raises(OutOfVocabularyError):
+                generate_tokens(cfg, w, prompt, steps)
+
+    @pytest.mark.parametrize("steps", [-3, 2.5, "1", None])
+    @pytest.mark.parametrize("name", ["gpt2-pre", "rnn", "lstm", "ffnn"])
+    def test_steps_must_be_a_nonnegative_integer(self, name, steps, monkeypatch):
+        cfg, w = model(name)
+        monkeypatch.setattr(*DECODER_PASS[cfg.arch], no_pass)
+        with pytest.raises(SequenceLengthError, match="steps must be a nonnegative integer"):
+            generate_tokens(cfg, w, corpus(min_context(cfg)), steps)
+
     def test_bert_refused(self):
         with pytest.raises(ConfigError):
             generate_tokens(*model("bert"), [1, 2], 1)
@@ -398,12 +449,7 @@ class TestCorpusNll:
     def test_straight_line_oracle_agrees(self):
         cfg, w = model("lstm")
         ids = corpus(2 * MAX_LEN)
-        cols = oracles.cols(w.embedding)
-
-        def predict(ctx):
-            h = oracles.unroll([cols[t] for t in ctx], w.layers, "lstm")[-1]
-            return oracles.naive_softmax([oracles.dot(e, h) for e in cols])
-
+        predict = lambda ctx: oracles.naive_softmax(oracles.recurrent_logits(ctx, w, "lstm")[-1])
         want = oracles.corpus_nll(ids, predict, MAX_LEN)
         assert abs(corpus_nll(ids, make_predict_next(cfg, w), MAX_LEN, 1) - want) <= 1e-10 * want
 

@@ -121,7 +121,7 @@ class TestSoftmax:
         with pytest.raises(ShapeError):
             softmax(np.zeros((2, 2, 2)))
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(rows=st.integers(1, 12), cols=st.integers(1, 12), axis=st.sampled_from([0, 1]),
            seed=st.integers(0, 2**32 - 1), rate=st.floats(0.0, 0.9))
     def test_property_masked_slices_sum_to_one(self, rows, cols, axis, seed, rate):

@@ -94,7 +94,7 @@ class TestCeLoss:
         npt.assert_array_equal(z, kept)
         assert ce_loss(targets, view(z.copy()), overwrite=True) == loss
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(seed=st.integers(0, 2**32 - 1), size=st.integers(1, 40), cols=st.integers(1, 4),
            spread=st.floats(0.0, 1e4), rate=st.floats(0.0, 0.9))
     def test_property_matches_log_space_oracle(self, seed, size, cols, spread, rate):
@@ -111,7 +111,7 @@ class TestCeLoss:
 
 
 class TestCeLossGrad:
-    @settings(max_examples=50, deadline=None, derandomize=True)
+    @settings(max_examples=50)
     @given(seed=st.integers(0, 2**32 - 1), size=st.integers(1, 12), cols=st.integers(1, 5),
            spread=st.floats(0.0, 50.0), rate=st.floats(0.0, 0.9))
     def test_loss_bitwise_and_columns_sum_to_zero(self, seed, size, cols, spread, rate):

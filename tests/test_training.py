@@ -34,6 +34,7 @@ from nlmkit.weights import init_weights, named_tensor_view
 
 import oracles
 from conftest import tiny_gpt2_config
+from strategies import ACTIVATIONS, models
 
 
 def ffnn_config(vocab=6, n=2, d0=3, hidden=(4,)):
@@ -94,7 +95,7 @@ class TestNumericalGradient:
 class TestGdStep:
     @pytest.mark.parametrize("rate", [0.0, -1.0, math.nan, math.inf, -math.inf])
     def test_rate_must_be_finite_and_positive(self, rate):
-        with pytest.raises(ValueError, match="learning rate"):
+        with pytest.raises(ConfigError, match="learning rate"):
             gd_step({"a": np.zeros(3)}, {"a": np.zeros(3)}, rate)
 
     def test_zero_gradient_keeps_weights(self, rng):
@@ -250,8 +251,15 @@ class TestTrainToy:
     @pytest.mark.parametrize("rate", [0.0, -1.0, math.nan, math.inf])
     def test_bad_rate_is_refused_with_zero_steps(self, rate):
         cfg = ffnn_config()
-        with pytest.raises(ValueError, match="learning rate"):
+        with pytest.raises(ConfigError, match="learning rate"):
             train_toy(cfg, init_weights(cfg, 0), [0, 1, 2, 3], steps=0, mu_lr=rate)
+
+    @pytest.mark.parametrize("steps", [-2, 1.5, "1", None])
+    def test_steps_must_be_a_nonnegative_integer(self, steps, monkeypatch):
+        monkeypatch.setattr(training, "corpus_objective", refuse)
+        cfg = ffnn_config()
+        with pytest.raises(ConfigError, match="steps must be a nonnegative integer"):
+            train_toy(cfg, init_weights(cfg, 0), [0, 1, 2, 3], steps=steps, mu_lr=0.1)
 
     def test_lstm_loss_drops_at_every_step(self):
         cfg = ModelConfig(arch="lstm", d_e=2, vocab_size=4, max_len=4, L=1)
@@ -279,61 +287,24 @@ class TestTrainToy:
             assert float(lr) == 0.3
 
 
-ACTIVATIONS = ("sigmoid", "tanh", "identity")
-
-
-@st.composite
-def tiny_models(draw, arch, activation):
-    """A tiny config of the given arch and activation (None for lstm), its
-    weights and a training corpus.
-
-    The vocabulary size is drawn equal to d_e or to max_len as often as
-    free, so square matrices of either kind occur; gradients are compared
-    by tensor name, never matched or transposed by shape.  A sequence
-    corpus ends in a 2-token chunk, and every corpus repeats an id.
-    """
-    d_e = draw(st.integers(1, 3))
-    max_len = draw(st.integers(1 if arch == "ffnn" else 2, 4))
-    vocab = draw(st.sampled_from((d_e, max_len, draw(st.integers(1, 5)))))
-    keys = dict(arch=arch, d_e=d_e, vocab_size=vocab, max_len=max_len)
-    if activation is not None:
-        keys.update(activation=activation)
-    if arch == "ffnn":
-        keys.update(hidden_dims=draw(st.lists(st.integers(1, 3), min_size=1, max_size=2)))
-        length = max_len + draw(st.integers(1, 4))
-    else:  # chunks start every max_len - 1 tokens; the last one holds 2
-        keys.update(L=draw(st.integers(1, 2)))
-        length = (max_len - 1) * draw(st.integers(1, 3)) + 2
-    cfg = ModelConfig(**keys)
-    corpus = draw(st.lists(st.integers(0, vocab - 1), min_size=length, max_size=length))
-    corpus[-1] = corpus[0]
-    weights = init_weights(cfg, draw(st.integers(0, 2**32 - 1)))
-    scale = draw(st.sampled_from((1.0, 10.0, 30.0)))  # up to +-1.5: curved activations
-    for tensor in named_tensor_view(weights).values():
-        tensor *= scale
-    return cfg, weights, corpus
-
-
 MODEL_KINDS = [(arch, activation) for arch in ("ffnn", "rnn") for activation in ACTIVATIONS]
 MODEL_KINDS.append(("lstm", None))
 
 
 class TestReverseModeGradient:
     @pytest.mark.parametrize("arch,activation", MODEL_KINDS)
-    def test_matches_finite_differences(self, arch, activation):
-        @settings(max_examples=6, deadline=None, derandomize=True, database=None)
-        @given(model=tiny_models(arch, activation))
-        def check(model):
-            cfg, w, corpus = model
-            loss_fn = reference_loss(cfg, corpus)
-            loss, grad = corpus_objective(cfg, corpus)[1](w)
-            want = numerical_gradient(loss_fn, w)
-            assert list(grad) == list(want)
-            for name in want:
-                npt.assert_allclose(grad[name], want[name], rtol=1e-6, atol=1e-8, err_msg=name)
-            assert abs(loss - loss_fn(w)) <= 1e-12 * loss_fn(w)
-
-        check()
+    @settings(max_examples=6)
+    @given(data=st.data())
+    def test_matches_finite_differences(self, arch, activation, data):
+        pinned = {} if activation is None else {"activation": activation}
+        cfg, w, corpus = data.draw(models((arch,), **pinned))
+        loss_fn = reference_loss(cfg, corpus)
+        loss, grad = corpus_objective(cfg, corpus)[1](w)
+        want = numerical_gradient(loss_fn, w)
+        assert list(grad) == list(want)
+        for name in want:
+            npt.assert_allclose(grad[name], want[name], rtol=1e-6, atol=1e-8, err_msg=name)
+        assert abs(loss - loss_fn(w)) <= 1e-12 * loss_fn(w)
 
     def test_loss_function_without_gradient_agrees(self):
         cfg = ModelConfig(arch="lstm", d_e=2, vocab_size=4, max_len=3, L=2)

@@ -11,12 +11,11 @@ import numpy as np
 import pytest
 
 from nlmkit.archive import load_weights, save_weights
-from nlmkit.config import ModelConfig
 from nlmkit.errors import ConfigError, NlmError, ShapeError
 from nlmkit.training import named_tensor_view
 from nlmkit.weights import BUILDERS, assemble_weights, init_weights, tensor_layout, zeros_weights
 
-from conftest import per_gate_lstm_tensors, per_head_attention_tensors, tiny_gpt2_config
+from conftest import FIXED, per_gate_lstm_tensors, per_head_attention_tensors, tiny_gpt2_config
 
 
 class TestInitWeightsSeed:
@@ -39,22 +38,12 @@ class TestInitWeightsSeed:
         assert all(np.array_equal(a[k], b[k]) for k in a)
 
 
-def transformer(arch, zeta, variant="post"):
-    return ModelConfig(arch=arch, d_e=6, d_k=3, d_v=2, d_f=7, M=3, L=2, vocab_size=13,
-                       max_len=5, zeta=zeta, norm_variant=variant)
-
-
-VARIANTS = {
-    "gpt2-zeta0": transformer("gpt2", 0),
-    "gpt2-zeta1": transformer("gpt2", 1),
-    "gpt2-zeta1-pre": transformer("gpt2", 1, "pre"),
-    "bert-zeta0": transformer("bert", 0),
-    "bert-zeta1": transformer("bert", 1),
-    "rnn": ModelConfig(arch="rnn", d_e=4, vocab_size=9, max_len=5, L=2),
-    "lstm": ModelConfig(arch="lstm", d_e=4, vocab_size=9, max_len=5, L=2),
-    "ffnn-1": ModelConfig(arch="ffnn", d_e=3, vocab_size=7, max_len=4, hidden_dims=[5]),
-    "ffnn-3": ModelConfig(arch="ffnn", d_e=3, vocab_size=7, max_len=4, hidden_dims=[6, 4, 3]),
-}
+# The fixed configs this file pins, under its test ids
+VARIANTS = {name: FIXED[key] for name, key in [
+    ("gpt2-zeta0", "gpt2-zeta0-post"), ("gpt2-zeta1", "gpt2-zeta1-post"),
+    ("gpt2-zeta1-pre", "gpt2-zeta1-pre"), ("bert-zeta0", "bert-zeta0-post"),
+    ("bert-zeta1", "bert-zeta1-post"), ("rnn", "rnn-L2"), ("lstm", "lstm-L2"),
+    ("ffnn-1", "ffnn-1"), ("ffnn-3", "ffnn-3")]}
 
 # sha256 of save_weights(init_weights(cfg, 7)): the names, their order and
 # every bit of the seeded values
@@ -173,19 +162,9 @@ class TestAssembleRefuses:
             assemble_weights(VARIANTS["lstm"], tensors)
 
 
-def large(arch):  # over 8192 float64s, the size from which copies once took a pooled block
-    return ModelConfig(arch=arch, d_e=16, d_k=4, d_v=4, d_f=8, M=2, L=1, vocab_size=600,
-                       max_len=5, hidden_dims=[8] if arch == "ffnn" else [])
-
-
-DEEP_COPIED = {**{name: VARIANTS[name] for name in ("ffnn-3", "rnn", "lstm", "gpt2-zeta1",
-                                                   "bert-zeta1")},
-               **{f"{arch}-large": large(arch) for arch in sorted(BUILDERS)}}
-
-
-@pytest.mark.parametrize("name", sorted(DEEP_COPIED))
+@pytest.mark.parametrize("name", ["ffnn-3", "rnn", "lstm", "gpt2-zeta1", "bert-zeta1"])
 def test_deep_copy_is_equal_independent_and_wired_like_the_original(name):
-    w = init_weights(DEEP_COPIED[name], 3)
+    w = init_weights(VARIANTS[name], 3)
     c = copy.deepcopy(w)
     original, copied = w.named_tensors(), c.named_tensors()
     assert list(copied) == list(original)
