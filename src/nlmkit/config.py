@@ -13,6 +13,7 @@ import re
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
+from .kernels import ACTIVATIONS
 
 _INT_KEYS = {"d_e", "d_k", "d_v", "d_f", "M", "L", "vocab_size", "max_len", "zeta"}
 _STR_KEYS = {"arch", "norm_variant", "gelu_mode", "activation"}
@@ -113,14 +114,14 @@ class ModelConfig:
                 raise ConfigError(f"gelu_mode must be 'tanh' or 'exact', got {self.gelu_mode!r}")
         elif self.arch in ("rnn", "lstm"):
             positive("L", self.L)
-            if self.arch == "rnn" and self.activation not in ("tanh", "sigmoid", "identity"):
+            if self.arch == "rnn" and self.activation not in ACTIVATIONS:
                 raise ConfigError(f"rnn activation must be tanh/sigmoid/identity, got {self.activation!r}")
         elif self.arch == "ffnn":
             if not self.hidden_dims:
                 raise ConfigError("ffnn requires at least one hidden layer (hidden_dims)")
             for i, width in enumerate(self.hidden_dims, start=1):
                 positive(f"hidden_dims[{i}]", width)
-            if self.activation not in ("sigmoid", "tanh", "identity"):
+            if self.activation not in ACTIVATIONS:
                 raise ConfigError(f"ffnn activation must be sigmoid/tanh/identity, got {self.activation!r}")
 
 

@@ -18,7 +18,7 @@ def checked_ids(ids, size: int, error: type = OutOfVocabularyError,
                 what: str | None = None) -> np.ndarray:
     """The ids as an intp array, each in [0, size), or `error` naming `what`
     (an embedding table of `size`); an id no intp holds is out of range too,
-    and float, bool or string ids are refused by their dtype."""
+    and float, bool or string ids are refused, also a bool among int ids."""
     what = what or f"embedding table of {size}"
     given = np.asarray(ids)
     if given.dtype.kind not in "iu" and given.size:
@@ -29,11 +29,20 @@ def checked_ids(ids, size: int, error: type = OutOfVocabularyError,
         except (TypeError, ValueError):
             pass
         raise error(f"ids for {what} must be integers, got dtype {given.dtype}")
+    if isinstance(ids, (list, tuple)) and _holds_bool(ids):
+        raise error(f"ids for {what} must be integers, got dtype bool")
     ids = given.astype(np.intp, copy=False)  # a uint64 id from 2**63 up wraps below 0
     # one reduction checks both ends: a negative id reads as 2**63 or more unsigned
     if ids.size and ids.view(np.uintp).max() >= size:
         raise error(f"ids from {given.min()} to {given.max()} are out of range for {what}")
     return ids
+
+
+def _holds_bool(ids: list | tuple) -> bool:
+    """Whether a Python or numpy bool is in `ids`, or in a list or tuple in it."""
+    kinds = set(map(type, ids))
+    return bool(kinds & {bool, np.bool_}) or bool(kinds & {list, tuple}) and any(
+        _holds_bool(x) for x in ids if type(x) in (list, tuple))
 
 
 def embed(ids: list[int], e: np.ndarray) -> np.ndarray:

@@ -34,7 +34,7 @@ class ConfigError(NlmError):
 
 
 class NonFiniteLossError(NlmError):
-    """A finite-difference probe produced a non-finite loss; names the parameter."""
+    """A loss is not finite; names the probed parameter, or the training step."""
 
 
 class AuditMismatchError(NlmError):

@@ -5,11 +5,11 @@ consumes exactly ``context_width`` tokens and emits one vector of
 next-token logits.  Input and output embeddings are separate matrices (no
 weight tying here).
 
-There is one forward pass, ``ffnn_batch_forward``: a B x n matrix of window
-ids becomes B concatenated-embedding columns and |V| x B logits after a
-handful of matrix products.  One window is its one-row case, and
-``ffnn_decoder`` slides that window over a generation.  ``ffnn_vjp`` runs
-the same pass and returns its backward pass with the logits.  The head
+There is one pass, ``ffnn_vjp``: a B x n matrix of window ids becomes B
+concatenated-embedding columns and |V| x B logits after a handful of
+matrix products, returned with their backward pass.  ``ffnn_batch_forward``
+keeps the logits; one window is its one-row case, and ``ffnn_decoder``
+slides that window over a generation.  The head
 stays ``w.output @ h``: flipped, it was no faster (8.3 ms a 64-step decode).
 """
 
@@ -19,22 +19,24 @@ import numpy as np
 
 from .embeddings import checked_ids, embed_backward
 from .errors import SequenceLengthError, ShapeError
-from .kernels import sigmoid
+from .kernels import ACTIVATIONS
 from .weights import FfnnWeights
 
-# name -> (activation, its derivative written in the output y); config admits no other
-ACTIVATIONS = {
-    "sigmoid": (sigmoid, lambda y: y * (1.0 - y)),
-    "tanh": (np.tanh, lambda y: 1.0 - y * y),
-    "identity": (lambda x: x, np.ones_like),
-}
+
+def ffnn_batch_forward(windows, w: FfnnWeights) -> np.ndarray:
+    """Next-token logits (|V| x B) after each row of a B x n matrix of ids."""
+    return ffnn_vjp(windows, w)[0]
 
 
-def _layers(windows, w: FfnnWeights) -> tuple[np.ndarray, list[np.ndarray]]:
-    """The ids as a B x n array, and the input columns (the windows'
-    embeddings concatenated position-major) followed by each layer's output.
-    The columns are gathered by indexing, not ``embed``: numpy lays the
-    gather out id-major, so their reshape copies nothing."""
+def ffnn_vjp(windows, w: FfnnWeights):
+    """``ffnn_batch_forward``'s logits and its backward pass.
+
+    The input columns, the windows' embeddings concatenated position-major,
+    are gathered by indexing, not ``embed``: numpy lays the gather out
+    id-major, so their reshape copies nothing.  ``backward(d_z, g)`` takes
+    a |V| x B gradient of the loss in the logits and writes the loss's
+    gradient in every parameter into `g`, a zeroed record built like `w`.
+    """
     windows = checked_ids(windows, w.embedding.shape[1])
     if windows.ndim != 2 or windows.shape[1] != w.context_width:
         raise SequenceLengthError(
@@ -47,22 +49,6 @@ def _layers(windows, w: FfnnWeights) -> tuple[np.ndarray, list[np.ndarray]]:
             raise ShapeError(f"layer weight {layer.w.shape} cannot consume input of "
                              f"{hs[-1].shape[0]}")
         hs.append(ACTIVATIONS[layer.activation][0](layer.w @ hs[-1] + layer.b[:, None]))
-    return windows, hs
-
-
-def ffnn_batch_forward(windows, w: FfnnWeights) -> np.ndarray:
-    """Next-token logits (|V| x B) after each row of a B x n matrix of ids."""
-    return w.output @ _layers(windows, w)[1][-1]
-
-
-def ffnn_vjp(windows, w: FfnnWeights):
-    """``ffnn_batch_forward``'s logits and its backward pass.
-
-    ``backward(d_z, g)`` takes a |V| x B gradient of the loss in the logits
-    and writes the loss's gradient in every parameter into `g`, a zeroed
-    record built like `w`.
-    """
-    windows, hs = _layers(windows, w)
 
     def backward(d_z: np.ndarray, g: FfnnWeights) -> None:
         g.output[...] = d_z @ hs[-1].T

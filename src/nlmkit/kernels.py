@@ -151,6 +151,14 @@ def sigmoid(x):
     return t
 
 
+# name -> (ffnn or rnn activation, its derivative written in the output y)
+ACTIVATIONS = {
+    "sigmoid": (sigmoid, lambda y: y * (1.0 - y)),
+    "tanh": (np.tanh, lambda y: 1.0 - y * y),
+    "identity": (lambda x: x, np.ones_like),
+}
+
+
 def gelu_tanh(x):
     """GELU via the tanh approximation used by the transformer models,
     0.5 x (1 + tanh(sqrt(2/pi) (x + 0.044715 x^3))), in one temporary.

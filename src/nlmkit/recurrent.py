@@ -28,11 +28,13 @@ of 200, and a 13% lower request_tail_ms.
 ``recurrent_lm_vjp`` runs the model over a batch of equal-length sequences
 and returns its backward pass with the logits: backpropagation through
 time, layer by layer from the top (step by step, the tiny-rnn training
-step took 22% longer).  It keeps every step's state, so all weight
-gradients are one matrix product over every step, and only ``U h`` forward
-and ``U^T dz`` backward run per step.  Its LSTM steps through
-``lstm_cell`` with ``unroll``'s input terms, so its states are bitwise
-``unroll``'s; its Elman layer adds W x + b for all steps at once.
+step took 22% longer).  It keeps every step's state, so only ``U h``
+forward and ``U^T dz`` backward run per step: each layer returns dz, and
+one tail for both cells makes the weight and input gradients from it, one
+matrix product each over every step.  The layers step through
+``lstm_cell`` and ``rnn_cell``: the LSTM with ``unroll``'s input terms, so
+its states are bitwise ``unroll``'s, the Elman layer with W x + b added
+for all steps at once.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ import numpy as np
 
 from .embeddings import embed, embed_backward, tied_logits, tied_logits_backward
 from .errors import SequenceLengthError, ShapeError
-from .ffnn import ACTIVATIONS
+from .kernels import ACTIVATIONS
 from .weights import LstmLayerWeights, RecurrentWeights, RnnLayerWeights
 
 
@@ -206,38 +208,32 @@ def recurrent_decoder(w: RecurrentWeights, total: int):
 
 
 def _rnn_layer_vjp(x: np.ndarray, layer: RnnLayerWeights):
-    """Elman layer over a d x T x B input from a zero state: the d x T x B
-    outputs, and the backward pass from their gradient to the input's,
-    which writes the layer's gradient into `g`."""
+    """Elman layer over a d x T x B input from a zero state, stepping with
+    ``rnn_cell``: the d x T x B outputs, and the map from their gradient to
+    that of the pre-activation U h + W x + b at every step."""
     d, length, batch = x.shape
-    f, slope_of = ACTIVATIONS[layer.activation]
     wx = (layer.w @ x.reshape(d, -1)).reshape(x.shape) + layer.b[:, None, None]
     h = np.empty(x.shape)
     h_t = np.zeros((d, batch))
     for t in range(length):
-        h_t = h[:, t] = f(layer.u @ h_t + wx[:, t])
+        h_t = h[:, t] = rnn_cell(h_t, wx[:, t], layer)
 
-    def backward(d_h: np.ndarray, g: RnnLayerWeights) -> np.ndarray:
-        slope = slope_of(h)
+    def backward(d_h: np.ndarray) -> np.ndarray:
+        slope = ACTIVATIONS[layer.activation][1](h)
         d_a = np.empty(h.shape)
         carry = np.zeros((d, batch))
         for t in range(length - 1, -1, -1):
             d_a[:, t] = (d_h[:, t] + carry) * slope[:, t]
             carry = layer.u.T @ d_a[:, t]
-        flat = d_a.reshape(d, -1)
-        g.w[...] = flat @ x.reshape(d, -1).T
-        g.u[...] = d_a[:, 1:].reshape(d, -1) @ h[:, :-1].reshape(d, -1).T
-        g.b[...] = flat.sum(axis=1)
-        return (layer.w.T @ flat).reshape(x.shape)
+        return d_a
 
     return h, backward
 
 
 def _lstm_layer_vjp(x: np.ndarray, layer: LstmLayerWeights):
     """LSTM layer over a d x T x B input from a zero state, stepping with
-    ``lstm_cell``: the d x T x B outputs, and the backward pass from
-    their gradient to the input's, which writes the layer's gradient into
-    `g`."""
+    ``lstm_cell``: the d x T x B outputs, and the map from their gradient to
+    that of the 4d stacked pre-activation U h + W x + b at every step."""
     d, length, batch = x.shape
     gates = np.empty((4 * d, length, batch))  # tanh(z) on the Q rows, sigmoid(z) below
     c, tanh_c, h = np.empty(x.shape), np.empty(x.shape), np.empty(x.shape)
@@ -246,7 +242,7 @@ def _lstm_layer_vjp(x: np.ndarray, layer: LstmLayerWeights):
         z, c_t, tanh_c[:, t], h_t = lstm_cell(h_t, c_t, _product(layer, x[:, t]), layer)
         gates[:, t], c[:, t], h[:, t] = z, c_t, h_t
 
-    def backward(d_h: np.ndarray, g: LstmLayerWeights) -> np.ndarray:
+    def backward(d_h: np.ndarray) -> np.ndarray:
         q, p, r, s = gates.reshape(4, d, length, batch)
         slope = gates * (1.0 - gates)  # sigmoid'
         slope[:d] = 1.0 - gates[:d] * gates[:d]  # tanh'
@@ -261,11 +257,7 @@ def _lstm_layer_vjp(x: np.ndarray, layer: LstmLayerWeights):
                                         d_c_t * q[:, t], d_h_t * tanh_c[:, t])) * slope[:, t]
             d_h_t = layer.u.T @ d_z[:, t]
             d_c_t = d_c_t * p[:, t]
-        flat = d_z.reshape(4 * d, -1)
-        g.w[...] = flat @ x.reshape(d, -1).T
-        g.u[...] = d_z[:, 1:].reshape(4 * d, -1) @ h[:, :-1].reshape(d, -1).T
-        g.b[...] = flat.sum(axis=1)
-        return (layer.w.T @ flat).reshape(x.shape)
+        return d_z
 
     return h, backward
 
@@ -284,17 +276,23 @@ def recurrent_lm_vjp(ids, w: RecurrentWeights):
         raise SequenceLengthError(f"expected a nonempty len x B id matrix, got shape {ids.shape}")
     d = w.embedding.shape[0]
     x = embed(ids, w.embedding)
-    backwards = []
+    passes = []  # each layer's input, outputs and pre-activation gradient map
     for layer in w.layers:
         layer_vjp = _rnn_layer_vjp if isinstance(layer, RnnLayerWeights) else _lstm_layer_vjp
-        x, back = layer_vjp(x, layer)
-        backwards.append(back)
+        h, back = layer_vjp(x, layer)
+        passes.append((x, h, back))
+        x = h
     top = x.reshape(d, -1)
 
     def backward(d_z: np.ndarray, g: RecurrentWeights) -> None:
         d_x = tied_logits_backward(top, w.embedding, d_z, g.embedding).reshape(x.shape)
-        for back, g_layer in zip(backwards[::-1], g.layers[::-1]):
-            d_x = back(d_x, g_layer)
+        for (x_in, h, back), layer, g_layer in zip(passes[::-1], w.layers[::-1], g.layers[::-1]):
+            d_a = back(d_x)  # d rows, or 4d stacked: the weights' row count
+            flat = d_a.reshape(len(d_a), -1)
+            g_layer.w[...] = flat @ x_in.reshape(d, -1).T
+            g_layer.u[...] = d_a[:, 1:].reshape(len(d_a), -1) @ h[:, :-1].reshape(d, -1).T
+            g_layer.b[...] = flat.sum(axis=1)
+            d_x = (layer.w.T @ flat).reshape(x_in.shape)
         embed_backward(ids.reshape(-1), d_x.reshape(d, -1), g.embedding)
 
     return tied_logits(top, w.embedding), backward

@@ -21,6 +21,7 @@ import copy
 import math
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .config import ModelConfig
 from .embeddings import checked_ids
@@ -141,7 +142,7 @@ def _batch(cfg: ModelConfig, corpus_ids: list[int]):
     if windowed:
         if len(corpus) < n + 1:
             raise ShapeError(f"corpus of {len(corpus)} tokens is too short for window {n}")
-        windows = corpus[np.arange(len(corpus) - n)[:, None] + np.arange(n)]
+        windows = sliding_window_view(corpus[:-1], n)  # the layout of the ffnn window scorer
         return windows, np.arange(len(windows)), corpus[n:]
     if len(corpus) < 2:
         raise ShapeError("corpus must contain at least two tokens")

@@ -179,12 +179,8 @@ def gpt2_forward(ids, w: Gpt2Weights) -> np.ndarray:
 
 def segment_matrix(seq: TokenSequence, w: BertWeights) -> np.ndarray:
     """Expand the two per-sentence vectors into one column per position."""
-    if seq.segments is None:
-        labels = [SEGMENT_A] * len(seq)
-    else:
-        labels = seq.segments
-    cols = [w.seg_a if s == SEGMENT_A else w.seg_b for s in labels]
-    return np.column_stack(cols)
+    labels = [SEGMENT_A] * len(seq) if seq.segments is None else seq.segments
+    return np.where(np.asarray(labels) == SEGMENT_A, w.seg_a[:, None], w.seg_b[:, None])
 
 
 def bert_forward(seq: TokenSequence, w: BertWeights, vocab: Vocabulary) -> np.ndarray:

@@ -515,7 +515,10 @@ def test_an_id_beyond_intp_raises_an_nlm_error(run, name, ids, error):
 # one id of the corpus or prompt replaced, or every id recast, so numpy reads a non-integer dtype
 NON_INTEGER = {"float": (lambda ids: ids[:2] + [1.5] + ids[3:], "float64"),
                "string": (lambda ids: ids[:2] + ["3"] + ids[3:], "<U21"),
-               "bool": (lambda ids: np.asarray(ids) % 2 == 1, "bool")}
+               "bool": (lambda ids: np.asarray(ids) % 2 == 1, "bool"),
+               # numpy reads these as int64: the bool is found in the list or tuple itself
+               "bool-in-list": (lambda ids: ids[:2] + [True] + ids[3:], "bool"),
+               "numpy-bool-in-tuple": (lambda ids: (*ids[:2], np.True_, *ids[3:]), "bool")}
 
 
 @pytest.mark.parametrize("kind", sorted(NON_INTEGER))

@@ -170,6 +170,13 @@ class TestCorpusLoss:
         want = reference_loss(cfg, corpus)(w)
         assert abs(make_corpus_loss(cfg, corpus)(w) - want) <= 1e-12 * want
 
+    @settings(max_examples=30)
+    @given(data=st.data())
+    def test_gpt2_equals_the_per_chunk_oracle_on_drawn_models(self, data):
+        cfg, w, corpus = data.draw(models(("gpt2",)))
+        want = reference_loss(cfg, corpus)(w)
+        assert abs(make_corpus_loss(cfg, corpus)(w) - want) <= 1e-12 * want
+
     @pytest.mark.parametrize("name", ["gpt2-pre-zeta1-tanh", "gpt2-post-zeta0-exact", "rnn",
                                       "lstm"])
     def test_padding_id_changes_no_bit(self, name, monkeypatch):

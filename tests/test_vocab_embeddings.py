@@ -162,7 +162,9 @@ class TestEmbed:
     @pytest.mark.parametrize("ids,dtype", [([1.5], "float64"), ([2.0, 3.0], "float64"),
                                            ([1, 2.5], "float64"), ([True], "bool"),
                                            (np.array([0, 1]) == 1, "bool"), (["3"], "<U1"),
-                                           ([1, "2"], "<U21"), ([None], "object")])
+                                           ([1, "2"], "<U21"), ([None], "object"),
+                                           ([1, True, 3], "bool"), ((1, np.True_), "bool"),
+                                           ([[0, 1], (2, np.False_)], "bool")])
     def test_non_integer_ids_are_refused_naming_their_dtype(self, rng, ids, dtype):
         with pytest.raises(OutOfVocabularyError, match=f"must be integers, got dtype {dtype}$"):
             embed(ids, rng.normal(size=(4, 9)))
