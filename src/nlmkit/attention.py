@@ -20,13 +20,14 @@ mask, or None to exponentiate every score.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import SequenceLengthError, ShapeError
-from .kernels import as_matrix, softmax
+from .kernels import softmax
 from .weights import MultiHeadWeights
 
 AR_MODE = "AR"
@@ -38,7 +39,9 @@ def build_mask(length: int, mode: str, first: int = 0) -> np.ndarray:
 
     AR mode forbids every position to the right of the query (strict
     upper triangle); AE mode allows everything.  Only the rows of queries
-    first..length-1 are built, each `length` keys wide.
+    first..length-1 are built, each `length` keys wide.  An AR mask is a
+    read-only view of one memoized per `length`: gpt2 asks only for its
+    max_len and slices each pass's rows and keys.
     """
     if length < 1:
         raise SequenceLengthError(f"mask length must be >= 1, got {length}")
@@ -47,8 +50,16 @@ def build_mask(length: int, mode: str, first: int = 0) -> np.ndarray:
     if mode == AE_MODE:
         return np.zeros((length - first, length))
     if mode == AR_MODE:
-        return np.where(np.tri(length - first, length, first, dtype=bool), 0.0, -np.inf)
+        return _causal(length)[first:]
     raise ValueError(f"unknown mask mode {mode!r}; expected 'AR' or 'AE'")
+
+
+@functools.lru_cache(maxsize=None)
+def _causal(length: int) -> np.ndarray:
+    """The read-only AR mask over `length` keys."""
+    mask = np.where(np.tri(length, dtype=bool), 0.0, -np.inf)
+    mask.flags.writeable = False
+    return mask
 
 
 @dataclass
@@ -95,9 +106,7 @@ def multi_head_attention(x: np.ndarray, w: MultiHeadWeights, mask: np.ndarray,
     d_e x (B*r), the query columns' outputs for B sequences and an r x keys
     mask.  Each query scores its own sequence's keys or, with a cache, all
     `keys` cached rows, the keys of x stored as the last of them.
-    `allowed` is the mask's ``exp_allowed`` entries."""
-    x = as_matrix(x)
-    mask = as_matrix(mask)
+    `allowed` is the mask's ``exp_allowed`` entries; all are float64 arrays."""
     heads, d_e, d_k = w.w_q.shape
     d_v = w.w_v.shape[2]
     if x.shape[0] != d_e:

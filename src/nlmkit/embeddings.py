@@ -11,14 +11,13 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import OutOfVocabularyError, SequenceLengthError, ShapeError
-from .kernels import as_matrix, as_vector
 
 
 def checked_ids(ids, size: int, error: type = OutOfVocabularyError,
                 what: str | None = None) -> np.ndarray:
     """The ids as an intp array, each in [0, size), or `error` naming `what`
     (an embedding table of `size`); an id no intp holds is out of range too,
-    and float, bool or string ids are refused, also a bool among int ids."""
+    and float, bool or string ids are refused, also bools in a list of ints."""
     what = what or f"embedding table of {size}"
     given = np.asarray(ids)
     if given.dtype.kind not in "iu" and given.size:
@@ -39,10 +38,16 @@ def checked_ids(ids, size: int, error: type = OutOfVocabularyError,
 
 
 def _holds_bool(ids: list | tuple) -> bool:
-    """Whether a Python or numpy bool is in `ids`, or in a list or tuple in it."""
-    kinds = set(map(type, ids))
-    return bool(kinds & {bool, np.bool_}) or bool(kinds & {list, tuple}) and any(
-        _holds_bool(x) for x in ids if type(x) in (list, tuple))
+    """Whether a Python or numpy bool, or an array of dtype bool, is in `ids` or
+    in a list or tuple nested in it: one set of types per level of nesting."""
+    while True:
+        kinds = set(map(type, ids))
+        if kinds & {bool, np.bool_} or np.ndarray in kinds and any(
+                x.dtype == bool for x in ids if type(x) is np.ndarray):
+            return True
+        if not kinds & {list, tuple}:
+            return False
+        ids = [y for x in ids if type(x) in (list, tuple) for y in x]
 
 
 def embed(ids: list[int], e: np.ndarray) -> np.ndarray:
@@ -51,9 +56,8 @@ def embed(ids: list[int], e: np.ndarray) -> np.ndarray:
     Repeated ids produce identical columns; the result has shape
     (d_e,) + the shape of the ids, (d_e, len(ids)) for a list.
     """
-    e = as_matrix(e)
-    ids = checked_ids(ids, e.shape[1])
-    return e.take(ids, axis=1, mode="clip")  # clip, the cheaper mode, never acts on checked ids
+    # clip, the cheaper mode, never acts on checked ids: nor where a step takes them unchecked
+    return e.take(checked_ids(ids, e.shape[1]), axis=1, mode="clip")
 
 
 def embed_backward(ids, d_x: np.ndarray, grad_e: np.ndarray) -> None:
@@ -68,15 +72,12 @@ def add_positions(x: np.ndarray, positions: np.ndarray, segments: np.ndarray) ->
     The positional table covers the model maximum length; only its first
     len(x) columns are used, so shorter sequences get a truncated prefix.
     """
-    x = as_matrix(x)
-    positions = as_matrix(positions)
     if x.shape[0] != positions.shape[0]:
         raise ShapeError(f"embedding dim {x.shape[0]} != positional dim {positions.shape[0]}")
     if x.shape[1] > positions.shape[1]:
         raise SequenceLengthError(
             f"sequence length {x.shape[1]} exceeds maximum {positions.shape[1]}"
         )
-    segments = as_matrix(segments)
     if segments.shape != x.shape:
         raise ShapeError(f"segment matrix {segments.shape} != sequence shape {x.shape}")
     return x + positions[:, : x.shape[1]] + segments
@@ -88,22 +89,18 @@ def tied_logits(h: np.ndarray, e: np.ndarray, out_bias: np.ndarray | None = None
     `h` is one hidden vector or a d_e x len matrix with one column per
     position; the result is a |V| vector or a |V| x len matrix.  Component
     j of a column is the dot product of embedding column j with the hidden
-    column, plus the optional output bias.
+    column, plus the optional output bias.  Only `h` is coerced to float64.
 
     Both are scored as (h.T @ e).T, whose columns are contiguous (see
     ``kernels``); for a decode step's vector that is the gemv of ``e.T @ h``.
     """
     h = np.asarray(h, dtype=np.float64)
-    e = as_matrix(e)
     if h.ndim not in (1, 2) or h.shape[0] != e.shape[0]:
         raise ShapeError(f"hidden shape {h.shape} does not match embedding dim {e.shape[0]}")
     z = h.T @ e
     if out_bias is not None:
-        out_bias = as_vector(out_bias)
-        if out_bias.shape[0] != e.shape[1]:
-            raise ShapeError(
-                f"output bias dim {out_bias.shape[0]} != vocabulary size {e.shape[1]}"
-            )
+        if out_bias.shape != e.shape[1:]:
+            raise ShapeError(f"output bias shape {out_bias.shape} != vocabulary size {e.shape[1]}")
         z += out_bias
     return z.T
 

@@ -8,9 +8,9 @@ weight tying here).
 There is one pass, ``ffnn_vjp``: a B x n matrix of window ids becomes B
 concatenated-embedding columns and |V| x B logits after a handful of
 matrix products, returned with their backward pass.  ``ffnn_batch_forward``
-keeps the logits; one window is its one-row case, and ``ffnn_decoder``
-slides that window over a generation.  The head
-stays ``w.output @ h``: flipped, it was no faster (8.3 ms a 64-step decode).
+checks the ids and keeps the logits; one window is its one-row case, and
+``ffnn_decoder`` slides that window over a generation's checked ids.  The
+head stays ``w.output @ h``: flipped, it was no faster (8.3 ms a 64-step decode).
 """
 
 from __future__ import annotations
@@ -25,11 +25,11 @@ from .weights import FfnnWeights
 
 def ffnn_batch_forward(windows, w: FfnnWeights) -> np.ndarray:
     """Next-token logits (|V| x B) after each row of a B x n matrix of ids."""
-    return ffnn_vjp(windows, w)[0]
+    return ffnn_vjp(checked_ids(windows, w.embedding.shape[1]), w)[0]
 
 
 def ffnn_vjp(windows, w: FfnnWeights):
-    """``ffnn_batch_forward``'s logits and its backward pass.
+    """``ffnn_batch_forward``'s logits and its backward pass, for checked ids.
 
     The input columns, the windows' embeddings concatenated position-major,
     are gathered by indexing, not ``embed``: numpy lays the gather out
@@ -37,7 +37,6 @@ def ffnn_vjp(windows, w: FfnnWeights):
     a |V| x B gradient of the loss in the logits and writes the loss's
     gradient in every parameter into `g`, a zeroed record built like `w`.
     """
-    windows = checked_ids(windows, w.embedding.shape[1])
     if windows.ndim != 2 or windows.shape[1] != w.context_width:
         raise SequenceLengthError(
             f"context must contain exactly {w.context_width} tokens, got windows of shape "
@@ -72,7 +71,7 @@ def ffnn_forward(ids: list[int], w: FfnnWeights) -> np.ndarray:
 
 
 def ffnn_decoder(w: FfnnWeights, total: int):
-    """Next-token logits after the last window of the ids so far, one call
-    per token.  The window slides, so `total` needs no bound here."""
+    """Next-token logits after the last window of the checked ids so far, one
+    call per token.  The window slides, so `total` needs no bound here."""
     n = w.context_width
-    return lambda ids: ffnn_forward(ids[-n:], w)
+    return lambda ids: ffnn_vjp(np.asarray(ids[-n:])[None], w)[0][:, 0]

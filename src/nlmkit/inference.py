@@ -21,13 +21,17 @@ carried ``(h, c)`` state for rnn and lstm.
 ``CAUSAL`` holds the passes of each autoregressive architecture; adding
 one means adding its entry there.  The encoder (bert) has none.  Each
 entry holds a forward pass per position (or None), a window scorer, a
-decoder and a reverse pass, ``grad``: the logits of a training batch with a
-backward pass that turns their gradient into the parameters' gradient.
-The feedforward LM's batch is a matrix of windows, a sequence model's the
-chunks of a corpus as the columns of a len x B id matrix.  gpt2 has no
-reverse pass yet (None): its forward pass takes that matrix too and runs
-every chunk in one padded pass, which is how the trainer's corpus loss
-scores it, and the trainer takes finite differences of that loss.
+decoder, the logits of a training batch, and a reverse pass, ``grad``:
+those logits with a backward pass that turns their gradient into the
+parameters' gradient.  The feedforward LM's batch is a matrix of windows,
+a sequence model's the chunks of a corpus as the columns of a len x B id
+matrix.  gpt2 has no reverse pass yet (None): its batch logits come from
+one padded pass over every chunk, and the trainer takes finite
+differences of the loss over them.  Ids are checked once, where they
+enter: by the forward passes and window scorers, by ``generate_tokens``
+(the prompt; the argmaxes after it go to an intp buffer) and by the
+trainer's ``_batch``.  Decoders, batch logits and reverse passes run
+unchecked on what those produced.
 """
 
 from __future__ import annotations
@@ -41,10 +45,10 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .config import ModelConfig
 from .embeddings import checked_ids, tied_logits
 from .errors import ConfigError, SequenceLengthError
-from .ffnn import ffnn_batch_forward, ffnn_decoder, ffnn_vjp
+from .ffnn import ffnn_decoder, ffnn_vjp
 from .losses import Predictor
 from .recurrent import recurrent_decoder, recurrent_lm_forward, recurrent_lm_vjp, recurrent_windows
-from .transformer import gpt2_decoder, gpt2_forward, gpt2_windows
+from .transformer import gpt2_decoder, gpt2_forward, gpt2_hidden, gpt2_windows
 
 # Longest sequence generate_tokens builds, prompt included: only gpt2 has a
 # positional table, and nothing else would bound the id list.
@@ -56,24 +60,31 @@ class CausalModel(NamedTuple):
 
     forward: Callable | None  # (ids, w) -> |V| x len(ids); None: needs a full window
     windows: Callable  # (ids, n, w) -> |V| x (len(ids) - n + 1), one column per window
-    decoder: Callable  # (w, total) -> next-token logits of the ids so far, per call
-    grad: Callable | None  # (batch, w) -> (logits, backward(d_logits, zeroed gradient record))
+    decoder: Callable  # (w, total) -> next-token logits of the checked ids so far, per call
+    logits: Callable  # (checked batch, w) -> its logits
+    grad: Callable | None  # (checked batch, w) -> (logits, backward(d_logits, zeroed record))
 
 
 # The lambdas look the model functions up when called, so a module-level
 # name rebound after import (as perfbench's tracer does) sees every call.
 # The decoders look their passes up in their own modules on every call.
+# The batch logits of ffnn, rnn and lstm are their reverse passes' forward
+# half, which is faster at training sizes: 54 us against 65 us through
+# unroll for one loss of perfbench's `train` rnn (2-vCPU Xeon).
 _RECURRENT = CausalModel(lambda ids, w: recurrent_lm_forward(ids, w),
                          lambda ids, n, w: tied_logits(recurrent_windows(ids, n, w), w.embedding),
-                         recurrent_decoder, recurrent_lm_vjp)
+                         recurrent_decoder, lambda batch, w: recurrent_lm_vjp(batch, w)[0],
+                         recurrent_lm_vjp)
 CAUSAL = {
     "ffnn": CausalModel(
         None,
-        lambda ids, n, w: ffnn_batch_forward(sliding_window_view(np.asarray(ids), n), w),
-        ffnn_decoder, ffnn_vjp),
+        lambda ids, n, w: ffnn_vjp(
+            sliding_window_view(checked_ids(ids, w.embedding.shape[1]), n), w)[0],
+        ffnn_decoder, lambda batch, w: ffnn_vjp(batch, w)[0], ffnn_vjp),
     "rnn": _RECURRENT,
     "lstm": _RECURRENT,
-    "gpt2": CausalModel(lambda ids, w: gpt2_forward(ids, w), gpt2_windows, gpt2_decoder, None),
+    "gpt2": CausalModel(lambda ids, w: gpt2_forward(ids, w), gpt2_windows, gpt2_decoder,
+                        lambda batch, w: tied_logits(gpt2_hidden(batch, w), w.embedding), None),
 }
 
 
@@ -123,17 +134,18 @@ def generate_tokens(cfg: ModelConfig, weights, prompt_ids: list[int], steps: int
     ``min_context(cfg)`` tokens, prompt plus steps at most ``MAX_TOKENS``,
     and the decoder refuses a total its model cannot hold."""
     steps = checked_steps(steps, SequenceLengthError)
-    checked_ids(prompt_ids, cfg.vocab_size)
-    need, total = min_context(cfg), len(prompt_ids) + steps
-    if len(prompt_ids) < need:
-        raise SequenceLengthError(f"prompt has {len(prompt_ids)} tokens, fewer than {need}")
+    prompt = checked_ids(prompt_ids, cfg.vocab_size)
+    need, total = min_context(cfg), len(prompt) + steps
+    if len(prompt) < need:
+        raise SequenceLengthError(f"prompt has {len(prompt)} tokens, fewer than {need}")
     if total > MAX_TOKENS:
         raise SequenceLengthError(f"prompt plus steps is {total} tokens, over {MAX_TOKENS}")
     next_logits = causal_model(cfg).decoder(weights, total)
-    ids = list(prompt_ids)
-    for _ in range(steps):
-        ids.append(int(np.argmax(next_logits(ids))))
-    return ids
+    ids = np.empty(total, dtype=np.intp)
+    ids[:len(prompt)] = prompt
+    for k in range(len(prompt), total):
+        ids[k] = np.argmax(next_logits(ids[:k]))
+    return ids.tolist()
 
 
 def min_context(cfg: ModelConfig) -> int:

@@ -55,21 +55,6 @@ GELU_TANH_COEFF = 0.044715
 SQRT_2_OVER_PI = np.sqrt(2.0 / np.pi)
 
 
-def as_matrix(a) -> np.ndarray:
-    """Coerce to a 2-D float64 array without copying when possible."""
-    m = np.asarray(a, dtype=np.float64)
-    if m.ndim != 2:
-        raise ShapeError(f"expected a 2-D matrix, got ndim={m.ndim}")
-    return m
-
-
-def as_vector(a) -> np.ndarray:
-    m = np.asarray(a, dtype=np.float64)
-    if m.ndim != 1:
-        raise ShapeError(f"expected a 1-D vector, got ndim={m.ndim}")
-    return m
-
-
 def shifted(v, axis: int, overwrite: bool) -> np.ndarray:
     """Scores minus the largest entry of each slice along `axis`.
 
@@ -206,12 +191,10 @@ def layer_norm(x, gain, bias) -> np.ndarray:
     `x` is a vector or a d x n matrix normalized column by column.  Mean
     and standard deviation are taken over each column (population form);
     ``LAYER_NORM_EPS`` sits under the square root so constant columns
-    normalize to the bias.
+    normalize to the bias.  Only `x` is coerced to float64.
     """
     x = np.asarray(x, dtype=np.float64)
-    gain = as_vector(gain)
-    bias = as_vector(bias)
-    if x.ndim not in (1, 2) or not (0 < x.shape[0] == gain.shape[0] == bias.shape[0]):
+    if not (x.ndim in (1, 2) and 0 < len(x) and gain.shape == bias.shape == x.shape[:1]):
         raise ShapeError(f"layer_norm needs x with nonempty axis 0 matching gain and bias: "
                          f"x {x.shape}, gain {gain.shape}, bias {bias.shape}")
     column = (-1,) + (1,) * (x.ndim - 1)

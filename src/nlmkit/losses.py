@@ -29,19 +29,16 @@ from .weights import philox
 WINDOW_BATCH = 64
 
 
-def _exp_shifted(targets, logits, overwrite: bool = False):
-    """The exponentials of the logits shifted by their column maxima, computed
-    in place in the one shifted copy (in `logits` itself with `overwrite`),
-    the shifted target entries read before that, and the index of those
-    entries."""
-    s = shifted(logits, 0, overwrite)
-    targets = checked_ids(targets, s.shape[0], ShapeError, f"{s.shape[0]} classes")
+def _exp_shifted(targets: np.ndarray, s: np.ndarray):
+    """The entries of checked class ids in logits `s` already shifted by their
+    column maxima (``kernels.shifted``), read before `s` is exponentiated in
+    place, and the index of those entries."""
     if s.shape[1:] != targets.shape:
         raise ShapeError(f"targets of shape {targets.shape} do not match logits of shape {s.shape}")
     index = (targets, np.arange(s.shape[1])) if s.ndim == 2 else targets
     picked = s[index]
     np.exp(s, out=s)  # exp(-inf) == 0.0 exactly; a target at -inf gives inf
-    return s, picked, index
+    return picked, index
 
 
 def ce_loss(targets, logits, overwrite: bool) -> float:
@@ -53,8 +50,15 @@ def ce_loss(targets, logits, overwrite: bool) -> float:
     (in place), so the one |V| x k temporary is the shifted copy; with
     `overwrite` there is none, and `logits` is left holding exponentials.
     """
-    e, picked, _ = _exp_shifted(targets, logits, overwrite)
-    return float((np.log(e.sum(axis=0)) - picked).sum())
+    s = shifted(logits, 0, overwrite)
+    return summed_ce(checked_ids(targets, len(s), ShapeError, f"{len(s)} classes"), s)
+
+
+def summed_ce(targets: np.ndarray, s: np.ndarray) -> float:
+    """``ce_loss`` of logits `s` shifted by ``kernels.shifted``, which it
+    exponentiates in place, and class ids checked where they entered."""
+    picked, _ = _exp_shifted(targets, s)
+    return float((np.log(s.sum(axis=0)) - picked).sum())
 
 
 def ce_loss_grad(targets, logits) -> tuple[float, np.ndarray]:
@@ -64,7 +68,8 @@ def ce_loss_grad(targets, logits) -> tuple[float, np.ndarray]:
     ``ce_loss`` computes it, then the exponentials are normalized in place,
     so an entry at -inf gets a gradient of exactly 0.
     """
-    e, picked, index = _exp_shifted(targets, logits)
+    e = shifted(logits, 0, False)
+    picked, index = _exp_shifted(checked_ids(targets, len(e), ShapeError, f"{len(e)} classes"), e)
     total = e.sum(axis=0)
     loss = float((np.log(total) - picked).sum())
     e /= total
@@ -186,7 +191,7 @@ def corpus_nll(corpus_ids: list[int], predict_next: Predictor, window: int,
     i < window, so the predictor's prefix pass scores them all in one
     causal pass over corpus[:window-1].  The full windows
     corpus[i-window:i] go to its window scorer, WINDOW_BATCH at a time.
-    Each pass is reduced by one ``ce_loss`` call.  An id outside the
+    Each pass is reduced by one ``summed_ce`` call.  An id outside the
     vocabulary raises ``OutOfVocabularyError``, also where it is only a target.
     """
     if len(corpus_ids) < 2:
@@ -204,8 +209,8 @@ def corpus_nll(corpus_ids: list[int], predict_next: Predictor, window: int,
             )
         logits = predict_next.prefix(corpus_ids[:short[-1]])
         targets = checked_ids(corpus_ids, logits.shape[0])
-        total += ce_loss(targets[short.start:short.stop], logits[:, short.start - 1:],
-                         overwrite=True)
+        total += summed_ce(targets[short.start:short.stop],
+                           shifted(logits[:, short.start - 1:], 0, True))
     scored = len(short)
     if window >= min_context:
         for lo in range(window, n, WINDOW_BATCH):
@@ -213,7 +218,7 @@ def corpus_nll(corpus_ids: list[int], predict_next: Predictor, window: int,
             logits = predict_next.windows(corpus_ids[lo - window:hi - 1], window)
             if targets is None:
                 targets = checked_ids(corpus_ids, logits.shape[0])
-            total += ce_loss(targets[lo:hi], logits, overwrite=True)
+            total += summed_ce(targets[lo:hi], shifted(logits, 0, True))
             scored += hi - lo
     if scored == 0:
         raise SequenceLengthError(

@@ -19,7 +19,8 @@ layer-major loops made lstm ``corpus_nll`` 7 to 25% slower (2-vCPU Xeon).
 each step's bottom term from that step's columns alone, so a step's result
 does not depend on how many steps a call covers (OpenBLAS rounds a column
 of W @ X differently for other widths of X).  ``recurrent_decoder`` checks
-once when built and carries the ``(h, c)`` state from token to token.
+once when built and carries the ``(h, c)`` state from token to token; it
+and ``recurrent_lm_vjp`` take ids checked before (``generate_tokens``, ``_batch``).
 ``recurrent_windows`` projects each position once, in one product over the
 ids that every window's steps read, not once per window holding it: at
 perfbench's `incremental` lstm, 7 MFLOP of bottom-layer input work instead
@@ -192,15 +193,15 @@ def recurrent_lm_forward(ids: list[int], w: RecurrentWeights) -> np.ndarray:
 
 
 def recurrent_decoder(w: RecurrentWeights, total: int):
-    """Next-token logits after the ids so far, one call per token; each call
-    steps only the new ids on from the state the last one left.  The
-    weights are checked once, here; `total` needs no bound."""
+    """Next-token logits after the checked ids so far, one call per token;
+    each call steps only the new ids on from the state the last one left.
+    The weights are checked once, here; `total` needs no bound."""
     h_state, c_state = _checked_state(w.embedding.shape[:1], w.layers, None)
     seen = 0
 
     def next_logits(ids):
         nonlocal seen
-        x, seen = embed(ids[seen:], w.embedding), len(ids)
+        x, seen = w.embedding.take(ids[seen:], axis=1, mode="clip"), len(ids)
         _steps((_product(w.layers[0], x_t) for x_t in x.T), w.layers, h_state, c_state)
         return tied_logits(h_state[-1], w.embedding)
 
@@ -264,7 +265,7 @@ def _lstm_layer_vjp(x: np.ndarray, layer: LstmLayerWeights):
 
 def recurrent_lm_vjp(ids, w: RecurrentWeights):
     """Next-token logits of B equal-length sequences, the columns of a
-    len x B id matrix, and the backward pass.
+    len x B matrix of checked ids, and the backward pass.
 
     Logit column t * B + b follows ids[t, b], as in a d_e x len x B unroll
     flattened to d_e x (len * B).  ``backward(d_z, g)`` takes the loss's
@@ -275,7 +276,7 @@ def recurrent_lm_vjp(ids, w: RecurrentWeights):
     if ids.ndim != 2 or ids.shape[0] < 1:
         raise SequenceLengthError(f"expected a nonempty len x B id matrix, got shape {ids.shape}")
     d = w.embedding.shape[0]
-    x = embed(ids, w.embedding)
+    x = w.embedding.take(ids, axis=1, mode="clip")
     passes = []  # each layer's input, outputs and pre-activation gradient map
     for layer in w.layers:
         layer_vjp = _rnn_layer_vjp if isinstance(layer, RnnLayerWeights) else _lstm_layer_vjp

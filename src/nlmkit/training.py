@@ -33,7 +33,8 @@ from .errors import (
     UndefinedDistributionError,
 )
 from .inference import causal_model, checked_steps
-from .losses import ce_loss, ce_loss_grad
+from .kernels import shifted
+from .losses import ce_loss_grad, summed_ce
 from .weights import AnyWeights, named_tensor_view, zeros_weights
 
 FD_STEP = 1e-5
@@ -98,12 +99,11 @@ def _descend(weights, gradient: dict[str, np.ndarray], mu_lr: float) -> None:
 def make_corpus_loss(cfg: ModelConfig, corpus_ids: list[int]):
     """Mean per-predicted-token training loss of a causal architecture.
 
-    The corpus becomes one batch when the loss is made (``_batch``), and
-    each call runs that whole batch through one pass, every window or chunk
-    at once, and reduces the logit columns that predict a token with one
-    ``ce_loss``.  The pass is the forward half of the architecture's
-    reverse pass (``inference.CAUSAL``'s ``grad``), or its forward pass
-    where it has none.  Every transition is scored exactly once, under
+    The corpus is checked and becomes one batch when the loss is made
+    (``_batch``); each call runs that whole batch unchecked through one pass
+    (``inference.CAUSAL``'s ``logits``), every window or chunk at once, and
+    reduces the logit columns that predict a token with one ``summed_ce``.
+    Every transition is scored exactly once, under
     teacher forcing.  An id outside the vocabulary raises
     ``OutOfVocabularyError``, also where it is only a target.  The encoder
     (bert) has no causal passes and is refused, as is a sequence model's
@@ -114,12 +114,9 @@ def make_corpus_loss(cfg: ModelConfig, corpus_ids: list[int]):
 
 def _corpus_loss(model, batch, columns, targets):
     """``make_corpus_loss``'s loss over a batch ``_batch`` built."""
-    # a reverse pass runs each layer over every step at once, which is faster
-    # at training sizes: 54 us against 65 us through unroll for one loss of
-    # perfbench's `train` rnn (2-vCPU Xeon)
-    run = model.forward if model.grad is None else (lambda ids, w: model.grad(ids, w)[0])
     # the gather is a fresh copy, so the loss may shift it in place
-    return lambda w: ce_loss(targets, run(batch, w)[:, columns], overwrite=True) / len(targets)
+    n = len(targets)
+    return lambda w: summed_ce(targets, shifted(model.logits(batch, w)[:, columns], 0, True)) / n
 
 
 def _batch(cfg: ModelConfig, corpus_ids: list[int]):

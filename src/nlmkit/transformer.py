@@ -24,12 +24,15 @@ new queries attend over all cached positions through the matching rows of
 the causal mask, one row per new column, and only those rows are built.
 A full forward pass is the empty-cache case and needs no cache at all;
 ``gpt2_decoder`` keeps one cache for a whole generation.  Without a cache
-``gpt2_forward`` also takes a len x B id matrix, B sequences side by side
+``gpt2_hidden`` also takes a len x B id matrix, B sequences side by side
 in one ``gpt2_blocks`` pass.  The trainer's corpus loss scores all chunks
 of a corpus that way, and the causal mask keeps the padding after a
-chunk's last token out of its real columns.
-``transformer_stack`` builds the mask's allowed entries
-(``kernels.exp_allowed``) once per pass for every block's softmax.
+chunk's last token out of its real columns.  Every pass takes its mask's
+rows and keys from the read-only max_len x max_len one ``build_mask`` keeps;
+``transformer_stack`` derives its allowed entries (``kernels.exp_allowed``)
+once per pass.  ``gpt2_forward``, ``gpt2_windows`` and ``bert_forward``
+check their ids; ``gpt2_hidden`` runs on ids checked before, by
+``gpt2_forward``, ``generate_tokens`` or the trainer's ``_batch``.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .attention import AE_MODE, AR_MODE, AttentionCache, build_mask, multi_head_attention
 from .attention import query_columns
-from .embeddings import add_positions, embed, tied_logits
+from .embeddings import add_positions, checked_ids, embed, tied_logits
 from .errors import SequenceFormatError, SequenceLengthError
 from .kernels import exp_allowed, gelu, layer_norm
 from .vocab import SEGMENT_A, TokenSequence, Vocabulary
@@ -96,9 +99,8 @@ def transformer_stack(h0: np.ndarray, w: Gpt2Weights | BertWeights, mask: np.nda
         return query_columns(h0, mask[-1:], None)
     h, allowed = h0, exp_allowed(mask)
     for l, block in enumerate(w.blocks):
-        if last_only and l == len(w.blocks) - 1:  # query each sequence's last column
-            mask = mask[-1:]
-            allowed = exp_allowed(mask)
+        if last_only and l == len(w.blocks) - 1:  # query each sequence's last column,
+            mask, allowed = mask[-1:], None  # whose mask row allows every key
         h = transformer_block(h, block, mask, w.norm_variant, w.gelu_mode,
                               None if cache is None else cache.blocks[l], allowed)
     return h
@@ -116,7 +118,8 @@ def gpt2_blocks(h: np.ndarray, w: Gpt2Weights, mask: np.ndarray,
 
 
 def gpt2_hidden(ids, w: Gpt2Weights, cache: KVCache | None = None) -> np.ndarray:
-    """Contextualized representations (d_e x len) before the output head.
+    """Contextualized representations (d_e x len) of checked ids before the
+    output head.
 
     A len x B id matrix holds B sequences, one per column, which run side
     by side through one ``gpt2_blocks`` pass; column t * B + b of the
@@ -128,10 +131,11 @@ def gpt2_hidden(ids, w: Gpt2Weights, cache: KVCache | None = None) -> np.ndarray
     n_max = w.positions.shape[1]
     start = 0 if cache is None else cache.length
     end = start + len(ids)
-    if end > n_max:
-        raise SequenceLengthError(f"sequence length {end} exceeds maximum {n_max}")
-    mask = build_mask(end, AR_MODE, start)
-    x = embed(ids, w.embedding)
+    if not start < end <= n_max:
+        raise SequenceLengthError(f"{end - start} ids after {start} do not fit maximum {n_max}")
+    # copied contiguous: a strided slice made each block's scores += mask 2x as slow
+    mask = np.ascontiguousarray(build_mask(n_max, AR_MODE, start)[:end - start, :end])
+    x = w.embedding.take(ids, axis=1, mode="clip")
     d = len(x)
     x = x.reshape(d, end - start, -1) + w.positions[:, start:end, None]  # d_e x len x B
     # the blocks take each sequence's columns side by side; for one sequence
@@ -157,7 +161,8 @@ def gpt2_windows(ids: list[int], n: int, w: Gpt2Weights) -> np.ndarray:
     if n > w.positions.shape[1]:
         raise SequenceLengthError(f"window {n} exceeds maximum {w.positions.shape[1]}")
     windows = sliding_window_view(embed(ids, w.embedding), n, axis=1)  # d_e x windows x n
-    per_pass, mask = max(1, WINDOW_COLUMNS // n), build_mask(n, AR_MODE)
+    per_pass = max(1, WINDOW_COLUMNS // n)
+    mask = np.ascontiguousarray(build_mask(w.positions.shape[1], AR_MODE)[:n, :n])
     last = np.empty(windows.shape[:2])
     for lo in range(0, last.shape[1], per_pass):
         h = windows[:, lo:lo + per_pass] + w.positions[:, None, :n]
@@ -174,7 +179,7 @@ def gpt2_forward(ids, w: Gpt2Weights) -> np.ndarray:
     of ``recurrent_lm_vjp``: a sequence's padding after its last real token
     changes none of its real columns.
     """
-    return tied_logits(gpt2_hidden(ids, w), w.embedding)
+    return tied_logits(gpt2_hidden(checked_ids(ids, w.embedding.shape[1]), w), w.embedding)
 
 
 def segment_matrix(seq: TokenSequence, w: BertWeights) -> np.ndarray:

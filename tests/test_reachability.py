@@ -39,6 +39,8 @@ CALLERS = ([p for p in SOURCES if p.name != "__init__.py"]
 ENTRY_POINTS = {
     "nsp_head": "the paper's BERT next-sentence head, whose weights count-params --with-nsp counts",
     "tensor_layout": "the (name, shape) list an archive for a config must hold, in archive order",
+    "ffnn_forward": "the checked one-window feedforward pass; the decoder steps run the "
+                    "unchecked ffnn_vjp on ids generate_tokens checked",
 }
 
 

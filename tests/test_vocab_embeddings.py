@@ -164,7 +164,8 @@ class TestEmbed:
                                            (np.array([0, 1]) == 1, "bool"), (["3"], "<U1"),
                                            ([1, "2"], "<U21"), ([None], "object"),
                                            ([1, True, 3], "bool"), ((1, np.True_), "bool"),
-                                           ([[0, 1], (2, np.False_)], "bool")])
+                                           ([[0, 1], (2, np.False_)], "bool"),
+                                           ([np.array([1, 2]), np.array([True, False])], "bool")])
     def test_non_integer_ids_are_refused_naming_their_dtype(self, rng, ids, dtype):
         with pytest.raises(OutOfVocabularyError, match=f"must be integers, got dtype {dtype}$"):
             embed(ids, rng.normal(size=(4, 9)))
