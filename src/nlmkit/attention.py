@@ -13,9 +13,9 @@ value-mixing matmuls see the sequences apart.  Incremental decoding passes
 an ``AttentionCache`` holding every head's keys and values of earlier
 positions.  Then x is one sequence of new columns, a mask row each, whose
 keys and values are written after the cached ones; the mask's width is
-the number of keys once they are added.  The softmax takes the mask's
-allowed entries (``kernels.exp_allowed``), built once per pass beside the
-mask, or None to exponentiate every score.
+the number of keys once they are added.  The softmax exponentiates only
+the entries its mask allows (``kernels.exp_allowed``), which each call
+derives from the mask it is given.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SequenceLengthError, ShapeError
-from .kernels import softmax
+from .kernels import exp_allowed, softmax
 from .weights import MultiHeadWeights
 
 AR_MODE = "AR"
@@ -99,14 +99,13 @@ def _project(x: np.ndarray, w: np.ndarray, b: np.ndarray | None) -> np.ndarray:
 
 
 def multi_head_attention(x: np.ndarray, w: MultiHeadWeights, mask: np.ndarray,
-                         cache: AttentionCache | None,
-                         allowed: np.ndarray | None) -> np.ndarray:
+                         cache: AttentionCache | None) -> np.ndarray:
     """Every head's weighted value sums per query (head m in columns
     [m*d_v, (m+1)*d_v)), projected back to the embedding space; returns
     d_e x (B*r), the query columns' outputs for B sequences and an r x keys
     mask.  Each query scores its own sequence's keys or, with a cache, all
-    `keys` cached rows, the keys of x stored as the last of them.
-    `allowed` is the mask's ``exp_allowed`` entries; all are float64 arrays."""
+    `keys` cached rows, the keys of x stored as the last of them.  All
+    are float64 arrays."""
     heads, d_e, d_k = w.w_q.shape
     d_v = w.w_v.shape[2]
     if x.shape[0] != d_e:
@@ -126,7 +125,7 @@ def multi_head_attention(x: np.ndarray, w: MultiHeadWeights, mask: np.ndarray,
     scores = q.reshape(heads, -1, rows, d_k) @ k.reshape(heads, -1, keys, d_k).swapaxes(2, 3)
     scores /= math.sqrt(d_k)
     scores += mask
-    weights = softmax(scores.reshape(-1, keys), axis=1, allowed=allowed, overwrite=True)
+    weights = softmax(scores.reshape(-1, keys), axis=1, allowed=exp_allowed(mask), overwrite=True)
     mixed = weights.reshape(scores.shape) @ v.reshape(heads, -1, keys, d_v)  # M x B x r x d_v
     out = mixed.transpose(1, 2, 0, 3).reshape(-1, heads * d_v) @ w.w_o
     if w.b_o is not None:

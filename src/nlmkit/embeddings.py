@@ -17,9 +17,13 @@ def checked_ids(ids, size: int, error: type = OutOfVocabularyError,
                 what: str | None = None) -> np.ndarray:
     """The ids as an intp array, each in [0, size), or `error` naming `what`
     (an embedding table of `size`); an id no intp holds is out of range too,
-    and float, bool or string ids are refused, also bools in a list of ints."""
+    and float, bool or string ids are refused, also bools in a list of ints,
+    as are lists nested to uneven depths or lengths."""
     what = what or f"embedding table of {size}"
-    given = np.asarray(ids)
+    try:
+        given = np.asarray(ids)
+    except ValueError:  # ragged nesting makes no array
+        raise error(f"ids for {what} must form a rectangular array") from None
     if given.dtype.kind not in "iu" and given.size:
         try:  # Python ints no int64 holds arrive as object, or as float64 beside a negative one
             np.asarray(ids, dtype=np.intp)
@@ -34,6 +38,14 @@ def checked_ids(ids, size: int, error: type = OutOfVocabularyError,
     # one reduction checks both ends: a negative id reads as 2**63 or more unsigned
     if ids.size and ids.view(np.uintp).max() >= size:
         raise error(f"ids from {given.min()} to {given.max()} are out of range for {what}")
+    return ids
+
+
+def checked_sequence(ids, size: int) -> np.ndarray:
+    """``checked_ids`` of one sequence: a 1-D array, or ``SequenceLengthError``."""
+    ids = checked_ids(ids, size)
+    if ids.ndim != 1:
+        raise SequenceLengthError(f"expected one sequence of ids, got shape {ids.shape}")
     return ids
 
 

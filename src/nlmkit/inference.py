@@ -10,10 +10,9 @@ forward pass, which scores every prefix of a sequence at once.  The window
 scorer gives ``corpus_nll``'s full windows and refuses one wider than the
 ids: rnn and lstm advance all windows as one batch and project each
 position through the bottom layer once, however many windows hold it,
-``gpt2_windows`` runs ``WINDOW_COLUMNS`` columns of windows per pass and
-its final block on their last columns only, and the feedforward LM runs
-its batched forward once.
-The feedforward LM needs a full window, so it has no prefix pass.
+``gpt2_windows`` runs ``WINDOW_COLUMNS`` columns of windows per
+``gpt2_hidden`` pass, and the feedforward LM runs its batched forward
+once; it needs a full window, so it has no prefix pass.
 ``generate_tokens`` holds the one greedy loop and its length contract; each
 model's decoder keeps its state between calls: a KV cache for gpt2, the
 carried ``(h, c)`` state for rnn and lstm.
@@ -28,10 +27,10 @@ a sequence model's the chunks of a corpus as the columns of a len x B id
 matrix.  gpt2 has no reverse pass yet (None): its batch logits come from
 one padded pass over every chunk, and the trainer takes finite
 differences of the loss over them.  Ids are checked once, where they
-enter: by the forward passes and window scorers, by ``generate_tokens``
-(the prompt; the argmaxes after it go to an intp buffer) and by the
-trainer's ``_batch``.  Decoders, batch logits and reverse passes run
-unchecked on what those produced.
+enter: by the forward passes, by the window scorers and ``generate_tokens``
+(``checked_sequence``: one sequence; the argmaxes after the prompt go to
+an intp buffer) and by the trainer's ``_batch``.  Decoders, batch logits
+and reverse passes run unchecked on what those produced.
 """
 
 from __future__ import annotations
@@ -43,7 +42,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .config import ModelConfig
-from .embeddings import checked_ids, tied_logits
+from .embeddings import checked_sequence, tied_logits
 from .errors import ConfigError, SequenceLengthError
 from .ffnn import ffnn_decoder, ffnn_vjp
 from .losses import Predictor
@@ -79,7 +78,7 @@ CAUSAL = {
     "ffnn": CausalModel(
         None,
         lambda ids, n, w: ffnn_vjp(
-            sliding_window_view(checked_ids(ids, w.embedding.shape[1]), n), w)[0],
+            sliding_window_view(checked_sequence(ids, w.embedding.shape[1]), n), w)[0],
         ffnn_decoder, lambda batch, w: ffnn_vjp(batch, w)[0], ffnn_vjp),
     "rnn": _RECURRENT,
     "lstm": _RECURRENT,
@@ -130,11 +129,11 @@ def checked_steps(steps, error: type) -> int:
 def generate_tokens(cfg: ModelConfig, weights, prompt_ids: list[int], steps: int) -> list[int]:
     """Greedy continuation of the prompt for any autoregressive arch; ties
     break toward the lowest id.  Before any pass: steps is a nonnegative
-    integer, the prompt's ids are in the vocabulary, the prompt holds
+    integer, the prompt is one sequence of ids in the vocabulary, it holds
     ``min_context(cfg)`` tokens, prompt plus steps at most ``MAX_TOKENS``,
     and the decoder refuses a total its model cannot hold."""
     steps = checked_steps(steps, SequenceLengthError)
-    prompt = checked_ids(prompt_ids, cfg.vocab_size)
+    prompt = checked_sequence(prompt_ids, cfg.vocab_size)
     need, total = min_context(cfg), len(prompt) + steps
     if len(prompt) < need:
         raise SequenceLengthError(f"prompt has {len(prompt)} tokens, fewer than {need}")

@@ -9,20 +9,20 @@ This module fixes the numerical conventions used everywhere else:
   axis 0 (down each column, one column per position); attention weights run
   along axis 1 (across each row, one row per query),
 * models emit logits; a distribution is ``softmax`` of them and a loss is
-  taken from them directly (``losses.ce_loss``), never from probabilities,
+  taken from them directly (``losses.summed_ce``), never from probabilities,
 * a logit matrix is |V| x n with each position's column contiguous, the
   transposed view of the tied head's n x |V| product h.T @ E: at d_e 128,
   |V| 5000 and n 127 that product took 3.2 against 5.2 ms for E.T @ h, and
-  ``ce_loss`` down the columns 1.5 against 2.2 ms (one BLAS thread, Xeon),
+  the cross entropy down the columns 1.5 against 2.2 ms (one BLAS thread, Xeon),
 * attention masks may carry ``-inf`` sentinels; softmax maps them to exact 0,
 * softmax and the loss share one validation and shift step (``shifted``):
   the largest finite entry of each slice is subtracted before
   exponentiation,
 * the package shifts and exponentiates in place only arrays it made itself:
   the attention scores, and the logits that a loss gathers or that the
-  package's own forward passes just returned.  The public ``softmax``,
-  ``shifted`` and ``losses.ce_loss`` leave the caller's array unchanged
-  unless told ``overwrite=True``,
+  package's own forward passes just returned.  The public ``softmax`` and
+  ``shifted`` leave the caller's array unchanged unless told
+  ``overwrite=True``; ``losses.ce_loss`` always leaves it unchanged,
 * a causal softmax exponentiates only the entries its mask allows
   (``exp_allowed``), since ``exp(-inf)`` costs about five times a finite
   ``exp`` (5.0 against 1.1 ns per entry).  That pays from

@@ -1,13 +1,13 @@
 """Cross-entropy machinery: next-token loss, masked-token loss, corpus NLL.
 
-Models emit logits, and every loss reduces them through ``ce_loss``: the
+Models emit logits, and every loss reduces them through ``summed_ce``: the
 summed ``-log softmax(z)[t]`` of the correct classes, computed in log space
 so it stays finite wherever the true loss is finite.  A target whose logit
 is -inf gives an infinite loss rather than an exception, so a diverged
-model still reports.  The losses here shift the logits they gather or that
-a forward pass has just returned in place (``ce_loss``'s ``overwrite``), so
+model still reports.  The losses check their targets once and shift the
+logits they gather or that a forward pass has just returned in place, so
 ``ar_loss``'s `forward` and a ``Predictor``'s passes must return arrays
-they do not keep.
+they do not keep; ``ce_loss`` leaves a caller's logits unchanged.
 """
 
 from __future__ import annotations
@@ -41,16 +41,15 @@ def _exp_shifted(targets: np.ndarray, s: np.ndarray):
     return picked, index
 
 
-def ce_loss(targets, logits, overwrite: bool) -> float:
+def ce_loss(targets, logits) -> float:
     """Summed cross entropy -log softmax(z)[t] against one-hot truths.
 
     Either one class id and a |V| logit vector, or k class ids and a
-    |V| x k matrix with one column per target.  The columns are shifted
-    by their maxima, the target entries read, and only then exponentiated
-    (in place), so the one |V| x k temporary is the shifted copy; with
-    `overwrite` there is none, and `logits` is left holding exponentials.
+    |V| x k matrix with one column per target.  The one |V| x k temporary
+    is a copy shifted by the column maxima, which ``summed_ce`` reads and
+    then exponentiates in place; `logits` is left unchanged.
     """
-    s = shifted(logits, 0, overwrite)
+    s = shifted(logits, 0, False)
     return summed_ce(checked_ids(targets, len(s), ShapeError, f"{len(s)} classes"), s)
 
 
@@ -95,7 +94,7 @@ def ar_loss(ids: list[int], forward) -> float:
         raise ShapeError(
             f"forward returned shape {logits.shape}, expected (|V|, {len(ids) - 1})"
         )
-    return ce_loss(checked_ids(ids[1:], logits.shape[0]), logits, overwrite=True)
+    return summed_ce(checked_ids(ids[1:], logits.shape[0]), shifted(logits, 0, True))
 
 
 @dataclass
@@ -155,7 +154,7 @@ def mlm_loss(target: MlmTarget, logits: np.ndarray) -> float:
     masked = target.masked_positions()
     targets = checked_ids([target.original_ids[i] for i in masked], logits.shape[0])
     # the gather is a fresh copy, so the loss may shift it in place
-    return ce_loss(targets, logits[:, masked], overwrite=True)
+    return summed_ce(targets, shifted(logits[:, masked], 0, True))
 
 
 @dataclass

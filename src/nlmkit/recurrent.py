@@ -44,7 +44,7 @@ import functools
 
 import numpy as np
 
-from .embeddings import embed, embed_backward, tied_logits, tied_logits_backward
+from .embeddings import checked_sequence, embed, embed_backward, tied_logits, tied_logits_backward
 from .errors import SequenceLengthError, ShapeError
 from .kernels import ACTIVATIONS
 from .weights import LstmLayerWeights, RecurrentWeights, RnnLayerWeights
@@ -180,9 +180,10 @@ def recurrent_windows(ids: list[int], n: int, w: RecurrentWeights) -> np.ndarray
     column per window (d_e x (len(ids) - n + 1)).  The windows advance side
     by side, and step i of each reads column i of its window in one
     bottom-layer product over all the ids."""
+    ids = checked_sequence(ids, w.embedding.shape[1])
     count = len(ids) - n + 1
     h_state, c_state = _checked_state((w.embedding.shape[0], count), w.layers, None)
-    wx = _product(w.layers[0], embed(ids, w.embedding))
+    wx = _product(w.layers[0], w.embedding.take(ids, axis=1, mode="clip"))
     _steps((wx[:, i:i + count] for i in range(n)), w.layers, h_state, c_state)
     return h_state[-1]
 

@@ -13,26 +13,28 @@ stream raw:
 The decoder LM pairs post-norm blocks with an input embedding norm, or
 pre-norm blocks with that same norm moved to the transformer output.
 
-A block returns only the columns its mask queries
-(``attention.query_columns``), and its residual and FFN run on those alone;
-with ``last_only`` the final block queries each sequence's last column, all
-``gpt2_windows`` reads.  The decoder decodes incrementally through a
-``KVCache``: every block keeps its heads' keys and values of the positions
-already seen, in one stacked key array and one value array, so a call with
-a cache computes only its new columns, whose keys and values it adds.  The
-new queries attend over all cached positions through the matching rows of
+``gpt2_hidden`` is the one decoder pass, which the forward pass, the
+decoder, the trainer's batch and the window scorer all run.  A block
+returns only the columns its mask queries (``attention.query_columns``),
+and its residual and FFN run on those alone; with ``last_only`` the
+final block queries each sequence's last column, all ``gpt2_windows``
+reads.  The decoder decodes incrementally through a ``KVCache``: every
+block keeps its heads' keys and values of the positions already seen, in
+one stacked key array and one value array, so a call with a cache
+computes only its new columns, whose keys and values it adds.  The new
+queries attend over all cached positions through the matching rows of
 the causal mask, one row per new column, and only those rows are built.
 A full forward pass is the empty-cache case and needs no cache at all;
-``gpt2_decoder`` keeps one cache for a whole generation.  Without a cache
-``gpt2_hidden`` also takes a len x B id matrix, B sequences side by side
-in one ``gpt2_blocks`` pass.  The trainer's corpus loss scores all chunks
-of a corpus that way, and the causal mask keeps the padding after a
-chunk's last token out of its real columns.  Every pass takes its mask's
-rows and keys from the read-only max_len x max_len one ``build_mask`` keeps;
-``transformer_stack`` derives its allowed entries (``kernels.exp_allowed``)
-once per pass.  ``gpt2_forward``, ``gpt2_windows`` and ``bert_forward``
-check their ids; ``gpt2_hidden`` runs on ids checked before, by
-``gpt2_forward``, ``generate_tokens`` or the trainer's ``_batch``.
+``gpt2_decoder`` keeps one cache for a whole generation.  Without a
+cache ``gpt2_hidden`` also takes a len x B id matrix, B sequences side
+by side in one pass: the trainer's chunks of a corpus, where the causal
+mask keeps the padding after a chunk's last token out of its real
+columns, or ``WINDOW_COLUMNS // n`` of ``gpt2_windows``' n-token windows.
+Every pass takes its mask's rows and keys from the read-only max_len x
+max_len one ``build_mask`` keeps, and attention reads only that mask.
+``gpt2_forward``, ``gpt2_windows`` and ``bert_forward`` check their ids;
+``gpt2_hidden`` runs on ids checked before, by the first two,
+``generate_tokens`` or the trainer's ``_batch``.
 """
 
 from __future__ import annotations
@@ -42,9 +44,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .attention import AE_MODE, AR_MODE, AttentionCache, build_mask, multi_head_attention
 from .attention import query_columns
-from .embeddings import add_positions, checked_ids, embed, tied_logits
+from .embeddings import add_positions, checked_ids, checked_sequence, embed, tied_logits
 from .errors import SequenceFormatError, SequenceLengthError
-from .kernels import exp_allowed, gelu, layer_norm
+from .kernels import gelu, layer_norm
 from .vocab import SEGMENT_A, TokenSequence, Vocabulary
 from .weights import BertWeights, BlockWeights, Gpt2Weights
 
@@ -62,18 +64,16 @@ def position_ffn(c: np.ndarray, w: BlockWeights, gelu_mode: str) -> np.ndarray:
 
 
 def transformer_block(h_in: np.ndarray, w: BlockWeights, mask: np.ndarray, variant: str,
-                      gelu_mode: str, cache: AttentionCache | None,
-                      allowed: np.ndarray | None) -> np.ndarray:
-    """One block over h_in's sequences; returns their query columns. `cache`: its
-    attention's keys and values; `allowed`: the mask's ``exp_allowed`` entries."""
+                      gelu_mode: str, cache: AttentionCache | None) -> np.ndarray:
+    """One block over h_in's sequences; returns their query columns. `cache`:
+    its attention's keys and values."""
     if variant == "post":
-        a = multi_head_attention(h_in, w.mha, mask, cache, allowed)
+        a = multi_head_attention(h_in, w.mha, mask, cache)
         c = layer_norm(query_columns(h_in, mask, cache) + a, w.ln1_gain, w.ln1_bias)
         d = position_ffn(c, w, gelu_mode)
         return layer_norm(c + d, w.ln2_gain, w.ln2_bias)
     if variant == "pre":
-        a = multi_head_attention(layer_norm(h_in, w.ln1_gain, w.ln1_bias), w.mha, mask, cache,
-                                 allowed)
+        a = multi_head_attention(layer_norm(h_in, w.ln1_gain, w.ln1_bias), w.mha, mask, cache)
         c = query_columns(h_in, mask, cache) + a
         d = position_ffn(layer_norm(c, w.ln2_gain, w.ln2_bias), w, gelu_mode)
         return c + d
@@ -93,40 +93,30 @@ class KVCache:
                        for b in w.blocks]
 
 
-def transformer_stack(h0: np.ndarray, w: Gpt2Weights | BertWeights, mask: np.ndarray,
+def transformer_stack(h: np.ndarray, w: Gpt2Weights | BertWeights, mask: np.ndarray,
                       cache: KVCache | None = None, last_only: bool = False) -> np.ndarray:
     if last_only and not w.blocks:  # no final block to pick each sequence's last column
-        return query_columns(h0, mask[-1:], None)
-    h, allowed = h0, exp_allowed(mask)
+        return query_columns(h, mask[-1:], None)
     for l, block in enumerate(w.blocks):
-        if last_only and l == len(w.blocks) - 1:  # query each sequence's last column,
-            mask, allowed = mask[-1:], None  # whose mask row allows every key
+        if last_only and l == len(w.blocks) - 1:
+            mask = mask[-1:]  # each sequence's last column, whose row allows every key
         h = transformer_block(h, block, mask, w.norm_variant, w.gelu_mode,
-                              None if cache is None else cache.blocks[l], allowed)
+                              None if cache is None else cache.blocks[l])
     return h
 
 
-def gpt2_blocks(h: np.ndarray, w: Gpt2Weights, mask: np.ndarray,
-                cache: KVCache | None = None, last_only: bool = False) -> np.ndarray:
-    """Embedding norm, blocks and final norm over the sequences side by side in h."""
-    if w.norm_variant == "post":
-        h = layer_norm(h, w.emb_norm_gain, w.emb_norm_bias)
-    h = transformer_stack(h, w, mask, cache, last_only)
-    if w.norm_variant == "pre":
-        h = layer_norm(h, w.emb_norm_gain, w.emb_norm_bias)
-    return h
-
-
-def gpt2_hidden(ids, w: Gpt2Weights, cache: KVCache | None = None) -> np.ndarray:
+def gpt2_hidden(ids, w: Gpt2Weights, cache: KVCache | None = None,
+                last_only: bool = False) -> np.ndarray:
     """Contextualized representations (d_e x len) of checked ids before the
     output head.
 
     A len x B id matrix holds B sequences, one per column, which run side
-    by side through one ``gpt2_blocks`` pass; column t * B + b of the
-    d_e x (len * B) result follows ids[t, b].  With a cache, `ids`
-    continues the ``cache.length`` positions already in it: only its
-    columns are computed, at the positions that follow, and their keys and
-    values are added to the cache.
+    by side through one pass; column t * B + b of the d_e x (len * B)
+    result follows ids[t, b].  With `last_only` the final block queries
+    each sequence's last column alone: column b of d_e x B follows ids[-1, b].
+    With a cache, `ids` continues the ``cache.length`` positions in it:
+    only its columns are computed, at the positions that follow, and their
+    keys and values are added to the cache.
     """
     n_max = w.positions.shape[1]
     start = 0 if cache is None else cache.length
@@ -135,15 +125,18 @@ def gpt2_hidden(ids, w: Gpt2Weights, cache: KVCache | None = None) -> np.ndarray
         raise SequenceLengthError(f"{end - start} ids after {start} do not fit maximum {n_max}")
     # copied contiguous: a strided slice made each block's scores += mask 2x as slow
     mask = np.ascontiguousarray(build_mask(n_max, AR_MODE, start)[:end - start, :end])
-    x = w.embedding.take(ids, axis=1, mode="clip")
+    x = w.embedding.take(np.transpose(ids), axis=1, mode="clip")  # d_e x B x len
     d = len(x)
-    x = x.reshape(d, end - start, -1) + w.positions[:, start:end, None]  # d_e x len x B
-    # the blocks take each sequence's columns side by side; for one sequence
-    # both reshapes are views
-    h = gpt2_blocks(x.transpose(0, 2, 1).reshape(d, -1), w, mask, cache)
+    # the blocks take each sequence's columns side by side
+    h = (x.reshape(d, -1, end - start) + w.positions[:, None, start:end]).reshape(d, -1)
+    if w.norm_variant == "post":
+        h = layer_norm(h, w.emb_norm_gain, w.emb_norm_bias)
+    h = transformer_stack(h, w, mask, cache, last_only)
+    if w.norm_variant == "pre":
+        h = layer_norm(h, w.emb_norm_gain, w.emb_norm_bias)
     if cache is not None:
         cache.length = end
-    return h.reshape(d, -1, end - start).transpose(0, 2, 1).reshape(d, -1)
+    return h if last_only else h.reshape(d, -1, end - start).transpose(0, 2, 1).reshape(d, -1)
 
 
 def gpt2_decoder(w: Gpt2Weights, total: int):
@@ -158,16 +151,10 @@ def gpt2_decoder(w: Gpt2Weights, total: int):
 
 def gpt2_windows(ids: list[int], n: int, w: Gpt2Weights) -> np.ndarray:
     """Logits after every n-token window, WINDOW_COLUMNS columns of windows per pass."""
-    if n > w.positions.shape[1]:
-        raise SequenceLengthError(f"window {n} exceeds maximum {w.positions.shape[1]}")
-    windows = sliding_window_view(embed(ids, w.embedding), n, axis=1)  # d_e x windows x n
+    columns = sliding_window_view(checked_sequence(ids, w.embedding.shape[1]), n).T  # n x windows
     per_pass = max(1, WINDOW_COLUMNS // n)
-    mask = np.ascontiguousarray(build_mask(w.positions.shape[1], AR_MODE)[:n, :n])
-    last = np.empty(windows.shape[:2])
-    for lo in range(0, last.shape[1], per_pass):
-        h = windows[:, lo:lo + per_pass] + w.positions[:, None, :n]
-        last[:, lo:lo + per_pass] = gpt2_blocks(h.reshape(len(h), -1), w, mask, last_only=True)
-    return tied_logits(last, w.embedding)
+    return tied_logits(np.hstack([gpt2_hidden(columns[:, lo:lo + per_pass], w, last_only=True)
+                                  for lo in range(0, columns.shape[1], per_pass)]), w.embedding)
 
 
 def gpt2_forward(ids, w: Gpt2Weights) -> np.ndarray:

@@ -12,6 +12,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from nlmkit import kernels
 from nlmkit.attention import AttentionCache, build_mask, multi_head_attention
 from nlmkit.errors import SequenceLengthError, ShapeError
 from nlmkit.kernels import softmax
@@ -37,7 +38,7 @@ def random_heads(rng, d_e, d_k, d_v, heads=1, biases=False) -> MultiHeadWeights:
 def head_rows(x, w, mask, cache=None):
     """The heads' outputs side by side, (B*r) x (M*d_v), of a layer whose
     output projection is the identity."""
-    return multi_head_attention(x, w, mask, cache, None).T
+    return multi_head_attention(x, w, mask, cache).T
 
 
 def head(w, m):
@@ -225,7 +226,7 @@ class TestMultiHeadAttention:
     def test_single_head_identity_projection(self, rng):
         w = random_heads(rng, d_e=3, d_k=2, d_v=3)
         x = rng.normal(size=(3, 4))
-        out = multi_head_attention(x, w, build_mask(4, "AE"), None, None)
+        out = multi_head_attention(x, w, build_mask(4, "AE"), None)
         q, k, v = x.T @ w.w_q[0], x.T @ w.w_k[0], x.T @ w.w_v[0]
         npt.assert_allclose(out, (softmax(q @ k.T / math.sqrt(2.0), axis=1) @ v).T, rtol=1e-12)
 
@@ -245,13 +246,13 @@ class TestMultiHeadAttention:
         mask = build_mask(5, "AR")
         concat = np.hstack([head_rows(x, head(w, m), mask) for m in range(2)])
         expected = (concat @ w.w_o + (w.b_o if biases else 0.0)).T
-        npt.assert_allclose(multi_head_attention(x, w, mask, None, None), expected, rtol=1e-12)
+        npt.assert_allclose(multi_head_attention(x, w, mask, None), expected, rtol=1e-12)
 
     def test_matches_loop_oracle(self, rng):
         w = random_heads(rng, 4, 3, 2, heads=2, biases=True)
         w.w_o, w.b_o = rng.normal(size=(4, 4)), rng.normal(size=4)
         x = rng.normal(size=(4, 3))
-        out = multi_head_attention(x, w, build_mask(3, "AE"), None, None)
+        out = multi_head_attention(x, w, build_mask(3, "AE"), None)
         expected_rows = oracles.multi_head(
             oracles.cols(x),
             [oracles.attention_head(w, m) for m in range(2)],
@@ -264,21 +265,24 @@ class TestMultiHeadAttention:
         w = random_heads(rng, 4, 3, 2, heads=2)
         w.w_o = np.eye(3)
         with pytest.raises(ShapeError, match="concatenated head width 4"):
-            multi_head_attention(rng.normal(size=(4, 3)), w, build_mask(3, "AE"), None, None)
+            multi_head_attention(rng.normal(size=(4, 3)), w, build_mask(3, "AE"), None)
 
     def test_sequence_rows_must_match_the_projections(self, rng):
         w = random_heads(rng, 4, 3, 2, heads=2)
         with pytest.raises(ShapeError, match="sequence rows 5"):
-            multi_head_attention(rng.normal(size=(5, 3)), w, build_mask(3, "AE"), None, None)
+            multi_head_attention(rng.normal(size=(5, 3)), w, build_mask(3, "AE"), None)
 
     @pytest.mark.parametrize("n", [31, 32, 64])
-    def test_masked_exponentials_equal_the_plain_softmax_bitwise(self, rng, n):
+    def test_masked_exponentials_equal_the_plain_softmax_bitwise(self, rng, monkeypatch, n):
         # from kernels.MASKED_EXP_MIN_KEYS keys the causal softmax exponentiates
         # only allowed entries; one call covers every head and sequence
         w = random_heads(rng, 6, 3, 2, heads=3, biases=True)
         w.w_o = rng.normal(size=(6, 6))
         x = rng.normal(size=(6, 2 * n))
         mask = build_mask(n, "AR")
-        allowed = mask != -np.inf
-        npt.assert_array_equal(multi_head_attention(x, w, mask, None, allowed),
-                               multi_head_attention(x, w, mask, None, None))
+        outputs = []
+        for min_keys in (1, 10**9):  # every mask takes the masked path, then none does
+            monkeypatch.setattr(kernels, "MASKED_EXP_MIN_KEYS", min_keys)
+            assert (kernels.exp_allowed(mask) is None) == (min_keys > n)
+            outputs.append(multi_head_attention(x, w, mask, None))
+        npt.assert_array_equal(*outputs)

@@ -16,7 +16,7 @@ from nlmkit.config import ModelConfig
 from nlmkit.errors import OutOfVocabularyError
 from nlmkit.ffnn import ffnn_batch_forward, ffnn_forward
 from nlmkit.inference import generate_tokens, make_forward, make_predict_next, min_context
-from nlmkit.losses import MlmTarget, ar_loss, corpus_nll, mlm_loss
+from nlmkit.losses import WINDOW_BATCH, MlmTarget, ar_loss, corpus_nll, mlm_loss
 from nlmkit.recurrent import recurrent_lm_forward
 from nlmkit.training import train_toy
 from nlmkit.transformer import bert_forward, gpt2_forward
@@ -53,6 +53,7 @@ KINDS = {
     "negative": lambda ids: _put(ids, -1),
     "vocab-size": lambda ids: _put(ids, VOCAB),
     "beyond-int64": lambda ids: _put(ids, 2**63),
+    "ragged": lambda ids: _put(ids, [2, 3]),
 }
 
 
@@ -155,6 +156,16 @@ def test_decode_steps_check_no_id_and_build_no_mask(arch, monkeypatch):
         generate_tokens(cfg, w, prompt, steps)
         counts.append((counted.checks, counted.masks))
     assert counts[0] == counts[1] == (1, [MAX_LEN] if arch == "gpt2" else [])
+
+
+@pytest.mark.parametrize("arch", list(inference.CAUSAL))
+def test_corpus_nll_checks_each_window_batch_once(arch, monkeypatch):
+    cfg, w = model(arch)
+    ids = (IDS * 9)[:cfg.max_len + WINDOW_BATCH + 1]  # two batches of full windows
+    counted = Counted(monkeypatch)
+    corpus_nll(ids, make_predict_next(cfg, w), cfg.max_len, min_context(cfg))
+    prefix = min_context(cfg) < cfg.max_len  # a pass over the contexts shorter than a window
+    assert counted.checks == prefix + 1 + 2  # and the targets, once
 
 
 def test_loss_evaluations_of_a_gpt2_step_check_no_id_and_build_no_mask(monkeypatch):

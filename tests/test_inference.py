@@ -261,9 +261,9 @@ class TestRecurrentWindowScorer:
     """Windows advanced side by side from one bottom-layer product over the
     ids, against one recurrent_lm_forward pass per window."""
 
-    @pytest.mark.parametrize("L", [1, 2])
-    @pytest.mark.parametrize("name", ["rnn", "lstm"])
-    @pytest.mark.parametrize("n", [1, 3, MAX_LEN])
+    # one case per arch; the strategy check test_windows_and_decoding_match_the_forward_pass
+    # draws the other window widths and depths
+    @pytest.mark.parametrize("n,name,L", [(MAX_LEN, "rnn", 2), (MAX_LEN, "lstm", 2)])
     def test_every_window_matches_its_forward_pass(self, name, L, n):
         cfg = replace(make_cfg(name), L=L)
         w = init_weights(cfg, 23)
@@ -414,6 +414,23 @@ class TestGenerateTokens:
             generate_tokens(*model("bert"), [1, 2], 1)
 
 
+@pytest.mark.parametrize("name", ["gpt2-pre", "rnn", "lstm", "ffnn"])
+def test_ids_that_are_not_one_sequence_are_refused_before_any_pass(name, monkeypatch):
+    cfg, w = model(name)
+    monkeypatch.setattr(*DECODER_PASS[cfg.arch], no_pass)
+    monkeypatch.setattr(inference, "ffnn_vjp", no_pass)  # ffnn's window scorer
+    windows = make_predict_next(cfg, w).windows
+    for ids in ([[1, 2]], [[1, 2], [3, 4]], np.ones((2, 7), dtype=int)):
+        with pytest.raises(SequenceLengthError, match="one sequence"):
+            generate_tokens(cfg, w, ids, 3)
+        with pytest.raises(SequenceLengthError, match="one sequence"):
+            windows(ids, 1)
+    with pytest.raises(OutOfVocabularyError):  # a ragged list is no array of ids
+        generate_tokens(cfg, w, [1, [2, 3]], 3)
+    with pytest.raises(OutOfVocabularyError):
+        windows([1, [2, 3]], 1)
+
+
 class TestCorpusNll:
     """Shared-pass scoring against one full forward pass per position."""
 
@@ -473,7 +490,7 @@ def _generate(name, ids):
 
 
 def _ce_loss(name, ids):
-    return ce_loss(ids, np.zeros((3, len(ids))), overwrite=False)
+    return ce_loss(ids, np.zeros((3, len(ids))))
 
 
 def _mlm_loss(name, ids):

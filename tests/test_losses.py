@@ -16,7 +16,7 @@ from nlmkit.errors import (
     ShapeError,
     UndefinedDistributionError,
 )
-from nlmkit.kernels import softmax
+from nlmkit.kernels import shifted, softmax
 from nlmkit.losses import (
     Predictor,
     apply_mlm_mask,
@@ -26,6 +26,7 @@ from nlmkit.losses import (
     corpus_nll,
     mlm_corrupt,
     mlm_loss,
+    summed_ce,
 )
 from nlmkit.transformer import gpt2_forward, gpt2_hidden
 from nlmkit.vocab import TokenSequence, Vocabulary
@@ -54,26 +55,26 @@ def predictor(dist):
 
 class TestCeLoss:
     def test_uniform_is_log_vocab(self):
-        assert abs(ce_loss(3, np.log(np.full(8, 1 / 8)), overwrite=False) - math.log(8)) < 1e-12
+        assert abs(ce_loss(3, np.log(np.full(8, 1 / 8))) - math.log(8)) < 1e-12
 
     def test_one_hot_truth_is_zero(self):
         y = np.full(5, -np.inf)
         y[2] = 0.0
-        assert ce_loss(2, y, overwrite=False) == 0.0
+        assert ce_loss(2, y) == 0.0
 
     def test_zero_probability_reports_infinity(self):
         y = np.full(4, -np.inf)
         y[0] = 0.0
-        assert ce_loss(3, y, overwrite=False) == math.inf
+        assert ce_loss(3, y) == math.inf
 
     def test_finite_past_probability_underflow(self):
         # softmax([0, 800])[0] underflows to 0; the loss itself is 800
-        assert ce_loss(0, np.array([0.0, 800.0]), overwrite=False) == 800.0
+        assert ce_loss(0, np.array([0.0, 800.0])) == 800.0
 
     @pytest.mark.parametrize("logits", [[0.0, np.nan], [0.0, np.inf], [-np.inf, -np.inf], []])
     def test_undefined_distribution_rejected(self, logits):
         with pytest.raises(UndefinedDistributionError):
-            ce_loss(0, np.array(logits), overwrite=False)
+            ce_loss(0, np.array(logits))
 
     @pytest.mark.parametrize("targets,logits", [(4, np.zeros(4)), (-1, np.zeros(4)),
                                                 ([0, 4], np.zeros((4, 2))),
@@ -81,7 +82,7 @@ class TestCeLoss:
                                                 (0, np.zeros((4, 1)))])
     def test_bad_targets_rejected(self, targets, logits):
         with pytest.raises(ShapeError):
-            ce_loss(targets, logits, overwrite=False)
+            ce_loss(targets, logits)
 
     @pytest.mark.parametrize("view", [lambda z: z, lambda z: z[:, :-1], lambda z: z[:, [3, 0, 3]],
                                       lambda z: z[:, 2]])
@@ -90,9 +91,10 @@ class TestCeLoss:
         z[0, 1] = -np.inf
         targets = rng.integers(0, 7, view(z).shape[1:])
         kept = z.copy()
-        loss = ce_loss(targets, view(z), overwrite=False)
+        loss = ce_loss(targets, view(z))
         npt.assert_array_equal(z, kept)
-        assert ce_loss(targets, view(z.copy()), overwrite=True) == loss
+        # the in-place reduction the losses run on logits they own
+        assert summed_ce(targets, shifted(view(z.copy()), 0, True)) == loss
 
     @settings(max_examples=200)
     @given(seed=st.integers(0, 2**32 - 1), size=st.integers(1, 40), cols=st.integers(1, 4),
@@ -106,8 +108,8 @@ class TestCeLoss:
         targets = rng.integers(0, size, cols)
         want = [oracles.ce_loss(list(z[:, j]), int(t)) for j, t in enumerate(targets)]
         for j, t in enumerate(targets):
-            assert_matches_oracle(ce_loss(int(t), z[:, j], overwrite=False), want[j])
-        assert_matches_oracle(ce_loss(targets, z, overwrite=False), math.fsum(want))
+            assert_matches_oracle(ce_loss(int(t), z[:, j]), want[j])
+        assert_matches_oracle(ce_loss(targets, z), math.fsum(want))
 
 
 class TestCeLossGrad:
@@ -121,7 +123,7 @@ class TestCeLossGrad:
         targets = rng.integers(0, size, cols)
         z[targets, np.arange(cols)] = rng.uniform(-spread, spread, cols)  # finite targets
         loss, grad = ce_loss_grad(targets, z)
-        assert loss == ce_loss(targets, z, overwrite=False)
+        assert loss == ce_loss(targets, z)
         assert np.abs(grad.sum(axis=0)).max() <= 1e-15
         assert (grad[np.isneginf(z)] == 0.0).all()
 
@@ -135,7 +137,7 @@ class TestCeLossGrad:
     def test_masked_non_target_gets_exact_zero(self):
         z = np.array([[0.0, 1.0], [-np.inf, 2.0], [3.0, -np.inf]])
         loss, grad = ce_loss_grad([0, 1], z)
-        assert loss == ce_loss([0, 1], z, overwrite=False)
+        assert loss == ce_loss([0, 1], z)
         assert grad[1, 0] == 0.0 and grad[2, 1] == 0.0
 
     def test_leaves_the_logits_alone(self, rng):
@@ -170,8 +172,8 @@ class TestLogitLayout:
         targets = rng.integers(1, 13, 6)
         c, f = layouts(z)
         assert c.flags.c_contiguous and f.flags.f_contiguous and not f.flags.c_contiguous
-        assert ce_loss(targets, f, overwrite=False) == pytest.approx(
-            ce_loss(targets, c, overwrite=False), rel=1e-12)
+        assert ce_loss(targets, f) == pytest.approx(
+            ce_loss(targets, c), rel=1e-12)
         (loss_c, grad_c), (loss_f, grad_f) = ce_loss_grad(targets, c), ce_loss_grad(targets, f)
         assert loss_f == pytest.approx(loss_c, rel=1e-12)
         npt.assert_allclose(grad_f, grad_c, rtol=1e-12, atol=0)
@@ -199,9 +201,9 @@ class TestLogitLayout:
         z = rows.T
         before = z.copy()
         targets = rng.integers(0, 13, 6)
-        loss = ce_loss(targets, z, overwrite=True)
+        loss = summed_ce(targets, shifted(z, 0, True))  # as ar_loss reduces a forward's logits
         npt.assert_array_equal(rows.T, np.exp(before - before.max(axis=0)))
-        assert loss == pytest.approx(ce_loss(targets, before, overwrite=False), rel=1e-12)
+        assert loss == pytest.approx(ce_loss(targets, before), rel=1e-12)
 
 
 class TestArLoss:
@@ -265,7 +267,7 @@ class TestArLoss:
     def test_in_place_loss_is_bitwise_the_copying_one(self, n):
         w = init_weights(tiny_gpt2_config(), 31)
         ids = [3, 1, 4, 1, 5, 7][:n]
-        want = ce_loss(ids[1:], gpt2_forward(ids, w)[:, :-1], overwrite=False)
+        want = ce_loss(ids[1:], gpt2_forward(ids, w)[:, :-1])
         assert ar_loss(ids, lambda s: gpt2_forward(s, w)) == want
 
     def test_finite_past_probability_underflow(self):
@@ -363,7 +365,7 @@ class TestMlmLoss:
         positions = [1, 4, 7]
         target = self._target(vocab, [int(i) for i in ids], positions)
         logits = np.log(np.column_stack([random_distribution(rng, 13) for _ in range(9)]))
-        expected = sum(ce_loss(target.original_ids[p], logits[:, p], overwrite=False)
+        expected = sum(ce_loss(target.original_ids[p], logits[:, p])
                        for p in positions)
         assert mlm_loss(target, logits) == expected
 
@@ -388,7 +390,7 @@ class TestCorpusNll:
     def test_two_token_corpus_is_single_ce_term(self, rng):
         dist = random_distribution(rng, 5)
         assert corpus_nll([3, 2], predictor(lambda ctx: dist), window=3, min_context=1) \
-            == ce_loss(2, np.log(dist), overwrite=False)
+            == ce_loss(2, np.log(dist))
 
     def test_window_clipping_passes_short_prefixes(self):
         seen = []

@@ -41,6 +41,8 @@ ENTRY_POINTS = {
     "tensor_layout": "the (name, shape) list an archive for a config must hold, in archive order",
     "ffnn_forward": "the checked one-window feedforward pass; the decoder steps run the "
                     "unchecked ffnn_vjp on ids generate_tokens checked",
+    "ce_loss": "the checked cross entropy of a caller's logits, left unchanged; the package's "
+               "losses check their targets once and reduce logits they own through summed_ce",
 }
 
 

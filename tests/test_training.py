@@ -48,8 +48,8 @@ def reference_loss(cfg, corpus):
     (``oracles.chunk_loss``), the feedforward LM's one window at a time."""
     if cfg.arch == "ffnn":
         n = cfg.max_len
-        return lambda w: np.mean([ce_loss(corpus[s + n], ffnn_forward(corpus[s:s + n], w),
-                                          overwrite=False) for s in range(len(corpus) - n)])
+        return lambda w: np.mean([ce_loss(corpus[s + n], ffnn_forward(corpus[s:s + n], w))
+                                  for s in range(len(corpus) - n)])
     return lambda w: oracles.chunk_loss(corpus, cfg.max_len,
                                         lambda chunk: ar_loss(chunk, make_forward(cfg, w)))
 
@@ -65,7 +65,7 @@ class TestNumericalGradient:
         for _ in range(50):
             z = {"z": rng.uniform(-2, 2, size=8)}
             c = int(rng.integers(0, 8))
-            grad = numerical_gradient(lambda w: ce_loss(c, w["z"], overwrite=False), z)
+            grad = numerical_gradient(lambda w: ce_loss(c, w["z"]), z)
             analytic = softmax(z["z"])
             analytic[c] -= 1.0
             rel = np.linalg.norm(grad["z"] - analytic) / np.linalg.norm(analytic)

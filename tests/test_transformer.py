@@ -6,13 +6,14 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from nlmkit import attention, kernels
+from nlmkit import attention, inference, kernels, transformer
 from nlmkit.attention import build_mask
 from nlmkit.config import ModelConfig
 from nlmkit.errors import SequenceFormatError, SequenceLengthError
-from nlmkit.inference import generate_tokens
+from nlmkit.inference import generate_tokens, make_predict_next
 from nlmkit.kernels import layer_norm, softmax
 from nlmkit.transformer import (
+    WINDOW_COLUMNS,
     bert_forward,
     gpt2_decoder,
     gpt2_forward,
@@ -40,14 +41,14 @@ class TestTransformerBlock:
     def test_preserves_shape(self, rng, variant):
         w = init_weights(tiny_gpt2_config(variant=variant), 1).blocks[0]
         h = rng.normal(size=(8, 5))
-        out = transformer_block(h, w, build_mask(5, "AR"), variant, "tanh", None, None)
+        out = transformer_block(h, w, build_mask(5, "AR"), variant, "tanh", None)
         assert out.shape == (8, 5)
 
     def test_zero_weights_post_norm_against_oracle(self):
         cfg = tiny_gpt2_config(variant="post")
         w = zeros_weights(cfg).blocks[0]
         h = np.arange(40.0).reshape(8, 5)
-        out = transformer_block(h, w, build_mask(5, "AR"), "post", "tanh", None, None)
+        out = transformer_block(h, w, build_mask(5, "AR"), "post", "tanh", None)
         expected = oracles.block_forward(oracles.cols(h), w, oracles.ar_mask(5),
                                          "post", "tanh")
         npt.assert_allclose(out, np.array(expected).T, atol=1e-12)
@@ -57,7 +58,7 @@ class TestTransformerBlock:
         cfg = tiny_gpt2_config(variant=variant)
         w = init_weights(cfg, 7).blocks[1]
         h = rng.normal(size=(8, 4))
-        out = transformer_block(h, w, build_mask(4, "AR"), variant, "tanh", None, None)
+        out = transformer_block(h, w, build_mask(4, "AR"), variant, "tanh", None)
         expected = oracles.block_forward(oracles.cols(h), w, oracles.ar_mask(4),
                                          variant, "tanh")
         npt.assert_allclose(out, np.array(expected).T, atol=1e-10)
@@ -66,10 +67,10 @@ class TestTransformerBlock:
         cfg = tiny_gpt2_config()
         w = init_weights(cfg, 3).blocks[0]
         h = rng.normal(size=(8, 5))
-        base = transformer_block(h, w, build_mask(5, "AR"), "pre", "tanh", None, None)
+        base = transformer_block(h, w, build_mask(5, "AR"), "pre", "tanh", None)
         h2 = h.copy()
         h2[:, 4] += 1.0
-        out = transformer_block(h2, w, build_mask(5, "AR"), "pre", "tanh", None, None)
+        out = transformer_block(h2, w, build_mask(5, "AR"), "pre", "tanh", None)
         npt.assert_array_equal(out[:, :4], base[:, :4])
 
     @pytest.mark.parametrize("variant,gelu_mode", [("post", "tanh"), ("pre", "exact")])
@@ -77,8 +78,8 @@ class TestTransformerBlock:
         w = init_weights(tiny_gpt2_config(variant=variant), 5).blocks[1]
         h = rng.normal(size=(8, 5))
         mask = build_mask(5, "AR")
-        full = transformer_block(h, w, mask, variant, gelu_mode, None, None)
-        last = transformer_block(h, w, mask[-1:], variant, gelu_mode, None, None)
+        full = transformer_block(h, w, mask, variant, gelu_mode, None)
+        last = transformer_block(h, w, mask[-1:], variant, gelu_mode, None)
         assert last.shape == (8, 1)
         npt.assert_allclose(last, full[:, -1:], rtol=1e-12, atol=1e-14)
 
@@ -88,10 +89,9 @@ class TestTransformerBlock:
         seqs = [rng.normal(size=(8, 4)) for _ in range(3)]
         mask = build_mask(4, "AR")
         for rows in (1, 4):
-            out = transformer_block(np.hstack(seqs), w, mask[4 - rows:], variant, "tanh", None,
-                                    None)
+            out = transformer_block(np.hstack(seqs), w, mask[4 - rows:], variant, "tanh", None)
             for b, h in enumerate(seqs):
-                whole = transformer_block(h, w, mask, variant, "tanh", None, None)
+                whole = transformer_block(h, w, mask, variant, "tanh", None)
                 npt.assert_allclose(out[:, b * rows:(b + 1) * rows], whole[:, 4 - rows:],
                                     rtol=1e-12, atol=1e-14)
 
@@ -105,7 +105,7 @@ class TestTransformerStack:
         mask = build_mask(3, "AR")
         npt.assert_array_equal(
             transformer_stack(h, replace(w, blocks=blocks, norm_variant="pre"), mask),
-            transformer_block(h, blocks[0], mask, "pre", "tanh", None, None))
+            transformer_block(h, blocks[0], mask, "pre", "tanh", None))
 
     def test_two_blocks_compose(self, rng):
         cfg = tiny_gpt2_config()
@@ -113,8 +113,8 @@ class TestTransformerStack:
         blocks = w.blocks
         h = rng.normal(size=(8, 3))
         mask = build_mask(3, "AR")
-        manual = transformer_block(transformer_block(h, blocks[0], mask, "pre", "tanh", None, None),
-                                   blocks[1], mask, "pre", "tanh", None, None)
+        manual = transformer_block(transformer_block(h, blocks[0], mask, "pre", "tanh", None),
+                                   blocks[1], mask, "pre", "tanh", None)
         npt.assert_array_equal(
             transformer_stack(h, replace(w, blocks=blocks, norm_variant="pre"), mask), manual)
 
@@ -125,7 +125,7 @@ class TestTransformerStack:
         mask = build_mask(4, "AE")
         expected = h
         for b in blocks:
-            expected = transformer_block(expected, b, mask, "post", "tanh", None, None)
+            expected = transformer_block(expected, b, mask, "post", "tanh", None)
         npt.assert_array_equal(
             transformer_stack(h, replace(init_weights(cfg, 1), blocks=blocks, norm_variant="post"),
                               mask), expected)
@@ -188,6 +188,39 @@ class TestGpt2Forward:
             w.positions[:] = 0.0
             variant_outputs.append(gpt2_forward([0, 1, 2], w))
         npt.assert_allclose(variant_outputs[0], variant_outputs[1], atol=1e-9)
+
+
+def test_every_gpt2_stack_pass_enters_through_gpt2_hidden(monkeypatch):
+    """The forward pass, a window scorer of several passes, decoder steps and
+    the trainer's batch logits all run the one pass, ``gpt2_hidden``."""
+    cfg = tiny_gpt2_config(max_len=8)
+    w = init_weights(cfg, 4)
+    hidden, stack = transformer.gpt2_hidden, transformer.transformer_stack
+    entered, inside = [], []  # per stack pass: whether gpt2_hidden is running
+
+    def counted_hidden(*args, **kwargs):
+        inside.append(True)
+        try:
+            return hidden(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    def counted_stack(*args, **kwargs):
+        entered.append(bool(inside))
+        return stack(*args, **kwargs)
+
+    for module in (transformer, inference):
+        monkeypatch.setattr(module, "gpt2_hidden", counted_hidden)
+    monkeypatch.setattr(transformer, "transformer_stack", counted_stack)
+    ids = np.random.default_rng(0).integers(0, cfg.vocab_size, 47).tolist()
+    gpt2_forward(ids[:8], w)
+    assert WINDOW_COLUMNS // 8 < 40  # the 40 windows take two passes
+    make_predict_next(cfg, w).windows(ids, 8)
+    decode = inference.CAUSAL["gpt2"].decoder(w, 8)
+    decode(ids[:5])
+    decode(ids[:6])
+    inference.CAUSAL["gpt2"].logits(np.array(ids[:24]).reshape(8, 3), w)
+    assert entered == [True] * 6
 
 
 class TestKvCache:
