@@ -41,11 +41,13 @@ def checked_ids(ids, size: int, error: type = OutOfVocabularyError,
     return ids
 
 
-def checked_sequence(ids, size: int) -> np.ndarray:
-    """``checked_ids`` of one sequence: a 1-D array, or ``SequenceLengthError``."""
+def checked_sequence(ids, size: int, width: int) -> np.ndarray:
+    """``checked_ids`` of one sequence of at least `width` >= 1 ids, or ``SequenceLengthError``."""
     ids = checked_ids(ids, size)
     if ids.ndim != 1:
         raise SequenceLengthError(f"expected one sequence of ids, got shape {ids.shape}")
+    if not 1 <= width <= len(ids):
+        raise SequenceLengthError(f"window {width} does not fit a sequence of {len(ids)} tokens")
     return ids
 
 

@@ -28,9 +28,10 @@ matrix.  gpt2 has no reverse pass yet (None): its batch logits come from
 one padded pass over every chunk, and the trainer takes finite
 differences of the loss over them.  Ids are checked once, where they
 enter: by the forward passes, by the window scorers and ``generate_tokens``
-(``checked_sequence``: one sequence; the argmaxes after the prompt go to
-an intp buffer) and by the trainer's ``_batch``.  Decoders, batch logits
-and reverse passes run unchecked on what those produced.
+(``checked_sequence``: one sequence that holds the window, or the model's
+context; the argmaxes after the prompt go to an intp buffer) and by the trainer's
+``_batch``.  Decoders, batch logits and reverse passes run unchecked on
+what those produced.
 """
 
 from __future__ import annotations
@@ -78,7 +79,7 @@ CAUSAL = {
     "ffnn": CausalModel(
         None,
         lambda ids, n, w: ffnn_vjp(
-            sliding_window_view(checked_sequence(ids, w.embedding.shape[1]), n), w)[0],
+            sliding_window_view(checked_sequence(ids, w.embedding.shape[1], n), n), w)[0],
         ffnn_decoder, lambda batch, w: ffnn_vjp(batch, w)[0], ffnn_vjp),
     "rnn": _RECURRENT,
     "lstm": _RECURRENT,
@@ -107,12 +108,7 @@ def make_predict_next(cfg: ModelConfig, weights) -> Predictor:
     """Next-token logit passes (and distribution of a context) of a causal model."""
     model = causal_model(cfg)
     prefix = None if model.forward is None else (lambda ids: model.forward(ids, weights))
-
-    def windows(ids, n):
-        if not 1 <= n <= len(ids):
-            raise SequenceLengthError(f"window {n} does not fit a sequence of {len(ids)} tokens")
-        return model.windows(ids, n, weights)
-    return Predictor(prefix, windows)
+    return Predictor(prefix, lambda ids, n: model.windows(ids, n, weights))
 
 
 def checked_steps(steps, error: type) -> int:
@@ -133,10 +129,8 @@ def generate_tokens(cfg: ModelConfig, weights, prompt_ids: list[int], steps: int
     ``min_context(cfg)`` tokens, prompt plus steps at most ``MAX_TOKENS``,
     and the decoder refuses a total its model cannot hold."""
     steps = checked_steps(steps, SequenceLengthError)
-    prompt = checked_sequence(prompt_ids, cfg.vocab_size)
-    need, total = min_context(cfg), len(prompt) + steps
-    if len(prompt) < need:
-        raise SequenceLengthError(f"prompt has {len(prompt)} tokens, fewer than {need}")
+    prompt = checked_sequence(prompt_ids, cfg.vocab_size, min_context(cfg))
+    total = len(prompt) + steps
     if total > MAX_TOKENS:
         raise SequenceLengthError(f"prompt plus steps is {total} tokens, over {MAX_TOKENS}")
     next_logits = causal_model(cfg).decoder(weights, total)

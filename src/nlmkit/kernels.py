@@ -91,9 +91,10 @@ def shifted(v, axis: int, overwrite: bool) -> np.ndarray:
 def exp_allowed(mask: np.ndarray) -> np.ndarray | None:
     """The entries of scores under an additive `mask` that softmax must
     exponentiate, those above -inf, as a boolean array of the mask's shape;
-    or None where exponentiating every entry costs less: when the mask
-    forbids nothing or has fewer than ``MASKED_EXP_MIN_KEYS`` columns."""
-    if mask.shape[1] < MASKED_EXP_MIN_KEYS:
+    or None where exponentiating all costs less, for the same bits: for one
+    row (a last query row allows every key), under ``MASKED_EXP_MIN_KEYS``
+    keys, or no -inf."""
+    if mask.shape[0] == 1 or mask.shape[1] < MASKED_EXP_MIN_KEYS:
         return None
     allowed = mask != -np.inf
     return None if allowed.all() else allowed

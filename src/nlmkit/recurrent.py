@@ -180,7 +180,7 @@ def recurrent_windows(ids: list[int], n: int, w: RecurrentWeights) -> np.ndarray
     column per window (d_e x (len(ids) - n + 1)).  The windows advance side
     by side, and step i of each reads column i of its window in one
     bottom-layer product over all the ids."""
-    ids = checked_sequence(ids, w.embedding.shape[1])
+    ids = checked_sequence(ids, w.embedding.shape[1], n)
     count = len(ids) - n + 1
     h_state, c_state = _checked_state((w.embedding.shape[0], count), w.layers, None)
     wx = _product(w.layers[0], w.embedding.take(ids, axis=1, mode="clip"))

@@ -151,7 +151,8 @@ def gpt2_decoder(w: Gpt2Weights, total: int):
 
 def gpt2_windows(ids: list[int], n: int, w: Gpt2Weights) -> np.ndarray:
     """Logits after every n-token window, WINDOW_COLUMNS columns of windows per pass."""
-    columns = sliding_window_view(checked_sequence(ids, w.embedding.shape[1]), n).T  # n x windows
+    ids = checked_sequence(ids, w.embedding.shape[1], n)
+    columns = sliding_window_view(ids, n).T  # n x windows
     per_pass = max(1, WINDOW_COLUMNS // n)
     return tied_logits(np.hstack([gpt2_hidden(columns[:, lo:lo + per_pass], w, last_only=True)
                                   for lo in range(0, columns.shape[1], per_pass)]), w.embedding)

@@ -12,13 +12,17 @@ settings.load_profile("nlmkit")
 
 # The fixed configs of the tests that pin exact values (archive hashes,
 # hand-counted parameters), by name; tests/strategies.py draws the rest.
+# The strategy reaches max_len <= 4, d_e <= 4, L <= 2 and at most two hidden
+# layers: a fixed case stays only where it pins an exact value or a size
+# beyond that reach.
 FIXED = {
     **{f"{arch}-zeta{zeta}-{variant}": ModelConfig(
         arch=arch, d_e=6, d_k=3, d_v=2, d_f=7, M=3, L=2, vocab_size=13, max_len=5, zeta=zeta,
         norm_variant=variant)
-       for arch in ("gpt2", "bert") for zeta in (0, 1) for variant in ("pre", "post")},
+       for arch, zeta, variant in [("gpt2", 0, "post"), ("gpt2", 1, "post"), ("gpt2", 1, "pre"),
+                                   ("bert", 0, "post"), ("bert", 1, "post")]},
     **{f"{arch}-L{depth}": ModelConfig(arch=arch, d_e=4, vocab_size=9, max_len=5, L=depth)
-       for arch in ("rnn", "lstm") for depth in (1, 2, 3)},
+       for arch, depth in [("rnn", 1), ("rnn", 2), ("rnn", 3), ("lstm", 2), ("lstm", 3)]},
     **{f"ffnn-{len(dims)}": ModelConfig(arch="ffnn", d_e=3, vocab_size=7, max_len=4,
                                         hidden_dims=dims)
        for dims in ([5], [5, 2], [6, 4, 3])},

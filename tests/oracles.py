@@ -7,7 +7,7 @@ outputs against these functions entry by entry.
 
 Convention: a "matrix" is a list of rows; sequences are lists of column
 vectors (one per position), matching the package's column-per-token
-layout at the call boundary via `cols()`/`from_cols()`.
+layout at the call boundary via `cols()`.
 """
 
 import math
@@ -17,10 +17,6 @@ def cols(matrix) -> list[list[float]]:
     """Columns of a numpy-style matrix as plain lists."""
     rows = [list(map(float, row)) for row in matrix]
     return [[rows[i][j] for i in range(len(rows))] for j in range(len(rows[0]))]
-
-
-def from_cols(columns) -> list[list[float]]:
-    return [[columns[j][i] for j in range(len(columns))] for i in range(len(columns[0]))]
 
 
 def rows(matrix) -> list[list[float]]:

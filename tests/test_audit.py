@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from nlmkit.audit import audit_config, count_for_config, enumerate_weights
 from nlmkit.config import ARCHITECTURES
 from nlmkit.errors import AuditMismatchError
-from nlmkit.weights import init_weights, zeros_weights
+from nlmkit.weights import zeros_weights
 
 from conftest import FIXED
 from strategies import models
@@ -27,32 +27,20 @@ COMPONENTS = {
 @settings(max_examples=8)
 @given(data=st.data())
 def test_closed_form_count_over_the_family(arch, data):
-    """The closed form against the enumerated count, its components, and a
-    weight set one tensor short."""
+    """The closed form against the enumerated count, its components (which
+    the head flags change for bert only), and a weight set one tensor short."""
     cfg, w, _ = data.draw(models((arch,)))
     report = audit_config(cfg, w)
     assert report.arch == cfg.arch
     assert report.total == enumerate_weights(w) == enumerate_weights(zeros_weights(cfg))
-    assert [c for c, _ in count_for_config(cfg, False, False).components] == COMPONENTS[cfg.arch]
+    base = count_for_config(cfg, False, False).components
+    assert [c for c, _ in base] == COMPONENTS[cfg.arch]
+    if arch != "bert":  # only bert has heads the flags add
+        assert count_for_config(cfg, True, True).components == base
     tensors = dict(w.named_tensors())
     tensors.pop(list(tensors)[-1])
     with pytest.raises(AuditMismatchError, match=f"for arch '{cfg.arch}'"):
         audit_config(cfg, tensors)
-
-
-@pytest.mark.parametrize("name", sorted(FIXED))
-def test_formula_count_equals_enumerated_count(name):
-    cfg = FIXED[name]
-    w = init_weights(cfg, 3)
-    report = audit_config(cfg, w)
-    assert report.total == enumerate_weights(w) == enumerate_weights(zeros_weights(cfg))
-    assert report.arch == cfg.arch
-
-
-@pytest.mark.parametrize("name", sorted(FIXED))
-def test_component_names(name):
-    cfg = FIXED[name]
-    assert [c for c, _ in count_for_config(cfg, False, False).components] == COMPONENTS[cfg.arch]
 
 
 def tensor_total(w, prefixes):
@@ -78,13 +66,6 @@ def test_bert_heads_are_counted_only_when_asked(zeta):
     assert base.total == enumerate_weights(w) - tensor_total(w, ("mlm.", "nsp."))
 
 
-@pytest.mark.parametrize("arch", ["gpt2", "rnn", "lstm", "ffnn"])
-def test_head_flags_do_not_change_other_archs(arch):
-    cfg = next(c for c in FIXED.values() if c.arch == arch)
-    assert (count_for_config(cfg, True, True).components
-            == count_for_config(cfg, False, False).components)
-
-
 def test_subtotals_by_hand():
     cfg = FIXED["gpt2-zeta1-pre"]
     attention = 2 * 3 * 6 * (3 + 2) + 3 * (2 * 3 + 2) + 6
@@ -99,15 +80,6 @@ def test_subtotals_by_hand():
     ffnn = FIXED["ffnn-2"]
     assert dict(count_for_config(ffnn, False, False).components) == {
         "embedding": 21, "hidden_layers": 5 * 13 + 2 * 6, "output_projection": 14}
-
-
-@pytest.mark.parametrize("name", ["gpt2-zeta1-pre", "bert-zeta0-post", "lstm-L3", "ffnn-3"])
-def test_missing_tensor_is_an_audit_mismatch(name):
-    cfg = FIXED[name]
-    tensors = dict(init_weights(cfg, 3).named_tensors())
-    tensors.pop(list(tensors)[-1])
-    with pytest.raises(AuditMismatchError, match=f"for arch '{cfg.arch}'"):
-        audit_config(cfg, tensors)
 
 
 def test_report_formats():

@@ -159,6 +159,14 @@ class TestMaskedSoftmax:
         assert (allowed is None) == (rows == 1)  # the newest query sees every key
         npt.assert_array_equal(softmax(scores, 1, mask != -np.inf), softmax(scores, axis=1))
 
+    def test_one_row_never_takes_the_masked_path(self):
+        # a decode step's last query row allows every key, and both paths give
+        # the same bits for any mask, so a one-row mask builds no boolean row
+        mask = np.zeros((1, 64))
+        assert exp_allowed(mask) is None
+        mask[0, 40:] = -np.inf
+        assert exp_allowed(mask) is None
+
     @pytest.mark.parametrize("n", [1, 32, 128])
     def test_ae_mask_never_takes_the_masked_path(self, n):
         assert exp_allowed(build_mask(n, "AE")) is None

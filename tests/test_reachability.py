@@ -25,6 +25,11 @@ fields with inherited ones first.  A call through ``**kw``, as a builder
 that collects fields in a dict makes, passes every field and overrides
 none, so ``tests/test_weights.py`` checks directly that no field of a
 weights record has a default.
+
+The tests hold themselves to the first rule: every module-level function,
+class and upper-case constant in ``tests/*.py`` is named in ``tests/*.py``
+or ``perfbench/*.py``, bar tests, test classes and fixtures, so a helper
+whose last test is retired goes with it.
 """
 
 import ast
@@ -34,8 +39,9 @@ import pytest
 
 ROOT = Path(__file__).parent.parent
 SOURCES = sorted((ROOT / "src" / "nlmkit").glob("*.py"))
-CALLERS = ([p for p in SOURCES if p.name != "__init__.py"]
-           + sorted((ROOT / "perfbench").glob("*.py")))
+BENCH = sorted((ROOT / "perfbench").glob("*.py"))
+CALLERS = [p for p in SOURCES if p.name != "__init__.py"] + BENCH
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 ENTRY_POINTS = {
     "nsp_head": "the paper's BERT next-sentence head, whose weights count-params --with-nsp counts",
     "tensor_layout": "the (name, shape) list an archive for a config must hold, in archive order",
@@ -53,10 +59,10 @@ def definitions(tree):
 
 
 def references(tree):
-    """Every identifier used as a name or an attribute."""
+    """Every identifier used as a name or an attribute; assigning a name does not use it."""
     found = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             found.add(node.id)
         elif isinstance(node, ast.Attribute):
             found.add(node.attr)
@@ -89,9 +95,38 @@ def test_checker_sees_uses(snippet):
 
 
 def test_checker_ignores_definitions_strings_and_imports():
-    tree = ast.parse("from m import f\nimport f\ndef f(): pass\nclass f: pass\nx = 'f'\n")
+    tree = ast.parse("from m import f\nimport f\ndef f(): pass\nclass f: pass\nx = 'f'\nf = 1\n")
     assert definitions(tree) == {"f"}
     assert "f" not in references(tree)
+
+
+def helpers_of(tree):
+    """Names of a test module's module-level functions, classes and
+    upper-case constants, bar tests, test classes and fixtures."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            fixture = any(_name(d.func if isinstance(d, ast.Call) else d) == "fixture"
+                          for d in node.decorator_list)
+            if not (fixture or node.name.startswith(("test", "Test"))):
+                names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name) and t.id.isupper())
+    return names
+
+
+def test_every_test_helper_is_named():
+    referenced = set().union(*(references(_parse(p)) for p in TESTS + BENCH))
+    assert sorted(f"{p.name}:{name}" for p in TESTS
+                  for name in helpers_of(_parse(p)) - referenced) == []
+
+
+def test_helper_checker_exempts_tests_and_fixtures():
+    tree = ast.parse("@pytest.fixture\ndef rng(): pass\n@fixture(scope='module')\ndef r(): pass\n"
+                     "def test_a(): pass\nclass TestB: pass\ndef helper(): pass\n"
+                     "class Model: pass\nLIMIT = 3\nTABLE: dict = {}\nlower = 4\n")
+    assert helpers_of(tree) == {"helper", "Model", "LIMIT", "TABLE"}
 
 
 # "function: parameter" -> why a parameter no caller passes keeps its default
