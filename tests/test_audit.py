@@ -66,6 +66,13 @@ def test_bert_heads_are_counted_only_when_asked(zeta):
     assert base.total == enumerate_weights(w) - tensor_total(w, ("mlm.", "nsp."))
 
 
+@pytest.mark.parametrize("arch", ["gpt2", "rnn", "lstm", "ffnn"])
+def test_head_flags_do_not_change_other_archs(arch):
+    cfg = next(c for c in FIXED.values() if c.arch == arch)
+    assert (count_for_config(cfg, True, True).components
+            == count_for_config(cfg, False, False).components)
+
+
 def test_subtotals_by_hand():
     cfg = FIXED["gpt2-zeta1-pre"]
     attention = 2 * 3 * 6 * (3 + 2) + 3 * (2 * 3 + 2) + 6
