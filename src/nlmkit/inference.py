@@ -69,8 +69,7 @@ class CausalModel(NamedTuple):
 # name rebound after import (as perfbench's tracer does) sees every call.
 # The decoders look their passes up in their own modules on every call.
 # The batch logits of ffnn, rnn and lstm are their reverse passes' forward
-# half, which is faster at training sizes: 54 us against 65 us through
-# unroll for one loss of perfbench's `train` rnn (2-vCPU Xeon).
+# half, the one pass over a batch of sequences (``unroll`` takes one).
 _RECURRENT = CausalModel(lambda ids, w: recurrent_lm_forward(ids, w),
                          lambda ids, n, w: tied_logits(recurrent_windows(ids, n, w), w.embedding),
                          recurrent_decoder, lambda batch, w: recurrent_lm_vjp(batch, w)[0],

@@ -19,9 +19,9 @@ This module fixes the numerical conventions used everywhere else:
   the largest finite entry of each slice is subtracted before
   exponentiation,
 * the package shifts and exponentiates in place only arrays it made itself:
-  the attention scores, and the logits that a loss gathers or that the
-  package's own forward passes just returned.  The public ``softmax`` and
-  ``shifted`` leave the caller's array unchanged unless told
+  the attention scores, and the logits that ``losses.summed_ce`` gets from a
+  loss's gather or the package's own forward passes.  The public ``softmax``
+  and ``shifted`` leave the caller's array unchanged unless told
   ``overwrite=True``; ``losses.ce_loss`` always leaves it unchanged,
 * a causal softmax exponentiates only the entries its mask allows
   (``exp_allowed``), since ``exp(-inf)`` costs about five times a finite
@@ -193,6 +193,10 @@ def layer_norm(x, gain, bias) -> np.ndarray:
     and standard deviation are taken over each column (population form);
     ``LAYER_NORM_EPS`` sits under the square root so constant columns
     normalize to the bias.  Only `x` is coerced to float64.
+
+    A column whose variance overflows (past about 1e154, after numpy's
+    RuntimeWarning) is normalized again at 2^-k its scale, k even, with
+    ``LAYER_NORM_EPS`` at 2^-2k: no bit changes where nothing underflows.
     """
     x = np.asarray(x, dtype=np.float64)
     if not (x.ndim in (1, 2) and 0 < len(x) and gain.shape == bias.shape == x.shape[:1]):
@@ -202,7 +206,16 @@ def layer_norm(x, gain, bias) -> np.ndarray:
     # bitwise ndarray.mean without its Python wrapper; keepdims keeps var an array
     out = x - np.add.reduce(x, axis=0, keepdims=True) / x.shape[0]
     var = np.add.reduce(out * out, axis=0, keepdims=True) / x.shape[0]
-    var += LAYER_NORM_EPS
+    eps = LAYER_NORM_EPS
+    if not np.isfinite(var).all():
+        k = np.frexp(np.abs(x).max(axis=0, keepdims=True))[1]  # 0 for NaN or inf
+        k = np.where(np.isfinite(var), 0, k + (k & 1))
+        # where eps 2^-2k underflows, the least subnormal keeps a constant column at its bias
+        eps = np.maximum(np.ldexp(eps, -2 * k), np.finfo(np.float64).smallest_subnormal)
+        x = np.ldexp(x, -k)
+        out = x - np.add.reduce(x, axis=0, keepdims=True) / x.shape[0]
+        var = np.add.reduce(out * out, axis=0, keepdims=True) / x.shape[0]
+    var += eps
     out /= np.sqrt(var, out=var)
     out *= gain.reshape(column)
     out += bias.reshape(column)

@@ -1,13 +1,15 @@
 """Cross-entropy machinery: next-token loss, masked-token loss, corpus NLL.
 
-Models emit logits, and every loss reduces them through ``summed_ce``: the
-summed ``-log softmax(z)[t]`` of the correct classes, computed in log space
-so it stays finite wherever the true loss is finite.  A target whose logit
-is -inf gives an infinite loss rather than an exception, so a diverged
-model still reports.  The losses check their targets once and shift the
-logits they gather or that a forward pass has just returned in place, so
-``ar_loss``'s `forward` and a ``Predictor``'s passes must return arrays
-they do not keep; ``ce_loss`` leaves a caller's logits unchanged.
+Models emit logits, and every loss reduces them through ``summed_ce``, the
+one log-sum-exp: the summed ``-log softmax(z)[t]`` of the correct classes,
+computed in log space so it stays finite wherever the true loss is finite.
+A target whose logit is -inf gives an infinite loss rather than an
+exception, so a diverged model still reports.  The losses check their
+targets where they enter and hand ``summed_ce`` (or the trainer's
+``summed_ce_grad``) the logits they gather or that a forward pass has just
+returned, to shift in place, so ``ar_loss``'s `forward` and a
+``Predictor``'s passes must return arrays they do not keep; ``ce_loss``
+leaves a caller's logits unchanged.
 """
 
 from __future__ import annotations
@@ -29,51 +31,37 @@ from .weights import philox
 WINDOW_BATCH = 64
 
 
-def _exp_shifted(targets: np.ndarray, s: np.ndarray):
-    """The entries of checked class ids in logits `s` already shifted by their
-    column maxima (``kernels.shifted``), read before `s` is exponentiated in
-    place, and the index of those entries."""
-    if s.shape[1:] != targets.shape:
-        raise ShapeError(f"targets of shape {targets.shape} do not match logits of shape {s.shape}")
-    index = (targets, np.arange(s.shape[1])) if s.ndim == 2 else targets
-    picked = s[index]
-    np.exp(s, out=s)  # exp(-inf) == 0.0 exactly; a target at -inf gives inf
-    return picked, index
-
-
 def ce_loss(targets, logits) -> float:
     """Summed cross entropy -log softmax(z)[t] against one-hot truths.
 
     Either one class id and a |V| logit vector, or k class ids and a
-    |V| x k matrix with one column per target.  The one |V| x k temporary
-    is a copy shifted by the column maxima, which ``summed_ce`` reads and
-    then exponentiates in place; `logits` is left unchanged.
+    |V| x k matrix with one column per target.  ``summed_ce`` reduces a
+    checked, shifted copy (shifting it again changes no bit).
     """
-    s = shifted(logits, 0, False)
-    return summed_ce(checked_ids(targets, len(s), ShapeError, f"{len(s)} classes"), s)
+    z = shifted(logits, 0, False)
+    return summed_ce(checked_ids(targets, len(z), ShapeError, f"{len(z)} classes"), z)
 
 
-def summed_ce(targets: np.ndarray, s: np.ndarray) -> float:
-    """``ce_loss`` of logits `s` shifted by ``kernels.shifted``, which it
-    exponentiates in place, and class ids checked where they entered."""
-    picked, _ = _exp_shifted(targets, s)
+def summed_ce(targets: np.ndarray, z: np.ndarray) -> float:
+    """``ce_loss`` of class ids checked where they entered and float64
+    logits `z` that the caller owns, which it shifts by their column maxima
+    (``kernels.shifted``) and exponentiates in place."""
+    s = shifted(z, 0, True)
+    if s.shape[1:] != targets.shape:
+        raise ShapeError(f"targets of shape {targets.shape} do not match logits of shape {s.shape}")
+    picked = s[(targets, np.arange(s.shape[1])) if s.ndim == 2 else targets]
+    np.exp(s, out=s)  # exp(-inf) == 0.0 exactly; a target at -inf gives inf
     return float((np.log(s.sum(axis=0)) - picked).sum())
 
 
-def ce_loss_grad(targets, logits) -> tuple[float, np.ndarray]:
-    """``ce_loss`` and its gradient in the logits, softmax(z) - onehot(t).
-
-    Both come from the one shifted copy: the loss is computed exactly as
-    ``ce_loss`` computes it, then the exponentials are normalized in place,
-    so an entry at -inf gets a gradient of exactly 0.
-    """
-    e = shifted(logits, 0, False)
-    picked, index = _exp_shifted(checked_ids(targets, len(e), ShapeError, f"{len(e)} classes"), e)
-    total = e.sum(axis=0)
-    loss = float((np.log(total) - picked).sum())
-    e /= total
-    e[index] -= 1.0
-    return loss, e
+def summed_ce_grad(targets: np.ndarray, z: np.ndarray) -> float:
+    """``summed_ce`` of |V| x k logits `z`, which it leaves holding the
+    loss's gradient in them, softmax(z) - onehot(t): an entry at -inf gets
+    exactly 0."""
+    loss = summed_ce(targets, z)
+    z /= z.sum(axis=0)
+    z[targets, np.arange(z.shape[1])] -= 1.0
+    return loss
 
 
 def ar_loss(ids: list[int], forward) -> float:
@@ -94,7 +82,7 @@ def ar_loss(ids: list[int], forward) -> float:
         raise ShapeError(
             f"forward returned shape {logits.shape}, expected (|V|, {len(ids) - 1})"
         )
-    return summed_ce(checked_ids(ids[1:], logits.shape[0]), shifted(logits, 0, True))
+    return summed_ce(checked_ids(ids[1:], logits.shape[0]), logits)
 
 
 @dataclass
@@ -153,8 +141,7 @@ def mlm_loss(target: MlmTarget, logits: np.ndarray) -> float:
         )
     masked = target.masked_positions()
     targets = checked_ids([target.original_ids[i] for i in masked], logits.shape[0])
-    # the gather is a fresh copy, so the loss may shift it in place
-    return summed_ce(targets, shifted(logits[:, masked], 0, True))
+    return summed_ce(targets, logits[:, masked])  # the gather is a fresh copy
 
 
 @dataclass
@@ -208,8 +195,7 @@ def corpus_nll(corpus_ids: list[int], predict_next: Predictor, window: int,
             )
         logits = predict_next.prefix(corpus_ids[:short[-1]])
         targets = checked_ids(corpus_ids, logits.shape[0])
-        total += summed_ce(targets[short.start:short.stop],
-                           shifted(logits[:, short.start - 1:], 0, True))
+        total += summed_ce(targets[short.start:short.stop], logits[:, short.start - 1:])
     scored = len(short)
     if window >= min_context:
         for lo in range(window, n, WINDOW_BATCH):
@@ -217,7 +203,7 @@ def corpus_nll(corpus_ids: list[int], predict_next: Predictor, window: int,
             logits = predict_next.windows(corpus_ids[lo - window:hi - 1], window)
             if targets is None:
                 targets = checked_ids(corpus_ids, logits.shape[0])
-            total += summed_ce(targets[lo:hi], shifted(logits, 0, True))
+            total += summed_ce(targets[lo:hi], logits)
             scored += hi - lo
     if scored == 0:
         raise SequenceLengthError(

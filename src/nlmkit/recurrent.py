@@ -15,12 +15,13 @@ pre-activation, each sigmoid gate in ``kernels.sigmoid``'s form
 Each forward pass feeds the bottom layer's input terms to one unchecked
 step-major loop; the layers above compute theirs step by step, as
 layer-major loops made lstm ``corpus_nll`` 7 to 25% slower (2-vCPU Xeon).
-``unroll`` checks its input, state and weights once per call and computes
-each step's bottom term from that step's columns alone, so a step's result
-does not depend on how many steps a call covers (OpenBLAS rounds a column
-of W @ X differently for other widths of X).  ``recurrent_decoder`` checks
-once when built and carries the ``(h, c)`` state from token to token; it
-and ``recurrent_lm_vjp`` take ids checked before (``generate_tokens``, ``_batch``).
+``unroll`` runs one sequence, checks its input and weights once per call
+and computes each step's bottom term from that step's column alone, so a
+step's result does not depend on how many steps a call covers (OpenBLAS
+rounds a column of W @ X differently for other widths of X).
+``recurrent_decoder`` checks once when built and carries the ``(h, c)``
+state on from token to token; it and ``recurrent_lm_vjp`` take ids checked
+before (``generate_tokens``, ``_batch``).
 ``recurrent_windows`` projects each position once, in one product over the
 ids that every window's steps read, not once per window holding it: at
 perfbench's `incremental` lstm, 7 MFLOP of bottom-layer input work instead
@@ -34,8 +35,8 @@ forward and ``U^T dz`` backward run per step: each layer returns dz, and
 one tail for both cells makes the weight and input gradients from it, one
 matrix product each over every step.  The layers step through
 ``lstm_cell`` and ``rnn_cell``: the LSTM with ``unroll``'s input terms, so
-its states are bitwise ``unroll``'s, the Elman layer with W x + b added
-for all steps at once.
+one sequence's states are bitwise ``unroll``'s, the Elman layer with W x + b
+added for all steps at once.
 """
 
 from __future__ import annotations
@@ -112,26 +113,19 @@ def _product(layer, x: np.ndarray) -> np.ndarray:
     return wx
 
 
-def _checked_state(shape: tuple, layers: list, state: list | None) -> tuple[list, list]:
-    """The per-layer h and c lists of `state`, or zero states of `shape`
-    (d or d x B), once every layer and state is checked against it."""
+def _checked_state(shape: tuple, layers: list) -> tuple[list, list]:
+    """Per-layer zero h and c states of `shape` (d or d x B), once every
+    layer's weights are checked against it."""
     if not layers:
         raise SequenceLengthError("a recurrent pass requires at least one layer")
     d = shape[0]
-    if state is None:
-        zero = np.zeros(shape)  # cells never write into their inputs, so one serves all
-        state = [(zero, zero)] * len(layers)
-    elif len(state) != len(layers):
-        raise ShapeError(f"state has {len(state)} layers, the model {len(layers)}")
-    for l, (layer, (h, c)) in enumerate(zip(layers, state)):
-        lstm = isinstance(layer, LstmLayerWeights)
-        rows = 4 * d if lstm else d
-        if (layer.u.shape != (rows, d) or layer.w.shape != (rows, d) or layer.b.shape != (rows,)
-                or h.shape != shape or lstm and c.shape != shape):
+    for l, layer in enumerate(layers):
+        rows = 4 * d if isinstance(layer, LstmLayerWeights) else d
+        if layer.u.shape != (rows, d) or layer.w.shape != (rows, d) or layer.b.shape != (rows,):
             raise ShapeError(f"layer {l + 1} does not fit states of shape {shape}: "
-                             f"U {layer.u.shape}, W {layer.w.shape}, b {layer.b.shape}, "
-                             f"h {h.shape}, c {np.shape(c)}")
-    return [h for h, _ in state], [c for _, c in state]
+                             f"U {layer.u.shape}, W {layer.w.shape}, b {layer.b.shape}")
+    zero = np.zeros(shape)  # cells never write into their inputs, so one serves all
+    return [zero] * len(layers), [zero] * len(layers)
 
 
 def _steps(bottom, layers: list, h_state: list, c_state: list, out=None) -> None:
@@ -151,28 +145,21 @@ def _steps(bottom, layers: list, h_state: list, c_state: list, out=None) -> None
             out[:, i] = x
 
 
-def unroll(seq_embeddings: np.ndarray, layers: list,
-           state: list | None = None) -> tuple[np.ndarray, list]:
-    """Run the recurrent layers, bottom first, over time; returns the top
-    layer's outputs as a d_e x len matrix and the final per-layer ``(h, c)``
-    state.
+def unroll(seq_embeddings: np.ndarray, layers: list) -> np.ndarray:
+    """Run the recurrent layers, bottom first, over one d_e x len sequence
+    from the zero state; returns the top layer's outputs, d_e x len.
 
     An ``RnnLayerWeights`` layer runs the Elman cell, an
     ``LstmLayerWeights`` layer the LSTM cell, each reading its weights as
-    stored.  A d_e x len x B input unrolls B sequences at once; outputs are
-    then d_e x len x B and states d_e x B.  Column i depends only on input
-    columns <= i, by construction.  The initial state is `state`, as
-    returned by an earlier call, or zero (the Elman cell ignores c).  All
-    shapes are checked once, before the first step.
+    stored.  Column i depends only on input columns <= i, by construction.
+    All shapes are checked once, before the first step.
     """
-    if seq_embeddings.ndim not in (2, 3) or seq_embeddings.shape[1] < 1:
-        raise SequenceLengthError("unroll requires a nonempty d_e x len (x B) input")
-    shape = seq_embeddings.shape[:1] + seq_embeddings.shape[2:]  # one layer's h or c
-    h_state, c_state = _checked_state(shape, layers, state)
+    if seq_embeddings.ndim != 2 or seq_embeddings.shape[1] < 1:
+        raise SequenceLengthError("unroll requires a nonempty d_e x len input")
+    h_state, c_state = _checked_state(seq_embeddings.shape[:1], layers)
     out = np.empty(seq_embeddings.shape)
-    bottom = (_product(layers[0], x) for x in seq_embeddings.swapaxes(0, 1))  # x[:, i]
-    _steps(bottom, layers, h_state, c_state, out)
-    return out, list(zip(h_state, c_state))
+    _steps((_product(layers[0], x) for x in seq_embeddings.T), layers, h_state, c_state, out)
+    return out
 
 
 def recurrent_windows(ids: list[int], n: int, w: RecurrentWeights) -> np.ndarray:
@@ -182,7 +169,7 @@ def recurrent_windows(ids: list[int], n: int, w: RecurrentWeights) -> np.ndarray
     bottom-layer product over all the ids."""
     ids = checked_sequence(ids, w.embedding.shape[1], n)
     count = len(ids) - n + 1
-    h_state, c_state = _checked_state((w.embedding.shape[0], count), w.layers, None)
+    h_state, c_state = _checked_state((w.embedding.shape[0], count), w.layers)
     wx = _product(w.layers[0], w.embedding.take(ids, axis=1, mode="clip"))
     _steps((wx[:, i:i + count] for i in range(n)), w.layers, h_state, c_state)
     return h_state[-1]
@@ -190,14 +177,14 @@ def recurrent_windows(ids: list[int], n: int, w: RecurrentWeights) -> np.ndarray
 
 def recurrent_lm_forward(ids: list[int], w: RecurrentWeights) -> np.ndarray:
     """Next-token logits per position (|V| x len), tied output head."""
-    return tied_logits(unroll(embed(ids, w.embedding), w.layers)[0], w.embedding)
+    return tied_logits(unroll(embed(ids, w.embedding), w.layers), w.embedding)
 
 
 def recurrent_decoder(w: RecurrentWeights, total: int):
     """Next-token logits after the checked ids so far, one call per token;
     each call steps only the new ids on from the state the last one left.
     The weights are checked once, here; `total` needs no bound."""
-    h_state, c_state = _checked_state(w.embedding.shape[:1], w.layers, None)
+    h_state, c_state = _checked_state(w.embedding.shape[:1], w.layers)
     seen = 0
 
     def next_logits(ids):
@@ -268,8 +255,8 @@ def recurrent_lm_vjp(ids, w: RecurrentWeights):
     """Next-token logits of B equal-length sequences, the columns of a
     len x B matrix of checked ids, and the backward pass.
 
-    Logit column t * B + b follows ids[t, b], as in a d_e x len x B unroll
-    flattened to d_e x (len * B).  ``backward(d_z, g)`` takes the loss's
+    Logit column t * B + b follows ids[t, b], as the d_e x len x B top-layer
+    outputs flattened to d_e x (len * B).  ``backward(d_z, g)`` takes the loss's
     gradient in those |V| x (len * B) logits and writes its gradient in
     every parameter into `g`, a zeroed record built like `w`.
     """

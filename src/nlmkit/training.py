@@ -6,11 +6,12 @@ sequence model's chunks as the columns of one padded len x B id matrix.
 The causal mask and the recurrences make each position depend only on the
 tokens up to it, so padding after a chunk's last token changes no scored
 logit.  The trainer takes its gradients from each architecture's reverse
-pass (``inference.CAUSAL``'s ``grad``): that pass over the same batch, the
-fused softmax cross-entropy gradient, and one backward pass give the loss
-and its gradient together.  An architecture with no reverse pass (gpt2,
-for now) is differentiated by central differences of the corpus loss over
-every scalar parameter, two evaluations per parameter and step.
+pass (``inference.CAUSAL``'s ``grad``): that pass over the same batch,
+``summed_ce_grad`` in place on the scored logit columns, and one backward
+pass give the loss and its gradient together.  An architecture with no
+reverse pass (gpt2, for now) is differentiated by central differences of
+the corpus loss over every scalar parameter, two evaluations per parameter
+and step.
 ``numerical_gradient`` is also the oracle the reverse passes are tested
 against.
 """
@@ -33,8 +34,7 @@ from .errors import (
     UndefinedDistributionError,
 )
 from .inference import causal_model, checked_steps
-from .kernels import shifted
-from .losses import ce_loss_grad, summed_ce
+from .losses import summed_ce, summed_ce_grad
 from .weights import AnyWeights, named_tensor_view, zeros_weights
 
 FD_STEP = 1e-5
@@ -114,9 +114,8 @@ def make_corpus_loss(cfg: ModelConfig, corpus_ids: list[int]):
 
 def _corpus_loss(model, batch, columns, targets):
     """``make_corpus_loss``'s loss over a batch ``_batch`` built."""
-    # the gather is a fresh copy, so the loss may shift it in place
-    n = len(targets)
-    return lambda w: summed_ce(targets, shifted(model.logits(batch, w)[:, columns], 0, True)) / n
+    n = len(targets)  # the gather is a fresh copy, which the loss may reduce in place
+    return lambda w: summed_ce(targets, model.logits(batch, w)[:, columns]) / n
 
 
 def _batch(cfg: ModelConfig, corpus_ids: list[int]):
@@ -170,7 +169,8 @@ def corpus_objective(cfg: ModelConfig, corpus_ids: list[int]):
 
     def loss_and_gradient(w):
         logits, backward = model.grad(batch, w)
-        total, d_scored = ce_loss_grad(targets, logits[:, columns])
+        d_scored = logits[:, columns]  # a fresh copy, turned into the loss's gradient
+        total = summed_ce_grad(targets, d_scored)
         d_logits = np.zeros(logits.shape)
         d_logits[:, columns] = d_scored / count
         g = zeros_weights(cfg)

@@ -337,7 +337,12 @@ class TestGenerateTokens:
             prompt = corpus(prompt_len, seed=seed)
             forward = full_forward(cfg, w)
             want = oracles.greedy_decode(prompt, lambda ids: forward(ids).T, steps)
-            assert generate_tokens(cfg, w, prompt, steps) == want
+            out = generate_tokens(cfg, w, prompt, steps)
+            assert out == want
+            # the decoder's logits at every step, not only their argmax
+            decode = inference.causal_model(cfg).decoder(w, len(out))
+            for k in range(prompt_len, len(out) + 1):
+                npt.assert_allclose(decode(out[:k]), forward(out[:k])[:, -1], rtol=RTOL, atol=0)
 
     def test_ffnn_slides_its_window(self):
         cfg, w = model("ffnn")

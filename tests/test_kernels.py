@@ -317,6 +317,34 @@ class TestLayerNorm:
         want += bias.reshape(column)
         npt.assert_array_equal(layer_norm(x, gain, bias), want)
 
+    @pytest.mark.parametrize("scale", [1e155, 1e160, 1e300, 1.7e308])
+    def test_scale_invariant_where_the_variance_overflows(self, scale):
+        # entries within [-1, 1] and none at its column's mean; the squares
+        # overflow from about 1e154, and at 1.7e308 the column sums too
+        x = np.column_stack([np.arange(1.0, 9.0) / 8, -np.arange(8.0, 0.0, -1.0) ** 2 / 64])
+        gain, bias = np.linspace(0.5, 1.5, 8), np.zeros(8)
+        with np.errstate(over="ignore", invalid="ignore"):  # the pass that overflows still warns
+            got = layer_norm(x * scale, gain, bias)
+        npt.assert_allclose(got, layer_norm(x * 1e150, gain, bias), rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("rows", [5, 16, 64])
+    def test_overflowing_columns_are_their_unscaled_output_bit_for_bit(self, rng, rows):
+        # every other column keeps the one path, and 2^p scaling commutes with
+        # its roundings while eps is negligible (it is below var 1e-200 here)
+        x = rng.normal(size=(rows, 6)) * 1e100
+        gain, bias = rng.normal(size=rows), rng.normal(size=rows)
+        want = layer_norm(x, gain, bias)
+        for p in (200, 201, 600):
+            y = x.copy()
+            y[:, [1, 4]] *= 2.0 ** p
+            with np.errstate(over="ignore"):
+                npt.assert_array_equal(layer_norm(y, gain, bias), want)
+
+    def test_a_constant_column_past_the_overflow_is_its_bias(self):
+        bias = np.linspace(-1.0, 1.0, 4)
+        with np.errstate(over="ignore", invalid="ignore"):
+            npt.assert_array_equal(layer_norm(np.full(4, 1.7e308), np.ones(4), bias), bias)
+
     @pytest.mark.parametrize("shape", [(0,), (0, 3)])
     def test_zero_rows_rejected_before_any_arithmetic(self, shape):
         with pytest.raises(ShapeError, match="nonempty axis 0"):

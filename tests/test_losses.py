@@ -16,17 +16,17 @@ from nlmkit.errors import (
     ShapeError,
     UndefinedDistributionError,
 )
-from nlmkit.kernels import shifted, softmax
+from nlmkit.kernels import softmax
 from nlmkit.losses import (
     Predictor,
     apply_mlm_mask,
     ar_loss,
     ce_loss,
-    ce_loss_grad,
     corpus_nll,
     mlm_corrupt,
     mlm_loss,
     summed_ce,
+    summed_ce_grad,
 )
 from nlmkit.transformer import gpt2_forward, gpt2_hidden
 from nlmkit.vocab import TokenSequence, Vocabulary
@@ -94,7 +94,7 @@ class TestCeLoss:
         loss = ce_loss(targets, view(z))
         npt.assert_array_equal(z, kept)
         # the in-place reduction the losses run on logits they own
-        assert summed_ce(targets, shifted(view(z.copy()), 0, True)) == loss
+        assert summed_ce(targets, view(z.copy())) == loss
 
     @settings(max_examples=200)
     @given(seed=st.integers(0, 2**32 - 1), size=st.integers(1, 40), cols=st.integers(1, 4),
@@ -113,6 +113,8 @@ class TestCeLoss:
 
 
 class TestCeLossGrad:
+    """``summed_ce_grad``: the loss and, in place, its gradient in the logits."""
+
     @settings(max_examples=50)
     @given(seed=st.integers(0, 2**32 - 1), size=st.integers(1, 12), cols=st.integers(1, 5),
            spread=st.floats(0.0, 50.0), rate=st.floats(0.0, 0.9))
@@ -122,8 +124,9 @@ class TestCeLossGrad:
         z[rng.random((size, cols)) < rate] = -np.inf
         targets = rng.integers(0, size, cols)
         z[targets, np.arange(cols)] = rng.uniform(-spread, spread, cols)  # finite targets
-        loss, grad = ce_loss_grad(targets, z)
-        assert loss == ce_loss(targets, z)
+        grad = z.copy()
+        loss = summed_ce_grad(targets, grad)
+        assert loss == summed_ce(targets, z.copy())
         assert np.abs(grad.sum(axis=0)).max() <= 1e-15
         assert (grad[np.isneginf(z)] == 0.0).all()
 
@@ -132,25 +135,22 @@ class TestCeLossGrad:
         targets = np.array([5, 0, 5])
         want = softmax(z, axis=0)
         want[targets, np.arange(3)] -= 1.0
-        npt.assert_allclose(ce_loss_grad(targets, z)[1], want, rtol=0, atol=1e-15)
+        summed_ce_grad(targets, z)  # in place: z is now the gradient
+        npt.assert_allclose(z, want, rtol=0, atol=1e-15)
 
     def test_masked_non_target_gets_exact_zero(self):
         z = np.array([[0.0, 1.0], [-np.inf, 2.0], [3.0, -np.inf]])
-        loss, grad = ce_loss_grad([0, 1], z)
-        assert loss == ce_loss([0, 1], z)
-        assert grad[1, 0] == 0.0 and grad[2, 1] == 0.0
+        targets = np.array([0, 1])
+        loss = ce_loss(targets, z)
+        assert summed_ce_grad(targets, z) == loss
+        assert z[1, 0] == 0.0 and z[2, 1] == 0.0
 
-    def test_leaves_the_logits_alone(self, rng):
-        z = rng.normal(size=(4, 2))
-        before = z.copy()
-        ce_loss_grad([1, 3], z)
-        npt.assert_array_equal(z, before)
-
-    @pytest.mark.parametrize("targets,logits", [([0, 4], np.zeros((4, 2))),
+    # the ids are checked where they enter (``training._batch``); their count is checked here
+    @pytest.mark.parametrize("targets,logits", [([0], np.zeros((4, 2))),
                                                 ([0, 1, 2], np.zeros((4, 2)))])
     def test_bad_targets_rejected(self, targets, logits):
         with pytest.raises(ShapeError):
-            ce_loss_grad(targets, logits)
+            summed_ce_grad(np.array(targets), logits)
 
 
 def layouts(z):
@@ -174,9 +174,8 @@ class TestLogitLayout:
         assert c.flags.c_contiguous and f.flags.f_contiguous and not f.flags.c_contiguous
         assert ce_loss(targets, f) == pytest.approx(
             ce_loss(targets, c), rel=1e-12)
-        (loss_c, grad_c), (loss_f, grad_f) = ce_loss_grad(targets, c), ce_loss_grad(targets, f)
-        assert loss_f == pytest.approx(loss_c, rel=1e-12)
-        npt.assert_allclose(grad_f, grad_c, rtol=1e-12, atol=0)
+        assert summed_ce_grad(targets, f) == pytest.approx(summed_ce_grad(targets, c), rel=1e-12)
+        npt.assert_allclose(f, c, rtol=1e-12, atol=0)  # each now holds its gradient
 
     def test_mlm_loss(self, rng):
         target = apply_mlm_mask(TokenSequence([0, 1, 2, 3, 4, 5]), [1, 2, 5], umbrella_vocab())
@@ -201,7 +200,7 @@ class TestLogitLayout:
         z = rows.T
         before = z.copy()
         targets = rng.integers(0, 13, 6)
-        loss = summed_ce(targets, shifted(z, 0, True))  # as ar_loss reduces a forward's logits
+        loss = summed_ce(targets, z)  # as ar_loss reduces a forward's logits
         npt.assert_array_equal(rows.T, np.exp(before - before.max(axis=0)))
         assert loss == pytest.approx(ce_loss(targets, before), rel=1e-12)
 

@@ -7,6 +7,9 @@ in a package module other than ``__init__.py``, whose re-exports call
 nothing, or in ``perfbench/*.py``.  A defaulted parameter is passed when a
 call by that function's name in those same files writes it, by position or
 by keyword; a parameter every caller leaves at its default is a constant.
+A name imported from a module outside ``nlmkit``, and a call or an
+attribute through one, reach nothing in the package: perfbench's
+``O.unroll`` calls the oracle, not ``recurrent.unroll``.
 A default that every such call overrides is an option only tests use: the
 parameter is made required, or its value derived from what the function
 already holds.  In that direction a call through ``*args`` or ``**kw``
@@ -42,13 +45,15 @@ SOURCES = sorted((ROOT / "src" / "nlmkit").glob("*.py"))
 BENCH = sorted((ROOT / "perfbench").glob("*.py"))
 CALLERS = [p for p in SOURCES if p.name != "__init__.py"] + BENCH
 TESTS = sorted((ROOT / "tests").glob("*.py"))
+PACKAGE = {"nlmkit"}
 ENTRY_POINTS = {
     "nsp_head": "the paper's BERT next-sentence head, whose weights count-params --with-nsp counts",
     "tensor_layout": "the (name, shape) list an archive for a config must hold, in archive order",
     "ffnn_forward": "the checked one-window feedforward pass; the decoder steps run the "
                     "unchecked ffnn_vjp on ids generate_tokens checked",
     "ce_loss": "the checked cross entropy of a caller's logits, left unchanged; the package's "
-               "losses check their targets once and reduce logits they own through summed_ce",
+               "losses check their targets where they enter and hand logits they own to "
+               "summed_ce, which shifts them in place",
 }
 
 
@@ -58,10 +63,35 @@ def definitions(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
 
 
-def references(tree):
-    """Every identifier used as a name or an attribute; assigning a name does not use it."""
-    found = set()
+def foreign(tree, home):
+    """Names that an import in `tree` binds from a module outside the
+    top-level modules `home`; a relative import stays inside."""
+    names = set()
     for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(a.asname or a.name.partition(".")[0] for a in node.names
+                         if a.name.partition(".")[0] not in home)
+        elif isinstance(node, ast.ImportFrom) and not node.level \
+                and node.module.partition(".")[0] not in home:
+            names.update(a.asname or a.name for a in node.names)
+    return names
+
+
+def _root(node):
+    """The name an attribute chain such as ``O.f`` starts from, if any."""
+    while isinstance(node, ast.Attribute):
+        node = node.value
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def references(tree, home=PACKAGE):
+    """Every identifier used as a name or an attribute, bar the names that
+    ``foreign`` finds and attributes through them; assigning a name does
+    not use it."""
+    outside, found = foreign(tree, home), set()
+    for node in ast.walk(tree):
+        if _root(node) in outside:
+            continue
         if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             found.add(node.id)
         elif isinstance(node, ast.Attribute):
@@ -117,7 +147,8 @@ def helpers_of(tree):
 
 
 def test_every_test_helper_is_named():
-    referenced = set().union(*(references(_parse(p)) for p in TESTS + BENCH))
+    home = PACKAGE | {p.stem for p in TESTS + BENCH}  # oracles.rnn_cell names a helper
+    referenced = set().union(*(references(_parse(p), home) for p in TESTS + BENCH))
     assert sorted(f"{p.name}:{name}" for p in TESTS
                   for name in helpers_of(_parse(p)) - referenced) == []
 
@@ -204,9 +235,12 @@ def defaults(tree):
 
 def calls(tree):
     """(callee name, positional count, keywords) of every call by name or
-    attribute; ``*args`` counts as every position, ``**kw`` as every keyword."""
+    attribute, bar calls through a name that ``foreign`` finds; ``*args``
+    counts as every position, ``**kw`` as every keyword."""
+    outside = foreign(tree, PACKAGE)
     for node in ast.walk(tree):
-        if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+        if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)) \
+                and _root(node.func) not in outside:
             name = _name(node.func)
             starred = any(isinstance(a, ast.Starred) for a in node.args)
             keywords = {k.arg for k in node.keywords}
@@ -240,6 +274,17 @@ def test_defaults_left_to_tests_are_defined_and_unpassed():
 def test_checker_sees_passed_arguments(call, passed):
     (_, param, i), = defaulted(ast.parse("def f(a, b=0): pass"))
     assert any(c[0] == "f" and passes(c, param, i) for c in calls(ast.parse(call))) is passed
+
+
+@pytest.mark.parametrize("source,reached", [
+    ("import oracles as O\nO.f(1, 2)\n", False), ("import numpy\nnumpy.linalg.f(1, 2)\n", False),
+    ("from math import f\nf(1, 2)\n", False), ("from nlmkit import m\nm.f(1, 2)\n", True),
+    ("from . import m\nm.f(1, 2)\n", True)])
+def test_checker_skips_calls_through_a_module_outside_the_package(source, reached):
+    (_, param, i), = defaulted(ast.parse("def f(a, b=0): pass"))
+    tree = ast.parse(source)
+    assert any(c[0] == "f" and passes(c, param, i) for c in calls(tree)) is reached
+    assert ("f" in references(tree)) is reached
 
 
 def test_checker_binds_self_and_sees_keyword_only_defaults():

@@ -16,6 +16,7 @@ from nlmkit.kernels import softmax
 from nlmkit.recurrent import recurrent_lm_forward, recurrent_windows, unroll
 from nlmkit.weights import (
     LstmLayerWeights,
+    RecurrentWeights,
     RnnLayerWeights,
     init_weights,
     named_tensor_view,
@@ -43,16 +44,20 @@ def random_lstm_layer(rng, d_e):
                             b=rng.normal(size=4 * d_e))
 
 
+def input_term(layer, x):
+    """A layer's input term W x + b, for a vector or a d x B matrix x."""
+    return layer.w @ x + (layer.b if x.ndim == 1 else layer.b[:, None])
+
+
 def rnn_step(h_prev, x_in, layer):
-    """One checked Elman step: a one-step ``unroll`` from the state h_prev;
-    returns the new hidden state."""
-    return unroll(x_in[:, None], [layer], [(h_prev, None)])[1][0][0]
+    """One Elman step from the state h_prev; returns the new hidden state."""
+    return recurrent.rnn_cell(h_prev, input_term(layer, x_in), layer)
 
 
 def lstm_step(h_prev, c_prev, x_in, layer):
-    """One checked LSTM step: a one-step ``unroll`` from the state (h_prev,
-    c_prev); returns (hidden, context)."""
-    return unroll(x_in[:, None], [layer], [(h_prev, c_prev)])[1][0]
+    """One LSTM step from the state (h_prev, c_prev); returns (hidden, context)."""
+    _, c, _, h = recurrent.lstm_cell(h_prev, c_prev, input_term(layer, x_in), layer)
+    return h, c
 
 
 def refuse(*args):
@@ -79,8 +84,8 @@ class TestRnnCell:
 
     def test_dimension_mismatch(self, rng):
         layer = random_rnn_layer(rng, 3)
-        with pytest.raises(ShapeError):
-            rnn_step(np.zeros(4), np.zeros(3), layer)
+        with pytest.raises(ShapeError, match="layer 1"):  # cells are unchecked; unroll checks
+            unroll(np.zeros((4, 1)), [layer])
 
 
     @pytest.mark.parametrize("activation", ["tanh", "sigmoid", "identity"])
@@ -95,13 +100,6 @@ class TestRnnCell:
             for b in range(batch):
                 npt.assert_allclose(out[:, b], rnn_step(h[:, b], x[:, b], layer),
                                     rtol=1e-14, atol=1e-15)
-
-    def test_batch_width_mismatch(self, rng):
-        layer = random_rnn_layer(rng, 3)
-        with pytest.raises(ShapeError):
-            rnn_step(np.zeros((3, 2)), np.zeros((3, 4)), layer)
-        with pytest.raises(ShapeError):
-            rnn_step(np.zeros(3), np.zeros((3, 1)), layer)
 
 
 class TestLstmCell:
@@ -151,13 +149,6 @@ class TestLstmCell:
                 npt.assert_allclose(out_h[:, b], eh, rtol=1e-14, atol=1e-15)
                 npt.assert_allclose(out_c[:, b], ec, rtol=1e-14, atol=1e-15)
 
-    def test_batch_width_mismatch(self, rng):
-        layer = random_lstm_layer(rng, 3)
-        with pytest.raises(ShapeError):
-            lstm_step(np.zeros((3, 2)), np.zeros((3, 2)), np.zeros((3, 1)), layer)
-        with pytest.raises(ShapeError):
-            lstm_step(np.zeros((3, 2)), np.zeros(3), np.zeros((3, 2)), layer)
-
 
 def gate_probe(z, gate, batched):
     """What `gate` of a one-unit stacked LSTM layer holds for each
@@ -206,24 +197,25 @@ class TestLstmGates:
         assert np.abs(got - want).max() <= 2.3e-16
 
     @pytest.mark.parametrize("layers", [1, 2])
-    @pytest.mark.parametrize("batch", [1, 64])
-    def test_unroll_and_reverse_pass_share_bitwise_states(self, layers, batch):
+    def test_unroll_and_reverse_pass_share_bitwise_states(self, layers):
+        # on one sequence; test_batch_equals_separate_sequences covers a batch
         w = init_weights(ModelConfig(arch="lstm", d_e=16, vocab_size=50, max_len=12, L=layers), 4)
-        ids = np.random.default_rng(batch).integers(0, 50, (12, batch))
+        ids = np.random.default_rng(1).integers(0, 50, (12, 1))
         logits, _ = recurrent.recurrent_lm_vjp(ids, w)
-        x = embed(ids.reshape(-1), w.embedding).reshape(16, 12, batch)
-        hidden, _ = unroll(x, w.layers)
-        npt.assert_array_equal(recurrent.tied_logits(hidden.reshape(16, -1), w.embedding), logits)
+        hidden = unroll(embed(ids[:, 0], w.embedding), w.layers)
+        npt.assert_array_equal(recurrent.tied_logits(hidden, w.embedding), logits)
 
 
 class TestStackedLstm:
-    def test_cell_rejects_unstacked_widths(self, rng):
+    def test_cell_rejects_unstacked_widths(self, rng, monkeypatch):
+        # the cell is unchecked: the pass that runs it refuses the layer first
         layer = random_lstm_layer(rng, 3)
         u, w, b = layer.u, layer.w, layer.b
+        monkeypatch.setattr(recurrent, "lstm_cell", refuse)
         for bad in (LstmLayerWeights(u[:9], w, b), LstmLayerWeights(u, w[:9], b),
                     LstmLayerWeights(u, w, b[:9])):
             with pytest.raises(ShapeError):
-                lstm_step(np.zeros(3), np.zeros(3), np.zeros(3), bad)
+                unroll(np.zeros((3, 1)), [bad])
 
     def test_forward_sees_in_place_writes(self):
         # numerical_gradient probes each scalar in place: a cached stacked
@@ -247,39 +239,39 @@ class TestUnroll:
     def test_length_one_equals_single_cell(self, rng):
         layer = random_rnn_layer(rng, 3)
         x = rng.normal(size=(3, 1))
-        out = unroll(x, [layer])[0]
+        out = unroll(x, [layer])
         wx = layer.w @ x[:, 0] + layer.b  # the cell takes the input term W x + b
         npt.assert_array_equal(out[:, 0], recurrent.rnn_cell(np.zeros(3), wx, layer))
 
     def test_prefix_truncation_reproduces_columns(self, rng):
         layers = [random_rnn_layer(rng, 3) for _ in range(2)]
         x = rng.normal(size=(3, 3))
-        full = unroll(x, layers)[0]
-        prefix = unroll(x[:, :2], layers)[0]
+        full = unroll(x, layers)
+        prefix = unroll(x[:, :2], layers)
         npt.assert_array_equal(full[:, :2], prefix)
 
     def test_stacked_layers_match_double_loop_oracle(self, rng):
         for kind, make in (("rnn", random_rnn_layer), ("lstm", random_lstm_layer)):
             layers = [make(rng, 3) for _ in range(2)]
             x = rng.normal(size=(3, 4))
-            out = unroll(x, layers)[0]
+            out = unroll(x, layers)
             expected = oracles.unroll(oracles.cols(x), layers, kind)
             npt.assert_allclose(out, np.array(expected).T, atol=1e-12)
 
     def test_causality_under_future_perturbation(self, rng):
         layers = [random_lstm_layer(rng, 3)]
         x = rng.normal(size=(3, 5))
-        base = unroll(x, layers)[0]
+        base = unroll(x, layers)
         x2 = x.copy()
         x2[:, 3:] += rng.normal(size=(3, 2))
-        npt.assert_array_equal(unroll(x2, layers)[0][:, :3], base[:, :3])
+        npt.assert_array_equal(unroll(x2, layers)[:, :3], base[:, :3])
 
     def test_identity_activation_linear_recurrence(self):
         # d_e=1, identity activation: h_i = u*h_{i-1} + w*x_i + b in closed form
         layer = RnnLayerWeights(w=np.array([[0.5]]), u=np.array([[0.8]]),
                                 b=np.array([0.1]), activation="identity")
         x = np.array([[1.0, -2.0, 3.0, 0.5]])
-        out = unroll(x, [layer])[0][0]
+        out = unroll(x, [layer])[0]
         h = 0.0
         for i in range(4):
             h = 0.8 * h + 0.5 * x[0, i] + 0.1
@@ -287,45 +279,23 @@ class TestUnroll:
 
     @pytest.mark.parametrize("kind,make", [("rnn", random_rnn_layer), ("lstm", random_lstm_layer)])
     def test_carried_state_continues_the_sequence(self, rng, kind, make):
-        layers = [make(rng, 3) for _ in range(2)]
-        x = rng.normal(size=(3, 6))
-        full, full_state = unroll(x, layers)
-        head, state = unroll(x[:, :2], layers)
-        for i in range(2, 6):
-            step, state = unroll(x[:, i:i + 1], layers, state)
-            npt.assert_array_equal(step[:, 0], full[:, i])
-        for (h, c), (fh, fc) in zip(state, full_state):
-            npt.assert_array_equal(h, fh)
-            npt.assert_array_equal(c, fc)
-        npt.assert_array_equal(full_state[-1][0], full[:, -1])
+        # the decoder carries the state from call to call, one token at a time after two
+        w = RecurrentWeights(rng.normal(size=(3, 9)), [make(rng, 3) for _ in range(2)])
+        ids = rng.integers(0, 9, 6)
+        full = unroll(embed(ids, w.embedding), w.layers)
+        decode = recurrent.recurrent_decoder(w, len(ids))
+        for k in range(2, 7):  # BLAS rounds a strided state apart, so pass a contiguous one
+            h = np.ascontiguousarray(full[:, k - 1])
+            npt.assert_array_equal(decode(ids[:k]), recurrent.tied_logits(h, w.embedding))
 
     @pytest.mark.parametrize("kind,make", [("rnn", random_rnn_layer), ("lstm", random_lstm_layer)])
     def test_batch_equals_separate_sequences(self, rng, kind, make):
-        layers = [make(rng, 3) for _ in range(2)]
-        x = rng.normal(size=(3, 4, 5))  # d_e x len x B
-        out, state = unroll(x, layers)
-        assert out.shape == (3, 4, 5) and state[-1][0].shape == (3, 5)
-        for b in range(5):
-            npt.assert_allclose(out[:, :, b], unroll(x[:, :, b], layers)[0],
+        w = RecurrentWeights(rng.normal(size=(3, 9)), [make(rng, 3) for _ in range(2)])
+        ids = rng.integers(0, 9, (4, 5))  # len x B, as the reverse pass takes a batch
+        logits, _ = recurrent.recurrent_lm_vjp(ids, w)
+        for b in range(5):  # column t * B + b follows ids[t, b]
+            npt.assert_allclose(logits[:, b::5], recurrent_lm_forward(ids[:, b], w),
                                 rtol=1e-13, atol=1e-15)
-
-    def test_state_must_match_layers(self, rng):
-        layers = [random_rnn_layer(rng, 3) for _ in range(2)]
-        _, state = unroll(np.zeros((3, 1)), layers)
-        with pytest.raises(ShapeError):
-            unroll(np.zeros((3, 1)), layers[:1], state)
-
-    @pytest.mark.parametrize("kind,make", [("rnn", random_rnn_layer), ("lstm", random_lstm_layer)])
-    def test_carried_state_must_match_the_input(self, rng, kind, make):
-        layers = [make(rng, 3) for _ in range(2)]
-        _, state = unroll(rng.normal(size=(3, 2, 4)), layers)  # states 3 x 4
-        with pytest.raises(ShapeError):  # batch of 5 against states of 4
-            unroll(rng.normal(size=(3, 1, 5)), layers, state)
-        with pytest.raises(ShapeError):  # one sequence against batched states
-            unroll(rng.normal(size=(3, 1)), layers, state)
-        wide = [(np.zeros(4), np.zeros(4))] * 2
-        with pytest.raises(ShapeError):  # states of width 4 against width 3
-            unroll(rng.normal(size=(3, 1)), layers, wide)
 
     def test_bad_layer_below_the_top_is_refused_before_any_cell_runs(self, rng, monkeypatch):
         layers = [random_lstm_layer(rng, 3) for _ in range(3)]
@@ -335,24 +305,15 @@ class TestUnroll:
         with pytest.raises(ShapeError, match="layer 2"):
             unroll(rng.normal(size=(3, 4)), layers)
 
-    @pytest.mark.parametrize("kind,make", [("rnn", random_rnn_layer), ("lstm", random_lstm_layer)])
-    def test_state_of_another_batch_is_refused_before_any_cell_runs(self, rng, monkeypatch,
-                                                                    kind, make):
-        layers = [make(rng, 3) for _ in range(3)]
-        _, state = unroll(rng.normal(size=(3, 2, 4)), layers)  # states 3 x 4
-        monkeypatch.setattr(recurrent, "rnn_cell", refuse)
-        monkeypatch.setattr(recurrent, "lstm_cell", refuse)
-        with pytest.raises(ShapeError):  # batch of 5 against states of 4
-            unroll(rng.normal(size=(3, 1, 5)), layers, state)
-        narrow = [*state[:1], (np.zeros((3, 5)), np.zeros((3, 5))), *state[2:]]
-        with pytest.raises(ShapeError, match="layer 2"):  # layer 2 of 5 against 4
-            unroll(rng.normal(size=(3, 1, 4)), layers, narrow)
-
     def test_empty_inputs_rejected(self, rng):
         with pytest.raises(SequenceLengthError):
             unroll(np.zeros((3, 0)), [random_rnn_layer(rng, 3)])
         with pytest.raises(SequenceLengthError):
             unroll(np.zeros((3, 2)), [])
+
+    def test_one_sequence_per_call(self, rng):
+        with pytest.raises(SequenceLengthError):  # d_e x len x B: a batch is the reverse pass's
+            unroll(np.zeros((3, 2, 4)), [random_rnn_layer(rng, 3)])
 
 
 class TestRecurrentLm:
@@ -380,7 +341,7 @@ class TestRecurrentLm:
             got = recurrent_windows(ids, n, w)
             assert got.shape == (3, len(ids) - n + 1)
             for s in range(len(ids) - n + 1):
-                hidden, _ = unroll(embed(ids[s:s + n], w.embedding), w.layers)
+                hidden = unroll(embed(ids[s:s + n], w.embedding), w.layers)
                 npt.assert_allclose(got[:, s], hidden[:, -1], rtol=1e-13, atol=1e-15)
 
     def test_decoder_checks_the_weights_once(self, monkeypatch):

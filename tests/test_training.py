@@ -456,7 +456,7 @@ class TestTrainerGradients:
                              ids=[*REVERSE_MODE, "gpt2"])
     def test_zero_steps_take_no_gradient(self, cfg, monkeypatch):
         monkeypatch.setattr(training, "numerical_gradient", refuse)
-        monkeypatch.setattr(training, "ce_loss_grad", refuse)
+        monkeypatch.setattr(training, "summed_ce_grad", refuse)
         w0 = init_weights(cfg, 1)
         w, loss = train_toy(cfg, w0, CORPUS[:7], steps=0, mu_lr=0.1)
         assert w is w0
