@@ -1,7 +1,7 @@
 """Cross-entropy machinery: next-token loss, masked-token loss, corpus NLL.
 
-Models emit logits, and every loss reduces them through ``summed_ce``, the
-one log-sum-exp: the summed ``-log softmax(z)[t]`` of the correct classes,
+Models emit logits, and every loss reduces them through ``_shifted_ce``,
+the one log-sum-exp: the summed ``-log softmax(z)[t]`` of the correct classes,
 computed in log space so it stays finite wherever the true loss is finite.
 A target whose logit is -inf gives an infinite loss rather than an
 exception, so a diverged model still reports.  The losses check their
@@ -35,31 +35,35 @@ def ce_loss(targets, logits) -> float:
     """Summed cross entropy -log softmax(z)[t] against one-hot truths.
 
     Either one class id and a |V| logit vector, or k class ids and a
-    |V| x k matrix with one column per target.  ``summed_ce`` reduces a
-    checked, shifted copy (shifting it again changes no bit).
+    |V| x k matrix with one column per target, reduced from a checked,
+    shifted copy.
     """
     z = shifted(logits, 0, False)
-    return summed_ce(checked_ids(targets, len(z), ShapeError, f"{len(z)} classes"), z)
+    return _shifted_ce(checked_ids(targets, len(z), ShapeError, f"{len(z)} classes"), z)[0]
 
 
 def summed_ce(targets: np.ndarray, z: np.ndarray) -> float:
     """``ce_loss`` of class ids checked where they entered and float64
     logits `z` that the caller owns, which it shifts by their column maxima
     (``kernels.shifted``) and exponentiates in place."""
-    s = shifted(z, 0, True)
+    return _shifted_ce(targets, shifted(z, 0, True))[0]
+
+
+def _shifted_ce(targets: np.ndarray, s: np.ndarray) -> tuple[float, np.ndarray]:
+    """``summed_ce`` of shifted logits `s`, exponentiated in place, and their column sums."""
     if s.shape[1:] != targets.shape:
         raise ShapeError(f"targets of shape {targets.shape} do not match logits of shape {s.shape}")
     picked = s[(targets, np.arange(s.shape[1])) if s.ndim == 2 else targets]
-    np.exp(s, out=s)  # exp(-inf) == 0.0 exactly; a target at -inf gives inf
-    return float((np.log(s.sum(axis=0)) - picked).sum())
+    sums = np.exp(s, out=s).sum(axis=0)  # exp(-inf) == 0.0 exactly; a target at -inf gives inf
+    return float((np.log(sums) - picked).sum()), sums
 
 
 def summed_ce_grad(targets: np.ndarray, z: np.ndarray) -> float:
     """``summed_ce`` of |V| x k logits `z`, which it leaves holding the
     loss's gradient in them, softmax(z) - onehot(t): an entry at -inf gets
     exactly 0."""
-    loss = summed_ce(targets, z)
-    z /= z.sum(axis=0)
+    loss, sums = _shifted_ce(targets, shifted(z, 0, True))
+    z /= sums
     z[targets, np.arange(z.shape[1])] -= 1.0
     return loss
 

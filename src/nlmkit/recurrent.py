@@ -12,16 +12,16 @@ each.  The LSTM takes its four gates from one ``np.tanh`` over the stacked
 pre-activation, each sigmoid gate in ``kernels.sigmoid``'s form
 0.5 tanh(0.5 z) + 0.5, within 2.3e-16 of the logistic function.
 
-Each forward pass feeds the bottom layer's input terms to one unchecked
-step-major loop; the layers above compute theirs step by step, as
-layer-major loops made lstm ``corpus_nll`` 7 to 25% slower (2-vCPU Xeon).
-``unroll`` runs one sequence, checks its input and weights once per call
-and computes each step's bottom term from that step's column alone, so a
-step's result does not depend on how many steps a call covers (OpenBLAS
-rounds a column of W @ X differently for other widths of X).
-``recurrent_decoder`` checks once when built and carries the ``(h, c)``
-state on from token to token; it and ``recurrent_lm_vjp`` take ids checked
-before (``generate_tokens``, ``_batch``).
+``unroll`` runs one sequence layer by layer, each layer's input terms for
+all steps in one stacked product that rounds each step as W x_t alone
+(one W @ X GEMM is cheaper, but OpenBLAS rounds a column of it apart for
+other widths of X): at perfbench's `score` lstm, 8 to 15% faster than
+stepping all layers per token, 7.5% off request_p50_ms (2-vCPU Xeon).
+``recurrent_windows`` and ``recurrent_decoder`` step all layers per step:
+over 64 windows, a layer-major loop took 5 to 16% longer.
+``unroll`` checks its input and weights once per call, ``recurrent_decoder``
+once when built; the decoder carries the ``(h, c)`` state on from token to
+token, and it and ``recurrent_lm_vjp`` take ids checked before.
 ``recurrent_windows`` projects each position once, in one product over the
 ids that every window's steps read, not once per window holding it: at
 perfbench's `incremental` lstm, 7 MFLOP of bottom-layer input work instead
@@ -106,7 +106,8 @@ def lstm_cell(h_prev: np.ndarray, c_prev: np.ndarray, wx: np.ndarray,
 
 
 def _product(layer, x: np.ndarray) -> np.ndarray:
-    """A layer's input term W x + b for a d-vector or d x B matrix x."""
+    """A layer's input term W x + b for a d-vector or d x B matrix x, or each
+    step's for a T x d x B stack: one stacked product, each step rounded as alone."""
     wx = layer.w @ x
     # a (d,) bias would add along the rows of a d x B matrix, so give it a column axis
     wx += layer.b if x.ndim == 1 else layer.b[:, None]
@@ -128,11 +129,11 @@ def _checked_state(shape: tuple, layers: list) -> tuple[list, list]:
     return [zero] * len(layers), [zero] * len(layers)
 
 
-def _steps(bottom, layers: list, h_state: list, c_state: list, out=None) -> None:
-    """Advance the per-layer states in place, one step per bottom-layer
-    input term that `bottom` yields, writing step i's top output to out[:, i]."""
+def _steps(bottom, layers: list, h_state: list, c_state: list) -> None:
+    """Advance the per-layer states in place, one step through every layer
+    per bottom-layer input term that `bottom` yields."""
     lstm = [isinstance(layer, LstmLayerWeights) for layer in layers]
-    for i, wx in enumerate(bottom):
+    for wx in bottom:
         for l, layer in enumerate(layers):
             if l:
                 wx = _product(layer, x)
@@ -141,25 +142,30 @@ def _steps(bottom, layers: list, h_state: list, c_state: list, out=None) -> None
             else:
                 x = rnn_cell(h_state[l], wx, layer)
             h_state[l] = x
-        if out is not None:
-            out[:, i] = x
 
 
 def unroll(seq_embeddings: np.ndarray, layers: list) -> np.ndarray:
     """Run the recurrent layers, bottom first, over one d_e x len sequence
     from the zero state; returns the top layer's outputs, d_e x len.
 
-    An ``RnnLayerWeights`` layer runs the Elman cell, an
-    ``LstmLayerWeights`` layer the LSTM cell, each reading its weights as
-    stored.  Column i depends only on input columns <= i, by construction.
-    All shapes are checked once, before the first step.
+    Layer by layer, each from one stacked ``_product`` of its inputs: an
+    ``RnnLayerWeights`` layer runs the Elman cell, an ``LstmLayerWeights``
+    layer the LSTM cell.  Column i depends only on input columns <= i, by
+    construction.  All shapes are checked once, before the first step.
     """
     if seq_embeddings.ndim != 2 or seq_embeddings.shape[1] < 1:
         raise SequenceLengthError("unroll requires a nonempty d_e x len input")
     h_state, c_state = _checked_state(seq_embeddings.shape[:1], layers)
-    out = np.empty(seq_embeddings.shape)
-    _steps((_product(layers[0], x) for x in seq_embeddings.T), layers, h_state, c_state, out)
-    return out
+    x = seq_embeddings
+    for layer, h_t, c_t in zip(layers, h_state, c_state):
+        x, wx = np.empty(x.shape), _product(layer, x.T[:, :, None])[:, :, 0]
+        for t in range(len(wx)):
+            if isinstance(layer, LstmLayerWeights):
+                _, c_t, _, h_t = lstm_cell(h_t, c_t, wx[t], layer)
+            else:
+                h_t = rnn_cell(h_t, wx[t], layer)
+            x[:, t] = h_t
+    return x
 
 
 def recurrent_windows(ids: list[int], n: int, w: RecurrentWeights) -> np.ndarray:
@@ -227,8 +233,8 @@ def _lstm_layer_vjp(x: np.ndarray, layer: LstmLayerWeights):
     gates = np.empty((4 * d, length, batch))  # tanh(z) on the Q rows, sigmoid(z) below
     c, tanh_c, h = np.empty(x.shape), np.empty(x.shape), np.empty(x.shape)
     h_t = c_t = np.zeros((d, batch))
-    for t in range(length):
-        z, c_t, tanh_c[:, t], h_t = lstm_cell(h_t, c_t, _product(layer, x[:, t]), layer)
+    for t, wx in enumerate(_product(layer, x.transpose(1, 0, 2))):
+        z, c_t, tanh_c[:, t], h_t = lstm_cell(h_t, c_t, wx, layer)
         gates[:, t], c[:, t], h[:, t] = z, c_t, h_t
 
     def backward(d_h: np.ndarray) -> np.ndarray:

@@ -2,10 +2,13 @@
 
 import copy
 import math
+from collections import Counter
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nlmkit import recurrent
 from nlmkit.config import ModelConfig
@@ -24,6 +27,8 @@ from nlmkit.weights import (
 )
 
 import oracles
+from conftest import FIXED
+from strategies import models
 
 
 def rnn_config(d_e=3, vocab=8, layers=2):
@@ -197,10 +202,12 @@ class TestLstmGates:
         assert np.abs(got - want).max() <= 2.3e-16
 
     @pytest.mark.parametrize("layers", [1, 2])
-    def test_unroll_and_reverse_pass_share_bitwise_states(self, layers):
+    @settings(max_examples=20)
+    @given(data=st.data())
+    def test_unroll_and_reverse_pass_share_bitwise_states(self, layers, data):
         # on one sequence; test_batch_equals_separate_sequences covers a batch
-        w = init_weights(ModelConfig(arch="lstm", d_e=16, vocab_size=50, max_len=12, L=layers), 4)
-        ids = np.random.default_rng(1).integers(0, 50, (12, 1))
+        _, w, corpus = data.draw(models(("lstm",), L=layers))
+        ids = np.array(corpus)[:, None]
         logits, _ = recurrent.recurrent_lm_vjp(ids, w)
         hidden = unroll(embed(ids[:, 0], w.embedding), w.layers)
         npt.assert_array_equal(recurrent.tied_logits(hidden, w.embedding), logits)
@@ -277,16 +284,35 @@ class TestUnroll:
             h = 0.8 * h + 0.5 * x[0, i] + 0.1
             assert abs(out[i] - h) < 1e-15
 
-    @pytest.mark.parametrize("kind,make", [("rnn", random_rnn_layer), ("lstm", random_lstm_layer)])
-    def test_carried_state_continues_the_sequence(self, rng, kind, make):
-        # the decoder carries the state from call to call, one token at a time after two
-        w = RecurrentWeights(rng.normal(size=(3, 9)), [make(rng, 3) for _ in range(2)])
-        ids = rng.integers(0, 9, 6)
+    @pytest.mark.parametrize("arch", ["rnn", "lstm"])
+    @settings(max_examples=20)
+    @given(data=st.data())
+    def test_carried_state_continues_the_sequence(self, arch, data):
+        # the step-major decoder carries the state from call to call, one
+        # token at a time after a prompt, bitwise the layer-major forward
+        _, w, ids = data.draw(models((arch,)))
         full = unroll(embed(ids, w.embedding), w.layers)
         decode = recurrent.recurrent_decoder(w, len(ids))
-        for k in range(2, 7):  # BLAS rounds a strided state apart, so pass a contiguous one
-            h = np.ascontiguousarray(full[:, k - 1])
+        for k in range(data.draw(st.integers(1, len(ids))), len(ids) + 1):
+            h = np.ascontiguousarray(full[:, k - 1])  # BLAS rounds a strided state apart
             npt.assert_array_equal(decode(ids[:k]), recurrent.tied_logits(h, w.embedding))
+
+    @pytest.mark.parametrize("name", ["rnn-L1", "rnn-L3", "lstm-L2", "lstm-L3"])
+    def test_one_input_product_per_layer(self, name, monkeypatch):
+        # every step's input terms of a layer come from one stacked product,
+        # made again on each call, while the cells still run once per step
+        cfg = FIXED[name]
+        calls = Counter()
+
+        def counted(f):
+            return lambda *args: calls.update([f.__name__]) or f(*args)
+
+        for f in (recurrent._product, recurrent.rnn_cell, recurrent.lstm_cell):
+            monkeypatch.setattr(recurrent, f.__name__, counted(f))
+        ids = [1, 2, 3, 4, 5]
+        w = init_weights(cfg, 3)
+        npt.assert_array_equal(recurrent_lm_forward(ids, w), recurrent_lm_forward(ids, w))
+        assert calls == {"_product": 2 * cfg.L, f"{cfg.arch}_cell": 2 * cfg.L * len(ids)}
 
     @pytest.mark.parametrize("kind,make", [("rnn", random_rnn_layer), ("lstm", random_lstm_layer)])
     def test_batch_equals_separate_sequences(self, rng, kind, make):
