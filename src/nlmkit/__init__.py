@@ -2,10 +2,10 @@
 
 Forward passes, losses, and closed-form parameter counts for feedforward,
 Elman RNN, LSTM, decoder-transformer (GPT2-style) and encoder-transformer
-(BERT-style) language models, a toy gradient-descent trainer with
-reverse-mode gradients (finite differences where a model has no reverse
-pass yet), plus binary weight archives and a CLI.  Everything is float64
-numpy; the package needs no other numeric library.
+(BERT-style) language models, a toy gradient-descent trainer that takes
+each causal model's gradient through its reverse pass, plus binary weight
+archives and a CLI.  Everything is float64 numpy; the package needs no
+other numeric library.
 """
 
 from .archive import load_weights, save_weights

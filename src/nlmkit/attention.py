@@ -105,7 +105,8 @@ def multi_head_attention(x: np.ndarray, w: MultiHeadWeights, mask: np.ndarray,
     d_e x (B*r), the query columns' outputs for B sequences and an r x keys
     mask.  Each query scores its own sequence's keys or, with a cache, all
     `keys` cached rows, the keys of x stored as the last of them.  All
-    are float64 arrays."""
+    are float64 arrays.  A score that overflows to +inf, allowed or
+    masked, raises ``UndefinedDistributionError`` from the softmax."""
     heads, d_e, d_k = w.w_q.shape
     d_v = w.w_v.shape[2]
     if x.shape[0] != d_e:
@@ -124,7 +125,8 @@ def multi_head_attention(x: np.ndarray, w: MultiHeadWeights, mask: np.ndarray,
     # M x B x r x keys: head m of sequence b scores its queries against its keys
     scores = q.reshape(heads, -1, rows, d_k) @ k.reshape(heads, -1, keys, d_k).swapaxes(2, 3)
     scores /= math.sqrt(d_k)
-    scores += mask
+    with np.errstate(invalid="ignore"):  # +inf meets -inf at a masked key: NaN, refused below
+        scores += mask
     weights = softmax(scores.reshape(-1, keys), axis=1, allowed=exp_allowed(mask), overwrite=True)
     mixed = weights.reshape(scores.shape) @ v.reshape(heads, -1, keys, d_v)  # M x B x r x d_v
     out = mixed.transpose(1, 2, 0, 3).reshape(-1, heads * d_v) @ w.w_o

@@ -20,18 +20,15 @@ carried ``(h, c)`` state for rnn and lstm.
 ``CAUSAL`` holds the passes of each autoregressive architecture; adding
 one means adding its entry there.  The encoder (bert) has none.  Each
 entry holds a forward pass per position (or None), a window scorer, a
-decoder, the logits of a training batch, and a reverse pass, ``grad``:
-those logits with a backward pass that turns their gradient into the
-parameters' gradient.  The feedforward LM's batch is a matrix of windows,
-a sequence model's the chunks of a corpus as the columns of a len x B id
-matrix.  gpt2 has no reverse pass yet (None): its batch logits come from
-one padded pass over every chunk, and the trainer takes finite
-differences of the loss over them.  Ids are checked once, where they
-enter: by the forward passes, by the window scorers and ``generate_tokens``
-(``checked_sequence``: one sequence that holds the window, or the model's
-context; the argmaxes after the prompt go to an intp buffer) and by the trainer's
-``_batch``.  Decoders, batch logits and reverse passes run unchecked on
-what those produced.
+decoder, and a reverse pass, ``grad``: the logits of a training batch
+with a backward pass that turns their gradient into the parameters'
+gradient.  The feedforward LM's batch is a matrix of windows, a sequence
+model's the chunks of a corpus as the columns of a len x B id matrix.
+Ids are checked once, where they enter: by the forward passes, by the
+window scorers and ``generate_tokens`` (``checked_sequence``: one
+sequence that holds the window, or the model's context; the argmaxes
+after the prompt go to an intp buffer) and by the trainer's ``_batch``.
+Decoders and reverse passes run unchecked on what those produced.
 """
 
 from __future__ import annotations
@@ -48,7 +45,7 @@ from .errors import ConfigError, SequenceLengthError
 from .ffnn import ffnn_decoder, ffnn_vjp
 from .losses import Predictor
 from .recurrent import recurrent_decoder, recurrent_lm_forward, recurrent_lm_vjp, recurrent_windows
-from .transformer import gpt2_decoder, gpt2_forward, gpt2_hidden, gpt2_windows
+from .transformer import gpt2_decoder, gpt2_forward, gpt2_vjp, gpt2_windows
 
 # Longest sequence generate_tokens builds, prompt included: only gpt2 has a
 # positional table, and nothing else would bound the id list.
@@ -61,29 +58,24 @@ class CausalModel(NamedTuple):
     forward: Callable | None  # (ids, w) -> |V| x len(ids); None: needs a full window
     windows: Callable  # (ids, n, w) -> |V| x (len(ids) - n + 1), one column per window
     decoder: Callable  # (w, total) -> next-token logits of the checked ids so far, per call
-    logits: Callable  # (checked batch, w) -> its logits
-    grad: Callable | None  # (checked batch, w) -> (logits, backward(d_logits, zeroed record))
+    grad: Callable  # (checked batch, w) -> (logits, backward(d_logits, zeroed record))
 
 
 # The lambdas look the model functions up when called, so a module-level
 # name rebound after import (as perfbench's tracer does) sees every call.
 # The decoders look their passes up in their own modules on every call.
-# The batch logits of ffnn, rnn and lstm are their reverse passes' forward
-# half, the one pass over a batch of sequences (``unroll`` takes one).
 _RECURRENT = CausalModel(lambda ids, w: recurrent_lm_forward(ids, w),
                          lambda ids, n, w: tied_logits(recurrent_windows(ids, n, w), w.embedding),
-                         recurrent_decoder, lambda batch, w: recurrent_lm_vjp(batch, w)[0],
-                         recurrent_lm_vjp)
+                         recurrent_decoder, recurrent_lm_vjp)
 CAUSAL = {
     "ffnn": CausalModel(
         None,
         lambda ids, n, w: ffnn_vjp(
             sliding_window_view(checked_sequence(ids, w.embedding.shape[1], n), n), w)[0],
-        ffnn_decoder, lambda batch, w: ffnn_vjp(batch, w)[0], ffnn_vjp),
+        ffnn_decoder, ffnn_vjp),
     "rnn": _RECURRENT,
     "lstm": _RECURRENT,
-    "gpt2": CausalModel(lambda ids, w: gpt2_forward(ids, w), gpt2_windows, gpt2_decoder,
-                        lambda batch, w: tied_logits(gpt2_hidden(batch, w), w.embedding), None),
+    "gpt2": CausalModel(lambda ids, w: gpt2_forward(ids, w), gpt2_windows, gpt2_decoder, gpt2_vjp),
 }
 
 

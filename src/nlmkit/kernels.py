@@ -186,6 +186,14 @@ def gelu(x, mode: str):
     raise ValueError(f"unknown gelu mode {mode!r}; expected 'tanh' or 'exact'")
 
 
+@np.errstate(over="ignore")  # layer_norm normalizes the columns that overflow again
+def _centered(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The columns of x less their means, and their population variances."""
+    # bitwise ndarray.mean without its Python wrapper; keepdims keeps var an array
+    out = x - np.add.reduce(x, axis=0, keepdims=True) / x.shape[0]
+    return out, np.add.reduce(out * out, axis=0, keepdims=True) / x.shape[0]
+
+
 def layer_norm(x, gain, bias) -> np.ndarray:
     """Z-score along axis 0, then apply the learned gain and bias.
 
@@ -194,27 +202,23 @@ def layer_norm(x, gain, bias) -> np.ndarray:
     ``LAYER_NORM_EPS`` sits under the square root so constant columns
     normalize to the bias.  Only `x` is coerced to float64.
 
-    A column whose variance overflows (past about 1e154, after numpy's
-    RuntimeWarning) is normalized again at 2^-k its scale, k even, with
-    ``LAYER_NORM_EPS`` at 2^-2k: no bit changes where nothing underflows.
+    A column whose variance overflows (past about 1e154, with no warning)
+    is normalized again at 2^-k its scale, k even, with ``LAYER_NORM_EPS``
+    at 2^-2k: no bit changes where nothing underflows.
     """
     x = np.asarray(x, dtype=np.float64)
     if not (x.ndim in (1, 2) and 0 < len(x) and gain.shape == bias.shape == x.shape[:1]):
         raise ShapeError(f"layer_norm needs x with nonempty axis 0 matching gain and bias: "
                          f"x {x.shape}, gain {gain.shape}, bias {bias.shape}")
     column = (-1,) + (1,) * (x.ndim - 1)
-    # bitwise ndarray.mean without its Python wrapper; keepdims keeps var an array
-    out = x - np.add.reduce(x, axis=0, keepdims=True) / x.shape[0]
-    var = np.add.reduce(out * out, axis=0, keepdims=True) / x.shape[0]
+    out, var = _centered(x)
     eps = LAYER_NORM_EPS
     if not np.isfinite(var).all():
         k = np.frexp(np.abs(x).max(axis=0, keepdims=True))[1]  # 0 for NaN or inf
         k = np.where(np.isfinite(var), 0, k + (k & 1))
         # where eps 2^-2k underflows, the least subnormal keeps a constant column at its bias
         eps = np.maximum(np.ldexp(eps, -2 * k), np.finfo(np.float64).smallest_subnormal)
-        x = np.ldexp(x, -k)
-        out = x - np.add.reduce(x, axis=0, keepdims=True) / x.shape[0]
-        var = np.add.reduce(out * out, axis=0, keepdims=True) / x.shape[0]
+        out, var = _centered(np.ldexp(x, -k))
     var += eps
     out /= np.sqrt(var, out=var)
     out *= gain.reshape(column)

@@ -1,6 +1,6 @@
 """Gradients, a plain gradient-descent trainer, and its corpus loss.
 
-The corpus loss (``make_corpus_loss``) runs the whole corpus through one
+The corpus loss (``corpus_objective``) runs the whole corpus through one
 forward pass per evaluation: the feedforward LM's windows as one batch, a
 sequence model's chunks as the columns of one padded len x B id matrix.
 The causal mask and the recurrences make each position depend only on the
@@ -8,12 +8,9 @@ tokens up to it, so padding after a chunk's last token changes no scored
 logit.  The trainer takes its gradients from each architecture's reverse
 pass (``inference.CAUSAL``'s ``grad``): that pass over the same batch,
 ``summed_ce_grad`` in place on the scored logit columns, and one backward
-pass give the loss and its gradient together.  An architecture with no
-reverse pass (gpt2, for now) is differentiated by central differences of
-the corpus loss over every scalar parameter, two evaluations per parameter
-and step.
-``numerical_gradient`` is also the oracle the reverse passes are tested
-against.
+pass give the loss and its gradient together.  ``numerical_gradient``,
+imported from ``weights`` and kept under this module's name too, is the
+oracle the reverse passes are tested against.
 """
 
 from __future__ import annotations
@@ -35,37 +32,7 @@ from .errors import (
 )
 from .inference import causal_model, checked_steps
 from .losses import summed_ce, summed_ce_grad
-from .weights import AnyWeights, named_tensor_view, zeros_weights
-
-FD_STEP = 1e-5
-
-
-def numerical_gradient(loss_fn, weights) -> dict[str, np.ndarray]:
-    """Central-difference gradient of a scalar loss over every parameter.
-
-    The weights are perturbed in place and restored; any probe that yields
-    a non-finite loss aborts with a diagnostic naming the parameter.
-    """
-    tensors = named_tensor_view(weights)
-    grad: dict[str, np.ndarray] = {}
-    for name, tensor in tensors.items():
-        flat = tensor.reshape(-1)
-        g = np.zeros(flat.shape[0])
-        for i in range(flat.shape[0]):
-            original = flat[i]
-            flat[i] = original + FD_STEP
-            j_plus = loss_fn(weights)
-            flat[i] = original - FD_STEP
-            j_minus = loss_fn(weights)
-            flat[i] = original
-            if not (math.isfinite(j_plus) and math.isfinite(j_minus)):
-                raise NonFiniteLossError(
-                    f"non-finite loss while probing parameter {name}[{i}]: "
-                    f"J+={j_plus}, J-={j_minus}"
-                )
-            g[i] = (j_plus - j_minus) / (2.0 * FD_STEP)
-        grad[name] = g.reshape(tensor.shape)
-    return grad
+from .weights import AnyWeights, named_tensor_view, numerical_gradient, zeros_weights
 
 
 def _check_rate(mu_lr: float) -> None:
@@ -94,28 +61,6 @@ def _descend(weights, gradient: dict[str, np.ndarray], mu_lr: float) -> None:
         if g.shape != tensor.shape:
             raise ShapeError(f"gradient {name} has shape {g.shape}, expected {tensor.shape}")
         tensor -= mu_lr * g
-
-
-def make_corpus_loss(cfg: ModelConfig, corpus_ids: list[int]):
-    """Mean per-predicted-token training loss of a causal architecture.
-
-    The corpus is checked and becomes one batch when the loss is made
-    (``_batch``); each call runs that whole batch unchecked through one pass
-    (``inference.CAUSAL``'s ``logits``), every window or chunk at once, and
-    reduces the logit columns that predict a token with one ``summed_ce``.
-    Every transition is scored exactly once, under
-    teacher forcing.  An id outside the vocabulary raises
-    ``OutOfVocabularyError``, also where it is only a target.  The encoder
-    (bert) has no causal passes and is refused, as is a sequence model's
-    max_len of 1 (no transitions).
-    """
-    return _corpus_loss(causal_model(cfg), *_batch(cfg, corpus_ids))
-
-
-def _corpus_loss(model, batch, columns, targets):
-    """``make_corpus_loss``'s loss over a batch ``_batch`` built."""
-    n = len(targets)  # the gather is a fresh copy, which the loss may reduce in place
-    return lambda w: summed_ce(targets, model.logits(batch, w)[:, columns]) / n
 
 
 def _batch(cfg: ModelConfig, corpus_ids: list[int]):
@@ -151,21 +96,27 @@ def _batch(cfg: ModelConfig, corpus_ids: list[int]):
 
 
 def corpus_objective(cfg: ModelConfig, corpus_ids: list[int]):
-    """``(loss, loss_and_gradient)``: ``make_corpus_loss``'s mean loss, and
-    the pair of it and its gradient, keyed by the ``named_tensor_view``
-    names.
+    """``(loss, loss_and_gradient)``: the mean per-predicted-token training
+    loss of a causal architecture, and the pair of it and its gradient,
+    keyed by the ``named_tensor_view`` names.
 
-    With a reverse pass the loss and the pair share one ``_batch``, and
-    the pair comes from that pass over it; without one (gpt2, for now) it
-    is the loss and its ``numerical_gradient``.  Either way an id outside
-    the vocabulary raises ``OutOfVocabularyError``.
+    The corpus is checked and becomes one batch here (``_batch``).  Each
+    call runs that whole batch unchecked through one pass, the model's
+    reverse pass (``inference.CAUSAL``'s ``grad``), every window or chunk
+    at once, and reduces the logit columns that predict a token with one
+    ``summed_ce``; the pair runs ``summed_ce_grad`` on them instead, then
+    the pass's backward.  Every transition is scored exactly once, under
+    teacher forcing.  An id outside the vocabulary raises
+    ``OutOfVocabularyError``, also where it is only a target.  The encoder
+    (bert) has no causal passes and is refused, as is a sequence model's
+    max_len of 1 (no transitions).
     """
     model = causal_model(cfg)
-    if model.grad is None:
-        loss = make_corpus_loss(cfg, corpus_ids)
-        return loss, lambda w: (loss(w), numerical_gradient(loss, w))
     batch, columns, targets = _batch(cfg, corpus_ids)
     count = len(targets)
+
+    def loss(w):  # the gather is a fresh copy, which the loss may reduce in place
+        return summed_ce(targets, model.grad(batch, w)[0][:, columns]) / count
 
     def loss_and_gradient(w):
         logits, backward = model.grad(batch, w)
@@ -177,7 +128,7 @@ def corpus_objective(cfg: ModelConfig, corpus_ids: list[int]):
         backward(d_logits, g)
         return total / count, g.named_tensors()
 
-    return _corpus_loss(model, batch, columns, targets), loss_and_gradient
+    return loss, loss_and_gradient
 
 
 def train_toy(cfg: ModelConfig, weights: AnyWeights, corpus_ids: list[int],

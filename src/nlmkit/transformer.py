@@ -14,11 +14,11 @@ The decoder LM pairs post-norm blocks with an input embedding norm, or
 pre-norm blocks with that same norm moved to the transformer output.
 
 ``gpt2_hidden`` is the one decoder pass, which the forward pass, the
-decoder, the trainer's batch and the window scorer all run.  A block
-returns only the columns its mask queries (``attention.query_columns``),
-and its residual and FFN run on those alone; with ``last_only`` the
-final block queries each sequence's last column, all ``gpt2_windows``
-reads.  The decoder decodes incrementally through a ``KVCache``: every
+decoder, the trainer's reverse pass (``gpt2_vjp``) and the window scorer
+all run.  A block returns only the columns its mask queries
+(``attention.query_columns``), and its residual and FFN run on those
+alone; with ``last_only`` the final block queries each sequence's last
+column, all ``gpt2_windows`` reads.  The decoder decodes incrementally through a ``KVCache``: every
 block keeps its heads' keys and values of the positions already seen, in
 one stacked key array and one value array, so a call with a cache
 computes only its new columns, whose keys and values it adds.  The new
@@ -33,8 +33,8 @@ columns, or ``WINDOW_COLUMNS // n`` of ``gpt2_windows``' n-token windows.
 Every pass takes its mask's rows and keys from the read-only max_len x
 max_len one ``build_mask`` keeps, and attention reads only that mask.
 ``gpt2_forward``, ``gpt2_windows`` and ``bert_forward`` check their ids;
-``gpt2_hidden`` runs on ids checked before, by the first two,
-``generate_tokens`` or the trainer's ``_batch``.
+``gpt2_hidden`` and ``gpt2_vjp`` run on ids checked before, by the first
+two, ``generate_tokens`` or the trainer's ``_batch``.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from .embeddings import add_positions, checked_ids, checked_sequence, embed, tie
 from .errors import SequenceFormatError, SequenceLengthError
 from .kernels import gelu, layer_norm
 from .vocab import SEGMENT_A, TokenSequence, Vocabulary
-from .weights import BertWeights, BlockWeights, Gpt2Weights
+from .weights import BertWeights, BlockWeights, Gpt2Weights, numerical_gradient
 
 # Columns of windows one gpt2_windows pass stacks: bounds its working set.
 WINDOW_COLUMNS = 256
@@ -137,6 +137,25 @@ def gpt2_hidden(ids, w: Gpt2Weights, cache: KVCache | None = None,
     if cache is not None:
         cache.length = end
     return h if last_only else h.reshape(d, -1, end - start).transpose(0, 2, 1).reshape(d, -1)
+
+
+def gpt2_vjp(ids, w: Gpt2Weights):
+    """The logits z of a len x B matrix of checked ids (``gpt2_forward``'s
+    layout) and ``backward(d_z, g)``, which writes into `g`, a zeroed record
+    built like `w`, the gradient of a loss whose gradient in z is d_z.  With
+    d_z fixed, <d_z, z(v)> has that gradient in the weights v (the chain
+    rule), and the backward takes its ``numerical_gradient``, central
+    differences, until the block backward of ROADMAP.md items 4 and 2.
+    """
+    def logits(v):
+        return tied_logits(gpt2_hidden(ids, v), v.embedding)
+
+    def backward(d_z: np.ndarray, g: Gpt2Weights) -> None:
+        gradient = numerical_gradient(lambda v: np.vdot(d_z, logits(v)), w)
+        for name, tensor in g.named_tensors().items():
+            tensor[...] = gradient[name]
+
+    return logits(w), backward
 
 
 def gpt2_decoder(w: Gpt2Weights, total: int):

@@ -24,6 +24,9 @@ an architecture means adding its builder to ``BUILDERS``.  A deep copy of a
 record (``training.gd_step`` makes one) is Python's default: its memo keeps
 every structured field the same array as its ``named_tensors()`` entry.
 
+``numerical_gradient`` takes central differences over that view: gpt2's
+backward pass, and the oracle every reverse pass is tested against.
+
 Weight initialization draws from a Philox counter-based generator
 (identifier "philox-4x64-10"), uniform on (-0.05, 0.05), one tensor at a
 time in canonical order, so a seed fully determines every bit of the
@@ -38,11 +41,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import ModelConfig
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, NonFiniteLossError, ShapeError
 
 INIT_GENERATOR = "philox-4x64-10"
 INIT_LOW, INIT_HIGH = -0.05, 0.05
 MAX_ELEMENTS = np.iinfo(np.intp).max // 8  # float64s one numpy array can address
+FD_STEP = 1e-5
 
 
 @dataclass
@@ -93,6 +97,31 @@ def named_tensor_view(weights) -> dict[str, np.ndarray]:
     if isinstance(weights, dict):
         return weights
     raise TypeError(f"cannot view {type(weights).__name__} as named tensors")
+
+
+def numerical_gradient(loss_fn, weights) -> dict[str, np.ndarray]:
+    """Central-difference gradient of a scalar loss over every parameter.
+
+    The weights are perturbed in place and restored; any probe that yields
+    a non-finite loss aborts with a diagnostic naming the parameter.
+    """
+    grad: dict[str, np.ndarray] = {}
+    for name, tensor in named_tensor_view(weights).items():
+        flat = tensor.reshape(-1)
+        g = np.zeros(flat.shape[0])
+        for i in range(flat.shape[0]):
+            original = flat[i]
+            flat[i] = original + FD_STEP
+            j_plus = loss_fn(weights)
+            flat[i] = original - FD_STEP
+            j_minus = loss_fn(weights)
+            flat[i] = original
+            if not (math.isfinite(j_plus) and math.isfinite(j_minus)):
+                raise NonFiniteLossError(f"non-finite loss while probing parameter {name}[{i}]: "
+                                         f"J+={j_plus}, J-={j_minus}")
+            g[i] = (j_plus - j_minus) / (2.0 * FD_STEP)
+        grad[name] = g.reshape(tensor.shape)
+    return grad
 
 
 @dataclass

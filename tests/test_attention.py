@@ -14,7 +14,7 @@ import pytest
 
 from nlmkit import kernels
 from nlmkit.attention import AttentionCache, build_mask, multi_head_attention
-from nlmkit.errors import SequenceLengthError, ShapeError
+from nlmkit.errors import SequenceLengthError, ShapeError, UndefinedDistributionError
 from nlmkit.kernels import softmax
 from nlmkit.weights import MultiHeadWeights
 
@@ -271,6 +271,16 @@ class TestMultiHeadAttention:
         w = random_heads(rng, 4, 3, 2, heads=2)
         with pytest.raises(ShapeError, match="sequence rows 5"):
             multi_head_attention(rng.normal(size=(5, 3)), w, build_mask(3, "AE"), None)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_a_score_overflowing_at_a_masked_key_is_an_undefined_distribution(self, rng):
+        # positive queries and keys at 1e160 make every score +inf, and +inf
+        # plus the mask's -inf is NaN; no other warning may come first
+        w = random_heads(rng, 4, 3, 2, heads=2)
+        w.w_q, w.w_k = np.abs(w.w_q) * 1e160, np.abs(w.w_k) * 1e160
+        x = np.abs(rng.normal(size=(4, 3)))
+        with pytest.raises(UndefinedDistributionError, match="softmax input contains NaN"):
+            multi_head_attention(x, w, build_mask(3, "AR"), None)
 
     @pytest.mark.parametrize("n", [31, 32, 64])
     def test_masked_exponentials_equal_the_plain_softmax_bitwise(self, rng, monkeypatch, n):

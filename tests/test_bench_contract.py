@@ -43,6 +43,7 @@ STALE = {
     "attention.self_attention_head", "transformer.greedy_decode",
     "embeddings.tied_logits_columns", "recurrent.recurrent_hidden",
     "recurrent.recurrent_generate", "ffnn.ffnn_predict", "ffnn.ffnn_generate",
+    "training.make_corpus_loss",
 }
 
 

@@ -104,3 +104,5 @@ def test_tables_at_runtime():
     assert tuple(config.ARCH_KEYS) == ARCHITECTURES
     assert set(weights.BUILDERS) == set(audit.COUNTS) == set(ARCHITECTURES)
     assert set(inference.CAUSAL) == AUTOREGRESSIVE
+    assert all(callable(model.grad) for model in inference.CAUSAL.values())
+    assert "logits" not in inference.CausalModel._fields

@@ -23,13 +23,7 @@ from nlmkit.ffnn import ffnn_forward
 from nlmkit.inference import make_forward
 from nlmkit.kernels import softmax
 from nlmkit.losses import ar_loss, ce_loss
-from nlmkit.training import (
-    corpus_objective,
-    gd_step,
-    make_corpus_loss,
-    numerical_gradient,
-    train_toy,
-)
+from nlmkit.training import corpus_objective, gd_step, numerical_gradient, train_toy
 from nlmkit.weights import init_weights, named_tensor_view
 
 import oracles
@@ -157,14 +151,14 @@ class TestCorpusLoss:
         cfg = ffnn_config(vocab=6, n=3, d0=2, hidden=(5,))
         w = init_weights(cfg, 11)
         corpus = [int(i) for i in rng.integers(0, 6, size=20)]
-        assert abs(make_corpus_loss(cfg, corpus)(w) - reference_loss(cfg, corpus)(w)) < 1e-12
+        assert abs(corpus_objective(cfg, corpus)[0](w) - reference_loss(cfg, corpus)(w)) < 1e-12
 
     @settings(max_examples=30)
     @given(data=st.data())
     def test_gpt2_equals_the_per_chunk_oracle_on_drawn_models(self, data):
         cfg, w, corpus = data.draw(models(("gpt2",)))
         want = reference_loss(cfg, corpus)(w)
-        assert abs(make_corpus_loss(cfg, corpus)(w) - want) <= 1e-12 * want
+        assert abs(corpus_objective(cfg, corpus)[0](w) - want) <= 1e-12 * want
 
     @pytest.mark.parametrize("name", ["gpt2-pre-zeta1-tanh", "gpt2-post-zeta0-exact", "rnn",
                                       "lstm"])
@@ -172,7 +166,7 @@ class TestCorpusLoss:
         cfg = sequence_model(name, 5)
         corpus = [0, 1, 2, 3, 4, 5, 4, 3, 2, 1, 0, 1, 2, 3]  # chunks at 0, 4, 8 and 12
         w = scaled_weights(cfg, 7)
-        want = make_corpus_loss(cfg, corpus)(w)
+        want = corpus_objective(cfg, corpus)[0](w)
         batch, padded = training._batch, []
 
         def repadded(*args):
@@ -183,7 +177,7 @@ class TestCorpusLoss:
             return ids, columns, targets
 
         monkeypatch.setattr(training, "_batch", repadded)
-        assert make_corpus_loss(cfg, corpus)(w) == want
+        assert corpus_objective(cfg, corpus)[0](w) == want
         assert padded == [2]
 
     @pytest.mark.parametrize("name", list(GPT2_VARIANTS))
@@ -193,7 +187,7 @@ class TestCorpusLoss:
                           max_len=3, zeta=zeta, norm_variant=variant, gelu_mode=gelu)
         corpus = [0, 1, 2, 3, 4, 2, 1, 3]  # the last chunk holds 2 tokens
         w = scaled_weights(cfg, 4)
-        got = numerical_gradient(make_corpus_loss(cfg, corpus), w)
+        got = numerical_gradient(corpus_objective(cfg, corpus)[0], w)
         want = numerical_gradient(reference_loss(cfg, corpus), w)
         assert list(got) == list(want)
         for key in want:
@@ -207,7 +201,7 @@ class TestCorpusLoss:
         # mean over chunks of a uniform model must equal log |V| regardless
         # of how the corpus is split, and that only holds when every
         # transition is counted exactly once
-        loss = make_corpus_loss(cfg, corpus)
+        loss = corpus_objective(cfg, corpus)[0]
         w = init_weights(cfg, 0)
         for tensor in w.named_tensors().values():
             tensor[:] = 0.0
@@ -218,7 +212,7 @@ class TestCorpusLoss:
         # finite-difference descent steps strictly reduce the loss
         cfg = ffnn_config(vocab=6, n=2, d0=3, hidden=(4,))
         corpus = [0, 1, 2, 3, 4, 5] * 3
-        loss_fn = make_corpus_loss(cfg, corpus)
+        loss_fn = corpus_objective(cfg, corpus)[0]
         w = init_weights(cfg, 1)
         losses = [loss_fn(w)]
         for _ in range(10):
@@ -232,7 +226,7 @@ class TestTrainToy:
         cfg = ModelConfig(arch="bert", d_e=4, d_k=2, d_v=2, d_f=4, M=1, L=1, vocab_size=5,
                           max_len=4)
         with pytest.raises(ConfigError, match="not autoregressive"):
-            make_corpus_loss(cfg, [0, 1, 2, 3])
+            corpus_objective(cfg, [0, 1, 2, 3])
 
     @pytest.mark.parametrize("cfg", [
         ModelConfig(arch="rnn", d_e=2, vocab_size=4, max_len=1, L=1),
@@ -261,7 +255,7 @@ class TestTrainToy:
         cfg = ModelConfig(arch="lstm", d_e=2, vocab_size=4, max_len=4, L=1)
         corpus = [0, 1, 2, 3] * 3
         w0 = init_weights(cfg, 3)
-        losses = [make_corpus_loss(cfg, corpus)(w0)]
+        losses = [corpus_objective(cfg, corpus)[0](w0)]
         train_toy(cfg, w0, corpus, steps=5, mu_lr=0.3,
                   log_fn=lambda line: losses.append(float(line.split("\t")[1])))
         assert len(losses) == 6
@@ -272,7 +266,7 @@ class TestTrainToy:
         corpus = [0, 1, 2, 3, 4] * 3
         lines = []
         w0 = init_weights(cfg, 2)
-        initial = make_corpus_loss(cfg, corpus)(w0)
+        initial = corpus_objective(cfg, corpus)[0](w0)
         _, final = train_toy(cfg, w0, corpus, steps=5, mu_lr=0.3, log_fn=lines.append)
         assert final < initial
         assert len(lines) == 5
@@ -284,12 +278,12 @@ class TestTrainToy:
 
 
 MODEL_KINDS = [(arch, activation) for arch in ("ffnn", "rnn") for activation in ACTIVATIONS]
-MODEL_KINDS.append(("lstm", None))
+MODEL_KINDS += [("lstm", None), ("gpt2", None)]
 
 
 class TestReverseModeGradient:
     @pytest.mark.parametrize("arch,activation", MODEL_KINDS)
-    @settings(max_examples=6)
+    @settings(max_examples=12)
     @given(data=st.data())
     def test_matches_finite_differences(self, arch, activation, data):
         pinned = {} if activation is None else {"activation": activation}
@@ -302,8 +296,8 @@ class TestReverseModeGradient:
             npt.assert_allclose(grad[name], want[name], rtol=1e-6, atol=1e-8, err_msg=name)
         want_loss = loss_fn(w)
         assert abs(loss - want_loss) <= 1e-12 * want_loss
-        # the batch logits (CAUSAL's logits), not only the reverse pass's forward half
-        assert abs(make_corpus_loss(cfg, corpus)(w) - want_loss) <= 1e-12 * want_loss
+        # the loss alone, not only the loss with its gradient
+        assert abs(corpus_objective(cfg, corpus)[0](w) - want_loss) <= 1e-12 * want_loss
 
     def test_loss_function_without_gradient_agrees(self):
         cfg = ModelConfig(arch="lstm", d_e=2, vocab_size=4, max_len=3, L=2)
@@ -404,11 +398,11 @@ def spy_on_blocks(monkeypatch):
 class TestTrainerGradients:
     @pytest.mark.parametrize("arch", list(REVERSE_MODE))
     def test_reverse_mode_archs_never_take_finite_differences(self, arch, monkeypatch):
-        monkeypatch.setattr(training, "numerical_gradient", refuse)
+        monkeypatch.setattr(transformer, "numerical_gradient", refuse)
         cfg = REVERSE_MODE[arch]
         w0 = init_weights(cfg, 1)
         w, loss = train_toy(cfg, w0, CORPUS, steps=2, mu_lr=0.5)
-        assert loss < make_corpus_loss(cfg, CORPUS)(w0)
+        assert loss < corpus_objective(cfg, CORPUS)[0](w0)
 
     def test_gpt2_takes_finite_differences_once_per_step(self, monkeypatch):
         calls = []
@@ -417,7 +411,7 @@ class TestTrainerGradients:
             calls.append(loss_fn)
             return {name: np.zeros_like(t) for name, t in named_tensor_view(w).items()}
 
-        monkeypatch.setattr(training, "numerical_gradient", counted)
+        monkeypatch.setattr(transformer, "numerical_gradient", counted)
         cfg = tiny_gpt2()
         train_toy(cfg, init_weights(cfg, 1), [0, 1, 2, 3, 2], steps=3, mu_lr=0.1)
         assert len(calls) == 3
@@ -425,24 +419,17 @@ class TestTrainerGradients:
     def test_one_gpt2_loss_evaluation_runs_the_blocks_once(self, monkeypatch):
         stacks = spy_on_blocks(monkeypatch)
         cfg = tiny_gpt2()
-        make_corpus_loss(cfg, CORPUS)(init_weights(cfg, 1))  # 5 chunks
+        corpus_objective(cfg, CORPUS)[0](init_weights(cfg, 1))  # 5 chunks
         assert len(stacks) == 1
 
     def test_a_gpt2_step_makes_two_loss_evaluations_per_parameter_and_one_more(self,
                                                                              monkeypatch):
-        stacks, evaluations, factory = spy_on_blocks(monkeypatch), [], training.make_corpus_loss
-
-        def counted(*args):
-            loss = factory(*args)
-            return lambda w: evaluations.append(w) or loss(w)
-
-        monkeypatch.setattr(training, "make_corpus_loss", counted)
+        stacks = spy_on_blocks(monkeypatch)
         cfg = tiny_gpt2()
         w0 = init_weights(cfg, 1)
         parameters = sum(t.size for t in named_tensor_view(w0).values())
         train_toy(cfg, w0, CORPUS, steps=2, mu_lr=0.1)
-        assert len(evaluations) == 2 * (2 * parameters + 1) + 1  # and the final loss
-        assert len(stacks) == len(evaluations)
+        assert len(stacks) == 2 * (2 * parameters + 1) + 1  # and the final loss
 
     @pytest.mark.parametrize("cfg", [*REVERSE_MODE.values(), tiny_gpt2()],
                              ids=[*REVERSE_MODE, "gpt2"])
@@ -455,7 +442,7 @@ class TestTrainerGradients:
     @pytest.mark.parametrize("cfg", [*REVERSE_MODE.values(), tiny_gpt2()],
                              ids=[*REVERSE_MODE, "gpt2"])
     def test_zero_steps_take_no_gradient(self, cfg, monkeypatch):
-        monkeypatch.setattr(training, "numerical_gradient", refuse)
+        monkeypatch.setattr(transformer, "numerical_gradient", refuse)
         monkeypatch.setattr(training, "summed_ce_grad", refuse)
         w0 = init_weights(cfg, 1)
         w, loss = train_toy(cfg, w0, CORPUS[:7], steps=0, mu_lr=0.1)
@@ -494,7 +481,7 @@ class TestTrainerGradients:
     def test_logged_losses_are_the_corpus_loss_of_each_steps_weights(self, arch, monkeypatch):
         cfg = REVERSE_MODE[arch]
         w0 = init_weights(cfg, 2)
-        loss_fn = make_corpus_loss(cfg, CORPUS)
+        loss_fn = corpus_objective(cfg, CORPUS)[0]
         wanted = [loss_fn(train_toy(cfg, w0, CORPUS, steps=k, mu_lr=0.5)[0]) for k in (1, 2, 3)]
 
         # every loss the trainer computes, in order: step 1's is that of w0

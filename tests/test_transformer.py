@@ -209,8 +209,7 @@ def test_every_gpt2_stack_pass_enters_through_gpt2_hidden(monkeypatch):
         entered.append(bool(inside))
         return stack(*args, **kwargs)
 
-    for module in (transformer, inference):
-        monkeypatch.setattr(module, "gpt2_hidden", counted_hidden)
+    monkeypatch.setattr(transformer, "gpt2_hidden", counted_hidden)
     monkeypatch.setattr(transformer, "transformer_stack", counted_stack)
     ids = np.random.default_rng(0).integers(0, cfg.vocab_size, 47).tolist()
     gpt2_forward(ids[:8], w)
@@ -219,7 +218,7 @@ def test_every_gpt2_stack_pass_enters_through_gpt2_hidden(monkeypatch):
     decode = inference.CAUSAL["gpt2"].decoder(w, 8)
     decode(ids[:5])
     decode(ids[:6])
-    inference.CAUSAL["gpt2"].logits(np.array(ids[:24]).reshape(8, 3), w)
+    inference.CAUSAL["gpt2"].grad(np.array(ids[:24]).reshape(8, 3), w)[0]
     assert entered == [True] * 6
 
 
